@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from .design import _info_matrix
 from .errors import EstimationFailureError, InvalidAllocationError
 from .instances import IDENTITY, MeanFunction
 
@@ -16,10 +17,18 @@ RESIDUAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class RegressionData:
-    """Stacked exploration data: one row of ``xs`` and entry of ``ys`` per pull."""
+    """Exploration data as sufficient statistics, one row per arm.
+
+    Row i of ``xs`` was pulled ``counts[i]`` times and ``ys[i]`` is the sum
+    of those rewards, so a fit needs only V = sum_i c_i x_i x_i' and
+    X'y = sum_i x_i S_i.  With ``counts=None`` every row is one pull and
+    ``ys`` holds single rewards; rows may repeat.  Rows with a zero count
+    contribute nothing.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
+    counts: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -28,12 +37,26 @@ class RegressionData:
             raise InvalidAllocationError("xs must be (n, d) and ys (n,) with matching n")
         if xs.shape[0] == 0:
             raise InvalidAllocationError("regression data must be nonempty")
+        if self.counts is None:
+            counts = np.ones(xs.shape[0])
+        else:
+            counts = np.asarray(self.counts, dtype=float)
+            if counts.shape != ys.shape:
+                raise InvalidAllocationError("counts must hold one entry per row")
+            if not (np.all(np.isfinite(counts)) and np.all(counts >= 0.0)
+                    and np.all(counts == np.floor(counts))):
+                raise InvalidAllocationError(
+                    "counts must be finite nonnegative integers")
+            if counts.sum() == 0.0:
+                raise InvalidAllocationError("counts record no pulls")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
-        return self.xs.shape[0]
+        """Number of pulls, the sum of ``counts``."""
+        return int(self.counts.sum())
 
     @property
     def dim(self) -> int:
@@ -44,18 +67,15 @@ class RegressionData:
 class ParameterEstimate:
     """Fitted parameter with the information matrix it was computed from.
 
-    ``covariance`` holds V = sum_j x_j x_j', the unnormalized sample
-    information matrix; downstream error-bound evaluation reads it directly.
+    ``covariance`` holds V = sum_i c_i x_i x_i', the unnormalized sample
+    information matrix over rows x_i pulled c_i times; downstream
+    error-bound evaluation reads it directly.
     """
 
     theta_hat: np.ndarray
     covariance: np.ndarray
     converged: bool = True
     iterations: int = 0
-
-
-def _information_matrix(xs: np.ndarray) -> np.ndarray:
-    return xs.T @ xs
 
 
 def least_squares(data: RegressionData) -> ParameterEstimate:
@@ -70,7 +90,7 @@ def least_squares(data: RegressionData) -> ParameterEstimate:
     InvalidAllocationError
         If V is singular or too ill-conditioned to certify the solution.
     """
-    V = _information_matrix(data.xs)
+    V = _info_matrix(data.counts, data.xs)
     b = data.xs.T @ data.ys
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond >= COND_LIMIT:
@@ -98,9 +118,11 @@ def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
              max_iter: int = 100, ridge: float = 1e-10) -> ParameterEstimate:
     """Maximum quasi-likelihood fit for a monotone mean function.
 
-    Newton/IRLS iterations drive the score sum_j (y_j - h(x_j' theta)) x_j
-    to zero, halving the step while the score norm fails to decrease.  The
-    ridge stabilizes each inner solve only; it is not part of the objective.
+    Newton/IRLS iterations drive the score sum_i (S_i - c_i h(x_i' theta)) x_i
+    to zero, S_i being the reward sum of row i over its c_i pulls, halving
+    the step while the score norm fails to decrease.  The Jacobian is
+    sum_i c_i h'(x_i' theta) x_i x_i' plus a ridge, which stabilizes each
+    inner solve only; it is not part of the objective.
 
     Returns ``converged=False`` with the best iterate if ``max_iter`` is
     reached, which is the expected outcome on separable Bernoulli data.
@@ -110,23 +132,23 @@ def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
     EstimationFailureError
         If 30 halvings cannot produce any decrease of the score norm.
     """
-    xs, ys = data.xs, data.ys
+    xs, sums, counts = data.xs, data.ys, data.counts
     d = data.dim
+    V = _info_matrix(counts, xs)
     theta = np.zeros(d)
 
     def score(t: np.ndarray) -> np.ndarray:
-        return xs.T @ (ys - mean_fn.value(xs @ t))
+        return xs.T @ (sums - counts * mean_fn.value(xs @ t))
 
     s = score(theta)
     merit = float(np.linalg.norm(s))
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if merit <= tol:
-            return ParameterEstimate(theta_hat=theta,
-                                     covariance=_information_matrix(xs),
+            return ParameterEstimate(theta_hat=theta, covariance=V,
                                      converged=True, iterations=iterations - 1)
-        weights = np.asarray(mean_fn.derivative(xs @ theta), dtype=float)
-        J = xs.T @ (xs * weights[:, None]) + ridge * np.eye(d)
+        weights = counts * np.asarray(mean_fn.derivative(xs @ theta), dtype=float)
+        J = _info_matrix(weights, xs) + ridge * np.eye(d)
         try:
             step = np.linalg.solve(J, s)
         except np.linalg.LinAlgError as exc:
@@ -146,7 +168,7 @@ def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
                 f"IRLS diverged: score norm {merit:.3e} not reducible after 30 halvings")
         theta, s, merit = cand, cand_s, cand_merit
     converged = merit <= tol
-    return ParameterEstimate(theta_hat=theta, covariance=_information_matrix(xs),
+    return ParameterEstimate(theta_hat=theta, covariance=V,
                              converged=converged, iterations=iterations)
 
 

@@ -10,7 +10,7 @@ survivor is the recommendation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -88,15 +88,17 @@ class RunResult:
 
 
 class DesignCache:
-    """Memo for projections and exploration designs keyed by active-id sets.
+    """Memo for projections, exploration designs and stage pull counts.
 
-    Projection and design solving are deterministic functions of the active
-    arm subset, so replications over a fixed instance can share the work.
+    Projection, design solving and rounding are deterministic functions of
+    the active arm subset and the stage budget, so replications over a
+    fixed instance can share the work.  Cached counts are read-only.
     """
 
     def __init__(self) -> None:
         self._projections: dict = {}
         self._designs: dict = {}
+        self._counts: dict = {}
 
     def projection(self, instance: BanditInstance, ids: tuple[int, ...],
                    rank_tol: float) -> ProjectedArmSet:
@@ -116,6 +118,18 @@ class DesignCache:
             solver = fw_g_optimal if strategy == "fw-g" else fw_d_optimal
             hit = solver(active.projected, iterations=iterations, tol=tol)
             self._designs[key] = hit
+        return hit
+
+    def counts(self, active: ProjectedArmSet, n: int, config: GseConfig,
+               ) -> tuple[np.ndarray, Optional[Design]]:
+        """Read-only pull counts of a stage of ``n`` pulls, with their design."""
+        key = (active.original_ids, n, config.strategy,
+               config.forced_exploration, config.fw_tol, config.fw_iterations)
+        hit = self._counts.get(key)
+        if hit is None:
+            hit = _stage_counts(active, n, config, self)
+            hit[0].flags.writeable = False
+            self._counts[key] = hit
         return hit
 
 
@@ -185,17 +199,9 @@ def _spanning_prefix(projected: np.ndarray) -> list[int]:
     raise InvalidAllocationError("active arms do not span their projection")
 
 
-def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
-            config: GseConfig, rng: np.random.Generator,
-            cache: Optional[DesignCache] = None,
-            ) -> tuple[Allocation, RegressionData, Optional[Design]]:
-    """Spend ``n`` pulls on the active arms and return the stacked data.
-
-    Pulls are ordered by active-arm index, each arm's pulls contiguous, so
-    a run is reproducible from (instance, config, seed) alone.  The rows of
-    the returned data are projected features; rewards come from the
-    original arms.
-    """
+def _stage_counts(active: ProjectedArmSet, n: int, config: GseConfig,
+                  cache: DesignCache) -> tuple[np.ndarray, Optional[Design]]:
+    """Pull counts of one stage, optional forced pulls first, and the design."""
     m, d_t = active.n_arms, active.dim
     if n < d_t:
         raise InvalidAllocationError(f"stage budget {n} below span dimension {d_t}")
@@ -210,21 +216,32 @@ def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
         base, rem = divmod(budget, m)
         counts += base
         counts[:rem] += 1  # equal remainders; lowest indices win
-    elif budget == 0:
-        pass  # forced pulls consumed the whole stage; nothing left to round
-    else:
-        if cache is not None:
-            design = cache.design(active, config.strategy, config.fw_tol,
-                                  config.fw_iterations)
-        else:
-            solver = fw_g_optimal if config.strategy == "fw-g" else fw_d_optimal
-            design = solver(active.projected, iterations=config.fw_iterations,
-                            tol=config.fw_tol)
+    elif budget > 0:  # forced pulls may consume the whole stage
+        design = cache.design(active, config.strategy, config.fw_tol,
+                              config.fw_iterations)
         counts += allocate_budget(budget, design, active.projected).counts
-    pull_ids = np.repeat(np.asarray(active.original_ids), counts)
-    xs = np.repeat(active.projected, counts, axis=0)
-    ys = sample_rewards(instance, pull_ids, rng)
-    return Allocation(counts=counts), RegressionData(xs=xs, ys=ys), design
+    return counts, design
+
+
+def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
+            config: GseConfig, rng: np.random.Generator,
+            cache: Optional[DesignCache] = None,
+            ) -> tuple[Allocation, RegressionData, Optional[Design]]:
+    """Spend ``n`` pulls on the active arms and return per-arm statistics.
+
+    Pulls are drawn in active-arm order, each arm's pulls contiguous, one
+    reward per pull, so a run is reproducible from (instance, config, seed)
+    alone.  The returned data has one row per active arm: its projected
+    features, its reward sum and its pull count.
+    """
+    if cache is None:
+        cache = DesignCache()
+    counts, design = cache.counts(active, n, config)
+    arm_of_pull = np.repeat(np.arange(active.n_arms), counts)
+    ys = sample_rewards(instance, np.asarray(active.original_ids)[arm_of_pull], rng)
+    sums = np.bincount(arm_of_pull, weights=ys, minlength=active.n_arms)
+    return (Allocation(counts=counts),
+            RegressionData(xs=active.projected, ys=sums, counts=counts), design)
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +325,11 @@ def gse_run(instance: BanditInstance, config: GseConfig,
 def static_single_stage_run(instance: BanditInstance, config: GseConfig,
                             rng: np.random.Generator,
                             cache: Optional[DesignCache] = None) -> RunResult:
-    """Single-stage baseline: one G-optimal allocation, one least-squares fit."""
-    if cache is None:
-        cache = DesignCache()
-    active = cache.projection(instance, tuple(range(instance.n_arms)),
-                              config.rank_tol)
-    if config.budget < active.dim:
-        raise ConfigurationError(
-            f"budget {config.budget} cannot span dimension {active.dim}")
-    design = cache.design(active, "fw-g", config.fw_tol, config.fw_iterations)
-    alloc = allocate_budget(config.budget, design, active.projected)
-    pull_ids = np.repeat(np.asarray(active.original_ids), alloc.counts)
-    xs = np.repeat(active.projected, alloc.counts, axis=0)
-    ys = sample_rewards(instance, pull_ids, rng)
-    estimate = least_squares(RegressionData(xs=xs, ys=ys))
-    mu_hat = mean_estimates(estimate, active.projected)
-    recommended = int(active.original_ids[int(np.argmax(mu_hat))])
-    trace = StageTrace(stage=1, arms=active, counts=alloc.counts, mu_hat=mu_hat,
-                       survivors=(recommended,), estimator_converged=True,
-                       estimator_iterations=estimate.iterations,
-                       used_fallback=False, design=design)
-    return RunResult(recommended=recommended,
-                     success=recommended == instance.best_arm,
-                     traces=(trace,), total_pulls=alloc.total)
+    """Single-stage baseline: one G-optimal allocation, one least-squares fit.
+
+    This is the stage loop with eta = K, so its one stage spends the whole
+    budget and keeps the single top arm.
+    """
+    single = replace(config, strategy="fw-g", model="linear",
+                     forced_exploration=False, eta=float(instance.n_arms))
+    return gse_run(instance, single, rng, cache)

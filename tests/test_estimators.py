@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbbai.errors import EstimationFailureError, InvalidAllocationError
 from fbbai.estimators import (ParameterEstimate, RegressionData, irls_glm,
@@ -23,6 +25,71 @@ class TestRegressionData:
     def test_dimensions_exposed(self):
         data = RegressionData(xs=np.ones((5, 3)), ys=np.zeros(5))
         assert data.n == 5 and data.dim == 3
+
+    def test_counts_sum_to_the_pull_count(self):
+        data = RegressionData(xs=np.ones((3, 2)), ys=np.zeros(3),
+                              counts=np.array([4, 0, 2]))
+        assert data.n == 6 and data.dim == 2
+
+    @pytest.mark.parametrize("counts", [
+        [1.0, -1.0, 2.0],
+        [1.0, np.nan, 2.0],
+        [1.0, np.inf, 2.0],
+        [1.0, 0.5, 2.0],
+        [1.0, 2.0],
+        [[1.0, 1.0, 1.0]],
+        [0.0, 0.0, 0.0],
+    ])
+    def test_invalid_counts_rejected(self, counts):
+        with pytest.raises(InvalidAllocationError):
+            RegressionData(xs=np.ones((3, 2)), ys=np.zeros(3), counts=counts)
+
+
+def per_arm_and_per_pull(seed, m, d, bernoulli):
+    """The same draws twice: as per-arm (count, sum) rows and as one row
+    per pull in shuffled order.  Counts include zeros; Bernoulli rows with
+    pulls see both outcomes, so the logistic MLE exists."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((m, d))
+    if bernoulli:
+        counts = rng.integers(2, 7, m) * (rng.random(m) < 0.8)
+        counts[0] = 0
+        wins = np.where(counts > 0, rng.integers(1, np.maximum(counts, 2)), 0)
+        pulls = np.concatenate([[1.0] * w + [0.0] * (c - w)
+                                for c, w in zip(counts, wins)])
+    else:
+        counts = rng.integers(0, 6, m)
+        counts[0] = 0
+        pulls = rng.standard_normal(counts.sum())
+    assume(np.count_nonzero(counts) >= d)
+    arm_of_pull = np.repeat(np.arange(m), counts)
+    sums = np.bincount(arm_of_pull, weights=pulls, minlength=m)
+    order = rng.permutation(arm_of_pull.size)
+    per_arm = RegressionData(xs=xs, ys=sums, counts=counts)
+    per_pull = RegressionData(xs=xs[arm_of_pull][order], ys=pulls[order])
+    return per_arm, per_pull
+
+
+def assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.abs(b).max())
+
+
+class TestPerArmStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
+           d=st.integers(1, 4), bernoulli=st.booleans())
+    def test_per_arm_fits_match_per_pull_fits(self, seed, m, d, bernoulli):
+        per_arm, per_pull = per_arm_and_per_pull(seed, m, d, bernoulli)
+        assert per_arm.n == per_pull.n
+        V = per_pull.xs.T @ per_pull.xs
+        assume(np.linalg.cond(V) < 1e4)
+        mean_fn = LOGISTIC if bernoulli else IDENTITY
+        for fit in (least_squares, lambda data: irls_glm(data, mean_fn)):
+            a, b = fit(per_arm), fit(per_pull)
+            assert a.converged and b.converged
+            assert_close(a.theta_hat, b.theta_hat)
+            assert_close(a.covariance, b.covariance)
+            assert_close(a.covariance, V)
 
 
 class TestLeastSquares:

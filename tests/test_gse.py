@@ -8,8 +8,9 @@ from fbbai.errors import (ConfigurationError, EstimationFailureError,
                           InvalidAllocationError)
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore, gse_run,
                        stage_schedule, static_single_stage_run)
-from fbbai.instances import (gen_adaptive_instance, gen_logistic_instance,
-                             gen_static_instance, noiseless, project_to_span)
+from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
+                             gen_logistic_instance, gen_static_instance,
+                             noiseless, project_to_span, sample_rewards)
 
 
 class TestConfig:
@@ -96,8 +97,11 @@ class TestExplore:
         assert list(alloc.counts) == [3, 3, 2, 2]
         assert design is None
         assert data.n == 10
-        # noiseless static rewards: arm 0 pays 1, the rest pay 0
-        assert data.ys.sum() == pytest.approx(3.0)
+        # one row per arm: its pull count and reward sum; noiseless static
+        # rewards pay 1 on arm 0 and 0 elsewhere
+        assert np.array_equal(data.xs, active.projected)
+        assert list(data.counts) == [3, 3, 2, 2]
+        assert list(data.ys) == pytest.approx([3.0, 0.0, 0.0, 0.0])
 
     def test_stage_budget_below_dimension_rejected(self):
         inst = gen_static_instance(1.0, K=4)
@@ -135,6 +139,50 @@ class TestExplore:
         _, _, d1 = explore(inst, active, 30, cfg, np.random.default_rng(0), cache)
         _, _, d2 = explore(inst, active, 30, cfg, np.random.default_rng(1), cache)
         assert d1 is d2
+
+    def test_cached_counts_are_shared_and_read_only(self):
+        inst = gen_static_instance(0.5, K=8, sigma2=4.0)
+        cfg = GseConfig(budget=80)
+        cache = DesignCache()
+        a = gse_run(inst, cfg, np.random.default_rng(0), cache)
+        b = gse_run(inst, cfg, np.random.default_rng(1), cache)
+        assert a.traces[0].counts is b.traces[0].counts
+        with pytest.raises(ValueError):
+            a.traces[0].counts[0] = 0
+
+
+def glm_grid_instance(K, gap):
+    theta = np.zeros(K)
+    theta[0] = gap
+    return BanditInstance(features=np.eye(K), theta_star=theta, model="glm",
+                          mean_fn=LOGISTIC, noise_sigma2=0.25, bernoulli=True)
+
+
+@pytest.mark.parametrize("model", ["linear", "logistic"])
+def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
+    """On orthonormal arms an arm's estimate depends only on its own pull
+    count and reward sum, so arms that agree on both must get bit-equal
+    estimates; the tie then goes to the lower id, never to rounding."""
+    inst = glm_grid_instance(8, 0.75)
+    cfg = GseConfig(budget=200, model=model)
+    straddling = 0
+    for seed in range(300):
+        result = gse_run(inst, cfg, np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)  # redraws the run's rewards
+        for trace in result.traces:
+            ids = np.asarray(trace.arms.original_ids)
+            arm_of_pull = np.repeat(np.arange(ids.size), trace.counts)
+            ys = sample_rewards(inst, ids[arm_of_pull], replay)
+            sums = np.bincount(arm_of_pull, weights=ys, minlength=ids.size)
+            for i in range(ids.size):
+                for j in range(i + 1, ids.size):
+                    if (trace.counts[i], sums[i]) != (trace.counts[j], sums[j]):
+                        continue
+                    assert trace.mu_hat[i] == trace.mu_hat[j]
+                    if ids[j] in trace.survivors:
+                        assert ids[i] in trace.survivors
+                    straddling += (ids[i] in trace.survivors) != (ids[j] in trace.survivors)
+    assert straddling > 0  # some ties fell on the elimination cut
 
 
 class TestGseRun:
