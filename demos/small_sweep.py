@@ -8,25 +8,18 @@ seconds.  The same comparison at full scale is `fbbai sweep --preset
 adaptive`.
 """
 
-from fbbai.harness import format_csv, mc_accuracy
-from fbbai.instances import gen_adaptive_instance
-from fbbai.harness import SweepRow, bound_for_source
+from fbbai.harness import SweepPoint, format_csv, run_point
 
 R = 200
-inst = gen_adaptive_instance(7)
 rows = []
 for variant in ("gse-uniform", "gse-fwg"):
     for budget in (150, 300, 600):
-        res = mc_accuracy(inst, variant, budget, R, seed=11,
-                          family="adaptive-demo")
-        rows.append(SweepRow(
-            family="adaptive-demo", variant=variant, param_name="budget",
-            param_value=float(budget), R=R, successes=res.successes,
-            accuracy=res.accuracy, stderr=res.stderr,
-            bound_delta=bound_for_source(inst, budget, 2.0),
-            aborts=res.aborts, wall_time_s=0.0))
+        point = SweepPoint("adaptive-demo", "adaptive", {"d": 7}, "budget",
+                           float(budget), variant, budget)
+        row = run_point(point, R, seed=11)
+        rows.append(row)
         print(f"{variant:12s} B={budget:4d}"
-              f" accuracy={res.accuracy:.3f} +- {res.stderr:.3f}")
+              f" accuracy={row.accuracy:.3f} +- {row.stderr:.3f}")
 
 print("\nas CSV (wall time excluded):\n")
 print(format_csv(rows, include_wall_time=False))

@@ -10,8 +10,7 @@ from .bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                      stage_norm_terms)
 from .design import (Allocation, Design, allocate_budget, default_iteration_cap,
                      d_opt_gradient, fw_d_optimal, fw_g_optimal, g_gradient,
-                     g_value_and_argmax, kw_certificate, line_search_g,
-                     round_allocation)
+                     g_value_and_argmax, kw_certificate, round_allocation)
 from .errors import (BudgetTooSmallError, ConfigurationError,
                      DegenerateInputError, EstimationFailureError, FbbaiError,
                      InvalidAllocationError, SingularDesignError,
@@ -49,8 +48,8 @@ __all__ = [
     "g_gradient", "g_value_and_argmax", "gen_adaptive_instance",
     "gen_corner_instance", "gen_logistic_instance", "gen_sphere_instance",
     "gen_static_instance", "gse_run", "irls_glm", "kw_certificate",
-    "least_squares", "line_search_g", "load_features", "load_instance_csv",
-    "mc_accuracy", "mean_estimates", "noiseless", "oracle_c_min",
+    "least_squares", "load_features", "load_instance_csv", "mc_accuracy",
+    "mean_estimates", "noiseless", "oracle_c_min",
     "project_to_span", "rep_seed", "round_allocation", "run_point",
     "run_preset", "sample_reward", "sample_rewards", "stage_norm_terms",
     "stage_schedule", "static_single_stage_run", "write_csv", "write_json",

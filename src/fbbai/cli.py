@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,10 +19,9 @@ from .design import allocate_budget, fw_d_optimal, fw_g_optimal
 from .errors import (BudgetTooSmallError, ConfigurationError,
                      DegenerateInputError, FbbaiError, SingularDesignError,
                      UndefinedBoundError)
-from .harness import (PRESETS, VARIANTS, SweepRow, bound_for_source,
-                      family_source, format_csv, format_json, mc_accuracy,
-                      run_preset, write_csv, write_json)
-from .instances import load_features, load_instance_csv
+from .harness import (PRESETS, VARIANTS, SweepPoint, format_csv, format_json,
+                      run_point, run_preset, write_csv, write_json)
+from .instances import load_features
 
 FAMILIES = ("adaptive", "static", "sphere", "logistic", "corner", "csv")
 
@@ -100,8 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _family_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.family == "adaptive":
-        if args.d is not None:
-            params["d"] = args.d
+        if args.d is None:
+            raise ConfigurationError("--family adaptive needs --d")
+        params["d"] = args.d
         if args.omega is not None:
             params["omega"] = args.omega
         if args.sigma2 is not None:
@@ -124,31 +123,21 @@ def _family_params(args: argparse.Namespace) -> dict:
         params["K"] = 10 if args.K is None else args.K
         if args.sigma2 is not None:
             params["sigma2"] = args.sigma2
+    elif args.family == "csv":
+        if not args.features or not args.theta:
+            raise ConfigurationError(
+                "--family csv needs --features and --theta")
+        params = dict(features_path=args.features, theta_path=args.theta,
+                      model=args.model, bernoulli=args.bernoulli,
+                      sigma2=1.0 if args.sigma2 is None else args.sigma2)
     return params
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.family == "csv":
-        if not args.features or not args.theta:
-            raise ConfigurationError(
-                "--family csv needs --features and --theta")
-        source = load_instance_csv(args.features, args.theta,
-                                   model=args.model,
-                                   sigma2=args.sigma2 if args.sigma2 is not None else 1.0,
-                                   bernoulli=args.bernoulli)
-    else:
-        source = family_source(args.family, _family_params(args))
-    start = time.perf_counter()
-    res = mc_accuracy(source, args.variant, args.budget, args.replications,
-                      args.seed, family=args.family, eta=args.eta,
-                      workers=args.workers)
-    wall = time.perf_counter() - start
-    row = SweepRow(family=args.family, variant=args.variant,
-                   param_name="budget", param_value=float(args.budget),
-                   R=args.replications, successes=res.successes,
-                   accuracy=res.accuracy, stderr=res.stderr,
-                   bound_delta=bound_for_source(source, args.budget, args.eta),
-                   aborts=res.aborts, wall_time_s=wall)
+    point = SweepPoint(args.family, args.family, _family_params(args),
+                       "budget", float(args.budget), args.variant,
+                       args.budget, args.eta)
+    row = run_point(point, args.replications, args.seed, args.workers)
     include_wall = not args.no_wall_time
     if args.format == "json":
         text = format_json([row], include_wall_time=include_wall)

@@ -34,7 +34,6 @@ from .errors import BudgetTooSmallError, SingularDesignError
 
 SUPPORT_TOL = 1e-9
 CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -119,59 +118,6 @@ def d_opt_gradient(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
     norms = _all_norms(weights, arms)
     sign, logdet = np.linalg.slogdet(V)
     return -(sign * np.exp(logdet)) * norms
-
-
-# ---------------------------------------------------------------------------
-# Line search along a simplex segment
-# ---------------------------------------------------------------------------
-
-
-def line_search_g(pi: np.ndarray, direction: np.ndarray, arms: np.ndarray,
-                  abs_tol: float = 1e-6, scan_points: int = 200) -> float:
-    """Step size in [0, 1] minimizing g(pi + gamma * direction).
-
-    A coarse scan over ``scan_points`` evenly spaced steps guards against
-    local traps, then golden-section search refines the best bracket down
-    to ``abs_tol``.  The returned step never evaluates worse than either
-    endpoint because gamma = 0 is always among the candidates.
-    """
-    pi = np.asarray(pi, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    arms = np.asarray(arms, dtype=float)
-
-    def value(gamma: float) -> float:
-        w = pi + gamma * direction
-        if np.any(w < -1e-12):
-            return math.inf
-        try:
-            return float(_all_norms(np.maximum(w, 0.0), arms).max())
-        except SingularDesignError:
-            return math.inf
-
-    grid = np.linspace(0.0, 1.0, scan_points)
-    vals = np.array([value(g) for g in grid])
-    k = int(np.argmin(vals))
-    best_f, best_g = vals[k], grid[k]
-    if not np.isfinite(best_f):
-        return 0.0
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, scan_points - 1)]
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = value(c), value(d)
-    while b - a > abs_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = value(d)
-        for f, g in ((fc, c), (fd, d)):
-            if f < best_f:
-                best_f, best_g = f, g
-    return float(best_g)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -29,7 +29,8 @@ from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
 from .gse import DesignCache, GseConfig, gse_run
 from .instances import (BanditInstance, gen_adaptive_instance,
                         gen_corner_instance, gen_logistic_instance,
-                        gen_sphere_instance, gen_static_instance)
+                        gen_sphere_instance, gen_static_instance,
+                        load_instance_csv)
 
 InstanceSource = Union[BanditInstance, Callable[[np.random.Generator], BanditInstance]]
 
@@ -116,21 +117,33 @@ class McResult:
         return math.sqrt(p * (1.0 - p) / self.replications)
 
 
-def _mc_chunk(args: tuple) -> tuple[int, int]:
-    (source, strategy, model_override, variant_token, budget, eta, master,
-     family_token, start, stop, forced, spend_rem, fw_tol) = args
-    fixed = isinstance(source, BanditInstance)
+@dataclass(frozen=True)
+class _Chunk:
+    """Replications [start, stop) of one point; without ``spec.model``,
+    ``config.model`` is a placeholder resolved per instance."""
+
+    source: InstanceSource
+    spec: VariantSpec
+    config: GseConfig
+    seed: int
+    family: str
+    start: int
+    stop: int
+
+
+def _mc_chunk(task: _Chunk) -> tuple[int, int]:
+    fixed = isinstance(task.source, BanditInstance)
     cache = DesignCache() if fixed else None
     successes = aborts = 0
-    for r in range(start, stop):
-        ss = rep_seed(master, family_token, variant_token, budget, r)
+    for r in range(task.start, task.stop):
+        ss = rep_seed(task.seed, task.family, task.spec.name,
+                      task.config.budget, r)
         inst_ss, run_ss = ss.spawn(2)
         try:
-            inst = source if fixed else source(np.random.default_rng(inst_ss))
-            model = model_override or _default_model(inst)
-            config = GseConfig(budget=budget, eta=eta, strategy=strategy,
-                               model=model, forced_exploration=forced,
-                               spend_remainder=spend_rem, fw_tol=fw_tol)
+            inst = (task.source if fixed
+                    else task.source(np.random.default_rng(inst_ss)))
+            config = replace(task.config,
+                             model=task.spec.model or _default_model(inst))
             result = gse_run(inst, config, np.random.default_rng(run_ss), cache)
         except FbbaiError:
             aborts += 1
@@ -148,15 +161,16 @@ def resolve_workers(workers: Optional[int]) -> int:
 def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
                 budget: int, replications: int, seed: int, *,
                 family: str = "custom", eta: float = 2.0,
-                workers: Optional[int] = None,
-                forced_exploration: bool = False,
-                spend_remainder: bool = False,
-                fw_tol: float = 0.01) -> McResult:
+                workers: Optional[int] = None) -> McResult:
     """Estimate best-arm accuracy over independent replications.
 
     ``source`` is a fixed instance or a generator taking an rng; fixed
-    instances share one design cache per worker.  The result does not
-    depend on ``workers``.
+    instances share one design cache per worker.  Every replication runs
+    ``GseConfig(budget, eta, spec.strategy)``, built once here, so an
+    invalid configuration raises ``ConfigurationError`` before any
+    replication runs.  Its model is the variant's, or else resolved per
+    instance: logistic for logistic GLM instances, linear otherwise.  The
+    result does not depend on ``workers``.
     """
     if replications < 1:
         raise ConfigurationError("need at least one replication")
@@ -167,21 +181,21 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
         spec = VARIANTS[variant]
     else:
         spec = variant
+    config = GseConfig(budget, eta, spec.strategy,
+                       model=spec.model or "linear")
     n_workers = resolve_workers(workers)
 
-    def chunk_args(start: int, stop: int) -> tuple:
-        return (source, spec.strategy, spec.model, spec.name, budget, eta,
-                seed, family, start, stop, forced_exploration,
-                spend_remainder, fw_tol)
+    def chunk(start: int, stop: int) -> _Chunk:
+        return _Chunk(source, spec, config, seed, family, start, stop)
 
     if n_workers == 1 or replications < 2 * n_workers:
-        successes, aborts = _mc_chunk(chunk_args(0, replications))
+        successes, aborts = _mc_chunk(chunk(0, replications))
         return McResult(replications, successes, aborts)
     bounds = np.linspace(0, replications, n_workers + 1).astype(int)
     successes = aborts = 0
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         for s, a in pool.map(_mc_chunk,
-                             [chunk_args(int(lo), int(hi))
+                             [chunk(int(lo), int(hi))
                               for lo, hi in zip(bounds[:-1], bounds[1:])]):
             successes += s
             aborts += a
@@ -208,7 +222,10 @@ def _gen_corner(rng: np.random.Generator, K: int,
 
 
 def family_source(family: str, params: dict) -> InstanceSource:
-    """Fixed instance or picklable generator for a named family."""
+    """Fixed instance or picklable generator for a named family.
+
+    The ``csv`` family takes the keyword arguments of ``load_instance_csv``.
+    """
     if family == "adaptive":
         return gen_adaptive_instance(**params)
     if family == "static":
@@ -219,6 +236,8 @@ def family_source(family: str, params: dict) -> InstanceSource:
         return partial(_gen_logistic, **params)
     if family == "corner":
         return partial(_gen_corner, **params)
+    if family == "csv":
+        return load_instance_csv(**params)
     raise ConfigurationError(f"unknown family {family!r}")
 
 

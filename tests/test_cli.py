@@ -8,6 +8,7 @@ import math
 import pytest
 
 import fbbai.cli as cli
+import fbbai.harness as harness
 from fbbai.errors import EstimationFailureError
 from fbbai.harness import CSV_COLUMNS
 
@@ -72,6 +73,58 @@ class TestRun:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[6] == "1"
+
+    def test_adaptive_family_needs_d(self, capsys):
+        rc = run_cli("run", "--family", "adaptive", "--variant", "gse-fwg",
+                     "--budget", "40", "--replications", "2")
+        assert rc == 2
+        assert "--family adaptive needs --d" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [["--budget", "0"],
+                                        ["--budget", "40", "--eta", "1"],
+                                        ["--budget", "40", "--eta", "0.5"]])
+    def test_invalid_run_configuration_exits_two(self, config, capsys):
+        rc = run_cli("run", "--family", "static", "--K", "4",
+                     "--variant", "gse-fwg", "--replications", "3", *config)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fbbai: ")
+
+
+HEADER = ",".join(CSV_COLUMNS[:-1]) + "\n"
+
+
+class TestRunGoldenRows:
+    """Exact rows without wall time for a fixed family, a generator family
+    on two workers, and an instance loaded from files."""
+
+    def check(self, capsys, argv, row):
+        assert run_cli("run", "--no-wall-time", *argv) == 0
+        assert capsys.readouterr().out == HEADER + row + "\n"
+
+    def test_fixed_family(self, capsys):
+        self.check(capsys, ["--family", "static", "--K", "6",
+                            "--variant", "gse-fwg", "--budget", "120",
+                            "--replications", "40", "--seed", "3"],
+                   "static,gse-fwg,budget,120,40,24,0.6,0.0774596669241,1,0")
+
+    def test_generator_family_on_two_workers(self, capsys):
+        self.check(capsys, ["--family", "corner", "--variant", "gse-uniform",
+                            "--budget", "80", "--replications", "40",
+                            "--seed", "1", "--workers", "2"],
+                   "corner,gse-uniform,budget,80,40,8,0.2,0.0632455532034,,0")
+
+    def test_csv_family(self, tmp_path, capsys):
+        arms = write_arms(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                     [0.7, 0.7, 0], [0.2, 0.5, 0.6]])
+        theta = tmp_path / "theta.txt"
+        theta.write_text("1.0 0.3 0.5\n")
+        self.check(capsys, ["--family", "csv", "--features", arms,
+                            "--theta", str(theta), "--variant", "gse-fwg",
+                            "--budget", "100", "--replications", "50",
+                            "--seed", "2", "--eta", "3"],
+                   "csv,gse-fwg,budget,100,50,35,0.7,0.0648074069841,1,0")
 
 
 class TestDesign:
@@ -156,7 +209,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise EstimationFailureError("synthetic failure")
 
-        monkeypatch.setattr(cli, "mc_accuracy", explode)
+        monkeypatch.setattr(harness, "mc_accuracy", explode)
         rc = run_cli("run", "--family", "static", "--variant", "gse-fwg",
                      "--budget", "40", "--replications", "2", "--K", "4")
         assert rc == 3

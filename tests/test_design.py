@@ -6,8 +6,7 @@ import pytest
 from fbbai.design import (Allocation, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, g_gradient,
-                          g_value_and_argmax, kw_certificate, line_search_g,
-                          round_allocation)
+                          g_value_and_argmax, kw_certificate, round_allocation)
 from fbbai.errors import BudgetTooSmallError, SingularDesignError
 
 
@@ -68,25 +67,6 @@ class TestGradients:
                 wm[j] -= h
                 fd[j] = (fn(wp) - fn(wm)) / (2 * h)
             assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(grad)
-
-
-class TestLineSearch:
-    def test_balances_two_basis_arms(self):
-        """From w = (0.9, 0.1) toward e_2 the optimum equalizes the weights.
-
-        g(gamma) = max(1/w1, 1/w2) with w1 = 0.9(1-gamma) and
-        w2 = 0.1 + 0.9 gamma, minimized where both match: gamma = 4/9.
-        """
-        pi = np.array([0.9, 0.1])
-        direction = np.array([0.0, 1.0]) - pi
-        gamma = line_search_g(pi, direction, np.eye(2))
-        assert gamma == pytest.approx(4.0 / 9.0, abs=1e-4)
-
-    def test_never_leaves_the_simplex(self):
-        pi = np.array([0.5, 0.5])
-        direction = np.array([-1.0, 1.0])  # infeasible past gamma = 0.5
-        gamma = line_search_g(pi, direction, np.eye(2))
-        assert gamma == pytest.approx(0.0, abs=1e-4)
 
 
 class TestFrankWolfe:

@@ -13,7 +13,8 @@ from fbbai.harness import (CSV_COLUMNS, PRESETS, VARIANTS, McResult, SweepRow,
                            format_csv, format_json, mc_accuracy, read_csv,
                            rep_seed, run_point, run_preset, write_csv)
 from fbbai.instances import (BanditInstance, gen_logistic_instance,
-                             gen_static_instance, noiseless)
+                             gen_static_instance, load_instance_csv,
+                             noiseless)
 
 
 def states(ss):
@@ -104,6 +105,19 @@ class TestMcAccuracy:
         res = mc_accuracy(inst, spec, 40, 3, 0, workers=1)
         assert res.successes == 3
 
+    @pytest.mark.parametrize("budget, eta", [(0, 2.0), (40, 1.0), (40, 0.5)])
+    def test_invalid_run_configuration_raises(self, budget, eta):
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError):
+            mc_accuracy(inst, "gse-fwg", budget, 3, 0, eta=eta, workers=1)
+
+    @pytest.mark.parametrize("spec", [VariantSpec("bad", "sgd"),
+                                      VariantSpec("bad", "fw-g", "probit")])
+    def test_invalid_custom_variant_raises(self, spec):
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError):
+            mc_accuracy(inst, spec, 40, 3, 0, workers=1)
+
 
 class TestFamilySource:
     def test_fixed_families_return_instances(self):
@@ -119,6 +133,21 @@ class TestFamilySource:
     def test_corner_generator_accepts_sigma(self):
         src = family_source("corner", {"K": 5, "sigma2": 2.0})
         assert src(np.random.default_rng(1)).noise_sigma2 == 2.0
+
+    def test_csv_family_loads_the_files(self, tmp_path):
+        arms = tmp_path / "arms.csv"
+        arms.write_text("x1,x2\n1,0\n0,1\n0.6,0.8\n")
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.5 1.0\n")
+        params = dict(features_path=str(arms), theta_path=str(theta),
+                      model="glm", sigma2=0.5, bernoulli=True)
+        got = family_source("csv", params)
+        want = load_instance_csv(**params)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.theta_star, want.theta_star)
+        assert (got.model, got.mean_fn.name, got.noise_sigma2, got.bernoulli,
+                got.name) == (want.model, want.mean_fn.name,
+                              want.noise_sigma2, want.bernoulli, want.name)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
