@@ -25,6 +25,18 @@ from .instances import load_features
 
 FAMILIES = ("adaptive", "static", "sphere", "logistic", "corner", "csv")
 
+# the instance options each family reads; giving any other one is an error
+FAMILY_OPTIONS = {
+    "adaptive": ("d", "omega", "sigma2"),
+    "static": ("delta", "K", "sigma2"),
+    "sphere": ("K", "d", "sigma2"),
+    "logistic": ("K", "d"),
+    "corner": ("K", "sigma2"),
+    "csv": ("features", "theta", "model", "bernoulli", "sigma2"),
+}
+INSTANCE_OPTIONS = tuple(dict.fromkeys(
+    name for names in FAMILY_OPTIONS.values() for name in names))
+
 CONFIG_ERRORS = (ConfigurationError, DegenerateInputError, SingularDesignError,
                  BudgetTooSmallError, UndefinedBoundError)
 
@@ -58,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="arms CSV for --family csv")
     run.add_argument("--theta", default=None,
                      help="parameter vector file for --family csv")
-    run.add_argument("--model", choices=("linear", "glm"), default="linear",
-                     help="reward model for --family csv")
+    run.add_argument("--model", choices=("linear", "glm"), default=None,
+                     help="reward model for --family csv (default linear)")
     run.add_argument("--bernoulli", action="store_true",
                      help="Bernoulli rewards for --family csv with --model glm")
 
@@ -96,6 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_params(args: argparse.Namespace) -> dict:
+    foreign = [f"--{name}" for name in INSTANCE_OPTIONS
+               if name not in FAMILY_OPTIONS[args.family]
+               and getattr(args, name) is not None
+               and getattr(args, name) is not False]
+    if foreign:
+        raise ConfigurationError(
+            f"--family {args.family} does not take {', '.join(foreign)}")
     params: dict = {}
     if args.family == "adaptive":
         if args.d is None:
@@ -128,7 +147,7 @@ def _family_params(args: argparse.Namespace) -> dict:
             raise ConfigurationError(
                 "--family csv needs --features and --theta")
         params = dict(features_path=args.features, theta_path=args.theta,
-                      model=args.model, bernoulli=args.bernoulli,
+                      model=args.model or "linear", bernoulli=args.bernoulli,
                       sigma2=1.0 if args.sigma2 is None else args.sigma2)
     return params
 

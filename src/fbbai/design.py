@@ -9,11 +9,24 @@ whose minimum over the simplex equals d_t, the span dimension of the arms
 (the Kiefer-Wolfowitz equivalence).  A design is certified when
 g(pi) <= d_t (1 + tol).
 
-The Frank-Wolfe solver selects the vertex of the simplex minimizing the
-criterion linearization, then steps toward it with the closed-form exact
-line search of the determinant criterion,
+The Frank-Wolfe solver has one vertex rule: it steps toward the arm j with
+the largest normalized variance u_j = x_j' V^{-1} x_j, with the closed-form
+exact line search of the determinant criterion (the Fedorov-Wynn step),
 
-    gamma* = (u_j / d_t - 1) / (u_j - 1),   u_j = x_j' V^{-1} x_j.
+    gamma* = (u_j / d_t - 1) / (u_j - 1).
+
+That vertex minimizes the linearization of both criteria.  The gradient of
+-log det V has components -u_i.  The gradient of g, where the max is
+attained by a single arm x_max, has components -(x_i' V^{-1} x_max)^2, and
+Cauchy-Schwarz in the V^{-1} inner product gives
+
+    (x_i' V^{-1} x_max)^2 <= u_i u_max <= u_max^2,
+
+with equality only when x_i = +-x_max.  So the g-linearization picks x_max
+as well, unless x_max has an exact duplicate or antipodal twin; such a twin
+adds the same x x' to V, and the solver gives the step to the lower index.
+``fw_g_optimal`` and ``fw_d_optimal`` therefore run the same iteration and
+return the same design.
 
 Minimizing g directly along single-vertex segments stalls: at kink points
 of the max, every coordinate direction increases g at the resolution any
@@ -135,13 +148,17 @@ def default_iteration_cap(K: int, d: int, tol: float) -> int:
     return max(1, math.ceil(10.0 * d * (math.log(math.log(K + d + 3.0)) + 0.5 / tol)))
 
 
-def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float,
-              criterion: str) -> Design:
+def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float) -> Design:
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 2 or arms.shape[0] == 0:
         raise SingularDesignError("arms must be a nonempty 2-d array")
-    if tol <= 0.0:
-        raise SingularDesignError("tolerance must be positive")
+    if not np.all(np.isfinite(arms)):
+        raise SingularDesignError("arms must be finite")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SingularDesignError(f"tolerance must be finite and positive, not {tol}")
+    if iterations is not None and not iterations >= 0:
+        raise SingularDesignError(
+            f"iteration cap must be None or nonnegative, not {iterations}")
     K, d = arms.shape
     cap = default_iteration_cap(K, d, tol) if iterations is None else int(iterations)
     target = d * (1.0 + tol) + CERT_SLACK
@@ -151,42 +168,34 @@ def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float,
     norms = _all_norms(pi, arms)  # raises if the arms do not span R^d
     V = _info_matrix(pi, arms)
     Vinv = np.linalg.inv(V)
-    best_g, best_pi = float(norms.max()), pi.copy()
+    best_g, best_pi = float(norms.max()), pi
 
     it = 0
     while True:
-        g_now = float(norms.max())
+        j = int(norms.argmax())
+        g_now = float(norms[j])
         if g_now <= target:
             # confirm on freshly computed values before certifying
             norms = _all_norms(pi, arms)
-            g_now = float(norms.max())
+            j = int(norms.argmax())
+            g_now = float(norms[j])
             if g_now <= target:
                 return Design(weights=pi, g_value=g_now, iterations_used=it,
                               certified=True)
             Vinv = np.linalg.inv(_info_matrix(pi, arms))
         if g_now < best_g:
-            best_g, best_pi = g_now, pi.copy()
+            # no copy: each step below makes a new pi before writing to it
+            best_g, best_pi = g_now, pi
         if it >= cap:
             break
         if it > 0 and it % refresh_every == 0:
             norms = _all_norms(pi, arms)
             Vinv = np.linalg.inv(_info_matrix(pi, arms))
+            j = int(norms.argmax())
 
-        if criterion == "g":
-            imax = int(np.argmax(norms))
-            grad = -((arms @ (Vinv @ arms[imax])) ** 2)
-        else:
-            # determinant linearization; the positive det factor cannot change
-            # the argmin, so it is dropped to avoid underflow at larger d
-            grad = -norms
-        j = int(np.argmin(grad))
         uj = float(norms[j])
         if uj <= d:
-            # the linearization found no vertex above average; pick the worst
-            j = int(np.argmax(norms))
-            uj = float(norms[j])
-            if uj <= d:
-                break
+            break
         gamma = (uj / d - 1.0) / (uj - 1.0)
         if gamma >= 1.0 - 1e-12:
             pi = np.zeros(K)
@@ -200,7 +209,8 @@ def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float,
         beta = gamma / (1.0 - gamma)
         f = beta / (1.0 + beta * uj)
         norms = (norms - f * w * w) / (1.0 - gamma)
-        Vinv = (Vinv - f * np.outer(vx, vx)) / (1.0 - gamma)
+        # the products of np.outer(vx, vx), without its per-call overhead
+        Vinv = (Vinv - f * (vx[:, None] * vx)) / (1.0 - gamma)
         pi = pi * (1.0 - gamma)
         pi[j] += gamma
         pi /= pi.sum()
@@ -217,18 +227,24 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
                  tol: float = 0.01) -> Design:
     """Frank-Wolfe G-optimal design, certified against g <= d_t (1 + tol).
 
-    Starts from uniform weights; each round picks the simplex vertex that
-    minimizes the g-linearization and takes the closed-form determinant
-    step toward it.  Returns the best iterate flagged non-certified if the
-    iteration cap is exhausted first.
+    Starts from uniform weights; each round steps toward the arm of largest
+    normalized variance with the closed-form determinant step.  Returns the
+    best iterate flagged non-certified if the iteration cap is exhausted
+    first.
+
+    Raises
+    ------
+    SingularDesignError
+        If the arms are not a finite nonempty matrix spanning R^d, ``tol``
+        is not finite and positive, or ``iterations`` is negative.
     """
-    return _fw_solve(arms, iterations, tol, criterion="g")
+    return _fw_solve(arms, iterations, tol)
 
 
 def fw_d_optimal(arms: np.ndarray, iterations: int | None = None,
                  tol: float = 0.01) -> Design:
-    """Determinant-criterion variant sharing the G-optimal loop and certificate."""
-    return _fw_solve(arms, iterations, tol, criterion="d")
+    """D-optimal design: the same iteration as ``fw_g_optimal`` (see module docstring)."""
+    return _fw_solve(arms, iterations, tol)
 
 
 def kw_certificate(design: Design, arms: np.ndarray, eps: float = 0.01) -> bool:

@@ -51,6 +51,12 @@ class GseConfig:
                 f"strategy {self.strategy!r} not one of {STRATEGIES}")
         if self.model not in MODELS:
             raise ConfigurationError(f"model {self.model!r} not one of {MODELS}")
+        if not (math.isfinite(self.fw_tol) and self.fw_tol > 0.0):
+            raise ConfigurationError(
+                f"fw_tol must be finite and positive, not {self.fw_tol}")
+        if self.fw_iterations is not None and not self.fw_iterations >= 0:
+            raise ConfigurationError(
+                f"fw_iterations must be None or nonnegative, not {self.fw_iterations}")
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,15 @@ def gen_corner_instance(K: int, rng: np.random.Generator,
 
 
 def load_features(features_path: str) -> np.ndarray:
-    """Read an arm-feature CSV: header row ``x1,...,xd``, one row per arm."""
+    """Read an arm-feature CSV: header row ``x1,...,xd``, one row per arm.
+
+    Raises
+    ------
+    DegenerateInputError
+        If the file is empty, the header is not ``x1,...,xd``, or a row has
+        the wrong number of cells or a cell that is not a finite number; the
+        message names the file and the line.
+    """
     with open(features_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -461,7 +469,21 @@ def load_features(features_path: str) -> np.ndarray:
         if [h.strip() for h in header] != expected:
             raise DegenerateInputError(
                 f"{features_path}: header must be {','.join(expected)}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{features_path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise DegenerateInputError(
+                    f"{where}: {len(row)} cells, header has {len(header)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise DegenerateInputError(f"{where}: cell is not a number") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DegenerateInputError(f"{where}: cell is not finite")
+            rows.append(values)
     if not rows:
         raise DegenerateInputError(f"{features_path}: no arm rows")
     return np.asarray(rows, dtype=float)

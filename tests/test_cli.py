@@ -91,6 +91,27 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("fbbai: ")
 
+    @pytest.mark.parametrize("family, options, named", [
+        (["--family", "logistic", "--K", "6", "--d", "4"],
+         ["--sigma2", "50"], "--sigma2"),
+        (["--family", "logistic", "--K", "6", "--d", "4"],
+         ["--omega", "0.5"], "--omega"),
+        (["--family", "static", "--K", "4"],
+         ["--d", "99", "--model", "glm", "--bernoulli"],
+         "--d, --model, --bernoulli"),
+        (["--family", "corner"], ["--sigma2", "0", "--d", "0"], "--d"),
+        (["--family", "adaptive", "--d", "4"], ["--K", "5"], "--K"),
+    ])
+    def test_option_the_family_does_not_take_exits_two(self, family, options,
+                                                       named, capsys):
+        rc = run_cli("run", *family, *options, "--variant", "gse-fwg",
+                     "--budget", "120", "--replications", "3")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fbbai: --family {family[1]} does not take {named}\n")
+
 
 HEADER = ",".join(CSV_COLUMNS[:-1]) + "\n"
 
@@ -159,6 +180,28 @@ class TestDesign:
 
     def test_missing_file_exits_config_error(self, capsys):
         assert run_cli("design", "--arms", "/nonexistent/arms.csv") == 2
+
+    def test_non_finite_cell_exits_config_error(self, tmp_path, capsys):
+        arms = write_arms(tmp_path, [[1, 0], ["nan", 1], [0.5, 0.5]])
+        assert run_cli("design", "--arms", arms) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fbbai: {arms}, line 3: cell is not finite\n"
+
+    @pytest.mark.parametrize("option, message", [
+        (["--tol", "nan"], "tolerance must be finite and positive, not nan"),
+        (["--tol", "inf"], "tolerance must be finite and positive, not inf"),
+        (["--tol", "0"], "tolerance must be finite and positive, not 0.0"),
+        (["--iterations", "-3"],
+         "iteration cap must be None or nonnegative, not -3"),
+    ])
+    def test_invalid_tolerance_or_cap_exits_config_error(self, tmp_path, option,
+                                                         message, capsys):
+        arms = write_arms(tmp_path, [[1, 0], [0, 1], [0.9, 0.45]])
+        assert run_cli("design", "--arms", arms, *option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fbbai: {message}\n"
 
 
 class TestBound:

@@ -1,13 +1,21 @@
 """Design criteria, gradients, the Frank-Wolfe solver, and rounding."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbbai.design import (Allocation, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, g_gradient,
                           g_value_and_argmax, kw_certificate, round_allocation)
 from fbbai.errors import BudgetTooSmallError, SingularDesignError
+from fbbai.instances import (gen_adaptive_instance, gen_corner_instance,
+                             gen_logistic_instance, gen_sphere_instance,
+                             project_to_span)
 
 
 def uniform_design(k):
@@ -43,6 +51,20 @@ class TestGradients:
         # -det(diag(w)) * (1/w_i) = -prod(w)/w_i
         grad = d_opt_gradient(np.array([0.3, 0.7]), np.eye(2))
         assert np.allclose(grad, [-0.7, -0.3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+           extra=st.integers(0, 24))
+    def test_g_linearization_picks_the_largest_norm(self, seed, d, extra):
+        # Cauchy-Schwarz: (x_k' V^-1 x_max)^2 <= u_k u_max <= u_max^2, so
+        # the g-gradient's argmin is the arm of largest norm unless x_max
+        # has a twin; Gaussian rows have none
+        rng = np.random.default_rng(seed)
+        arms = rng.standard_normal((d + extra, d))
+        w = rng.dirichlet(np.ones(d + extra))
+        assume(np.linalg.cond(arms.T @ (arms * w[:, None])) < 1e8)
+        _, imax = g_value_and_argmax(w, arms)
+        assert int(np.argmin(g_gradient(w, arms))) == imax
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -118,10 +140,102 @@ class TestFrankWolfe:
         with pytest.raises(SingularDesignError):
             fw_g_optimal(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
+    def test_g_and_d_agree_on_an_antipodal_pair(self):
+        # arm 5 is -arm 10; both criteria run one iteration, so the split of
+        # weight between the twins is the same bit for bit
+        arms = np.random.default_rng(1).standard_normal((11, 8))
+        arms[5] = -arms[10]
+        g_des, d_des = fw_g_optimal(arms), fw_d_optimal(arms)
+        assert g_des.certified
+        assert np.array_equal(g_des.weights, d_des.weights)
+        assert (g_des.g_value, g_des.iterations_used) == (
+            d_des.g_value, d_des.iterations_used)
+
+    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arms_raise(self, solver, cell):
+        arms = np.eye(3)
+        arms[1, 2] = cell
+        with pytest.raises(SingularDesignError, match="finite"):
+            solver(arms)
+
+    @pytest.mark.parametrize("kwargs", [dict(tol=np.nan), dict(tol=np.inf),
+                                        dict(tol=0.0), dict(tol=-0.5),
+                                        dict(iterations=-3),
+                                        dict(iterations=np.nan)])
+    def test_invalid_tolerance_or_cap_raises(self, kwargs):
+        for solver in (fw_g_optimal, fw_d_optimal):
+            with pytest.raises(SingularDesignError):
+                solver(np.eye(3), **kwargs)
+
+    def test_zero_iteration_cap_returns_the_uniform_start(self):
+        arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.45]])
+        des = fw_g_optimal(arms, iterations=0)
+        assert des.iterations_used == 0
+        assert np.array_equal(des.weights, np.full(3, 1.0 / 3.0))
+
     def test_iteration_cap_grows_with_dimension(self):
         caps = [default_iteration_cap(20, d, 0.01) for d in (2, 4, 8)]
         assert caps[0] >= 1
         assert caps[0] < caps[1] < caps[2]
+
+
+def golden_corpus():
+    """Seeded arm sets of each family, projected as the stage loop does:
+    each full set and the subset of its best arms."""
+    cases = {}
+
+    def add(family, inst, keep):
+        top = np.sort(np.argsort(-inst.means, kind="stable")[:keep])
+        for rows in (inst.features, inst.features[top]):
+            cases.setdefault(family, []).append(project_to_span(rows).projected)
+
+    for seed in range(4):
+        add("sphere", gen_sphere_instance(32, 10, np.random.default_rng(seed)), 16)
+    for seed in range(3):
+        for d in (3, 5):
+            add("logistic",
+                gen_logistic_instance(8, d, np.random.default_rng(seed)), 4)
+    for seed in range(3):
+        add("corner", gen_corner_instance(10, np.random.default_rng(seed)), 5)
+    add("adaptive", gen_adaptive_instance(9), 5)
+    return cases
+
+
+# sha256 over each solve's weights bytes, g_value, certified flag and
+# iteration count, with the iteration counts in corpus order; recorded
+# before the solver's g-linearization branch was removed (numpy 2.4,
+# OpenBLAS on one thread), when fw_g_optimal and fw_d_optimal already
+# agreed on every set here
+GOLDEN_DESIGNS = {
+    "sphere": ("9fc5a0c567e4b0c7e44a2c68904ada9c43abec3e26343f33145b943523c6bbb1",
+               (545, 160, 436, 207, 360, 165, 377, 398)),
+    "logistic": ("7e19c277f75e84462f38052a07a18da21089c3d806c0cfa9431eb2b8f0682311",
+                 (168, 31, 282, 0, 155, 59, 356, 0, 187, 131, 330, 0)),
+    "corner": ("af891681da8c118c872eb3bf5a7a9c0cd45a849314cd686b8aa84e81c893b336",
+               (1, 77, 2, 91, 10, 91)),
+    "adaptive": ("e42610d76159594aa0a2f95a5aebe8c7c5dac78d767362370fc0cf4358c0ccd8",
+                 (78, 14)),
+}
+
+
+class TestGoldenDesigns:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return golden_corpus()
+
+    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal])
+    @pytest.mark.parametrize("family", sorted(GOLDEN_DESIGNS))
+    def test_designs_are_bit_identical(self, corpus, family, solver):
+        digest = hashlib.sha256()
+        iterations = []
+        for arms in corpus[family]:
+            des = solver(arms)
+            digest.update(des.weights.tobytes())
+            digest.update(struct.pack("<d?q", des.g_value, des.certified,
+                                      des.iterations_used))
+            iterations.append(des.iterations_used)
+        assert (digest.hexdigest(), tuple(iterations)) == GOLDEN_DESIGNS[family]
 
 
 class TestCertificate:

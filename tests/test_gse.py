@@ -23,6 +23,10 @@ class TestConfig:
         dict(budget=100, eta=1.0),
         dict(budget=100, strategy="greedy"),
         dict(budget=100, model="poisson"),
+        dict(budget=100, fw_tol=0.0),
+        dict(budget=100, fw_tol=float("nan")),
+        dict(budget=100, fw_tol=float("inf")),
+        dict(budget=100, fw_iterations=-3),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -256,6 +256,20 @@ class TestCsvLoading:
         with pytest.raises(DegenerateInputError):
             load_features(str(path))
 
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("1,0,2", "3 cells, header has 2"),
+        ("1", "1 cells, header has 2"),
+        ("0.5,abc", "cell is not a number"),
+        ("nan,1", "cell is not finite"),
+        ("1,-inf", "cell is not finite"),
+    ])
+    def test_bad_rows_name_file_and_line(self, tmp_path, bad_row, reason):
+        path = tmp_path / "arms.csv"
+        path.write_text(f"x1,x2\n1,0\n\n{bad_row}\n0,1\n")
+        with pytest.raises(DegenerateInputError) as err:
+            load_features(str(path))
+        assert str(err.value) == f"{path}, line 4: {reason}"
+
     def test_instance_from_files(self, tmp_path):
         arms = tmp_path / "arms.csv"
         arms.write_text("x1,x2\n1,0\n0,1\n")
