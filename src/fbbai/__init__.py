@@ -18,8 +18,7 @@ from .errors import (BudgetTooSmallError, ConfigurationError,
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
 from .gse import (DesignCache, GseConfig, RunResult, StageSchedule, StageTrace,
-                  eliminate, explore, gse_run, stage_schedule,
-                  static_single_stage_run)
+                  eliminate, explore, gse_run, stage_schedule)
 from .harness import (PRESETS, VARIANTS, McResult, Preset, SweepPoint,
                       SweepResult, SweepRow, VariantSpec, family_source,
                       mc_accuracy, rep_seed, run_point, run_preset, write_csv,
@@ -52,5 +51,5 @@ __all__ = [
     "mean_estimates", "noiseless", "oracle_c_min",
     "project_to_span", "rep_seed", "round_allocation", "run_point",
     "run_preset", "sample_reward", "sample_rewards", "stage_norm_terms",
-    "stage_schedule", "static_single_stage_run", "write_csv", "write_json",
+    "stage_schedule", "write_csv", "write_json",
 ]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                      bound_linear_general, bound_linear_gopt)
-from .design import allocate_budget, fw_d_optimal, fw_g_optimal
+from .design import allocate_budget, fw_g_optimal
 from .errors import (BudgetTooSmallError, ConfigurationError,
                      DegenerateInputError, FbbaiError, SingularDesignError,
                      UndefinedBoundError)
@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     design.add_argument("--arms", required=True, help="arms CSV (header x1..xd)")
     design.add_argument("--budget", type=int, default=None,
                         help="also print a rounded allocation of this size")
-    design.add_argument("--criterion", choices=("g", "d"), default="g")
     design.add_argument("--tol", type=float, default=0.01)
     design.add_argument("--iterations", type=int, default=None)
 
@@ -171,9 +170,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    result = run_preset(args.preset, out_dir=None,
-                        replications=args.replications, seed=args.seed,
-                        workers=args.workers)
+    result = run_preset(args.preset, replications=args.replications,
+                        seed=args.seed, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     include_wall = not args.no_wall_time
@@ -189,8 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_design(args: argparse.Namespace) -> int:
     arms = load_features(args.arms)
-    solver = fw_g_optimal if args.criterion == "g" else fw_d_optimal
-    design = solver(arms, iterations=args.iterations, tol=args.tol)
+    design = fw_g_optimal(arms, iterations=args.iterations, tol=args.tol)
     counts = None
     if args.budget is not None:
         counts = allocate_budget(args.budget, design, arms).counts

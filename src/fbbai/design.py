@@ -25,8 +25,8 @@ Cauchy-Schwarz in the V^{-1} inner product gives
 with equality only when x_i = +-x_max.  So the g-linearization picks x_max
 as well, unless x_max has an exact duplicate or antipodal twin; such a twin
 adds the same x x' to V, and the solver gives the step to the lower index.
-``fw_g_optimal`` and ``fw_d_optimal`` therefore run the same iteration and
-return the same design.
+One loop, ``fw_g_optimal``, therefore serves both criteria;
+``fw_d_optimal`` is another name for it.
 
 Minimizing g directly along single-vertex segments stalls: at kink points
 of the max, every coordinate direction increases g at the resolution any
@@ -148,7 +148,21 @@ def default_iteration_cap(K: int, d: int, tol: float) -> int:
     return max(1, math.ceil(10.0 * d * (math.log(math.log(K + d + 3.0)) + 0.5 / tol)))
 
 
-def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float) -> Design:
+def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
+                 tol: float = 0.01) -> Design:
+    """Frank-Wolfe G-optimal design, certified against g <= d_t (1 + tol).
+
+    Starts from uniform weights; each round steps toward the arm of largest
+    normalized variance with the closed-form determinant step.  Returns the
+    best iterate flagged non-certified if the iteration cap is exhausted
+    first.
+
+    Raises
+    ------
+    SingularDesignError
+        If the arms are not a finite nonempty matrix spanning R^d, ``tol``
+        is not finite and positive, or ``iterations`` is negative.
+    """
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 2 or arms.shape[0] == 0:
         raise SingularDesignError("arms must be a nonempty 2-d array")
@@ -223,28 +237,8 @@ def _fw_solve(arms: np.ndarray, iterations: int | None, tol: float) -> Design:
                   certified=bool(best_g <= target))
 
 
-def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
-                 tol: float = 0.01) -> Design:
-    """Frank-Wolfe G-optimal design, certified against g <= d_t (1 + tol).
-
-    Starts from uniform weights; each round steps toward the arm of largest
-    normalized variance with the closed-form determinant step.  Returns the
-    best iterate flagged non-certified if the iteration cap is exhausted
-    first.
-
-    Raises
-    ------
-    SingularDesignError
-        If the arms are not a finite nonempty matrix spanning R^d, ``tol``
-        is not finite and positive, or ``iterations`` is negative.
-    """
-    return _fw_solve(arms, iterations, tol)
-
-
-def fw_d_optimal(arms: np.ndarray, iterations: int | None = None,
-                 tol: float = 0.01) -> Design:
-    """D-optimal design: the same iteration as ``fw_g_optimal`` (see module docstring)."""
-    return _fw_solve(arms, iterations, tol)
+# the D-optimal design: the same iteration (see the module docstring)
+fw_d_optimal = fw_g_optimal
 
 
 def kw_certificate(design: Design, arms: np.ndarray, eps: float = 0.01) -> bool:

@@ -15,31 +15,26 @@ from typing import Optional
 
 import numpy as np
 
-from .design import (Allocation, Design, allocate_budget, fw_d_optimal,
-                     fw_g_optimal)
+from .design import Allocation, Design, allocate_budget, fw_g_optimal
+from .design import fw_d_optimal  # noqa: F401  bench/tracer.py patches this name
 from .errors import ConfigurationError, EstimationFailureError, InvalidAllocationError
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
                         project_to_span, sample_rewards)
 
-STRATEGIES = ("uniform", "fw-g", "fw-d", "static")
+STRATEGIES = ("uniform", "fw-g", "static")
 MODELS = ("linear", "logistic")
 
 
 @dataclass(frozen=True)
 class GseConfig:
-    """Run parameters: budget, elimination rate, exploration and fit choices."""
+    """Run parameters: budget, elimination rate, allocation and fit model."""
 
     budget: int
     eta: float = 2.0
     strategy: str = "fw-g"
     model: str = "linear"
-    forced_exploration: bool = False
-    spend_remainder: bool = False
-    fw_tol: float = 0.01
-    fw_iterations: Optional[int] = None
-    rank_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -51,12 +46,6 @@ class GseConfig:
                 f"strategy {self.strategy!r} not one of {STRATEGIES}")
         if self.model not in MODELS:
             raise ConfigurationError(f"model {self.model!r} not one of {MODELS}")
-        if not (math.isfinite(self.fw_tol) and self.fw_tol > 0.0):
-            raise ConfigurationError(
-                f"fw_tol must be finite and positive, not {self.fw_tol}")
-        if self.fw_iterations is not None and not self.fw_iterations >= 0:
-            raise ConfigurationError(
-                f"fw_iterations must be None or nonnegative, not {self.fw_iterations}")
 
 
 @dataclass(frozen=True)
@@ -106,34 +95,29 @@ class DesignCache:
         self._designs: dict = {}
         self._counts: dict = {}
 
-    def projection(self, instance: BanditInstance, ids: tuple[int, ...],
-                   rank_tol: float) -> ProjectedArmSet:
-        key = (ids, rank_tol)
-        hit = self._projections.get(key)
+    def projection(self, instance: BanditInstance,
+                   ids: tuple[int, ...]) -> ProjectedArmSet:
+        hit = self._projections.get(ids)
         if hit is None:
-            hit = project_to_span(instance.features[list(ids)], ids=ids,
-                                  rank_tol=rank_tol)
-            self._projections[key] = hit
+            hit = project_to_span(instance.features[list(ids)], ids=ids)
+            self._projections[ids] = hit
         return hit
 
-    def design(self, active: ProjectedArmSet, strategy: str, tol: float,
-               iterations: Optional[int]) -> Design:
-        key = (active.original_ids, strategy, tol, iterations)
+    def design(self, active: ProjectedArmSet) -> Design:
+        key = active.original_ids
         hit = self._designs.get(key)
         if hit is None:
-            solver = fw_g_optimal if strategy == "fw-g" else fw_d_optimal
-            hit = solver(active.projected, iterations=iterations, tol=tol)
+            hit = fw_g_optimal(active.projected)
             self._designs[key] = hit
         return hit
 
-    def counts(self, active: ProjectedArmSet, n: int, config: GseConfig,
+    def counts(self, active: ProjectedArmSet, n: int, strategy: str,
                ) -> tuple[np.ndarray, Optional[Design]]:
         """Read-only pull counts of a stage of ``n`` pulls, with their design."""
-        key = (active.original_ids, n, config.strategy,
-               config.forced_exploration, config.fw_tol, config.fw_iterations)
+        key = (active.original_ids, n, strategy)
         hit = self._counts.get(key)
         if hit is None:
-            hit = _stage_counts(active, n, config, self)
+            hit = _stage_counts(active, n, strategy, self)
             hit[0].flags.writeable = False
             self._counts[key] = hit
         return hit
@@ -187,46 +171,19 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _spanning_prefix(projected: np.ndarray) -> list[int]:
-    """Greedy lowest-index subset of rows spanning the projected space."""
-    d = projected.shape[1]
-    basis: list[np.ndarray] = []
-    chosen: list[int] = []
-    for i, row in enumerate(projected):
-        r = row.copy()
-        for q in basis:
-            r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm > 1e-9 * max(np.linalg.norm(row), 1.0):
-            basis.append(r / norm)
-            chosen.append(i)
-            if len(chosen) == d:
-                return chosen
-    raise InvalidAllocationError("active arms do not span their projection")
-
-
-def _stage_counts(active: ProjectedArmSet, n: int, config: GseConfig,
+def _stage_counts(active: ProjectedArmSet, n: int, strategy: str,
                   cache: DesignCache) -> tuple[np.ndarray, Optional[Design]]:
-    """Pull counts of one stage, optional forced pulls first, and the design."""
+    """Pull counts of one stage and the design they were rounded from."""
     m, d_t = active.n_arms, active.dim
     if n < d_t:
         raise InvalidAllocationError(f"stage budget {n} below span dimension {d_t}")
-    counts = np.zeros(m, dtype=int)
-    budget = n
-    if config.forced_exploration:
-        for i in _spanning_prefix(active.projected):
-            counts[i] += 1
-        budget = n - d_t
-    design: Optional[Design] = None
-    if config.strategy == "uniform":
-        base, rem = divmod(budget, m)
-        counts += base
+    if strategy == "uniform":
+        base, rem = divmod(n, m)
+        counts = np.full(m, base, dtype=int)
         counts[:rem] += 1  # equal remainders; lowest indices win
-    elif budget > 0:  # forced pulls may consume the whole stage
-        design = cache.design(active, config.strategy, config.fw_tol,
-                              config.fw_iterations)
-        counts += allocate_budget(budget, design, active.projected).counts
-    return counts, design
+        return counts, None
+    design = cache.design(active)
+    return allocate_budget(n, design, active.projected).counts, design
 
 
 def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
@@ -242,7 +199,7 @@ def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
     """
     if cache is None:
         cache = DesignCache()
-    counts, design = cache.counts(active, n, config)
+    counts, design = cache.counts(active, n, config.strategy)
     arm_of_pull = np.repeat(np.arange(active.n_arms), counts)
     ys = sample_rewards(instance, np.asarray(active.original_ids)[arm_of_pull], rng)
     sums = np.bincount(arm_of_pull, weights=ys, minlength=active.n_arms)
@@ -259,8 +216,11 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
               eta: float) -> tuple[int, ...]:
     """Keep the ceil(m / eta) arms with the highest estimated means.
 
-    Ties rank the lower arm id first; survivors come back in ascending id
-    order.
+    Computed estimates that are equal rank the lower arm id first;
+    survivors come back in ascending id order.  Estimates that are equal
+    in exact arithmetic can still differ by rounding when the arms are not
+    orthonormal (the ``logistic`` preset), and then rounding decides the
+    cut; see ROADMAP item 2.
     """
     m = len(active_ids)
     if mu_hat.shape[0] != m:
@@ -289,28 +249,30 @@ def _fit_stage(data: RegressionData, config: GseConfig,
 def gse_run(instance: BanditInstance, config: GseConfig,
             rng: np.random.Generator,
             cache: Optional[DesignCache] = None) -> RunResult:
-    """Run successive elimination and recommend the single surviving arm."""
+    """Run successive elimination and recommend the single surviving arm.
+
+    Strategy ``static`` is the single-stage baseline: one G-optimal
+    allocation of the whole budget and one least-squares fit, i.e. this
+    loop with eta = K, which keeps only the top arm.
+    """
     if config.strategy == "static":
-        return static_single_stage_run(instance, config, rng, cache)
+        config = replace(config, strategy="fw-g", model="linear",
+                         eta=float(instance.n_arms))
     if cache is None:
         cache = DesignCache()
     schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
-    full_span = cache.projection(instance, tuple(range(instance.n_arms)),
-                                 config.rank_tol)
+    active: tuple[int, ...] = tuple(range(instance.n_arms))
+    full_span = cache.projection(instance, active)
     if schedule.per_stage_budget < full_span.dim:
         raise ConfigurationError(
             f"per-stage budget {schedule.per_stage_budget} cannot span "
             f"dimension {full_span.dim}")
-    remainder = config.budget - schedule.stages * schedule.per_stage_budget
-    active: tuple[int, ...] = tuple(range(instance.n_arms))
     traces: list[StageTrace] = []
     total = 0
     for t in range(1, schedule.stages + 1):
-        n_t = schedule.per_stage_budget
-        if config.spend_remainder and t == schedule.stages:
-            n_t += remainder
-        proj = cache.projection(instance, active, config.rank_tol)
-        alloc, data, design = explore(instance, proj, n_t, config, rng, cache)
+        proj = cache.projection(instance, active)
+        alloc, data, design = explore(instance, proj, schedule.per_stage_budget,
+                                      config, rng, cache)
         estimate, fellback = _fit_stage(data, config)
         mean_fn = LOGISTIC if (config.model == "logistic" and not fellback) else None
         mu_hat = mean_estimates(estimate, proj.projected, mean_fn)
@@ -326,16 +288,3 @@ def gse_run(instance: BanditInstance, config: GseConfig,
     return RunResult(recommended=recommended,
                      success=recommended == instance.best_arm,
                      traces=tuple(traces), total_pulls=total)
-
-
-def static_single_stage_run(instance: BanditInstance, config: GseConfig,
-                            rng: np.random.Generator,
-                            cache: Optional[DesignCache] = None) -> RunResult:
-    """Single-stage baseline: one G-optimal allocation, one least-squares fit.
-
-    This is the stage loop with eta = K, so its one stage spends the whole
-    budget and keeps the single top arm.
-    """
-    single = replace(config, strategy="fw-g", model="linear",
-                     forced_exploration=False, eta=float(instance.n_arms))
-    return gse_run(instance, single, rng, cache)

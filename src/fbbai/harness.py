@@ -19,7 +19,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -63,7 +62,7 @@ class VariantSpec:
 VARIANTS: dict[str, VariantSpec] = {
     "gse-uniform": VariantSpec("gse-uniform", "uniform"),
     "gse-fwg": VariantSpec("gse-fwg", "fw-g"),
-    "gse-fwd": VariantSpec("gse-fwd", "fw-d"),
+    "gse-fwd": VariantSpec("gse-fwd", "fw-g"),  # the G-design on its own seeds
     "gse-fwg-linear": VariantSpec("gse-fwg-linear", "fw-g", "linear"),
     "gse-fwg-logistic": VariantSpec("gse-fwg-logistic", "fw-g", "logistic"),
     "static-gopt": VariantSpec("static-gopt", "static", "linear"),
@@ -225,20 +224,23 @@ def family_source(family: str, params: dict) -> InstanceSource:
     """Fixed instance or picklable generator for a named family.
 
     The ``csv`` family takes the keyword arguments of ``load_instance_csv``.
+    A generator draws one discarded instance from a fixed stream here, so
+    invalid parameters raise before any replication runs; the replication
+    streams are unchanged.
     """
     if family == "adaptive":
         return gen_adaptive_instance(**params)
     if family == "static":
         return gen_static_instance(**params)
-    if family == "sphere":
-        return partial(_gen_sphere, **params)
-    if family == "logistic":
-        return partial(_gen_logistic, **params)
-    if family == "corner":
-        return partial(_gen_corner, **params)
     if family == "csv":
         return load_instance_csv(**params)
-    raise ConfigurationError(f"unknown family {family!r}")
+    generators = {"sphere": _gen_sphere, "logistic": _gen_logistic,
+                  "corner": _gen_corner}
+    if family not in generators:
+        raise ConfigurationError(f"unknown family {family!r}")
+    source = partial(generators[family], **params)
+    source(np.random.default_rng(0))
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +364,16 @@ def run_point(point: SweepPoint, replications: int, seed: int,
                     aborts=res.aborts, wall_time_s=wall)
 
 
-def run_preset(name: str, out_dir: Optional[str] = None,
-               replications: Optional[int] = None, seed: int = 0,
+def run_preset(name: str, replications: Optional[int] = None, seed: int = 0,
                workers: Optional[int] = None) -> SweepResult:
-    """Run every point of a named preset; optionally write CSV and JSON."""
+    """Run every point of a named preset."""
     if name not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     preset = PRESETS[name]
     R = preset.default_replications if replications is None else replications
     rows = tuple(run_point(p, R, seed, workers) for p in preset.points)
-    result = SweepResult(name=name, rows=rows)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / f"{name}.csv", rows)
-        write_json(out / f"{name}.json", rows)
-    return result
+    return SweepResult(name=name, rows=rows)
 
 
 # ---------------------------------------------------------------------------

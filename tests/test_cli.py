@@ -10,7 +10,7 @@ import pytest
 import fbbai.cli as cli
 import fbbai.harness as harness
 from fbbai.errors import EstimationFailureError
-from fbbai.harness import CSV_COLUMNS
+from fbbai.harness import CSV_COLUMNS, read_csv
 
 
 def run_cli(*argv):
@@ -91,6 +91,25 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("fbbai: ")
 
+    @pytest.mark.parametrize("family, message", [
+        (["--family", "sphere", "--K", "1"], "sphere instance needs K >= 2"),
+        (["--family", "corner", "--K", "2"], "corner instance needs K >= 3"),
+        (["--family", "logistic", "--K", "6", "--d", "0"],
+         "logistic instance needs K >= 2 and d >= 1"),
+    ])
+    def test_invalid_generator_parameter_exits_two(self, family, message,
+                                                   monkeypatch, capsys):
+        def no_replications(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_mc_chunk", no_replications)
+        rc = run_cli("run", *family, "--variant", "gse-fwg", "--budget", "40",
+                     "--replications", "3", "--no-wall-time")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fbbai: {message}")
+
     @pytest.mark.parametrize("family, options, named", [
         (["--family", "logistic", "--K", "6", "--d", "4"],
          ["--sigma2", "50"], "--sigma2"),
@@ -118,7 +137,8 @@ HEADER = ",".join(CSV_COLUMNS[:-1]) + "\n"
 
 class TestRunGoldenRows:
     """Exact rows without wall time for a fixed family, a generator family
-    on two workers, and an instance loaded from files."""
+    on two workers, an instance loaded from files, the D-named variant and
+    the single-stage baseline."""
 
     def check(self, capsys, argv, row):
         assert run_cli("run", "--no-wall-time", *argv) == 0
@@ -147,6 +167,18 @@ class TestRunGoldenRows:
                             "--seed", "2", "--eta", "3"],
                    "csv,gse-fwg,budget,100,50,35,0.7,0.0648074069841,1,0")
 
+    def test_d_variant_on_its_own_seeds(self, capsys):
+        self.check(capsys, ["--family", "adaptive", "--d", "9",
+                            "--variant", "gse-fwd", "--budget", "300",
+                            "--replications", "40", "--seed", "5"],
+                   "adaptive,gse-fwd,budget,300,40,17,0.425,0.0781624910043,1,0")
+
+    def test_static_baseline(self, capsys):
+        self.check(capsys, ["--family", "corner", "--variant", "static-gopt",
+                            "--budget", "80", "--replications", "40",
+                            "--seed", "2"],
+                   "corner,static-gopt,budget,80,40,38,0.95,0.0344601218802,,0")
+
 
 class TestDesign:
     def test_weights_table(self, tmp_path, capsys):
@@ -169,10 +201,6 @@ class TestDesign:
         assert lines[0] == "arm,weight,count"
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 10
-
-    def test_d_criterion(self, tmp_path, capsys):
-        arms = write_arms(tmp_path, [[1, 0], [0, 1], [1, 1]])
-        assert run_cli("design", "--arms", arms, "--criterion", "d") == 0
 
     def test_rank_deficient_arms_exit_config_error(self, tmp_path, capsys):
         arms = write_arms(tmp_path, [[1, 0], [2, 0]])
@@ -240,6 +268,19 @@ class TestSweep:
         lines = (tmp_path / "corner.csv").read_text().strip().splitlines()
         assert len(lines) == 13
         assert not (tmp_path / "corner.json").exists()
+
+    def test_preset_writes_both_formats(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--preset", "corner", "--out", str(tmp_path),
+                     "--replications", "2", "--seed", "3", "--workers", "1",
+                     "--format", "both")
+        assert rc == 0
+        assert "wrote 12 rows" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "corner.csv")
+        assert len(rows) == 12
+        assert list(rows[0]) == list(CSV_COLUMNS)
+        parsed = json.loads((tmp_path / "corner.json").read_text())
+        assert len(parsed) == 12
+        assert parsed[0]["R"] == 2
 
     def test_unknown_preset_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fbbai.design import (Allocation, Design, allocate_budget,
+from fbbai.design import (SUPPORT_TOL, Allocation, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, g_gradient,
                           g_value_and_argmax, kw_certificate, round_allocation)
@@ -151,7 +151,8 @@ class TestFrankWolfe:
         assert (g_des.g_value, g_des.iterations_used) == (
             d_des.g_value, d_des.iterations_used)
 
-    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal])
+    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal],
+                             ids=["fw_g_optimal", "fw_d_optimal"])
     @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
     def test_non_finite_arms_raise(self, solver, cell):
         arms = np.eye(3)
@@ -224,7 +225,8 @@ class TestGoldenDesigns:
     def corpus(self):
         return golden_corpus()
 
-    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal])
+    @pytest.mark.parametrize("solver", [fw_g_optimal, fw_d_optimal],
+                             ids=["fw_g_optimal", "fw_d_optimal"])
     @pytest.mark.parametrize("family", sorted(GOLDEN_DESIGNS))
     def test_designs_are_bit_identical(self, corpus, family, solver):
         digest = hashlib.sha256()
@@ -271,6 +273,22 @@ class TestRounding:
         alloc = round_allocation(5, des, np.eye(3))
         assert alloc.total == 5
         assert alloc.counts.min() >= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           extra=st.integers(0, 400))
+    def test_counts_sum_to_n_and_cover_the_support(self, seed, k, extra):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+        w[rng.integers(k)] += 0.1  # at least one support arm
+        w /= w.sum()
+        support = w > SUPPORT_TOL
+        n = int(support.sum()) + extra
+        des = Design(weights=w, g_value=0.0, iterations_used=0, certified=True)
+        counts = round_allocation(n, des, np.eye(k)).counts
+        assert counts.sum() == n
+        assert counts[support].min() >= 1
+        assert np.all(counts[~support] == 0)
 
     def test_budget_below_support_size_raises(self):
         with pytest.raises(BudgetTooSmallError):

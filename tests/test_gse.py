@@ -1,16 +1,22 @@
 """Stage scheduling, exploration, elimination, and full elimination runs."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
-from fbbai.errors import (ConfigurationError, EstimationFailureError,
-                          InvalidAllocationError)
+from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
+                          EstimationFailureError, InvalidAllocationError)
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore, gse_run,
-                       stage_schedule, static_single_stage_run)
+                       stage_schedule)
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
-                             gen_logistic_instance, gen_static_instance,
-                             noiseless, project_to_span, sample_rewards)
+                             gen_logistic_instance, gen_sphere_instance,
+                             gen_static_instance, noiseless, project_to_span,
+                             sample_rewards)
 
 
 class TestConfig:
@@ -23,10 +29,6 @@ class TestConfig:
         dict(budget=100, eta=1.0),
         dict(budget=100, strategy="greedy"),
         dict(budget=100, model="poisson"),
-        dict(budget=100, fw_tol=0.0),
-        dict(budget=100, fw_tol=float("nan")),
-        dict(budget=100, fw_tol=float("inf")),
-        dict(budget=100, fw_iterations=-3),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -86,6 +88,19 @@ class TestEliminate:
         out = eliminate((0, 1, 2, 3, 4), np.array([0.0, 5.0, 1.0, 4.0, 3.0]), 2.0)
         assert out == (1, 3, 4)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
+           levels=st.integers(1, 4), eta=st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    def test_keeps_ceil_m_over_eta_with_lowest_id_ties(self, seed, m, levels,
+                                                       eta):
+        rng = np.random.default_rng(seed)
+        ids = tuple(sorted(int(i) for i in rng.permutation(3 * m)[:m]))
+        mu_hat = rng.integers(levels, size=m).astype(float)  # many exact ties
+        keep = math.ceil(Fraction(m) / Fraction(eta))
+        ranked = sorted(range(m), key=lambda i: (-mu_hat[i], ids[i]))
+        expected = tuple(sorted(ids[i] for i in ranked[:keep]))
+        assert eliminate(ids, mu_hat, eta) == expected
+
     def test_estimate_count_must_match(self):
         with pytest.raises(ValueError):
             eliminate((0, 1, 2), np.array([1.0, 2.0]), 2.0)
@@ -122,18 +137,6 @@ class TestExplore:
                                       np.random.default_rng(0))
         assert alloc.total == 40
         assert design is not None and design.certified
-
-    def test_forced_exploration_consuming_whole_stage(self):
-        arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
-        inst = noiseless(gse_mod.BanditInstance(features=arms,
-                                                theta_star=np.array([1.0, 0.0])))
-        active = project_to_span(arms)
-        cfg = GseConfig(budget=2, strategy="fw-g", forced_exploration=True)
-        alloc, data, design = explore(inst, active, 2, cfg,
-                                      np.random.default_rng(0))
-        # spanning prefix (arms 0 and 1) absorbs both pulls
-        assert list(alloc.counts) == [1, 1, 0]
-        assert design is None
 
     def test_cached_design_is_reused(self):
         inst = gen_adaptive_instance(3)
@@ -190,7 +193,7 @@ def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
 
 
 class TestGseRun:
-    @pytest.mark.parametrize("strategy", ["uniform", "fw-g", "fw-d", "static"])
+    @pytest.mark.parametrize("strategy", ["uniform", "fw-g", "static"])
     def test_noiseless_run_finds_the_best_arm(self, strategy):
         inst = noiseless(gen_adaptive_instance(4))
         cfg = GseConfig(budget=60, strategy=strategy)
@@ -230,13 +233,21 @@ class TestGseRun:
                          np.random.default_rng(0))
         assert result.total_pulls == 12
 
-    def test_remainder_spent_on_final_stage_when_asked(self):
-        inst = noiseless(gen_static_instance(1.0, K=4))
-        result = gse_run(inst, GseConfig(budget=13, strategy="uniform",
-                                         spend_remainder=True),
-                         np.random.default_rng(0))
-        assert result.total_pulls == 13
-        assert result.traces[-1].counts.sum() == 7
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 10),
+           d=st.integers(2, 5), budget=st.integers(1, 400),
+           strategy=st.sampled_from(["uniform", "fw-g", "static"]))
+    def test_total_pulls_stay_within_the_budget(self, seed, K, d, budget,
+                                                strategy):
+        inst = gen_sphere_instance(K, d, np.random.default_rng(seed))
+        try:
+            result = gse_run(inst, GseConfig(budget=budget, strategy=strategy),
+                             np.random.default_rng(seed))
+        except (ConfigurationError, BudgetTooSmallError):
+            return  # budget too small for the schedule or a stage's design
+        assert result.total_pulls <= budget
+        assert result.total_pulls == sum(int(t.counts.sum())
+                                         for t in result.traces)
 
     def test_first_stage_must_afford_the_dimension(self):
         inst = gen_static_instance(1.0, K=8)
@@ -266,19 +277,12 @@ class TestGseRun:
         result = gse_run(inst, cfg, np.random.default_rng(5))
         assert all(t.used_fallback for t in result.traces)
 
-    def test_forced_exploration_keeps_runs_well_posed(self):
-        inst = gen_adaptive_instance(4, sigma2=1.0)
-        cfg = GseConfig(budget=60, forced_exploration=True)
-        result = gse_run(inst, cfg, np.random.default_rng(3))
-        assert result.total_pulls == 60
-
 
 class TestStaticRun:
     def test_single_stage_uses_one_certified_design(self):
         inst = noiseless(gen_adaptive_instance(4))
-        result = static_single_stage_run(inst, GseConfig(budget=50,
-                                                         strategy="static"),
-                                         np.random.default_rng(0))
+        result = gse_run(inst, GseConfig(budget=50, strategy="static"),
+                         np.random.default_rng(0))
         assert result.success
         assert len(result.traces) == 1
         assert result.traces[0].design.certified
@@ -294,5 +298,5 @@ class TestStaticRun:
     def test_budget_below_dimension_rejected(self):
         inst = gen_static_instance(1.0, K=8)
         with pytest.raises(ConfigurationError):
-            static_single_stage_run(inst, GseConfig(budget=4, strategy="static"),
-                                    np.random.default_rng(0))
+            gse_run(inst, GseConfig(budget=4, strategy="static"),
+                    np.random.default_rng(0))

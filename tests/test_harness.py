@@ -222,17 +222,6 @@ class TestRunPointAndPreset:
         with pytest.raises(ConfigurationError):
             run_preset("galaxy")
 
-    def test_preset_writes_both_formats(self, tmp_path):
-        result = run_preset("corner", out_dir=str(tmp_path), replications=2,
-                            seed=3, workers=1)
-        assert len(result.rows) == 12
-        rows = read_csv(tmp_path / "corner.csv")
-        assert len(rows) == 12
-        assert list(rows[0]) == list(CSV_COLUMNS)
-        parsed = json.loads((tmp_path / "corner.json").read_text())
-        assert len(parsed) == 12
-        assert parsed[0]["R"] == 2
-
     def test_rerun_is_byte_identical_without_wall_time(self):
         a = run_preset("corner", replications=2, seed=3, workers=1)
         b = run_preset("corner", replications=2, seed=3, workers=1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbbai.errors import DegenerateInputError
 from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
@@ -141,6 +143,20 @@ class TestProjection:
         assert proj.projected.shape == (5, 2)
         assert np.allclose(proj.projected @ proj.projected.T, arms @ arms.T,
                            atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10),
+           d=st.integers(1, 8), rank=st.integers(1, 8))
+    def test_projection_preserves_the_gram_matrix(self, seed, m, d, rank):
+        rank = min(rank, m, d)
+        rng = np.random.default_rng(seed)
+        arms = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
+        ids = tuple(int(i) for i in rng.permutation(3 * m)[:m])
+        proj = project_to_span(arms, ids=ids)
+        gram = arms @ arms.T
+        assert proj.dim == rank and proj.original_ids == ids
+        assert np.allclose(proj.projected @ proj.projected.T, gram,
+                           rtol=0.0, atol=1e-10 * max(1.0, np.abs(gram).max()))
 
     def test_full_rank_input_keeps_dimension(self):
         proj = project_to_span(np.eye(4))
