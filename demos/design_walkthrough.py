@@ -31,5 +31,5 @@ assert design.weights[3] < 0.05
 
 # rounding keeps every supported arm alive even at small budgets
 for n in (4, 10, 25):
-    alloc = round_allocation(n, design, arms)
-    print(f"n={n:2d} counts={alloc.counts.tolist()} total={alloc.total}")
+    counts = round_allocation(n, design)
+    print(f"n={n:2d} counts={counts.tolist()} total={counts.sum()}")

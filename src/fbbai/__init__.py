@@ -8,7 +8,7 @@ Monte-Carlo harness with a CLI front end (``fbbai``).
 from .bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                      bound_linear_general, bound_linear_gopt, oracle_c_min,
                      stage_norm_terms)
-from .design import (Allocation, Design, allocate_budget, default_iteration_cap,
+from .design import (Design, allocate_budget, default_iteration_cap,
                      d_opt_gradient, fw_d_optimal, fw_g_optimal, g_gradient,
                      g_value_and_argmax, kw_certificate, round_allocation)
 from .errors import (BudgetTooSmallError, ConfigurationError,
@@ -17,8 +17,8 @@ from .errors import (BudgetTooSmallError, ConfigurationError,
                      UndefinedBoundError)
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
-from .gse import (DesignCache, GseConfig, RunResult, StageSchedule, StageTrace,
-                  eliminate, explore, gse_run, stage_schedule)
+from .gse import (DesignCache, GseConfig, RunResult, StagePlan, StageSchedule,
+                  StageTrace, eliminate, explore, gse_run, stage_schedule)
 from .harness import (PRESETS, VARIANTS, McResult, Preset, SweepPoint,
                       SweepResult, SweepRow, VariantSpec, family_source,
                       mc_accuracy, rep_seed, run_point, run_preset, write_csv,
@@ -28,18 +28,18 @@ from .instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
                         gen_corner_instance, gen_logistic_instance,
                         gen_sphere_instance, gen_static_instance,
                         load_features, load_instance_csv, noiseless,
-                        project_to_span, sample_reward, sample_rewards)
+                        project_to_span, sample_rewards)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation", "BanditInstance", "BoundInputs", "BudgetTooSmallError",
+    "BanditInstance", "BoundInputs", "BudgetTooSmallError",
     "ConfigurationError", "DegenerateInputError", "Design", "DesignCache",
     "EstimationFailureError", "FbbaiError", "GseConfig", "IDENTITY",
     "InvalidAllocationError", "LOGISTIC", "McResult", "MeanFunction",
     "ParameterEstimate", "PRESETS", "Preset", "ProjectedArmSet",
-    "RegressionData", "RunResult", "SingularDesignError", "StageSchedule",
-    "StageTrace", "SweepPoint", "SweepResult", "SweepRow",
+    "RegressionData", "RunResult", "SingularDesignError", "StagePlan",
+    "StageSchedule", "StageTrace", "SweepPoint", "SweepResult", "SweepRow",
     "UndefinedBoundError", "VariantSpec", "VARIANTS", "allocate_budget",
     "bound_glm_general", "bound_glm_gopt", "bound_linear_general",
     "bound_linear_gopt", "d_opt_gradient", "default_iteration_cap",
@@ -48,8 +48,8 @@ __all__ = [
     "gen_corner_instance", "gen_logistic_instance", "gen_sphere_instance",
     "gen_static_instance", "gse_run", "irls_glm", "kw_certificate",
     "least_squares", "load_features", "load_instance_csv", "mc_accuracy",
-    "mean_estimates", "noiseless", "oracle_c_min",
-    "project_to_span", "rep_seed", "round_allocation", "run_point",
-    "run_preset", "sample_reward", "sample_rewards", "stage_norm_terms",
-    "stage_schedule", "write_csv", "write_json",
+    "mean_estimates", "noiseless", "oracle_c_min", "project_to_span",
+    "rep_seed", "round_allocation", "run_point", "run_preset",
+    "sample_rewards", "stage_norm_terms", "stage_schedule", "write_csv",
+    "write_json",
 ]

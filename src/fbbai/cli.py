@@ -23,8 +23,6 @@ from .harness import (PRESETS, VARIANTS, SweepPoint, format_csv, format_json,
                       run_point, run_preset, write_csv, write_json)
 from .instances import load_features
 
-FAMILIES = ("adaptive", "static", "sphere", "logistic", "corner", "csv")
-
 # the instance options each family reads; giving any other one is an error
 FAMILY_OPTIONS = {
     "adaptive": ("d", "omega", "sigma2"),
@@ -36,6 +34,18 @@ FAMILY_OPTIONS = {
 }
 INSTANCE_OPTIONS = tuple(dict.fromkeys(
     name for names in FAMILY_OPTIONS.values() for name in names))
+# the values a family uses for options that are not given
+FAMILY_DEFAULTS = {
+    "static": {"delta": 1.0},
+    "sphere": {"K": 16, "d": 10},
+    "logistic": {"K": 8, "d": 10},
+    "corner": {"K": 10},
+    "csv": {"model": "linear", "sigma2": 1.0},
+}
+# the options a family cannot run without
+FAMILY_REQUIRED = {"adaptive": ("d",), "csv": ("features", "theta")}
+# options whose instance keyword has another name
+PARAM_NAMES = {"features": "features_path", "theta": "theta_path"}
 
 CONFIG_ERRORS = (ConfigurationError, DegenerateInputError, SingularDesignError,
                  BudgetTooSmallError, UndefinedBoundError)
@@ -48,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one Monte-Carlo point")
-    run.add_argument("--family", required=True, choices=FAMILIES)
+    run.add_argument("--family", required=True, choices=tuple(FAMILY_OPTIONS))
     run.add_argument("--variant", required=True, choices=sorted(VARIANTS))
     run.add_argument("--budget", required=True, type=int)
     run.add_argument("--replications", type=int, default=1000)
@@ -107,48 +117,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_params(args: argparse.Namespace) -> dict:
-    foreign = [f"--{name}" for name in INSTANCE_OPTIONS
-               if name not in FAMILY_OPTIONS[args.family]
-               and getattr(args, name) is not None
-               and getattr(args, name) is not False]
+    # by identity: 0 == False, and --d 0 or --sigma2 0 counts as given
+    given = {name: getattr(args, name) for name in INSTANCE_OPTIONS
+             if getattr(args, name) is not None
+             and getattr(args, name) is not False}
+    foreign = [f"--{name}" for name in given
+               if name not in FAMILY_OPTIONS[args.family]]
     if foreign:
         raise ConfigurationError(
             f"--family {args.family} does not take {', '.join(foreign)}")
-    params: dict = {}
-    if args.family == "adaptive":
-        if args.d is None:
-            raise ConfigurationError("--family adaptive needs --d")
-        params["d"] = args.d
-        if args.omega is not None:
-            params["omega"] = args.omega
-        if args.sigma2 is not None:
-            params["sigma2"] = args.sigma2
-    elif args.family == "static":
-        params["delta"] = 1.0 if args.delta is None else args.delta
-        if args.K is not None:
-            params["K"] = args.K
-        if args.sigma2 is not None:
-            params["sigma2"] = args.sigma2
-    elif args.family == "sphere":
-        params["K"] = 16 if args.K is None else args.K
-        params["d"] = 10 if args.d is None else args.d
-        if args.sigma2 is not None:
-            params["sigma2"] = args.sigma2
-    elif args.family == "logistic":
-        params["K"] = 8 if args.K is None else args.K
-        params["d"] = 10 if args.d is None else args.d
-    elif args.family == "corner":
-        params["K"] = 10 if args.K is None else args.K
-        if args.sigma2 is not None:
-            params["sigma2"] = args.sigma2
-    elif args.family == "csv":
-        if not args.features or not args.theta:
-            raise ConfigurationError(
-                "--family csv needs --features and --theta")
-        params = dict(features_path=args.features, theta_path=args.theta,
-                      model=args.model or "linear", bernoulli=args.bernoulli,
-                      sigma2=1.0 if args.sigma2 is None else args.sigma2)
-    return params
+    required = FAMILY_REQUIRED.get(args.family, ())
+    if any(name not in given for name in required):
+        raise ConfigurationError(f"--family {args.family} needs "
+                                 + " and ".join(f"--{name}" for name in required))
+    params = {**FAMILY_DEFAULTS.get(args.family, {}), **given}
+    return {PARAM_NAMES.get(name, name): value for name, value in params.items()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -190,7 +173,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     design = fw_g_optimal(arms, iterations=args.iterations, tol=args.tol)
     counts = None
     if args.budget is not None:
-        counts = allocate_budget(args.budget, design, arms).counts
+        counts = allocate_budget(args.budget, design, arms)
     print(f"arms={arms.shape[0]} dim={arms.shape[1]} "
           f"g={design.g_value:.6f} certified={design.certified} "
           f"iterations={design.iterations_used}", file=sys.stderr)

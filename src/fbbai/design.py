@@ -64,17 +64,6 @@ class Design:
         return np.flatnonzero(self.weights > SUPPORT_TOL)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Integer pull counts aligned with the arm set they were built from."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 # ---------------------------------------------------------------------------
 # Criterion evaluation
 # ---------------------------------------------------------------------------
@@ -256,13 +245,14 @@ def kw_certificate(design: Design, arms: np.ndarray, eps: float = 0.01) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def round_allocation(n: int, design: Design, arms: np.ndarray) -> Allocation:
+def round_allocation(n: int, design: Design) -> np.ndarray:
     """Efficient apportionment of n pulls across the design support.
 
     Support arms start at ceil((n - p/2) pi_i) with p the support size;
     counts are then decremented (arm maximizing count/weight, kept >= 1) or
     incremented (arm minimizing count/weight) until the total hits n, ties
     to the lowest index.  Every support arm keeps at least one pull.
+    Returns one integer count per arm.
 
     Raises
     ------
@@ -294,18 +284,44 @@ def round_allocation(n: int, design: Design, arms: np.ndarray) -> Allocation:
         i = int(np.argmin(candidates))
         counts[i] += 1
         ratio[i] = counts[i] / weights[i]
-    return Allocation(counts=counts)
+    return counts
 
 
-def allocate_budget(n: int, design: Design, arms: np.ndarray) -> Allocation:
-    """Round with one retry: drop weights below 1/n, renormalize, round again."""
+def _spanning_keep(weights: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
+    """Mask of at most n arms: the d heaviest linearly independent ones,
+    then the heaviest others of weight >= 1/n; ties to the lowest index."""
+    order = np.argsort(-weights, kind="stable")
+    chosen: list[int] = []
+    for i in order:
+        if len(chosen) == arms.shape[1]:
+            break
+        if np.linalg.matrix_rank(arms[chosen + [i]]) > len(chosen):
+            chosen.append(int(i))
+    heavy = [int(i) for i in order if i not in chosen and weights[i] >= 1.0 / n]
+    keep = np.zeros(weights.shape[0], dtype=bool)
+    keep[chosen + heavy[:n - len(chosen)]] = True
+    return keep
+
+
+def allocate_budget(n: int, design: Design, arms: np.ndarray) -> np.ndarray:
+    """Round with one retry: drop weights below 1/n, renormalize, round again.
+
+    When the arms that keep their weight do not span R^d and n >= d, the
+    retry keeps the arms of ``_spanning_keep`` instead, so the counts still
+    give a nonsingular information matrix.
+    """
     try:
-        return round_allocation(n, design, arms)
+        return round_allocation(n, design)
     except BudgetTooSmallError:
-        weights = np.where(design.weights >= 1.0 / max(n, 1), design.weights, 0.0)
+        keep = design.weights >= 1.0 / max(n, 1)
+        arms = np.asarray(arms, dtype=float)
+        d = arms.shape[1]
+        if n >= d and np.linalg.matrix_rank(arms[keep]) < d:
+            keep = _spanning_keep(design.weights, arms, n)
+        weights = np.where(keep, design.weights, 0.0)
         total = weights.sum()
         if total <= 0.0:
             raise
         trimmed = Design(weights=weights / total, g_value=design.g_value,
                          iterations_used=design.iterations_used, certified=False)
-        return round_allocation(n, trimmed, arms)
+        return round_allocation(n, trimmed)

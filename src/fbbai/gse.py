@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .design import Allocation, Design, allocate_budget, fw_g_optimal
+from .design import Design, allocate_budget, fw_g_optimal
 from .design import fw_d_optimal  # noqa: F401  bench/tracer.py patches this name
-from .errors import ConfigurationError, EstimationFailureError, InvalidAllocationError
+from .errors import ConfigurationError, EstimationFailureError
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
@@ -82,45 +82,54 @@ class RunResult:
     total_pulls: int
 
 
+@dataclass(frozen=True)
+class StagePlan:
+    """What a stage fixes before it sees a reward: the active arms projected
+    onto their span, read-only pull counts, and the design they were
+    rounded from (``None`` for uniform counts)."""
+
+    arms: ProjectedArmSet
+    counts: np.ndarray
+    design: Optional[Design]
+
+
 class DesignCache:
-    """Memo for projections, exploration designs and stage pull counts.
+    """Memo of stage plans keyed by (active ids, stage budget, strategy).
 
     Projection, design solving and rounding are deterministic functions of
-    the active arm subset and the stage budget, so replications over a
-    fixed instance can share the work.  Cached counts are read-only.
+    those three for a fixed instance, so its replications can share the
+    work; a cache serves one instance.
     """
 
     def __init__(self) -> None:
-        self._projections: dict = {}
-        self._designs: dict = {}
-        self._counts: dict = {}
+        self._plans: dict = {}
 
-    def projection(self, instance: BanditInstance,
-                   ids: tuple[int, ...]) -> ProjectedArmSet:
-        hit = self._projections.get(ids)
+    def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
+             strategy: str) -> StagePlan:
+        """The plan of ``n`` pulls on the arms ``ids``; raises
+        ``ConfigurationError`` if ``n`` is below their span dimension."""
+        key = (ids, n, strategy)
+        hit = self._plans.get(key)
         if hit is None:
-            hit = project_to_span(instance.features[list(ids)], ids=ids)
-            self._projections[ids] = hit
+            arms = project_to_span(instance.features[list(ids)], ids=ids)
+            if n < arms.dim:
+                raise ConfigurationError(
+                    f"per-stage budget {n} cannot span dimension {arms.dim}")
+            design = None
+            if strategy == "uniform":
+                base, rem = divmod(n, arms.n_arms)
+                counts = np.full(arms.n_arms, base, dtype=int)
+                counts[:rem] += 1  # equal remainders; lowest indices win
+            else:
+                design = self.design(arms)
+                counts = allocate_budget(n, design, arms.projected)
+            counts.flags.writeable = False
+            hit = self._plans[key] = StagePlan(arms, counts, design)
         return hit
 
-    def design(self, active: ProjectedArmSet) -> Design:
-        key = active.original_ids
-        hit = self._designs.get(key)
-        if hit is None:
-            hit = fw_g_optimal(active.projected)
-            self._designs[key] = hit
-        return hit
-
-    def counts(self, active: ProjectedArmSet, n: int, strategy: str,
-               ) -> tuple[np.ndarray, Optional[Design]]:
-        """Read-only pull counts of a stage of ``n`` pulls, with their design."""
-        key = (active.original_ids, n, strategy)
-        hit = self._counts.get(key)
-        if hit is None:
-            hit = _stage_counts(active, n, strategy, self)
-            hit[0].flags.writeable = False
-            self._counts[key] = hit
-        return hit
+    def design(self, arms: ProjectedArmSet) -> Design:
+        # a method of its own because bench/tracer.py times it as design.cache
+        return fw_g_optimal(arms.projected)
 
 
 # ---------------------------------------------------------------------------
@@ -171,40 +180,20 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _stage_counts(active: ProjectedArmSet, n: int, strategy: str,
-                  cache: DesignCache) -> tuple[np.ndarray, Optional[Design]]:
-    """Pull counts of one stage and the design they were rounded from."""
-    m, d_t = active.n_arms, active.dim
-    if n < d_t:
-        raise InvalidAllocationError(f"stage budget {n} below span dimension {d_t}")
-    if strategy == "uniform":
-        base, rem = divmod(n, m)
-        counts = np.full(m, base, dtype=int)
-        counts[:rem] += 1  # equal remainders; lowest indices win
-        return counts, None
-    design = cache.design(active)
-    return allocate_budget(n, design, active.projected).counts, design
-
-
-def explore(instance: BanditInstance, active: ProjectedArmSet, n: int,
-            config: GseConfig, rng: np.random.Generator,
-            cache: Optional[DesignCache] = None,
-            ) -> tuple[Allocation, RegressionData, Optional[Design]]:
-    """Spend ``n`` pulls on the active arms and return per-arm statistics.
+def explore(instance: BanditInstance, plan: StagePlan,
+            rng: np.random.Generator) -> RegressionData:
+    """Draw the plan's pulls and return per-arm statistics.
 
     Pulls are drawn in active-arm order, each arm's pulls contiguous, one
     reward per pull, so a run is reproducible from (instance, config, seed)
     alone.  The returned data has one row per active arm: its projected
     features, its reward sum and its pull count.
     """
-    if cache is None:
-        cache = DesignCache()
-    counts, design = cache.counts(active, n, config.strategy)
-    arm_of_pull = np.repeat(np.arange(active.n_arms), counts)
-    ys = sample_rewards(instance, np.asarray(active.original_ids)[arm_of_pull], rng)
-    sums = np.bincount(arm_of_pull, weights=ys, minlength=active.n_arms)
-    return (Allocation(counts=counts),
-            RegressionData(xs=active.projected, ys=sums, counts=counts), design)
+    arms, counts = plan.arms, plan.counts
+    arm_of_pull = np.repeat(np.arange(arms.n_arms), counts)
+    ys = sample_rewards(instance, np.asarray(arms.original_ids)[arm_of_pull], rng)
+    sums = np.bincount(arm_of_pull, weights=ys, minlength=arms.n_arms)
+    return RegressionData(xs=arms.projected, ys=sums, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +251,22 @@ def gse_run(instance: BanditInstance, config: GseConfig,
         cache = DesignCache()
     schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
     active: tuple[int, ...] = tuple(range(instance.n_arms))
-    full_span = cache.projection(instance, active)
-    if schedule.per_stage_budget < full_span.dim:
-        raise ConfigurationError(
-            f"per-stage budget {schedule.per_stage_budget} cannot span "
-            f"dimension {full_span.dim}")
     traces: list[StageTrace] = []
     total = 0
     for t in range(1, schedule.stages + 1):
-        proj = cache.projection(instance, active)
-        alloc, data, design = explore(instance, proj, schedule.per_stage_budget,
-                                      config, rng, cache)
+        plan = cache.plan(instance, active, schedule.per_stage_budget,
+                          config.strategy)
+        data = explore(instance, plan, rng)
         estimate, fellback = _fit_stage(data, config)
         mean_fn = LOGISTIC if (config.model == "logistic" and not fellback) else None
-        mu_hat = mean_estimates(estimate, proj.projected, mean_fn)
+        mu_hat = mean_estimates(estimate, plan.arms.projected, mean_fn)
         survivors = eliminate(active, mu_hat, config.eta)
-        traces.append(StageTrace(stage=t, arms=proj, counts=alloc.counts,
+        traces.append(StageTrace(stage=t, arms=plan.arms, counts=plan.counts,
                                  mu_hat=mu_hat, survivors=survivors,
                                  estimator_converged=estimate.converged,
                                  estimator_iterations=estimate.iterations,
-                                 used_fallback=fellback, design=design))
-        total += alloc.total
+                                 used_fallback=fellback, design=plan.design))
+        total += int(plan.counts.sum())
         active = survivors
     recommended = active[0]
     return RunResult(recommended=recommended,

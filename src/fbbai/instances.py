@@ -210,10 +210,6 @@ class BanditInstance:
         others = np.delete(z[self.best_arm] - z, self.best_arm)
         return float(others.min())
 
-    @cached_property
-    def max_feature_norm(self) -> float:
-        return float(np.linalg.norm(self.features, axis=1).max())
-
     def has_unique_best(self) -> bool:
         others = np.delete(self.gaps, self.best_arm)
         return bool(np.all(others > 0.0))
@@ -243,13 +239,6 @@ def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
     if instance.noise_sigma2 == 0.0:
         return mu.copy()
     return mu + rng.normal(0.0, math.sqrt(instance.noise_sigma2), idx.shape[0])
-
-
-def sample_reward(instance: BanditInstance, arm: int, rng: np.random.Generator) -> float:
-    """Draw a single reward for ``arm``."""
-    if not 0 <= arm < instance.n_arms:
-        raise IndexError(f"arm {arm} out of range [0, {instance.n_arms})")
-    return float(sample_rewards(instance, [arm], rng)[0])
 
 
 # ---------------------------------------------------------------------------

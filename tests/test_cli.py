@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -73,6 +74,17 @@ class TestRun:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[6] == "1"
+
+    def test_stage_budget_at_the_dimension_keeps_every_replication(self,
+                                                                  capsys):
+        # three arms in R^2 and two pulls per stage: the rounding retry must
+        # keep two independent arms instead of dropping the whole design
+        rc = run_cli("run", "--family", "sphere", "--K", "3", "--d", "2",
+                     "--variant", "gse-fwg", "--budget", "4",
+                     "--replications", "200", "--seed", "0", "--no-wall-time")
+        assert rc == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (row["R"], row["aborts"]) == ("200", "0")
 
     def test_adaptive_family_needs_d(self, capsys):
         rc = run_cli("run", "--family", "adaptive", "--variant", "gse-fwg",
@@ -281,6 +293,27 @@ class TestSweep:
         parsed = json.loads((tmp_path / "corner.json").read_text())
         assert len(parsed) == 12
         assert parsed[0]["R"] == 2
+
+    # sha256 of the CSV, recorded with one BLAS thread; `logistic` is left
+    # out because rounding decides some of its cuts (CHANGES.md FOUND,
+    # ROADMAP item 2)
+    @pytest.mark.parametrize("preset, digest", [
+        ("adaptive",
+         "fb19059fa55c1e15a60cc2104afe8e9a0fc617c2537935ebe0c0cb324f3478df"),
+        ("static",
+         "c4265ecf79b78e95add6bd90f8e0fa158a4b7256aa62c0a5ddbd4bc0f9bd424e"),
+        ("sphere",
+         "66ea84c9b65c90e098a4e9f521f9cccf26d9ef77cc3be55b16059f376da5cbb4"),
+        ("corner",
+         "c4edf6ba8ead42d527f012d01e8574c48e629ffafa87418518e876ff97eba2a8"),
+    ])
+    def test_golden_preset_digest(self, preset, digest, tmp_path, capsys):
+        rc = run_cli("sweep", "--preset", preset, "--out", str(tmp_path),
+                     "--replications", "10", "--seed", "3", "--workers", "1",
+                     "--no-wall-time", "--format", "csv")
+        assert rc == 0
+        data = (tmp_path / f"{preset}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_unknown_preset_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fbbai.design import (SUPPORT_TOL, Allocation, Design, allocate_budget,
+from fbbai.design import (SUPPORT_TOL, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, g_gradient,
                           g_value_and_argmax, kw_certificate, round_allocation)
@@ -257,22 +257,22 @@ class TestCertificate:
 
 class TestRounding:
     def test_even_split_with_remainder_to_lowest_index(self):
-        alloc = round_allocation(11, uniform_design(2), np.eye(2))
-        assert alloc.total == 11
-        assert list(alloc.counts) == [6, 5]
+        counts = round_allocation(11, uniform_design(2))
+        assert counts.sum() == 11
+        assert list(counts) == [6, 5]
 
     def test_proportional_split(self):
         des = Design(weights=np.array([0.9, 0.1]), g_value=0.0,
                      iterations_used=0, certified=True)
-        alloc = round_allocation(10, des, np.eye(2))
-        assert list(alloc.counts) == [9, 1]
+        counts = round_allocation(10, des)
+        assert list(counts) == [9, 1]
 
     def test_every_support_arm_keeps_a_pull(self):
         des = Design(weights=np.array([0.98, 0.01, 0.01]), g_value=0.0,
                      iterations_used=0, certified=True)
-        alloc = round_allocation(5, des, np.eye(3))
-        assert alloc.total == 5
-        assert alloc.counts.min() >= 1
+        counts = round_allocation(5, des)
+        assert counts.sum() == 5
+        assert counts.min() >= 1
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
@@ -285,32 +285,41 @@ class TestRounding:
         support = w > SUPPORT_TOL
         n = int(support.sum()) + extra
         des = Design(weights=w, g_value=0.0, iterations_used=0, certified=True)
-        counts = round_allocation(n, des, np.eye(k)).counts
+        counts = round_allocation(n, des)
         assert counts.sum() == n
         assert counts[support].min() >= 1
         assert np.all(counts[~support] == 0)
 
     def test_budget_below_support_size_raises(self):
         with pytest.raises(BudgetTooSmallError):
-            round_allocation(1, uniform_design(2), np.eye(2))
+            round_allocation(1, uniform_design(2))
 
     def test_allocate_budget_drops_negligible_support(self):
         k = 11
         w = np.full(k, 1.0 / 900.0)
         w[:2] = (1.0 - 9.0 / 900.0) / 2.0
         des = Design(weights=w, g_value=0.0, iterations_used=0, certified=True)
-        alloc = allocate_budget(10, des, np.eye(k))
-        assert alloc.total == 10
-        assert np.all(alloc.counts[2:] == 0)
-        assert list(alloc.counts[:2]) == [5, 5]
+        counts = allocate_budget(10, des, np.eye(k))
+        assert counts.sum() == 10
+        assert np.all(counts[2:] == 0)
+        assert list(counts[:2]) == [5, 5]
 
     def test_allocation_counts_align_with_design_support(self):
         rng = np.random.default_rng(31)
         arms = rng.standard_normal((9, 3))
         des = fw_g_optimal(arms)
-        alloc = allocate_budget(60, des, arms)
-        assert alloc.total == 60
-        assert np.all(alloc.counts[des.weights <= 1e-9] <= 1)
+        counts = allocate_budget(60, des, arms)
+        assert counts.sum() == 60
+        assert np.all(counts[des.weights <= 1e-9] <= 1)
 
-    def test_allocation_object_total(self):
-        assert Allocation(counts=np.array([2, 3, 0])).total == 5
+    @pytest.mark.parametrize("weights, n, expected", [
+        ([0.4, 0.4, 0.2], 2, [1, 0, 1]),  # no weight reaches 1/n
+        ([0.5, 0.2, 0.2, 0.1], 3, [2, 0, 0, 1]),  # the heavy arms are parallel
+        ([0.45, 0.45, 0.05, 0.05], 3, [1, 1, 0, 1]),  # then the other heavy one
+    ], ids=["none-heavy", "parallel-heavy", "heavy-after-span"])
+    def test_allocate_budget_keeps_a_spanning_support(self, weights, n,
+                                                      expected):
+        arms = np.array([[1.0, 0.0]] * (len(weights) - 1) + [[0.0, 1.0]])
+        des = Design(weights=np.array(weights), g_value=0.0,
+                     iterations_used=0, certified=True)
+        assert list(allocate_budget(n, des, arms)) == expected

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
-from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
-                          EstimationFailureError, InvalidAllocationError)
+from fbbai.errors import ConfigurationError, EstimationFailureError
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore, gse_run,
                        stage_schedule)
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
@@ -110,11 +109,10 @@ class TestExplore:
     def test_uniform_split_with_remainder(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
         active = project_to_span(inst.features)
-        cfg = GseConfig(budget=10, strategy="uniform")
-        alloc, data, design = explore(inst, active, 10, cfg,
-                                      np.random.default_rng(0))
-        assert list(alloc.counts) == [3, 3, 2, 2]
-        assert design is None
+        plan = DesignCache().plan(inst, (0, 1, 2, 3), 10, "uniform")
+        data = explore(inst, plan, np.random.default_rng(0))
+        assert list(plan.counts) == [3, 3, 2, 2]
+        assert plan.design is None
         assert data.n == 10
         # one row per arm: its pull count and reward sum; noiseless static
         # rewards pay 1 on arm 0 and 0 elsewhere
@@ -124,28 +122,24 @@ class TestExplore:
 
     def test_stage_budget_below_dimension_rejected(self):
         inst = gen_static_instance(1.0, K=4)
-        active = project_to_span(inst.features)
-        cfg = GseConfig(budget=10, strategy="uniform")
-        with pytest.raises(InvalidAllocationError):
-            explore(inst, active, 3, cfg, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError):
+            DesignCache().plan(inst, (0, 1, 2, 3), 3, "uniform")
 
     def test_design_allocation_spends_the_stage_budget(self):
         inst = noiseless(gen_adaptive_instance(4))
-        active = project_to_span(inst.features)
-        cfg = GseConfig(budget=40, strategy="fw-g")
-        alloc, data, design = explore(inst, active, 40, cfg,
-                                      np.random.default_rng(0))
-        assert alloc.total == 40
-        assert design is not None and design.certified
+        plan = DesignCache().plan(inst, tuple(range(inst.n_arms)), 40, "fw-g")
+        data = explore(inst, plan, np.random.default_rng(0))
+        assert plan.counts.sum() == 40 and data.n == 40
+        assert plan.design is not None and plan.design.certified
 
     def test_cached_design_is_reused(self):
         inst = gen_adaptive_instance(3)
-        active = project_to_span(inst.features)
-        cfg = GseConfig(budget=30, strategy="fw-g")
+        ids = tuple(range(inst.n_arms))
         cache = DesignCache()
-        _, _, d1 = explore(inst, active, 30, cfg, np.random.default_rng(0), cache)
-        _, _, d2 = explore(inst, active, 30, cfg, np.random.default_rng(1), cache)
-        assert d1 is d2
+        p1 = cache.plan(inst, ids, 30, "fw-g")
+        explore(inst, p1, np.random.default_rng(0))
+        p2 = cache.plan(inst, ids, 30, "fw-g")
+        assert p1.design is p2.design
 
     def test_cached_counts_are_shared_and_read_only(self):
         inst = gen_static_instance(0.5, K=8, sigma2=4.0)
@@ -234,6 +228,7 @@ class TestGseRun:
         assert result.total_pulls == 12
 
     @settings(max_examples=40, deadline=None)
+    @example(seed=0, K=6, d=2, budget=9, strategy="fw-g")  # kept arms did not span
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 10),
            d=st.integers(2, 5), budget=st.integers(1, 400),
            strategy=st.sampled_from(["uniform", "fw-g", "static"]))
@@ -243,8 +238,8 @@ class TestGseRun:
         try:
             result = gse_run(inst, GseConfig(budget=budget, strategy=strategy),
                              np.random.default_rng(seed))
-        except (ConfigurationError, BudgetTooSmallError):
-            return  # budget too small for the schedule or a stage's design
+        except ConfigurationError:
+            return  # budget too small for the schedule or the span dimension
         assert result.total_pulls <= budget
         assert result.total_pulls == sum(int(t.counts.sum())
                                          for t in result.traces)

@@ -13,7 +13,7 @@ from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
                              gen_logistic_instance, gen_sphere_instance,
                              gen_static_instance, load_features,
                              load_instance_csv, noiseless, project_to_span,
-                             sample_reward, sample_rewards)
+                             sample_rewards)
 
 
 def triangle_instance(**kwargs):
@@ -68,10 +68,6 @@ class TestBanditInstance:
         inst = triangle_instance()
         assert inst.linear_delta_min == pytest.approx(inst.delta_min)
 
-    def test_max_feature_norm(self):
-        inst = triangle_instance()
-        assert inst.max_feature_norm == pytest.approx(1.0)
-
     def test_tied_best_reported_as_not_unique(self):
         inst = BanditInstance(features=np.array([[1.0, 0.0], [1.0, 0.0]]),
                               theta_star=np.array([1.0, 0.0]))
@@ -125,13 +121,6 @@ class TestSampling:
         ys = sample_rewards(inst, [0] * 200, np.random.default_rng(2))
         assert set(np.unique(ys)) <= {0.0, 1.0}
         assert abs(ys.mean() - inst.means[0]) < 0.15
-
-    def test_single_reward_range_check(self):
-        inst = triangle_instance()
-        with pytest.raises(IndexError):
-            sample_reward(inst, 3, np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            sample_reward(inst, -1, np.random.default_rng(0))
 
 
 class TestProjection:
