@@ -141,10 +141,11 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
                  tol: float = 0.01) -> Design:
     """Frank-Wolfe G-optimal design, certified against g <= d_t (1 + tol).
 
-    Starts from uniform weights; each round steps toward the arm of largest
-    normalized variance with the closed-form determinant step.  Returns the
-    best iterate flagged non-certified if the iteration cap is exhausted
-    first.
+    Starts from uniform weights and returns them at once if they already
+    certify (as for m = d_t independent arms); otherwise each round steps
+    toward the arm of largest normalized variance with the closed-form
+    determinant step.  Returns the best iterate flagged non-certified if
+    the iteration cap is exhausted first.
 
     Raises
     ------
@@ -169,9 +170,11 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
 
     pi = np.full(K, 1.0 / K)
     norms = _all_norms(pi, arms)  # raises if the arms do not span R^d
-    V = _info_matrix(pi, arms)
-    Vinv = np.linalg.inv(V)
     best_g, best_pi = float(norms.max()), pi
+    if best_g <= target:  # uniform weights already certify (e.g. m = d_t)
+        return Design(weights=pi, g_value=best_g, iterations_used=0,
+                      certified=True)
+    Vinv = np.linalg.inv(_info_matrix(pi, arms))
 
     it = 0
     while True:

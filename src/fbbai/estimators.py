@@ -78,6 +78,12 @@ class ParameterEstimate:
     iterations: int = 0
 
 
+def well_conditioned(V: np.ndarray) -> bool:
+    """The linear fit's invertibility test: cond(V) finite and below 1e12."""
+    cond = np.linalg.cond(V)
+    return bool(np.isfinite(cond) and cond < COND_LIMIT)
+
+
 def least_squares(data: RegressionData) -> ParameterEstimate:
     """Ordinary least squares through the normal equations.
 
@@ -92,10 +98,10 @@ def least_squares(data: RegressionData) -> ParameterEstimate:
     """
     V = _info_matrix(data.counts, data.xs)
     b = data.xs.T @ data.ys
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
+    if not well_conditioned(V):
         raise InvalidAllocationError(
-            f"information matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+            f"information matrix condition number {np.linalg.cond(V):.3e} "
+            f"exceeds {COND_LIMIT:.0e}")
     try:
         chol = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:

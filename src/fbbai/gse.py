@@ -5,6 +5,14 @@ stage projects the active arms onto their span, spends the stage budget
 according to the configured allocation strategy, fits the reward model,
 and keeps the top ceil(|active| / eta) arms by estimated mean.  The single
 survivor is the recommendation.
+
+A stage is saturated when its m active arms are linearly independent
+(m = d_t) and V = sum_i c_i x_i x_i' passes the linear fit's condition
+test, so every arm is pulled.  Both fits then interpolate,
+x_i' theta_hat = S_i / c_i for least squares and h(x_i' theta_hat) =
+S_i / c_i for the GLM, so such a stage ranks by the empirical means
+S_i / c_i without fitting: Sequential Halving's rule (Karnin, Koren &
+Somekh 2013).
 """
 
 from __future__ import annotations
@@ -15,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .design import Design, allocate_budget, fw_g_optimal
+from .design import Design, _info_matrix, allocate_budget, fw_g_optimal
 from .design import fw_d_optimal  # noqa: F401  bench/tracer.py patches this name
 from .errors import ConfigurationError, EstimationFailureError
-from .estimators import (ParameterEstimate, RegressionData, irls_glm,
-                         least_squares, mean_estimates)
+from .estimators import (RegressionData, irls_glm, least_squares,
+                         mean_estimates, well_conditioned)
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
                         project_to_span, sample_rewards)
 
@@ -59,7 +67,12 @@ class StageSchedule:
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Everything one stage did: who was active, pulls, estimates, survivors."""
+    """Everything one stage did: who was active, pulls, estimates, survivors.
+
+    A saturated stage fits nothing: its ``mu_hat`` is S_i / c_i, and it
+    records ``estimator_converged=True``, ``estimator_iterations=0`` and
+    ``used_fallback=False``.
+    """
 
     stage: int
     arms: ProjectedArmSet
@@ -85,12 +98,14 @@ class RunResult:
 @dataclass(frozen=True)
 class StagePlan:
     """What a stage fixes before it sees a reward: the active arms projected
-    onto their span, read-only pull counts, and the design they were
-    rounded from (``None`` for uniform counts)."""
+    onto their span, read-only pull counts, the design they were rounded
+    from (``None`` for uniform counts), and whether the stage is saturated
+    (see the module docstring)."""
 
     arms: ProjectedArmSet
     counts: np.ndarray
     design: Optional[Design]
+    saturated: bool
 
 
 class DesignCache:
@@ -124,7 +139,9 @@ class DesignCache:
                 design = self.design(arms)
                 counts = allocate_budget(n, design, arms.projected)
             counts.flags.writeable = False
-            hit = self._plans[key] = StagePlan(arms, counts, design)
+            saturated = (arms.n_arms == arms.dim and well_conditioned(
+                _info_matrix(counts, arms.projected)))
+            hit = self._plans[key] = StagePlan(arms, counts, design, saturated)
         return hit
 
     def design(self, arms: ProjectedArmSet) -> Design:
@@ -206,10 +223,11 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
     """Keep the ceil(m / eta) arms with the highest estimated means.
 
     Computed estimates that are equal rank the lower arm id first;
-    survivors come back in ascending id order.  Estimates that are equal
-    in exact arithmetic can still differ by rounding when the arms are not
-    orthonormal (the ``logistic`` preset), and then rounding decides the
-    cut; see ROADMAP item 2.
+    survivors come back in ascending id order.  On a saturated stage the
+    estimates are S_i / c_i, so arms with equal pull counts and reward sums
+    tie exactly.  Only when m > d_t, where the fit couples the arms, can
+    estimates that are equal in exact arithmetic differ by rounding, and
+    then rounding decides the cut.
     """
     m = len(active_ids)
     if mu_hat.shape[0] != m:
@@ -225,14 +243,22 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _fit_stage(data: RegressionData, config: GseConfig,
-               ) -> tuple[ParameterEstimate, bool]:
+def _stage_means(plan: StagePlan, data: RegressionData, config: GseConfig,
+                 ) -> tuple[np.ndarray, bool, int, bool]:
+    """Estimated means with the fit's (converged, iterations, fallback)."""
+    if plan.saturated:
+        return data.ys / data.counts, True, 0, False
+    fellback = False
     if config.model == "logistic":
         try:
-            return irls_glm(data, LOGISTIC), False
+            estimate = irls_glm(data, LOGISTIC)
         except EstimationFailureError:
-            return least_squares(data), True
-    return least_squares(data), False
+            estimate, fellback = least_squares(data), True
+    else:
+        estimate = least_squares(data)
+    mean_fn = LOGISTIC if (config.model == "logistic" and not fellback) else None
+    mu_hat = mean_estimates(estimate, plan.arms.projected, mean_fn)
+    return mu_hat, estimate.converged, estimate.iterations, fellback
 
 
 def gse_run(instance: BanditInstance, config: GseConfig,
@@ -257,14 +283,12 @@ def gse_run(instance: BanditInstance, config: GseConfig,
         plan = cache.plan(instance, active, schedule.per_stage_budget,
                           config.strategy)
         data = explore(instance, plan, rng)
-        estimate, fellback = _fit_stage(data, config)
-        mean_fn = LOGISTIC if (config.model == "logistic" and not fellback) else None
-        mu_hat = mean_estimates(estimate, plan.arms.projected, mean_fn)
+        mu_hat, converged, iterations, fellback = _stage_means(plan, data, config)
         survivors = eliminate(active, mu_hat, config.eta)
         traces.append(StageTrace(stage=t, arms=plan.arms, counts=plan.counts,
                                  mu_hat=mu_hat, survivors=survivors,
-                                 estimator_converged=estimate.converged,
-                                 estimator_iterations=estimate.iterations,
+                                 estimator_converged=converged,
+                                 estimator_iterations=iterations,
                                  used_fallback=fellback, design=plan.design))
         total += int(plan.counts.sum())
         active = survivors

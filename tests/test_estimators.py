@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fbbai.errors import EstimationFailureError, InvalidAllocationError
 from fbbai.estimators import (ParameterEstimate, RegressionData, irls_glm,
-                              least_squares, mean_estimates)
+                              least_squares, mean_estimates, well_conditioned)
 from fbbai.instances import IDENTITY, LOGISTIC, MeanFunction
 
 
@@ -90,6 +90,35 @@ class TestPerArmStatistics:
             assert_close(a.theta_hat, b.theta_hat)
             assert_close(a.covariance, b.covariance)
             assert_close(a.covariance, V)
+
+
+class TestSaturatedFits:
+    """m = d linearly independent rows, each pulled at least once: both
+    fits interpolate the per-arm means S_i / c_i, which a saturated stage
+    of ``gse_run`` ranks by in place of either fit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))
+    def test_fits_interpolate_the_per_arm_means(self, seed, d):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((d, d))
+        counts = rng.integers(1, 9, d)
+        assume(well_conditioned(xs.T @ (xs * counts[:, None])))
+        sums = counts * rng.normal(0.0, 2.0, d)
+        fit = least_squares(RegressionData(xs=xs, ys=sums, counts=counts))
+        means = sums / counts
+        np.testing.assert_allclose(xs @ fit.theta_hat, means, rtol=1e-9,
+                                   atol=1e-9 * np.abs(means).max())
+
+        wins = rng.integers(0, counts + 1)  # Bernoulli sums
+        fit = irls_glm(RegressionData(xs=xs, ys=wins, counts=counts), LOGISTIC)
+        inner = (wins > 0) & (wins < counts)
+        assume(fit.converged and inner.any())
+        # converged means |X'(S - c h)| <= tol = 1e-8, so each |S_i - c_i h_i|
+        # is at most tol / sigma_min(X)
+        gap = np.abs(wins - counts * LOGISTIC.value(xs @ fit.theta_hat))
+        bound = 1e-8 / np.linalg.svd(xs, compute_uv=False).min()
+        assert np.all(gap[inner] <= bound * (1.0 + 1e-6))
 
 
 class TestLeastSquares:

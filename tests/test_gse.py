@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
-from fbbai.errors import ConfigurationError, EstimationFailureError
+from fbbai.errors import (ConfigurationError, EstimationFailureError,
+                          InvalidAllocationError)
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore, gse_run,
                        stage_schedule)
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
@@ -141,6 +142,18 @@ class TestExplore:
         p2 = cache.plan(inst, ids, 30, "fw-g")
         assert p1.design is p2.design
 
+    def test_saturation_needs_independent_well_conditioned_arms(self):
+        cache = DesignCache()
+        eye = gen_static_instance(1.0, K=4)  # orthonormal arms, m = d_t
+        assert cache.plan(eye, (0, 1, 2, 3), 8, "uniform").saturated
+        assert cache.plan(eye, (1, 3), 8, "fw-g").saturated
+        five = gen_adaptive_instance(4)  # five arms in R^4
+        assert not cache.plan(five, tuple(range(5)), 40, "fw-g").saturated
+        # independent, but cond(V) is about 4e15: the linear fit refuses it
+        close = BanditInstance(features=np.array([[1.0, 0.0], [1.0, 3e-8]]),
+                               theta_star=np.array([1.0, 0.0]))
+        assert not cache.plan(close, (0, 1), 4, "uniform").saturated
+
     def test_cached_counts_are_shared_and_read_only(self):
         inst = gen_static_instance(0.5, K=8, sigma2=4.0)
         cfg = GseConfig(budget=80)
@@ -161,29 +174,33 @@ def glm_grid_instance(K, gap):
 
 @pytest.mark.parametrize("model", ["linear", "logistic"])
 def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
-    """On orthonormal arms an arm's estimate depends only on its own pull
-    count and reward sum, so arms that agree on both must get bit-equal
-    estimates; the tie then goes to the lower id, never to rounding."""
-    inst = glm_grid_instance(8, 0.75)
+    """On a saturated stage (linearly independent active arms) an arm's
+    estimate is its own reward sum over its pull count, so arms that agree
+    on both must get bit-equal estimates; the tie then goes to the lower
+    id, never to rounding.  Both instances are saturated at every stage:
+    the orthonormal grid, and eight box-uniform arms in R^10."""
     cfg = GseConfig(budget=200, model=model)
-    straddling = 0
-    for seed in range(300):
-        result = gse_run(inst, cfg, np.random.default_rng(seed))
-        replay = np.random.default_rng(seed)  # redraws the run's rewards
-        for trace in result.traces:
-            ids = np.asarray(trace.arms.original_ids)
-            arm_of_pull = np.repeat(np.arange(ids.size), trace.counts)
-            ys = sample_rewards(inst, ids[arm_of_pull], replay)
-            sums = np.bincount(arm_of_pull, weights=ys, minlength=ids.size)
-            for i in range(ids.size):
-                for j in range(i + 1, ids.size):
-                    if (trace.counts[i], sums[i]) != (trace.counts[j], sums[j]):
-                        continue
-                    assert trace.mu_hat[i] == trace.mu_hat[j]
-                    if ids[j] in trace.survivors:
-                        assert ids[i] in trace.survivors
-                    straddling += (ids[i] in trace.survivors) != (ids[j] in trace.survivors)
-    assert straddling > 0  # some ties fell on the elimination cut
+    for inst in (glm_grid_instance(8, 0.75),
+                 gen_logistic_instance(8, 10, np.random.default_rng(0))):
+        straddling = 0
+        for seed in range(300):
+            result = gse_run(inst, cfg, np.random.default_rng(seed))
+            replay = np.random.default_rng(seed)  # redraws the run's rewards
+            for trace in result.traces:
+                ids = np.asarray(trace.arms.original_ids)
+                arm_of_pull = np.repeat(np.arange(ids.size), trace.counts)
+                ys = sample_rewards(inst, ids[arm_of_pull], replay)
+                sums = np.bincount(arm_of_pull, weights=ys, minlength=ids.size)
+                for i in range(ids.size):
+                    for j in range(i + 1, ids.size):
+                        if (trace.counts[i], sums[i]) != (trace.counts[j], sums[j]):
+                            continue
+                        assert trace.mu_hat[i] == trace.mu_hat[j]
+                        if ids[j] in trace.survivors:
+                            assert ids[i] in trace.survivors
+                        straddling += ((ids[i] in trace.survivors)
+                                       != (ids[j] in trace.survivors))
+        assert straddling > 0  # some ties fell on the elimination cut
 
 
 class TestGseRun:
@@ -270,7 +287,25 @@ class TestGseRun:
         inst = gen_logistic_instance(6, 3, np.random.default_rng(14))
         cfg = GseConfig(budget=90, model="logistic")
         result = gse_run(inst, cfg, np.random.default_rng(5))
-        assert all(t.used_fallback for t in result.traces)
+        # saturated stages (m = d_t) fit nothing, so only the others fall back
+        fitted = [t for t in result.traces if t.arms.n_arms > t.arms.dim]
+        assert fitted
+        assert all(t.used_fallback for t in fitted)
+
+    @pytest.mark.parametrize("model", ["linear", "logistic"])
+    def test_saturated_stages_rank_without_a_fit(self, monkeypatch, model):
+        def explode(*args, **kwargs):
+            raise InvalidAllocationError("no fit expected")
+
+        monkeypatch.setattr(gse_mod, "irls_glm", explode)
+        monkeypatch.setattr(gse_mod, "least_squares", explode)
+        inst = glm_grid_instance(8, 0.75)
+        result = gse_run(inst, GseConfig(budget=200, model=model),
+                         np.random.default_rng(3))
+        assert len(result.traces) == 3
+        for t in result.traces:
+            assert t.estimator_iterations == 0
+            assert t.estimator_converged and not t.used_fallback
 
 
 class TestStaticRun:
