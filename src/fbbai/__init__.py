@@ -9,8 +9,9 @@ from .bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                      bound_linear_general, bound_linear_gopt, oracle_c_min,
                      stage_norm_terms)
 from .design import (Design, allocate_budget, default_iteration_cap,
-                     d_opt_gradient, fw_d_optimal, fw_g_optimal, g_gradient,
-                     g_value_and_argmax, kw_certificate, round_allocation)
+                     d_opt_gradient, fw_d_optimal, fw_g_optimal,
+                     fw_g_optimal_stack, g_gradient, g_value_and_argmax,
+                     kw_certificate, round_allocation)
 from .errors import (BudgetTooSmallError, ConfigurationError,
                      DegenerateInputError, EstimationFailureError, FbbaiError,
                      InvalidAllocationError, SingularDesignError,
@@ -18,7 +19,8 @@ from .errors import (BudgetTooSmallError, ConfigurationError,
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
 from .gse import (DesignCache, GseConfig, RunResult, StagePlan, StageSchedule,
-                  StageTrace, eliminate, explore, gse_run, stage_schedule)
+                  StageTrace, eliminate, explore, gse_lockstep, gse_run,
+                  stage_schedule)
 from .harness import (PRESETS, VARIANTS, McResult, Preset, SweepPoint,
                       SweepResult, SweepRow, VariantSpec, family_source,
                       mc_accuracy, rep_seed, run_point, run_preset, write_csv,
@@ -44,9 +46,9 @@ __all__ = [
     "bound_glm_general", "bound_glm_gopt", "bound_linear_general",
     "bound_linear_gopt", "d_opt_gradient", "default_iteration_cap",
     "eliminate", "explore", "family_source", "fw_d_optimal", "fw_g_optimal",
-    "g_gradient", "g_value_and_argmax", "gen_adaptive_instance",
+    "fw_g_optimal_stack", "g_gradient", "g_value_and_argmax", "gen_adaptive_instance",
     "gen_corner_instance", "gen_logistic_instance", "gen_sphere_instance",
-    "gen_static_instance", "gse_run", "irls_glm", "kw_certificate",
+    "gen_static_instance", "gse_lockstep", "gse_run", "irls_glm", "kw_certificate",
     "least_squares", "load_features", "load_instance_csv", "mc_accuracy",
     "mean_estimates", "noiseless", "oracle_c_min", "project_to_span",
     "rep_seed", "round_allocation", "run_point", "run_preset",

@@ -135,6 +135,10 @@ def _family_params(args: argparse.Namespace) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ConfigurationError(
+            f"cannot write {args.out}: directory {Path(args.out).parent} "
+            "does not exist")
     point = SweepPoint(args.family, args.family, _family_params(args),
                        "budget", float(args.budget), args.variant,
                        args.budget, args.eta)

@@ -34,6 +34,15 @@ line search can certify, so step sizes collapse to zero far from the
 optimum.  The determinant-ascent step has no such kinks, shares its vertex
 selection and its optimum with g (equivalence theorem again), and makes the
 g-certificate reachable; g itself is tracked for stopping and reporting.
+
+The loop runs on a stack of same-shape arm sets in lockstep
+(``fw_g_optimal_stack``), and ``fw_g_optimal`` is the stack of one.  Each
+item's result is bit-identical to a lone solve because an iteration's
+arithmetic is elementwise or a stacked ``np.matmul`` with one right-hand
+side per item; an ``einsum`` or a multi-right-hand-side solve would sum in
+another order.  The rare events (the certificate check, the periodic
+refresh of V^-1, the d = 1 jump to a vertex and the final g) run per item
+through the 2-d helpers, and an item leaves the stack when it stops.
 """
 
 from __future__ import annotations
@@ -82,6 +91,15 @@ def _all_norms(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
         raise SingularDesignError("design information matrix is singular") from exc
     half = np.linalg.solve(chol, arms.T)
     return np.einsum("ij,ij->j", half, half)
+
+
+def _inverse(V: np.ndarray) -> np.ndarray:
+    """V^{-1}; raises on a matrix that LU finds singular even where the
+    Cholesky factorization of ``_all_norms`` went through."""
+    try:
+        return np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("design information matrix is singular") from exc
 
 
 def g_value_and_argmax(weights: np.ndarray, arms: np.ndarray) -> tuple[float, int]:
@@ -145,7 +163,8 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
     certify (as for m = d_t independent arms); otherwise each round steps
     toward the arm of largest normalized variance with the closed-form
     determinant step.  Returns the best iterate flagged non-certified if
-    the iteration cap is exhausted first.
+    the iteration cap is exhausted first.  This is ``fw_g_optimal_stack``
+    on a stack of one.
 
     Raises
     ------
@@ -156,77 +175,191 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 2 or arms.shape[0] == 0:
         raise SingularDesignError("arms must be a nonempty 2-d array")
-    if not np.all(np.isfinite(arms)):
-        raise SingularDesignError("arms must be finite")
+    (design,) = fw_g_optimal_stack(arms[None], iterations, tol)
+    if isinstance(design, SingularDesignError):
+        raise design
+    return design
+
+
+def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
+                       tol: float = 0.01) -> list[Design | SingularDesignError]:
+    """``fw_g_optimal`` of each arm set in a (B, K, d) stack, in lockstep.
+
+    Entry b is, bit for bit, the design of ``arms[b]`` solved alone: every
+    iteration does its arithmetic elementwise or as stacked matrix-vector
+    products, and the rare events (the certificate check, the refresh
+    every ``REFRESH_EVERY`` iterations, the gamma = 1 jump of d = 1 and
+    the final g) run per item through the 2-d helpers.  Items leave the
+    stack when they stop.  An entry whose arms are not finite or do not
+    span R^d holds the ``SingularDesignError`` its lone solve raises; the
+    other entries are unaffected.
+
+    Raises
+    ------
+    SingularDesignError
+        If ``arms`` is not a stack of nonempty matrices, ``tol`` is not
+        finite and positive, or ``iterations`` is negative.
+    """
+    arms = np.asarray(arms, dtype=float)
+    if arms.ndim != 3 or arms.shape[1] == 0:
+        raise SingularDesignError("arms must be a stack of nonempty 2-d arrays")
     if not (math.isfinite(tol) and tol > 0.0):
         raise SingularDesignError(f"tolerance must be finite and positive, not {tol}")
     if iterations is not None and not iterations >= 0:
         raise SingularDesignError(
             f"iteration cap must be None or nonnegative, not {iterations}")
-    K, d = arms.shape
+    B, K, d = arms.shape
     cap = default_iteration_cap(K, d, tol) if iterations is None else int(iterations)
     target = d * (1.0 + tol) + CERT_SLACK
-    refresh_every = 100
 
-    pi = np.full(K, 1.0 / K)
-    norms = _all_norms(pi, arms)  # raises if the arms do not span R^d
-    best_g, best_pi = float(norms.max()), pi
-    if best_g <= target:  # uniform weights already certify (e.g. m = d_t)
-        return Design(weights=pi, g_value=best_g, iterations_used=0,
-                      certified=True)
-    Vinv = np.linalg.inv(_info_matrix(pi, arms))
-
-    it = 0
-    while True:
-        j = int(norms.argmax())
-        g_now = float(norms[j])
-        if g_now <= target:
-            # confirm on freshly computed values before certifying
-            norms = _all_norms(pi, arms)
-            j = int(norms.argmax())
-            g_now = float(norms[j])
-            if g_now <= target:
-                return Design(weights=pi, g_value=g_now, iterations_used=it,
-                              certified=True)
-            Vinv = np.linalg.inv(_info_matrix(pi, arms))
-        if g_now < best_g:
-            # no copy: each step below makes a new pi before writing to it
-            best_g, best_pi = g_now, pi
-        if it >= cap:
-            break
-        if it > 0 and it % refresh_every == 0:
-            norms = _all_norms(pi, arms)
-            Vinv = np.linalg.inv(_info_matrix(pi, arms))
-            j = int(norms.argmax())
-
-        uj = float(norms[j])
-        if uj <= d:
-            break
-        gamma = (uj / d - 1.0) / (uj - 1.0)
-        if gamma >= 1.0 - 1e-12:
-            pi = np.zeros(K)
-            pi[j] = 1.0
-            norms = _all_norms(pi, arms)
-            Vinv = np.linalg.inv(_info_matrix(pi, arms))
-            it += 1
+    results: list = [None] * B
+    live, norms, Vinv = [], [], []
+    for b in range(B):
+        pi = np.full(K, 1.0 / K)
+        try:
+            if not np.all(np.isfinite(arms[b])):
+                raise SingularDesignError("arms must be finite")
+            start = _all_norms(pi, arms[b])  # raises if the arms do not span R^d
+            g = float(start.max())
+            if g <= target:  # uniform weights already certify (e.g. m = d_t)
+                results[b] = Design(weights=pi, g_value=g, iterations_used=0,
+                                    certified=True)
+                continue
+            Vinv.append(_inverse(_info_matrix(pi, arms[b])))
+        except SingularDesignError as exc:
+            results[b] = exc
             continue
-        vx = Vinv @ arms[j]
-        w = arms @ vx
-        beta = gamma / (1.0 - gamma)
-        f = beta / (1.0 + beta * uj)
-        norms = (norms - f * w * w) / (1.0 - gamma)
-        # the products of np.outer(vx, vx), without its per-call overhead
-        Vinv = (Vinv - f * (vx[:, None] * vx)) / (1.0 - gamma)
-        pi = pi * (1.0 - gamma)
-        pi[j] += gamma
-        pi /= pi.sum()
-        it += 1
+        live.append(b)
+        norms.append(start)
+    if live:
+        ids = np.array(live)
+        _fw_lockstep(arms[ids], np.array(norms), np.array(Vinv), ids, cap,
+                     target, results)
+    return results
 
+
+REFRESH_EVERY = 100  # iterations between recomputations of V^-1 and the norms
+
+
+def _renew(i: int, pi: np.ndarray, arms: np.ndarray, norms: np.ndarray,
+           Vinv: np.ndarray) -> None:
+    """Recompute row i's norms and V^-1 from its weights; raises on singular V."""
+    norms[i] = _all_norms(pi[i], arms[i])
+    Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
+
+
+def _final(pi: np.ndarray, arms: np.ndarray, best_g: float,
+           best_pi: np.ndarray, it: int, target: float) -> Design:
+    """The design of an item stopped without a certificate: the better of
+    its best iterate and its last one."""
     final_g, _ = g_value_and_argmax(pi, arms)
     if final_g < best_g:
         best_g, best_pi = final_g, pi
-    return Design(weights=best_pi, g_value=best_g, iterations_used=it,
-                  certified=bool(best_g <= target))
+    return Design(weights=best_pi.copy(), g_value=float(best_g),
+                  iterations_used=it, certified=bool(best_g <= target))
+
+
+def _fw_step(arms, Vinv, norms, pi, flat, uj, gamma):
+    """Step every row toward its arm ``flat`` (an index into the rows of all
+    items' arms): the Sherman-Morrison update of V^-1 and of the norms, and
+    the new weights."""
+    d = arms.shape[2]
+    vx = (Vinv @ arms.reshape(-1, d).take(flat, axis=0)[:, :, None])[:, :, 0]
+    w = (arms @ vx[:, :, None])[:, :, 0]
+    beta = gamma / (1.0 - gamma)
+    f = (beta / (1.0 + beta * uj))[:, None]
+    shrink = (1.0 - gamma)[:, None]
+    norms = (norms - f * w * w) / shrink
+    Vinv = (Vinv - f[:, :, None] * (vx[:, :, None] * vx[:, None, :])) / shrink[:, :, None]
+    pi = pi * shrink
+    pi.put(flat, pi.take(flat) + gamma)
+    pi /= pi.sum(axis=1, keepdims=True)
+    return Vinv, norms, pi
+
+
+def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
+    """Write the results of the rows in ``out``; return ``ids`` and the
+    arrays without those rows."""
+    for i, result in out.items():
+        results[ids[i]] = result
+    keep = np.ones(ids.size, dtype=bool)
+    keep[list(out)] = False
+    out.clear()
+    return [a[keep] for a in (ids, *arrays)]
+
+
+def _fw_lockstep(arms, norms, Vinv, ids, cap, target, results) -> None:
+    """Iterate the rows of ``arms`` from uniform weights until each stops,
+    writing its design or error to ``results[ids[row]]``."""
+    n, K, d = arms.shape
+    pi = np.full((n, K), 1.0 / K)
+    best_g, best_pi = norms.max(axis=1), pi.copy()
+    offsets = np.arange(0, n * K, K)  # row starts in the flattened (n, K) arrays
+    it = 0
+    while True:
+        j = norms.argmax(axis=1)
+        g_now = norms.take(offsets + j)
+        out: dict = {}  # rows that stop at this iteration, with their results
+        for i in (g_now <= target).nonzero()[0]:
+            # confirm on freshly computed values before certifying
+            try:
+                norms[i] = _all_norms(pi[i], arms[i])
+                j[i] = norms[i].argmax()
+                g_now[i] = norms[i, j[i]]
+                if g_now[i] <= target:
+                    out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
+                                    iterations_used=it, certified=True)
+                else:
+                    Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
+            except SingularDesignError as exc:
+                out[i] = exc
+        better = g_now < best_g
+        np.copyto(best_g, g_now, where=better)
+        np.copyto(best_pi, pi, where=better[:, None])
+        # a row not in out has g_now > target > d, so the stop rule
+        # u_j <= d can only fire on a row whose norms the refresh renews
+        uj = g_now
+        if it >= cap or (it > 0 and it % REFRESH_EVERY == 0):
+            uj = g_now.copy()
+            for i in range(ids.size):
+                if i in out:
+                    continue
+                try:
+                    if it < cap:
+                        _renew(i, pi, arms, norms, Vinv)
+                        j[i] = norms[i].argmax()
+                        uj[i] = norms[i, j[i]]
+                    if it >= cap or uj[i] <= d:
+                        out[i] = _final(pi[i], arms[i], best_g[i], best_pi[i],
+                                        it, target)
+                except SingularDesignError as exc:
+                    out[i] = exc
+        if out:
+            ids, arms, pi, norms, Vinv, best_g, best_pi, j, uj = _settle(
+                out, results, ids, arms, pi, norms, Vinv, best_g, best_pi, j, uj)
+            if not ids.size:
+                return
+            offsets = offsets[:ids.size]
+        it += 1
+        if d > 1:
+            # gamma < 1/d, so the step stays inside the simplex
+            gamma = (uj / d - 1.0) / (uj - 1.0)
+            Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j,
+                                       uj, gamma)
+            continue
+        for i in range(ids.size):
+            # d = 1 gives gamma = (u - 1) / (u - 1) = 1: the step reaches
+            # the vertex j
+            pi[i] = 0.0
+            pi[i, j[i]] = 1.0
+            try:
+                _renew(i, pi, arms, norms, Vinv)
+            except SingularDesignError as exc:
+                out[i] = exc
+        if out:
+            ids, arms, pi, norms, Vinv, best_g, best_pi = _settle(
+                out, results, ids, arms, pi, norms, Vinv, best_g, best_pi)
+            offsets = offsets[:ids.size]
 
 
 # the D-optimal design: the same iteration (see the module docstring)

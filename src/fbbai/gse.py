@@ -13,19 +13,30 @@ x_i' theta_hat = S_i / c_i for least squares and h(x_i' theta_hat) =
 S_i / c_i for the GLM, so such a stage ranks by the empirical means
 S_i / c_i without fitting: Sequential Halving's rule (Karnin, Koren &
 Somekh 2013).
+
+``gse_lockstep`` runs this one stage loop for a batch of (instance,
+config, rng) jobs in lockstep.  Each stage plans all live jobs at once,
+so the Frank-Wolfe designs they lack are solved as one stacked problem per
+arm-set shape; each job then draws, fits and eliminates from its own
+generator, so its result is the one it gets alone.  ``gse_run`` is the
+batch of one, and the harness runs each chunk of replications as one
+batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .design import Design, _info_matrix, allocate_budget, fw_g_optimal
-from .design import fw_d_optimal  # noqa: F401  bench/tracer.py patches this name
-from .errors import ConfigurationError, EstimationFailureError
+from .design import (Design, _info_matrix, allocate_budget,
+                     fw_g_optimal_stack)
+# bench/tracer.py patches these names
+from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
+from .errors import ConfigurationError, EstimationFailureError, FbbaiError
 from .estimators import (RegressionData, irls_glm, least_squares,
                          mean_estimates, well_conditioned)
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
@@ -123,30 +134,84 @@ class DesignCache:
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arms ``ids``; raises
         ``ConfigurationError`` if ``n`` is below their span dimension."""
+        (plan,) = _plan_stages([(self, instance, ids, n, strategy)])
+        if isinstance(plan, FbbaiError):
+            raise plan
+        return plan
+
+    @staticmethod
+    def design(arms: np.ndarray) -> list:
+        # a method of its own because bench/tracer.py times it as
+        # design.cache; called on the class, which the tracer's patch keeps
+        return fw_g_optimal_stack(arms)
+
+    def _store(self, key: tuple, arms: ProjectedArmSet, counts: np.ndarray,
+               design: Optional[Design]) -> StagePlan:
+        counts.flags.writeable = False
+        saturated = (arms.n_arms == arms.dim and well_conditioned(
+            _info_matrix(counts, arms.projected)))
+        plan = self._plans[key] = StagePlan(arms, counts, design, saturated)
+        return plan
+
+
+PlanRequest = tuple[DesignCache, BanditInstance, tuple[int, ...], int, str]
+
+
+def _plan_stages(requests: Sequence[PlanRequest],
+                 ) -> list[Union[StagePlan, FbbaiError]]:
+    """The plan of each (cache, instance, ids, n, strategy) request.
+
+    A miss is built once per cache and key: the active arms are projected
+    and checked against ``n``, then given uniform counts or a rounded
+    ``fw-g`` design.  The designs of all misses are solved as one stack per
+    arm-set shape.  A miss that raises gives its error to every request
+    for it and stores nothing.
+    """
+    plans: list = [None] * len(requests)
+    misses: dict = {}
+    for r, (cache, instance, ids, n, strategy) in enumerate(requests):
         key = (ids, n, strategy)
-        hit = self._plans.get(key)
-        if hit is None:
+        hit = cache._plans.get(key)
+        if hit is not None:
+            plans[r] = hit
+        else:
+            miss = misses.setdefault((id(cache), key), (cache, instance, key, []))
+            miss[3].append(r)
+
+    def settle(requests_of_miss: list, plan) -> None:
+        for r in requests_of_miss:
+            plans[r] = plan
+
+    unsolved = defaultdict(list)  # arm-set shape -> misses waiting for a design
+    for cache, instance, key, rs in misses.values():
+        ids, n, strategy = key
+        try:
             arms = project_to_span(instance.features[list(ids)], ids=ids)
             if n < arms.dim:
                 raise ConfigurationError(
                     f"per-stage budget {n} cannot span dimension {arms.dim}")
-            design = None
-            if strategy == "uniform":
-                base, rem = divmod(n, arms.n_arms)
-                counts = np.full(arms.n_arms, base, dtype=int)
-                counts[:rem] += 1  # equal remainders; lowest indices win
-            else:
-                design = self.design(arms)
-                counts = allocate_budget(n, design, arms.projected)
-            counts.flags.writeable = False
-            saturated = (arms.n_arms == arms.dim and well_conditioned(
-                _info_matrix(counts, arms.projected)))
-            hit = self._plans[key] = StagePlan(arms, counts, design, saturated)
-        return hit
-
-    def design(self, arms: ProjectedArmSet) -> Design:
-        # a method of its own because bench/tracer.py times it as design.cache
-        return fw_g_optimal(arms.projected)
+        except FbbaiError as exc:
+            settle(rs, exc)
+            continue
+        if strategy == "uniform":
+            base, rem = divmod(n, arms.n_arms)
+            counts = np.full(arms.n_arms, base, dtype=int)
+            counts[:rem] += 1  # equal remainders; lowest indices win
+            settle(rs, cache._store(key, arms, counts, None))
+        else:
+            unsolved[arms.projected.shape].append((cache, key, rs, arms))
+    for group in unsolved.values():
+        designs = DesignCache.design(np.stack([miss[3].projected for miss in group]))
+        for (cache, key, rs, arms), design in zip(group, designs):
+            try:
+                if isinstance(design, FbbaiError):
+                    raise design
+                counts = allocate_budget(key[1], design, arms.projected)
+            except FbbaiError as exc:
+                settle(rs, exc)
+                continue
+            settle(rs, cache._store(key, arms, counts, design))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -261,38 +326,98 @@ def _stage_means(plan: StagePlan, data: RegressionData, config: GseConfig,
     return mu_hat, estimate.converged, estimate.iterations, fellback
 
 
-def gse_run(instance: BanditInstance, config: GseConfig,
-            rng: np.random.Generator,
-            cache: Optional[DesignCache] = None) -> RunResult:
-    """Run successive elimination and recommend the single surviving arm.
+@dataclass(slots=True)
+class _Run:
+    """One job of ``gse_lockstep`` between stages."""
+
+    slot: int
+    instance: BanditInstance
+    config: GseConfig
+    rng: np.random.Generator
+    cache: DesignCache
+    schedule: StageSchedule
+    active: tuple[int, ...]
+    traces: list
+
+
+Job = tuple[BanditInstance, GseConfig, np.random.Generator]
+
+
+def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
+                 ) -> list[Union[RunResult, FbbaiError]]:
+    """Run successive elimination on every (instance, config, rng) job, all
+    jobs in lockstep, stage by stage; one result per job, in order.
+
+    Each stage looks up the plans of all live jobs at once
+    (``_plan_stages``), so the designs the stage lacks are solved as one
+    ``fw_g_optimal_stack`` call per arm-set shape.  Each job then explores,
+    estimates and eliminates from its own generator, in the order a lone
+    run draws, so its result does not depend on the other jobs.  The jobs
+    share ``cache`` (which then serves their one instance), or else each
+    gets its own.  A package error ends only the job that raised it and
+    takes the place of its result.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
     loop with eta = K, which keeps only the top arm.
     """
-    if config.strategy == "static":
-        config = replace(config, strategy="fw-g", model="linear",
-                         eta=float(instance.n_arms))
-    if cache is None:
-        cache = DesignCache()
-    schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
-    active: tuple[int, ...] = tuple(range(instance.n_arms))
-    traces: list[StageTrace] = []
-    total = 0
-    for t in range(1, schedule.stages + 1):
-        plan = cache.plan(instance, active, schedule.per_stage_budget,
-                          config.strategy)
-        data = explore(instance, plan, rng)
-        mu_hat, converged, iterations, fellback = _stage_means(plan, data, config)
-        survivors = eliminate(active, mu_hat, config.eta)
-        traces.append(StageTrace(stage=t, arms=plan.arms, counts=plan.counts,
-                                 mu_hat=mu_hat, survivors=survivors,
-                                 estimator_converged=converged,
-                                 estimator_iterations=iterations,
-                                 used_fallback=fellback, design=plan.design))
-        total += int(plan.counts.sum())
-        active = survivors
-    recommended = active[0]
-    return RunResult(recommended=recommended,
-                     success=recommended == instance.best_arm,
-                     traces=tuple(traces), total_pulls=total)
+    results: list = [None] * len(jobs)
+    runs = []
+    for slot, (instance, config, rng) in enumerate(jobs):
+        if config.strategy == "static":
+            config = replace(config, strategy="fw-g", model="linear",
+                             eta=float(instance.n_arms))
+        try:
+            schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
+        except FbbaiError as exc:
+            results[slot] = exc
+            continue
+        runs.append(_Run(slot, instance, config, rng,
+                         DesignCache() if cache is None else cache, schedule,
+                         tuple(range(instance.n_arms)), []))
+    t = 0
+    while runs:
+        t += 1
+        plans = _plan_stages([(run.cache, run.instance, run.active,
+                               run.schedule.per_stage_budget, run.config.strategy)
+                              for run in runs])
+        live = []
+        for run, plan in zip(runs, plans):
+            try:
+                if isinstance(plan, FbbaiError):
+                    raise plan
+                data = explore(run.instance, plan, run.rng)
+                mu_hat, converged, iterations, fellback = _stage_means(
+                    plan, data, run.config)
+                survivors = eliminate(run.active, mu_hat, run.config.eta)
+            except FbbaiError as exc:
+                results[run.slot] = exc
+                continue
+            run.traces.append(StageTrace(
+                stage=t, arms=plan.arms, counts=plan.counts, mu_hat=mu_hat,
+                survivors=survivors, estimator_converged=converged,
+                estimator_iterations=iterations, used_fallback=fellback,
+                design=plan.design))
+            run.active = survivors
+            if t < run.schedule.stages:
+                live.append(run)
+            else:
+                recommended = survivors[0]
+                results[run.slot] = RunResult(
+                    recommended=recommended,
+                    success=recommended == run.instance.best_arm,
+                    traces=tuple(run.traces),
+                    total_pulls=sum(int(tr.counts.sum()) for tr in run.traces))
+        runs = live
+    return results
+
+
+def gse_run(instance: BanditInstance, config: GseConfig,
+            rng: np.random.Generator,
+            cache: Optional[DesignCache] = None) -> RunResult:
+    """Run successive elimination and recommend the single surviving arm:
+    ``gse_lockstep`` on one job, raising the error that ends it."""
+    (result,) = gse_lockstep([(instance, config, rng)], cache)
+    if isinstance(result, FbbaiError):
+        raise result
+    return result

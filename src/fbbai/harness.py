@@ -18,14 +18,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
-from .gse import DesignCache, GseConfig, gse_run
+from .gse import DesignCache, GseConfig, gse_lockstep
+from .gse import gse_run  # noqa: F401  bench/tracer.py patches this name
 from .instances import (BanditInstance, gen_adaptive_instance,
                         gen_corner_instance, gen_logistic_instance,
                         gen_sphere_instance, gen_static_instance,
@@ -80,6 +81,7 @@ def _default_model(instance: BanditInstance) -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _token_int(token: object) -> int:
     digest = hashlib.sha256(repr(token).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -131,9 +133,11 @@ class _Chunk:
 
 
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
+    """Tally replications [start, stop) of a point, run as one lockstep
+    batch; an instance generator's package error aborts its replication."""
     fixed = isinstance(task.source, BanditInstance)
-    cache = DesignCache() if fixed else None
-    successes = aborts = 0
+    jobs = []
+    aborts = 0
     for r in range(task.start, task.stop):
         ss = rep_seed(task.seed, task.family, task.spec.name,
                       task.config.budget, r)
@@ -143,18 +147,33 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
                     else task.source(np.random.default_rng(inst_ss)))
             config = replace(task.config,
                              model=task.spec.model or _default_model(inst))
-            result = gse_run(inst, config, np.random.default_rng(run_ss), cache)
         except FbbaiError:
             aborts += 1
             continue
-        successes += int(result.success)
+        jobs.append((inst, config, np.random.default_rng(run_ss)))
+    successes = 0
+    for result in gse_lockstep(jobs, DesignCache() if fixed else None):
+        if isinstance(result, FbbaiError):
+            aborts += 1
+        else:
+            successes += int(result.success)
     return successes, aborts
 
 
 def resolve_workers(workers: Optional[int]) -> int:
+    """``workers``, else the integer in FBBAI_WORKERS, else 1; at least 1.
+
+    Raises ``ConfigurationError`` naming the variable if its value is not
+    an integer.
+    """
     if workers is not None:
         return max(1, int(workers))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigurationError(
+            f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
 
 
 def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],

@@ -14,6 +14,18 @@ from fbbai.errors import EstimationFailureError
 from fbbai.harness import CSV_COLUMNS, read_csv
 
 
+# sha256 of `fbbai sweep --preset P --replications 10 --seed 3
+# --no-wall-time --format csv`, recorded serially with one BLAS thread;
+# `logistic` is left out because rounding decides some of its cuts
+# (CHANGES.md FOUND, ROADMAP item 2)
+GOLDEN_PRESET_DIGESTS = {
+    "adaptive": "fb19059fa55c1e15a60cc2104afe8e9a0fc617c2537935ebe0c0cb324f3478df",
+    "static": "c4265ecf79b78e95add6bd90f8e0fa158a4b7256aa62c0a5ddbd4bc0f9bd424e",
+    "sphere": "66ea84c9b65c90e098a4e9f521f9cccf26d9ef77cc3be55b16059f376da5cbb4",
+    "corner": "c4edf6ba8ead42d527f012d01e8574c48e629ffafa87418518e876ff97eba2a8",
+}
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -294,19 +306,7 @@ class TestSweep:
         assert len(parsed) == 12
         assert parsed[0]["R"] == 2
 
-    # sha256 of the CSV, recorded with one BLAS thread; `logistic` is left
-    # out because rounding decides some of its cuts (CHANGES.md FOUND,
-    # ROADMAP item 2)
-    @pytest.mark.parametrize("preset, digest", [
-        ("adaptive",
-         "fb19059fa55c1e15a60cc2104afe8e9a0fc617c2537935ebe0c0cb324f3478df"),
-        ("static",
-         "c4265ecf79b78e95add6bd90f8e0fa158a4b7256aa62c0a5ddbd4bc0f9bd424e"),
-        ("sphere",
-         "66ea84c9b65c90e098a4e9f521f9cccf26d9ef77cc3be55b16059f376da5cbb4"),
-        ("corner",
-         "c4edf6ba8ead42d527f012d01e8574c48e629ffafa87418518e876ff97eba2a8"),
-    ])
+    @pytest.mark.parametrize("preset, digest", list(GOLDEN_PRESET_DIGESTS.items()))
     def test_golden_preset_digest(self, preset, digest, tmp_path, capsys):
         rc = run_cli("sweep", "--preset", preset, "--out", str(tmp_path),
                      "--replications", "10", "--seed", "3", "--workers", "1",
@@ -315,6 +315,16 @@ class TestSweep:
         data = (tmp_path / f"{preset}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_golden_preset_digest_on_three_workers(self, tmp_path, capsys):
+        # fresh instances per replication, chunked three ways: each chunk is
+        # one lockstep batch, and the bytes must equal the serial ones
+        rc = run_cli("sweep", "--preset", "sphere", "--out", str(tmp_path),
+                     "--replications", "10", "--seed", "3", "--workers", "3",
+                     "--no-wall-time", "--format", "csv")
+        assert rc == 0
+        data = (tmp_path / "sphere.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_PRESET_DIGESTS["sphere"]
+
     def test_unknown_preset_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--preset", "galaxy", "--out", "/tmp/x")
@@ -322,6 +332,27 @@ class TestSweep:
 
 
 class TestExitCodes:
+    def test_non_integer_worker_variable_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("FBBAI_WORKERS", "abc")
+        rc = run_cli("run", "--family", "static", "--variant", "gse-fwg",
+                     "--budget", "40", "--replications", "2", "--K", "4")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "FBBAI_WORKERS" in err and "'abc'" in err
+
+    def test_missing_output_directory_exits_before_any_replication(
+            self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "mc_accuracy", never)
+        out = tmp_path / "missing" / "row.csv"
+        rc = run_cli("run", "--family", "static", "--variant", "gse-fwg",
+                     "--budget", "40", "--replications", "2000",
+                     "--out", str(out))
+        assert rc == 2
+        assert str(tmp_path / "missing") in capsys.readouterr().err
+
     def test_runtime_abort_maps_to_three(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise EstimationFailureError("synthetic failure")

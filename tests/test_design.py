@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from fbbai.design import (SUPPORT_TOL, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
-                          fw_d_optimal, fw_g_optimal, g_gradient,
-                          g_value_and_argmax, kw_certificate, round_allocation)
+                          fw_d_optimal, fw_g_optimal, fw_g_optimal_stack,
+                          g_gradient, g_value_and_argmax, kw_certificate,
+                          round_allocation)
 from fbbai.errors import BudgetTooSmallError, SingularDesignError
 from fbbai.instances import (gen_adaptive_instance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -220,6 +221,33 @@ GOLDEN_DESIGNS = {
 }
 
 
+def golden_digest(designs):
+    digest = hashlib.sha256()
+    for des in designs:
+        digest.update(des.weights.tobytes())
+        digest.update(struct.pack("<d?q", des.g_value, des.certified,
+                                  des.iterations_used))
+    return digest.hexdigest(), tuple(des.iterations_used for des in designs)
+
+
+def solve_stacked_by_shape(sets, **kwargs):
+    """Solve same-shape sets as one stack each; designs in input order."""
+    out = [None] * len(sets)
+    by_shape = {}
+    for i, arms in enumerate(sets):
+        by_shape.setdefault(arms.shape, []).append(i)
+    for idx in by_shape.values():
+        for i, des in zip(idx, fw_g_optimal_stack(
+                np.stack([sets[i] for i in idx]), **kwargs)):
+            out[i] = des
+    return out
+
+
+def same_design(a, b):
+    return (a.weights.tobytes(), a.g_value, a.certified, a.iterations_used) == (
+        b.weights.tobytes(), b.g_value, b.certified, b.iterations_used)
+
+
 class TestGoldenDesigns:
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -229,15 +257,89 @@ class TestGoldenDesigns:
                              ids=["fw_g_optimal", "fw_d_optimal"])
     @pytest.mark.parametrize("family", sorted(GOLDEN_DESIGNS))
     def test_designs_are_bit_identical(self, corpus, family, solver):
-        digest = hashlib.sha256()
-        iterations = []
-        for arms in corpus[family]:
-            des = solver(arms)
-            digest.update(des.weights.tobytes())
-            digest.update(struct.pack("<d?q", des.g_value, des.certified,
-                                      des.iterations_used))
-            iterations.append(des.iterations_used)
-        assert (digest.hexdigest(), tuple(iterations)) == GOLDEN_DESIGNS[family]
+        designs = [solver(arms) for arms in corpus[family]]
+        assert golden_digest(designs) == GOLDEN_DESIGNS[family]
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_DESIGNS))
+    def test_stacks_by_shape_are_bit_identical(self, corpus, family):
+        designs = solve_stacked_by_shape(corpus[family])
+        assert golden_digest(designs) == GOLDEN_DESIGNS[family]
+
+    def test_all_families_in_one_stack_per_shape(self, corpus):
+        # sets of one shape from different families stop at different
+        # iterations; leaving the stack must not disturb the others
+        sets = [arms for family in sorted(corpus) for arms in corpus[family]]
+        for lone, stacked in zip(map(fw_g_optimal, sets),
+                                 solve_stacked_by_shape(sets)):
+            assert same_design(lone, stacked)
+
+
+class TestStackedSolver:
+    def test_one_dimension_jumps_to_the_longest_arm(self):
+        rng = np.random.default_rng(4)
+        sets = [rng.standard_normal((7, 1)) for _ in range(5)]
+        for arms, des in zip(sets, fw_g_optimal_stack(np.stack(sets))):
+            # gamma = 1: one step puts all weight on the longest arm
+            assert des.certified and des.iterations_used == 1
+            expected = np.zeros(7)
+            expected[np.argmax(np.abs(arms[:, 0]))] = 1.0
+            assert np.array_equal(des.weights, expected)
+            assert same_design(des, fw_g_optimal(arms))
+
+    def test_only_the_singular_entry_raises(self):
+        rng = np.random.default_rng(8)
+        sets = [rng.standard_normal((12, 4)) for _ in range(5)]
+        sets[2][:, 3] = 0.0  # these arms do not span R^4
+        sets[4] = np.c_[sets[4][:, :3], 2.0 * sets[4][:, :1]]  # nor these
+        results = fw_g_optimal_stack(np.stack(sets))
+        for i in (2, 4):
+            assert isinstance(results[i], SingularDesignError)
+            with pytest.raises(SingularDesignError):
+                fw_g_optimal(sets[i])
+        for i in (0, 1, 3):
+            assert same_design(results[i], fw_g_optimal(sets[i]))
+
+    def test_parallel_columns_raise_a_design_error(self):
+        # Cholesky passes on some of these V while LU finds them exactly
+        # singular; every one must end in SingularDesignError, not in a raw
+        # LinAlgError
+        sets = []
+        for seed in range(10):
+            arms = np.random.default_rng(seed).standard_normal((20, 6))
+            arms[:, 5] = 2.0 * arms[:, 0]
+            sets.append(arms)
+            with pytest.raises(SingularDesignError):
+                fw_g_optimal(arms)
+        assert all(isinstance(r, SingularDesignError)
+                   for r in fw_g_optimal_stack(np.stack(sets)))
+
+    def test_non_finite_entry_raises_alone(self):
+        sets = [np.eye(3), np.eye(3)]
+        sets[0] = sets[0].copy()
+        sets[0][1, 1] = np.nan
+        bad, good = fw_g_optimal_stack(np.stack(sets))
+        assert isinstance(bad, SingularDesignError) and "finite" in str(bad)
+        assert good.certified
+
+    def test_cap_across_the_refresh(self):
+        # every set here needs more than 150 iterations, so each crosses the
+        # recomputation at iteration 100 and stops at the cap uncertified
+        sets = [project_to_span(gen_sphere_instance(
+            32, 10, np.random.default_rng(seed)).features).projected
+                for seed in range(4)]
+        stacked = fw_g_optimal_stack(np.stack(sets), iterations=150)
+        for arms, des in zip(sets, stacked):
+            assert des.iterations_used == 150 and not des.certified
+            g, _ = g_value_and_argmax(des.weights, arms)
+            assert g == pytest.approx(des.g_value, rel=1e-12)
+            assert same_design(des, fw_g_optimal(arms, iterations=150))
+            assert fw_g_optimal(arms).iterations_used > 150
+
+    def test_empty_stack_and_bad_shapes(self):
+        assert fw_g_optimal_stack(np.zeros((0, 3, 2))) == []
+        for bad in (np.eye(3), np.zeros((2, 0, 3))):
+            with pytest.raises(SingularDesignError):
+                fw_g_optimal_stack(bad)
 
 
 class TestCertificate:

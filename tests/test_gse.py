@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
 from fbbai.errors import (ConfigurationError, EstimationFailureError,
-                          InvalidAllocationError)
-from fbbai.gse import (DesignCache, GseConfig, eliminate, explore, gse_run,
-                       stage_schedule)
+                          FbbaiError, InvalidAllocationError)
+from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
+                       gse_lockstep, gse_run, stage_schedule)
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
                              gen_logistic_instance, gen_sphere_instance,
                              gen_static_instance, noiseless, project_to_span,
@@ -330,3 +330,106 @@ class TestStaticRun:
         with pytest.raises(ConfigurationError):
             gse_run(inst, GseConfig(budget=4, strategy="static"),
                     np.random.default_rng(0))
+
+
+# job kinds for the lockstep property: (instance family, K, d, budget,
+# strategy, model); budget 9 aborts at the first plan (three pulls per
+# stage cannot span R^4), budget 1 at the schedule
+JOB_KINDS = [
+    ("sphere", 8, 3, 120, "fw-g", "linear"),
+    ("sphere", 8, 3, 120, "uniform", "linear"),
+    ("sphere", 6, 4, 9, "fw-g", "linear"),
+    ("sphere", 5, 2, 60, "static", "linear"),
+    ("logistic", 6, 3, 90, "fw-g", "logistic"),
+    ("adaptive", 0, 3, 60, "fw-g", "linear"),
+    ("adaptive", 0, 3, 1, "fw-g", "linear"),
+]
+ADAPTIVE = gen_adaptive_instance(3)  # one shared fixed instance
+
+
+def make_job(kind, seed):
+    family, K, d, budget, strategy, model = JOB_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    if family == "sphere":
+        inst = gen_sphere_instance(K, d, rng)
+    elif family == "logistic":
+        inst = gen_logistic_instance(K, d, rng)
+    else:
+        inst = ADAPTIVE
+    return inst, GseConfig(budget, strategy=strategy, model=model), rng
+
+
+def run_summary(result):
+    """What must not depend on the batch: the exception class of an aborted
+    job, else the recommendation and every stage's counts, estimate bytes,
+    survivors and design weights."""
+    if isinstance(result, FbbaiError):
+        return type(result).__name__
+    return (result.recommended, result.total_pulls, tuple(
+        (t.counts.tobytes(), t.mu_hat.tobytes(), t.survivors,
+         None if t.design is None else t.design.weights.tobytes())
+        for t in result.traces))
+
+
+def lone_summary(job):
+    try:
+        return run_summary(gse_run(*job))
+    except FbbaiError as exc:
+        return type(exc).__name__
+
+
+class TestLockstep:
+    @settings(max_examples=25, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(0, len(JOB_KINDS) - 1),
+                                    st.integers(0, 2**32 - 1)),
+                          min_size=1, max_size=8),
+           cuts=st.sets(st.integers(1, 7)),
+           shared=st.booleans())
+    def test_any_batching_matches_lone_runs(self, specs, cuts, shared):
+        lone = [lone_summary(make_job(*spec)) for spec in specs]
+        bounds = [0] + sorted(c for c in cuts if c < len(specs)) + [len(specs)]
+        got = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            batch = [make_job(*spec) for spec in specs[lo:hi]]
+            if shared:  # one cache per instance, as the harness shares one
+                groups = {}
+                for k, job in enumerate(batch):
+                    groups.setdefault(id(job[0]), []).append(k)
+                results = [None] * len(batch)
+                for ks in groups.values():
+                    for k, res in zip(ks, gse_lockstep([batch[k] for k in ks],
+                                                       DesignCache())):
+                        results[k] = res
+            else:
+                results = gse_lockstep(batch)
+            got += [run_summary(res) for res in results]
+        assert got == lone
+
+    def test_misses_are_solved_once_per_key_and_stacked_per_shape(
+            self, monkeypatch):
+        stacks = []
+        solve = DesignCache.design
+
+        def counting(arms):
+            stacks.append(arms.shape)
+            return solve(arms)
+
+        monkeypatch.setattr(DesignCache, "design", staticmethod(counting))
+        cfg = GseConfig(budget=60)
+        # one fixed instance and a shared cache: stage 1 has one key
+        jobs = [(ADAPTIVE, cfg, np.random.default_rng(s)) for s in range(6)]
+        gse_lockstep(jobs, DesignCache())
+        assert stacks[0] == (1, 4, 3)
+        stacks.clear()
+        # fresh instances: every job misses, one stack per shape
+        jobs = [(gen_sphere_instance(8, 3, np.random.default_rng(s)), cfg,
+                 np.random.default_rng(s)) for s in range(5)]
+        gse_lockstep(jobs)
+        assert stacks[0] == (5, 8, 3)
+
+    def test_an_aborted_job_leaves_the_others_alone(self):
+        good = make_job(0, 11)
+        bad = make_job(2, 11)  # nine pulls cannot span three stages in R^4
+        results = gse_lockstep([bad, make_job(0, 11)])
+        assert isinstance(results[0], ConfigurationError)
+        assert run_summary(results[1]) == run_summary(gse_run(*good))

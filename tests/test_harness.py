@@ -27,6 +27,16 @@ class TestRepSeed:
         b = rep_seed(7, "static", "gse-fwg", 100, 3)
         assert states(a) == states(b)
 
+    def test_entropy_is_the_recorded_one(self):
+        # recorded before the token hashes were memoised; any change to the
+        # derivation would move every replication's stream
+        assert rep_seed(7, "static", "gse-fwg", 100, 3).entropy == [
+            7, 18310218109250633667, 9415315121477248423,
+            6155877967411435437, 3]
+        assert rep_seed(900001, "sphere", "gse-fwg", 1280, 24).entropy == [
+            900001, 1582190556888248499, 9415315121477248423,
+            10837145441969312623, 24]
+
     def test_any_coordinate_changes_the_stream(self):
         base = states(rep_seed(7, "static", "gse-fwg", 100, 3))
         assert states(rep_seed(8, "static", "gse-fwg", 100, 3)) != base
@@ -63,6 +73,15 @@ class TestMcAccuracy:
         pooled4 = mc_accuracy(inst, "gse-fwg", 40, 40, 9, workers=4)
         assert serial.successes == pooled3.successes == pooled4.successes
         assert serial.aborts == pooled3.aborts == pooled4.aborts
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_non_integer_worker_variable_is_a_config_error(self, monkeypatch,
+                                                           value):
+        monkeypatch.setenv("FBBAI_WORKERS", value)
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError,
+                           match=f"FBBAI_WORKERS.*'{value}'"):
+            mc_accuracy(inst, "gse-fwg", 40, 2, 0)
 
     def test_tiny_jobs_skip_the_pool(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
