@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import UndefinedBoundError
+from .design import _all_norms
+from .errors import SingularDesignError, UndefinedBoundError
 from .gse import RunResult
 from .instances import BanditInstance
 
@@ -188,28 +188,26 @@ def stage_norm_terms(instance: BanditInstance, result: RunResult,
     kind "difference" gives max_i ||x_i - x_best||^2 in the V_t-inverse
     norm over the stage's active arms; kind "feature" gives
     max_i ||x_i||^2.  Stages are evaluated in the projected coordinates
-    they actually sampled in.  The difference form is only defined while
-    the best arm is still active.
+    they actually sampled in, with V_t = sum_i c_i x_i x_i' from the
+    stage's pull counts, through the Cholesky kernel of ``fbbai.design``.
+    The difference form is only defined while the best arm is still
+    active; a stage whose V_t is singular raises ``UndefinedBoundError``.
     """
     if kind not in ("difference", "feature"):
         raise ValueError(f"unknown norm kind {kind!r}")
     best = instance.best_arm
     terms: list[float] = []
     for trace in result.traces:
-        X = trace.arms.projected
-        V = (X * trace.counts[:, None]).T @ X
+        X, ids = trace.arms.projected, trace.arms.original_ids
+        difference = kind == "difference" and best in ids
         try:
-            cho = scipy.linalg.cho_factor(V, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            norms = _all_norms(trace.counts, X,
+                               X - X[ids.index(best)] if difference else None)
+        except SingularDesignError as exc:
             raise UndefinedBoundError(
                 f"stage {trace.stage} design matrix is singular") from exc
-        if kind == "difference":
-            if best not in trace.arms.original_ids:
-                raise UndefinedBoundError(
-                    f"best arm eliminated before stage {trace.stage}")
-            rows = X - X[trace.arms.original_ids.index(best)]
-        else:
-            rows = X
-        sol = scipy.linalg.cho_solve(cho, rows.T)
-        terms.append(float(np.max(np.einsum("ij,ji->i", rows, sol))))
+        if kind == "difference" and not difference:
+            raise UndefinedBoundError(
+                f"best arm eliminated before stage {trace.stage}")
+        terms.append(float(norms.max()))
     return tuple(terms)

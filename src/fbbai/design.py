@@ -41,8 +41,10 @@ item's result is bit-identical to a lone solve because an iteration's
 arithmetic is elementwise or a stacked ``np.matmul`` with one right-hand
 side per item; an ``einsum`` or a multi-right-hand-side solve would sum in
 another order.  The rare events (the certificate check, the periodic
-refresh of V^-1, the d = 1 jump to a vertex and the final g) run per item
-through the 2-d helpers, and an item leaves the stack when it stops.
+refresh of V^-1 and the final g) run per item through the 2-d helpers,
+and an item leaves the stack when it stops.  With d = 1 the first step
+has gamma = 1 and lands on the vertex of the longest arm, so such an item
+takes that vertex in closed form and never enters the loop.
 """
 
 from __future__ import annotations
@@ -82,14 +84,16 @@ def _info_matrix(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
     return arms.T @ (arms * weights[:, None])
 
 
-def _all_norms(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
-    """x_i' V(pi)^{-1} x_i for every arm; raises on singular V."""
+def _all_norms(weights: np.ndarray, arms: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """x' V(pi)^{-1} x for every row x of ``rows`` (default: the arms), with
+    V(pi) built from the arms; raises on singular V."""
     V = _info_matrix(weights, arms)
     try:
         chol = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("design information matrix is singular") from exc
-    half = np.linalg.solve(chol, arms.T)
+    half = np.linalg.solve(chol, (arms if rows is None else rows).T)
     return np.einsum("ij,ij->j", half, half)
 
 
@@ -188,11 +192,11 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     Entry b is, bit for bit, the design of ``arms[b]`` solved alone: every
     iteration does its arithmetic elementwise or as stacked matrix-vector
     products, and the rare events (the certificate check, the refresh
-    every ``REFRESH_EVERY`` iterations, the gamma = 1 jump of d = 1 and
-    the final g) run per item through the 2-d helpers.  Items leave the
-    stack when they stop.  An entry whose arms are not finite or do not
-    span R^d holds the ``SingularDesignError`` its lone solve raises; the
-    other entries are unaffected.
+    every ``REFRESH_EVERY`` iterations and the final g) run per item
+    through the 2-d helpers, and a d = 1 item takes its one step in closed
+    form.  Items leave the stack when they stop.  An entry whose arms are
+    not finite or do not span R^d holds the ``SingularDesignError`` its
+    lone solve raises; the other entries are unaffected.
 
     Raises
     ------
@@ -225,6 +229,14 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
                 results[b] = Design(weights=pi, g_value=g, iterations_used=0,
                                     certified=True)
                 continue
+            if d == 1 and cap >= 1:
+                # gamma = (u - 1) / (u - 1) = 1: one step to the longest arm
+                pi = np.zeros(K)
+                pi[start.argmax()] = 1.0
+                g = float(_all_norms(pi, arms[b]).max())
+                results[b] = Design(weights=pi, g_value=g, iterations_used=1,
+                                    certified=g <= target)
+                continue
             Vinv.append(_inverse(_info_matrix(pi, arms[b])))
         except SingularDesignError as exc:
             results[b] = exc
@@ -239,13 +251,6 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
 
 
 REFRESH_EVERY = 100  # iterations between recomputations of V^-1 and the norms
-
-
-def _renew(i: int, pi: np.ndarray, arms: np.ndarray, norms: np.ndarray,
-           Vinv: np.ndarray) -> None:
-    """Recompute row i's norms and V^-1 from its weights; raises on singular V."""
-    norms[i] = _all_norms(pi[i], arms[i])
-    Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
 
 
 def _final(pi: np.ndarray, arms: np.ndarray, best_g: float,
@@ -289,8 +294,8 @@ def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
 
 
 def _fw_lockstep(arms, norms, Vinv, ids, cap, target, results) -> None:
-    """Iterate the rows of ``arms`` from uniform weights until each stops,
-    writing its design or error to ``results[ids[row]]``."""
+    """Iterate the rows of ``arms`` (d > 1) from uniform weights until each
+    stops, writing its design or error to ``results[ids[row]]``."""
     n, K, d = arms.shape
     pi = np.full((n, K), 1.0 / K)
     best_g, best_pi = norms.max(axis=1), pi.copy()
@@ -326,7 +331,8 @@ def _fw_lockstep(arms, norms, Vinv, ids, cap, target, results) -> None:
                     continue
                 try:
                     if it < cap:
-                        _renew(i, pi, arms, norms, Vinv)
+                        norms[i] = _all_norms(pi[i], arms[i])
+                        Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
                         j[i] = norms[i].argmax()
                         uj[i] = norms[i, j[i]]
                     if it >= cap or uj[i] <= d:
@@ -341,25 +347,9 @@ def _fw_lockstep(arms, norms, Vinv, ids, cap, target, results) -> None:
                 return
             offsets = offsets[:ids.size]
         it += 1
-        if d > 1:
-            # gamma < 1/d, so the step stays inside the simplex
-            gamma = (uj / d - 1.0) / (uj - 1.0)
-            Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j,
-                                       uj, gamma)
-            continue
-        for i in range(ids.size):
-            # d = 1 gives gamma = (u - 1) / (u - 1) = 1: the step reaches
-            # the vertex j
-            pi[i] = 0.0
-            pi[i, j[i]] = 1.0
-            try:
-                _renew(i, pi, arms, norms, Vinv)
-            except SingularDesignError as exc:
-                out[i] = exc
-        if out:
-            ids, arms, pi, norms, Vinv, best_g, best_pi = _settle(
-                out, results, ids, arms, pi, norms, Vinv, best_g, best_pi)
-            offsets = offsets[:ids.size]
+        # d > 1 here, so gamma < 1/d and the step stays inside the simplex
+        gamma = (uj / d - 1.0) / (uj - 1.0)
+        Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j, uj, gamma)
 
 
 # the D-optimal design: the same iteration (see the module docstring)

@@ -1,5 +1,6 @@
 """Closed-form error bounds, the derivative floor, and realized norms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -169,6 +170,17 @@ class TestStageNormTerms:
                                noise_sigma2=0.0)
         with pytest.raises(UndefinedBoundError):
             stage_norm_terms(other, result, kind="difference")
+
+    @pytest.mark.parametrize("kind", ["difference", "feature"])
+    def test_singular_stage_is_undefined(self, kind):
+        inst, result = self.run_noiseless_static()
+        # arm 3 unpulled in stage 1: V_1 = diag(2, 2, 1, 0) is singular
+        first = dataclasses.replace(result.traces[0],
+                                    counts=np.array([2, 2, 1, 0]))
+        broken = dataclasses.replace(result, traces=(first,) + result.traces[1:])
+        with pytest.raises(UndefinedBoundError,
+                           match="^stage 1 design matrix is singular$"):
+            stage_norm_terms(inst, broken, kind=kind)
 
     def test_unknown_kind_rejected(self):
         inst, result = self.run_noiseless_static()

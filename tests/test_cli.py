@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -362,3 +365,41 @@ class TestExitCodes:
                      "--budget", "40", "--replications", "2", "--K", "4")
         assert rc == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+
+# imports fbbai, then blocks SciPy so that any later import of it raises,
+# and drives the CLI and the realized-norm bound terms
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import fbbai
+import fbbai.cli
+assert "scipy" not in sys.modules, "importing fbbai loaded scipy"
+sys.modules["scipy"] = None
+from fbbai import GseConfig, gen_static_instance, gse_run, stage_norm_terms
+main = fbbai.cli.main
+bound = ["bound", "--K", "4", "--d", "4", "--sigma2", "1", "--delta-min", "1"]
+assert main(["design", "--arms", sys.argv[1], "--budget", "10"]) == 0
+assert main(bound + ["--B", "128"]) == 0
+assert main(bound + ["--norm-terms", "0.5,0.25"]) == 0
+assert main(["run", "--family", "static", "--variant", "gse-fwg",
+             "--budget", "40", "--K", "4", "--replications", "5",
+             "--workers", "1"]) == 0
+inst = gen_static_instance(1.0, K=4)
+result = gse_run(inst, GseConfig(budget=40), np.random.default_rng(0))
+for kind in ("difference", "feature"):
+    assert len(stage_norm_terms(inst, result, kind=kind)) == len(result.traces)
+print("ok")
+"""
+
+
+class TestRuntimeNeedsNoScipy:
+    def test_cli_and_bounds_run_with_scipy_blocked(self, tmp_path):
+        arms = write_arms(tmp_path, [[1, 0], [0, 1], [0.9, 0.45]])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, arms],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok"

@@ -286,6 +286,18 @@ class TestStackedSolver:
             assert np.array_equal(des.weights, expected)
             assert same_design(des, fw_g_optimal(arms))
 
+    def test_one_dimension_caps_of_zero_and_one(self):
+        arms = np.array([[1.0], [-3.0], [0.5]])
+        # a cap of 0 stops before the jump, on uniform weights
+        des = fw_g_optimal(arms, iterations=0)
+        assert des.iterations_used == 0 and not des.certified
+        assert np.array_equal(des.weights, np.full(3, 1.0 / 3.0))
+        # a cap of 1 is enough for the jump and its certificate
+        des = fw_g_optimal(arms, iterations=1)
+        assert des.iterations_used == 1 and des.certified
+        assert np.array_equal(des.weights, [0.0, 1.0, 0.0])
+        assert des.g_value == 1.0
+
     def test_only_the_singular_entry_raises(self):
         rng = np.random.default_rng(8)
         sets = [rng.standard_normal((12, 4)) for _ in range(5)]
