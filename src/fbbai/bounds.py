@@ -62,8 +62,8 @@ class BoundInputs:
 def _check_common(inputs: BoundInputs) -> None:
     if inputs.K < 2:
         raise UndefinedBoundError("need at least two arms")
-    if not inputs.eta > 1.0:
-        raise UndefinedBoundError("eta must exceed 1")
+    if not (math.isfinite(inputs.eta) and inputs.eta > 1.0):
+        raise UndefinedBoundError("eta must be finite and exceed 1")
     if inputs.d < 1:
         raise UndefinedBoundError("dimension must be positive")
     if not inputs.delta_min > 0.0:

@@ -40,9 +40,11 @@ The loop runs on a stack of same-shape arm sets in lockstep
 item's result is bit-identical to a lone solve because an iteration's
 arithmetic is elementwise or a stacked ``np.matmul`` with one right-hand
 side per item; an ``einsum`` or a multi-right-hand-side solve would sum in
-another order.  The rare events (the certificate check, the periodic
-refresh of V^-1 and the final g) run per item through the 2-d helpers,
-and an item leaves the stack when it stops.  With d = 1 the first step
+another order.  The uniform start is one stacked Cholesky, solve and
+norm computation, in which each item meets the same per-item kernels as a
+lone start.  The rare events (the certificate check, the periodic refresh
+of V^-1 and the final g) run per item through the 2-d helpers, and an
+item leaves the stack when it stops.  With d = 1 the first step
 has gamma = 1 and lands on the vertex of the longest arm, so such an item
 takes that vertex in closed form and never enters the loop.
 """
@@ -69,11 +71,6 @@ class Design:
     iterations_used: int
     certified: bool
 
-    @property
-    def support(self) -> np.ndarray:
-        """Indices of arms carrying more than the support threshold."""
-        return np.flatnonzero(self.weights > SUPPORT_TOL)
-
 
 # ---------------------------------------------------------------------------
 # Criterion evaluation
@@ -81,20 +78,23 @@ class Design:
 
 
 def _info_matrix(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
-    return arms.T @ (arms * weights[:, None])
+    """V = sum_i w_i x_i x_i' of (K, d) arms, or of each set in a (B, K, d)
+    stack with (K,) or (B, K) weights."""
+    return np.swapaxes(arms, -1, -2) @ (arms * weights[..., None])
 
 
 def _all_norms(weights: np.ndarray, arms: np.ndarray,
                rows: np.ndarray | None = None) -> np.ndarray:
     """x' V(pi)^{-1} x for every row x of ``rows`` (default: the arms), with
-    V(pi) built from the arms; raises on singular V."""
+    V(pi) built from the arms; raises on singular V.  Works on a stack too,
+    and then raises if any set's V is singular."""
     V = _info_matrix(weights, arms)
     try:
         chol = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("design information matrix is singular") from exc
-    half = np.linalg.solve(chol, (arms if rows is None else rows).T)
-    return np.einsum("ij,ij->j", half, half)
+    half = np.linalg.solve(chol, np.swapaxes(arms if rows is None else rows, -1, -2))
+    return np.einsum("...ij,...ij->...j", half, half)
 
 
 def _inverse(V: np.ndarray) -> np.ndarray:
@@ -189,14 +189,16 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
                        tol: float = 0.01) -> list[Design | SingularDesignError]:
     """``fw_g_optimal`` of each arm set in a (B, K, d) stack, in lockstep.
 
-    Entry b is, bit for bit, the design of ``arms[b]`` solved alone: every
-    iteration does its arithmetic elementwise or as stacked matrix-vector
-    products, and the rare events (the certificate check, the refresh
-    every ``REFRESH_EVERY`` iterations and the final g) run per item
-    through the 2-d helpers, and a d = 1 item takes its one step in closed
-    form.  Items leave the stack when they stop.  An entry whose arms are
-    not finite or do not span R^d holds the ``SingularDesignError`` its
-    lone solve raises; the other entries are unaffected.
+    Entry b is, bit for bit, the design of ``arms[b]`` solved alone: the
+    uniform start is checked for the whole stack at once (item by item
+    only if some item's arms do not span R^d), every iteration does its
+    arithmetic elementwise or as stacked matrix-vector products, and the
+    rare events (the certificate check, the refresh every
+    ``REFRESH_EVERY`` iterations and the final g) run per item through the
+    2-d helpers, and a d = 1 item takes its one step in closed form.  Items
+    leave the stack when they stop.  An entry whose arms are not finite or
+    do not span R^d holds the ``SingularDesignError`` its lone solve
+    raises; the other entries are unaffected.
 
     Raises
     ------
@@ -217,37 +219,54 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     target = d * (1.0 + tol) + CERT_SLACK
 
     results: list = [None] * B
-    live, norms, Vinv = [], [], []
-    for b in range(B):
-        pi = np.full(K, 1.0 / K)
-        try:
-            if not np.all(np.isfinite(arms[b])):
-                raise SingularDesignError("arms must be finite")
-            start = _all_norms(pi, arms[b])  # raises if the arms do not span R^d
-            g = float(start.max())
-            if g <= target:  # uniform weights already certify (e.g. m = d_t)
-                results[b] = Design(weights=pi, g_value=g, iterations_used=0,
-                                    certified=True)
-                continue
-            if d == 1 and cap >= 1:
-                # gamma = (u - 1) / (u - 1) = 1: one step to the longest arm
-                pi = np.zeros(K)
-                pi[start.argmax()] = 1.0
-                g = float(_all_norms(pi, arms[b]).max())
-                results[b] = Design(weights=pi, g_value=g, iterations_used=1,
-                                    certified=g <= target)
-                continue
-            Vinv.append(_inverse(_info_matrix(pi, arms[b])))
-        except SingularDesignError as exc:
-            results[b] = exc
-            continue
-        live.append(b)
-        norms.append(start)
+    pi = np.full(K, 1.0 / K)
+    finite = np.isfinite(arms).all(axis=(1, 2))
+    for b in np.flatnonzero(~finite):
+        results[b] = SingularDesignError("arms must be finite")
+    rows = np.flatnonzero(finite)
+    starts = _each(lambda a: _all_norms(pi, a), arms[rows], rows, results)
+    rows = [b for b, start in zip(rows, starts) if start is not None]
+    starts = np.array([x for x in starts if x is not None]).reshape(len(rows), K)
+    live = []
+    for b, start, g in zip(rows, starts, starts.max(axis=1).tolist()):
+        if g <= target:  # uniform weights already certify (e.g. m = d_t)
+            results[b] = Design(weights=pi.copy(), g_value=g, iterations_used=0,
+                                certified=True)
+        elif d == 1 and cap >= 1:
+            # gamma = (u - 1) / (u - 1) = 1: one step to the longest arm
+            vertex = np.zeros(K)
+            vertex[start.argmax()] = 1.0
+            g = float(_all_norms(vertex, arms[b]).max())
+            results[b] = Design(weights=vertex, g_value=g, iterations_used=1,
+                                certified=g <= target)
+        else:
+            live.append((b, start))
     if live:
-        ids = np.array(live)
-        _fw_lockstep(arms[ids], np.array(norms), np.array(Vinv), ids, cap,
-                     target, results)
+        ids = [b for b, _ in live]
+        Vinv = _each(_inverse, _info_matrix(pi, arms[ids]), ids, results)
+        live = [(b, start, inv) for (b, start), inv in zip(live, Vinv)
+                if inv is not None]
+    if live:
+        ids, norms, Vinv = (np.array(x) for x in zip(*live))
+        _fw_lockstep(arms[ids], norms, Vinv, ids, cap, target, results)
     return results
+
+
+def _each(fn, stack: np.ndarray, rows, results: list) -> list:
+    """``fn`` of a whole stack, split into items.  If that raises
+    ``SingularDesignError``, ``fn`` of each item alone, with ``None`` for an
+    item that raises and its error in ``results[rows[k]]``."""
+    try:
+        return list(fn(stack))
+    except SingularDesignError:
+        out = []
+        for k, b in enumerate(rows):
+            try:
+                out.append(fn(stack[k]))
+            except SingularDesignError as exc:
+                results[b] = exc
+                out.append(None)
+        return out
 
 
 REFRESH_EVERY = 100  # iterations between recomputations of V^-1 and the norms
@@ -378,7 +397,8 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
     counts are then decremented (arm maximizing count/weight, kept >= 1) or
     incremented (arm minimizing count/weight) until the total hits n, ties
     to the lowest index.  Every support arm keeps at least one pull.
-    Returns one integer count per arm.
+    Returns one integer count per arm.  This is ``round_allocation_stack``
+    on a stack of one.
 
     Raises
     ------
@@ -386,31 +406,46 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
         If n is below the support size; callers may drop weights under 1/n
         and retry once (see ``allocate_budget``).
     """
-    n = int(n)
-    weights = np.asarray(design.weights, dtype=float)
-    support = np.flatnonzero(weights > SUPPORT_TOL)
-    p = support.size
-    if p == 0:
-        raise BudgetTooSmallError("design has empty support")
-    if n < p:
-        raise BudgetTooSmallError(
-            f"budget {n} cannot give every one of {p} support arms a pull")
-    counts = np.zeros(weights.shape[0], dtype=int)
-    counts[support] = np.ceil((n - p / 2.0) * weights[support]).astype(int)
-    counts[support] = np.maximum(counts[support], 1)
-    ratio = np.full(weights.shape[0], np.nan)
-    ratio[support] = counts[support] / weights[support]
-    while counts.sum() > n:
-        candidates = np.where(counts >= 2, ratio, -np.inf)
-        i = int(np.argmax(candidates))
-        counts[i] -= 1
-        ratio[i] = counts[i] / weights[i]
-    while counts.sum() < n:
-        candidates = np.where(np.isnan(ratio), np.inf, ratio)
-        i = int(np.argmin(candidates))
-        counts[i] += 1
-        ratio[i] = counts[i] / weights[i]
+    (counts,) = round_allocation_stack(
+        np.array([int(n)]), np.asarray(design.weights, dtype=float)[None])
+    if isinstance(counts, BudgetTooSmallError):
+        raise counts
     return counts
+
+
+def round_allocation_stack(n: np.ndarray, weights: np.ndarray,
+                           ) -> list[np.ndarray | BudgetTooSmallError]:
+    """``round_allocation`` of budget ``n[b]`` over weights ``weights[b]``
+    for each row of a (B, K) stack, with the ``BudgetTooSmallError`` of a
+    row whose support is empty or larger than its budget.
+
+    The rows step in lockstep, each stopping when its total is reached, and
+    every step is elementwise per row, so each row's counts are those of
+    its lone rounding."""
+    support = weights > SUPPORT_TOL
+    p = support.sum(axis=1)
+    out: list = [None] * n.size
+    for b in np.flatnonzero((p == 0) | (n < p)):
+        out[b] = BudgetTooSmallError(
+            "design has empty support" if p[b] == 0 else
+            f"budget {n[b]} cannot give every one of {p[b]} support arms a pull")
+    rows = np.flatnonzero((p > 0) & (n >= p))
+    n, p, weights, support = n[rows], p[rows], weights[rows], support[rows]
+    counts = np.where(support, np.ceil((n - p / 2.0)[:, None] * weights), 0.0)
+    counts = np.where(support, np.maximum(counts.astype(int), 1), 0)
+    ratio = np.full(weights.shape, np.nan)
+    np.divide(counts, weights, out=ratio, where=support)
+    while (r := np.flatnonzero(counts.sum(axis=1) > n)).size:
+        i = np.argmax(np.where(counts[r] >= 2, ratio[r], -np.inf), axis=1)
+        counts[r, i] -= 1
+        ratio[r, i] = counts[r, i] / weights[r, i]
+    while (r := np.flatnonzero(counts.sum(axis=1) < n)).size:
+        i = np.argmin(np.where(np.isnan(ratio[r]), np.inf, ratio[r]), axis=1)
+        counts[r, i] += 1
+        ratio[r, i] = counts[r, i] / weights[r, i]
+    for k, b in enumerate(rows):
+        out[b] = counts[k]
+    return out
 
 
 def _spanning_keep(weights: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:

@@ -68,8 +68,7 @@ class ParameterEstimate:
     """Fitted parameter with the information matrix it was computed from.
 
     ``covariance`` holds V = sum_i c_i x_i x_i', the unnormalized sample
-    information matrix over rows x_i pulled c_i times; downstream
-    error-bound evaluation reads it directly.
+    information matrix over rows x_i pulled c_i times.
     """
 
     theta_hat: np.ndarray
@@ -78,10 +77,11 @@ class ParameterEstimate:
     iterations: int = 0
 
 
-def well_conditioned(V: np.ndarray) -> bool:
-    """The linear fit's invertibility test: cond(V) finite and below 1e12."""
+def well_conditioned(V: np.ndarray) -> np.bool_ | np.ndarray:
+    """The linear fit's invertibility test: cond(V) finite and below 1e12;
+    of each matrix in a stack, elementwise."""
     cond = np.linalg.cond(V)
-    return bool(np.isfinite(cond) and cond < COND_LIMIT)
+    return np.isfinite(cond) & (cond < COND_LIMIT)
 
 
 def least_squares(data: RegressionData) -> ParameterEstimate:

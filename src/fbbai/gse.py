@@ -15,12 +15,16 @@ S_i / c_i without fitting: Sequential Halving's rule (Karnin, Koren &
 Somekh 2013).
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
-config, rng) jobs in lockstep.  Each stage plans all live jobs at once,
-so the Frank-Wolfe designs they lack are solved as one stacked problem per
-arm-set shape; each job then draws, fits and eliminates from its own
-generator, so its result is the one it gets alone.  ``gse_run`` is the
-batch of one, and the harness runs each chunk of replications as one
-batch.
+config, rng) jobs in lockstep, and works each stage as stacks.  The plans
+the jobs lack are built together: one stacked SVD projection per arm-set
+shape, and one stacked Frank-Wolfe solve, rounding and saturation test per
+projected shape.  Each job then draws from its own generator; one offset
+``np.bincount`` sums the draws of many jobs, saturated stages take their
+means S_i / c_i as one division, unsaturated ones are fitted job by job,
+and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
+gives each job the bits of its lone computation, so a job's result is the
+one it gets alone.  ``gse_run`` is the batch of one, and the harness runs
+each chunk of replications as a few such batches.
 """
 
 from __future__ import annotations
@@ -28,19 +32,22 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .design import (Design, _info_matrix, allocate_budget,
-                     fw_g_optimal_stack)
+                     fw_g_optimal_stack, round_allocation_stack)
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
-from .errors import ConfigurationError, EstimationFailureError, FbbaiError
+from .errors import (BudgetTooSmallError, ConfigurationError,
+                     EstimationFailureError, FbbaiError)
 from .estimators import (RegressionData, irls_glm, least_squares,
                          mean_estimates, well_conditioned)
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
-                        project_to_span, sample_rewards)
+                        project_to_span_stack, sample_rewards)
+from .instances import project_to_span  # noqa: F401  bench/tracer.py patches it
 
 STRATEGIES = ("uniform", "fw-g", "static")
 MODELS = ("linear", "logistic")
@@ -58,8 +65,7 @@ class GseConfig:
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ConfigurationError("budget must be a positive integer")
-        if not self.eta > 1.0:
-            raise ConfigurationError("eta must exceed 1")
+        _check_eta(self.eta)
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"strategy {self.strategy!r} not one of {STRATEGIES}")
@@ -146,10 +152,8 @@ class DesignCache:
         return fw_g_optimal_stack(arms)
 
     def _store(self, key: tuple, arms: ProjectedArmSet, counts: np.ndarray,
-               design: Optional[Design]) -> StagePlan:
+               design: Optional[Design], saturated: bool) -> StagePlan:
         counts.flags.writeable = False
-        saturated = (arms.n_arms == arms.dim and well_conditioned(
-            _info_matrix(counts, arms.projected)))
         plan = self._plans[key] = StagePlan(arms, counts, design, saturated)
         return plan
 
@@ -157,15 +161,26 @@ class DesignCache:
 PlanRequest = tuple[DesignCache, BanditInstance, tuple[int, ...], int, str]
 
 
+class _Miss(NamedTuple):
+    """A plan no cache holds yet, with the requests waiting for it."""
+
+    cache: DesignCache
+    instance: BanditInstance
+    key: tuple  # (ids, n, strategy)
+    requests: list
+
+
 def _plan_stages(requests: Sequence[PlanRequest],
                  ) -> list[Union[StagePlan, FbbaiError]]:
     """The plan of each (cache, instance, ids, n, strategy) request.
 
-    A miss is built once per cache and key: the active arms are projected
-    and checked against ``n``, then given uniform counts or a rounded
-    ``fw-g`` design.  The designs of all misses are solved as one stack per
-    arm-set shape.  A miss that raises gives its error to every request
-    for it and stores nothing.
+    A miss is built once per cache and key, and the misses are built as
+    stacks: the active arms are projected onto their span by one stacked
+    SVD per (m, d) shape and checked against ``n``; the ``fw-g`` designs
+    are solved, rounded and tested for saturation as one stack per (m, d_t)
+    shape, while uniform counts are set per miss.  Every stacked kernel
+    gives each miss the bits of its lone computation.  A miss that raises
+    gives its error to every request for it and stores nothing.
     """
     plans: list = [None] * len(requests)
     misses: dict = {}
@@ -175,48 +190,78 @@ def _plan_stages(requests: Sequence[PlanRequest],
         if hit is not None:
             plans[r] = hit
         else:
-            miss = misses.setdefault((id(cache), key), (cache, instance, key, []))
-            miss[3].append(r)
+            miss = misses.setdefault((id(cache), key),
+                                     _Miss(cache, instance, key, []))
+            miss.requests.append(r)
 
-    def settle(requests_of_miss: list, plan) -> None:
-        for r in requests_of_miss:
+    def settle(miss: _Miss, plan) -> None:
+        for r in miss.requests:
             plans[r] = plan
 
-    unsolved = defaultdict(list)  # arm-set shape -> misses waiting for a design
-    for cache, instance, key, rs in misses.values():
-        ids, n, strategy = key
-        try:
-            arms = project_to_span(instance.features[list(ids)], ids=ids)
-            if n < arms.dim:
-                raise ConfigurationError(
-                    f"per-stage budget {n} cannot span dimension {arms.dim}")
-        except FbbaiError as exc:
-            settle(rs, exc)
+    by_shape = defaultdict(list)  # (m, d) -> misses
+    for miss in misses.values():
+        by_shape[len(miss.key[0]), miss.instance.dim].append(miss)
+    unsolved = defaultdict(list)  # (m, d_t) -> (miss, arms) waiting for a design
+    counted = defaultdict(list)   # (m, d_t) -> (miss, arms, counts, design)
+    for group in by_shape.values():
+        projections = project_to_span_stack(
+            np.stack([miss.instance.features.take(miss.key[0], axis=0)
+                      for miss in group]),
+            [miss.key[0] for miss in group])
+        for miss, arms in zip(group, projections):
+            _, n, strategy = miss.key
+            if isinstance(arms, FbbaiError):
+                settle(miss, arms)
+            elif n < arms.dim:
+                settle(miss, ConfigurationError(
+                    f"per-stage budget {n} cannot span dimension {arms.dim}"))
+            elif strategy == "uniform":
+                base, rem = divmod(n, arms.n_arms)
+                counts = np.full(arms.n_arms, base, dtype=int)
+                counts[:rem] += 1  # equal remainders; lowest indices win
+                counted[arms.projected.shape].append((miss, arms, counts, None))
+            else:
+                unsolved[arms.projected.shape].append((miss, arms))
+    for shape, group in unsolved.items():
+        designs = DesignCache.design(np.stack([arms.projected for _, arms in group]))
+        solved = []
+        for (miss, arms), design in zip(group, designs):
+            if isinstance(design, FbbaiError):
+                settle(miss, design)
+            else:
+                solved.append((miss, arms, design))
+        if not solved:
             continue
-        if strategy == "uniform":
-            base, rem = divmod(n, arms.n_arms)
-            counts = np.full(arms.n_arms, base, dtype=int)
-            counts[:rem] += 1  # equal remainders; lowest indices win
-            settle(rs, cache._store(key, arms, counts, None))
-        else:
-            unsolved[arms.projected.shape].append((cache, key, rs, arms))
-    for group in unsolved.values():
-        designs = DesignCache.design(np.stack([miss[3].projected for miss in group]))
-        for (cache, key, rs, arms), design in zip(group, designs):
-            try:
-                if isinstance(design, FbbaiError):
-                    raise design
-                counts = allocate_budget(key[1], design, arms.projected)
-            except FbbaiError as exc:
-                settle(rs, exc)
-                continue
-            settle(rs, cache._store(key, arms, counts, design))
+        rounded = round_allocation_stack(
+            np.array([miss.key[1] for miss, _, _ in solved]),
+            np.array([design.weights for _, _, design in solved]))
+        for (miss, arms, design), counts in zip(solved, rounded):
+            if isinstance(counts, BudgetTooSmallError):  # retry alone
+                try:
+                    counts = allocate_budget(miss.key[1], design, arms.projected)
+                except FbbaiError as exc:
+                    settle(miss, exc)
+                    continue
+            counted[shape].append((miss, arms, counts, design))
+    for (m, dim), group in counted.items():
+        # saturated: m = d_t and V passes the linear fit's condition test
+        saturated = [False] * len(group) if m != dim else well_conditioned(
+            _info_matrix(np.array([counts for _, _, counts, _ in group]),
+                         np.array([arms.projected for _, arms, _, _ in group])))
+        for (miss, arms, counts, design), sat in zip(group, saturated):
+            settle(miss, miss.cache._store(miss.key, arms, counts, design,
+                                           bool(sat)))
     return plans
 
 
 # ---------------------------------------------------------------------------
 # Stage schedule
 # ---------------------------------------------------------------------------
+
+
+def _check_eta(eta: float) -> None:
+    if not (math.isfinite(eta) and eta > 1.0):
+        raise ConfigurationError(f"eta must be finite and exceed 1, not {eta}")
 
 
 def _ceil_div(m: int, eta: float) -> int:
@@ -227,6 +272,7 @@ def _ceil_div(m: int, eta: float) -> int:
     return math.ceil(m / eta - 1e-12)
 
 
+@lru_cache(maxsize=256)  # every replication of a point asks for the same one
 def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
     """Stage count s, per-stage budget floor(B / s), and size path K -> 1.
 
@@ -236,13 +282,13 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
     Raises
     ------
     ConfigurationError
-        If the recursion cannot reach one arm (eta below 2 stalls at two
-        arms) or the budget gives some stage no pulls.
+        If eta is not finite and above 1, the recursion cannot reach one
+        arm (eta below 2 stalls at two arms) or the budget gives some stage
+        no pulls.
     """
     if K < 2:
         raise ConfigurationError("need at least two arms")
-    if not eta > 1.0:
-        raise ConfigurationError("eta must exceed 1")
+    _check_eta(eta)
     sizes = [K]
     while sizes[-1] > 1:
         nxt = _ceil_div(sizes[-1], eta)
@@ -269,13 +315,44 @@ def explore(instance: BanditInstance, plan: StagePlan,
     Pulls are drawn in active-arm order, each arm's pulls contiguous, one
     reward per pull, so a run is reproducible from (instance, config, seed)
     alone.  The returned data has one row per active arm: its projected
-    features, its reward sum and its pull count.
+    features, its reward sum and its pull count.  This is ``explore_stack``
+    on a stack of one.
     """
-    arms, counts = plan.arms, plan.counts
-    arm_of_pull = np.repeat(np.arange(arms.n_arms), counts)
-    ys = sample_rewards(instance, np.asarray(arms.original_ids)[arm_of_pull], rng)
-    sums = np.bincount(arm_of_pull, weights=ys, minlength=arms.n_arms)
-    return RegressionData(xs=arms.projected, ys=sums, counts=counts)
+    (sums,) = explore_stack([(instance, plan, rng)])
+    return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
+
+
+DRAW_BLOCK = 1 << 14  # pulls per offset bincount: bounds the draw buffers
+
+
+def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
+                                       np.random.Generator]]) -> np.ndarray:
+    """Reward sums of each (instance, plan, rng) job whose plans share an
+    active-set size m: a (len(jobs), m) array, row g holding job g's
+    per-arm sums S_i.
+
+    Each job draws from its own generator exactly as ``explore`` does.  One
+    offset ``np.bincount`` per block of about ``DRAW_BLOCK`` pulls sums the
+    block's jobs, adding each arm's rewards in draw order, as a bincount of
+    one job alone does.
+    """
+    counts = np.array([plan.counts for _, plan, _ in jobs])
+    pulls = counts.sum(axis=1)
+    G, m = counts.shape
+    sums = np.empty((G, m))
+    step = max(1, DRAW_BLOCK // max(1, int(pulls.max())))
+    for lo in range(0, G, step):
+        block = jobs[lo:lo + step]
+        flat = counts[lo:lo + step].ravel()
+        pulled = np.repeat(np.array([plan.arms.original_ids for _, plan, _ in block]),
+                           flat)
+        ends = np.cumsum(pulls[lo:lo + step]).tolist()
+        rewards = [sample_rewards(instance, pulled[a:b], rng)
+                   for (instance, _, rng), a, b in zip(block, [0] + ends, ends)]
+        sums[lo:lo + step] = np.bincount(
+            np.repeat(np.arange(flat.size), flat), weights=np.concatenate(rewards),
+            minlength=flat.size).reshape(-1, m)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +369,24 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
     estimates are S_i / c_i, so arms with equal pull counts and reward sums
     tie exactly.  Only when m > d_t, where the fit couples the arms, can
     estimates that are equal in exact arithmetic differ by rounding, and
-    then rounding decides the cut.
+    then rounding decides the cut.  This is ``eliminate_stack`` on a stack
+    of one.
     """
     m = len(active_ids)
     if mu_hat.shape[0] != m:
         raise ValueError("one estimate per active arm required")
-    keep = _ceil_div(m, eta)
-    ids = np.asarray(active_ids)
+    (survivors,) = eliminate_stack(np.array([active_ids]), mu_hat[None],
+                                   _ceil_div(m, eta))
+    return tuple(survivors)
+
+
+def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
+    """``eliminate`` of each row of (G, m) active ids and estimates, keeping
+    ``keep`` arms per row: one stacked ``np.lexsort``.  Returns each row's
+    survivors as a list of ints in ascending order."""
     order = np.lexsort((ids, -mu_hat))  # primary: highest mean; then lowest id
-    return tuple(sorted(int(i) for i in ids[order[:keep]]))
+    top = np.take_along_axis(ids, order[:, :keep], axis=1)
+    return np.sort(top, axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +394,11 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _stage_means(plan: StagePlan, data: RegressionData, config: GseConfig,
-                 ) -> tuple[np.ndarray, bool, int, bool]:
-    """Estimated means with the fit's (converged, iterations, fallback)."""
-    if plan.saturated:
-        return data.ys / data.counts, True, 0, False
+def _fit_means(plan: StagePlan, sums: np.ndarray, config: GseConfig,
+               ) -> tuple[np.ndarray, bool, int, bool]:
+    """Estimated means of an unsaturated stage from its reward sums, with
+    the fit's (converged, iterations, fallback)."""
+    data = RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
     fellback = False
     if config.model == "logistic":
         try:
@@ -338,6 +424,7 @@ class _Run:
     schedule: StageSchedule
     active: tuple[int, ...]
     traces: list
+    pulls: int = 0
 
 
 Job = tuple[BanditInstance, GseConfig, np.random.Generator]
@@ -349,13 +436,15 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
     jobs in lockstep, stage by stage; one result per job, in order.
 
     Each stage looks up the plans of all live jobs at once
-    (``_plan_stages``), so the designs the stage lacks are solved as one
-    ``fw_g_optimal_stack`` call per arm-set shape.  Each job then explores,
-    estimates and eliminates from its own generator, in the order a lone
-    run draws, so its result does not depend on the other jobs.  The jobs
-    share ``cache`` (which then serves their one instance), or else each
-    gets its own.  A package error ends only the job that raised it and
-    takes the place of its result.
+    (``_plan_stages``), which builds the missing ones as stacks.  The jobs
+    whose stages keep the same number of arms out of the same number then
+    draw (``explore_stack``), estimate and are cut (``eliminate_stack``)
+    together.  Each job draws from its own generator, in the order a lone
+    run draws, and every stacked step gives it the bits of its lone
+    computation, so its result does not depend on the other jobs.  The
+    jobs share ``cache`` (which then serves their one instance), or else
+    each gets its own.  A package error ends only the job that raised it
+    and takes the place of its result.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
@@ -381,33 +470,55 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
         plans = _plan_stages([(run.cache, run.instance, run.active,
                                run.schedule.per_stage_budget, run.config.strategy)
                               for run in runs])
-        live = []
+        stage = defaultdict(list)  # (m, arms kept) -> (run, plan)
         for run, plan in zip(runs, plans):
-            try:
-                if isinstance(plan, FbbaiError):
-                    raise plan
-                data = explore(run.instance, plan, run.rng)
-                mu_hat, converged, iterations, fellback = _stage_means(
-                    plan, data, run.config)
-                survivors = eliminate(run.active, mu_hat, run.config.eta)
-            except FbbaiError as exc:
-                results[run.slot] = exc
-                continue
-            run.traces.append(StageTrace(
-                stage=t, arms=plan.arms, counts=plan.counts, mu_hat=mu_hat,
-                survivors=survivors, estimator_converged=converged,
-                estimator_iterations=iterations, used_fallback=fellback,
-                design=plan.design))
-            run.active = survivors
-            if t < run.schedule.stages:
-                live.append(run)
+            if isinstance(plan, FbbaiError):
+                results[run.slot] = plan
             else:
-                recommended = survivors[0]
-                results[run.slot] = RunResult(
-                    recommended=recommended,
-                    success=recommended == run.instance.best_arm,
-                    traces=tuple(run.traces),
-                    total_pulls=sum(int(tr.counts.sum()) for tr in run.traces))
+                stage[run.schedule.sizes[t - 1], run.schedule.sizes[t]].append(
+                    (run, plan))
+        live = []
+        for (_, keep), group in stage.items():
+            sums = explore_stack([(run.instance, plan, run.rng)
+                                  for run, plan in group])
+            counts = np.array([plan.counts for _, plan in group])
+            saturated = np.array([plan.saturated for _, plan in group])
+            mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
+                               where=saturated[:, None])
+            pulls = counts.sum(axis=1).tolist()
+            fitted = []  # (row, run, plan, converged, iterations, fellback)
+            for g, (run, plan) in enumerate(group):
+                if plan.saturated:  # ranked by S_i / c_i, computed above
+                    fitted.append((g, run, plan, True, 0, False))
+                    continue
+                try:
+                    mu_hat[g], *fit = _fit_means(plan, sums[g], run.config)
+                except FbbaiError as exc:
+                    results[run.slot] = exc
+                    continue
+                fitted.append((g, run, plan, *fit))
+            if not fitted:
+                continue
+            rows = [f[0] for f in fitted]
+            mu_hat = mu_hat[rows]
+            survivors = eliminate_stack(
+                np.array([f[1].active for f in fitted]), mu_hat, keep)
+            for (g, run, plan, converged, iterations, fellback), mu, kept in zip(
+                    fitted, mu_hat, survivors):
+                run.active = tuple(kept)
+                run.pulls += pulls[g]
+                run.traces.append(StageTrace(
+                    stage=t, arms=plan.arms, counts=plan.counts, mu_hat=mu,
+                    survivors=run.active, estimator_converged=converged,
+                    estimator_iterations=iterations, used_fallback=fellback,
+                    design=plan.design))
+                if t < run.schedule.stages:
+                    live.append(run)
+                else:
+                    results[run.slot] = RunResult(
+                        recommended=kept[0],
+                        success=kept[0] == run.instance.best_arm,
+                        traces=tuple(run.traces), total_pulls=run.pulls)
         runs = live
     return results
 

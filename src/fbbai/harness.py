@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
-from .gse import DesignCache, GseConfig, gse_lockstep
+from .gse import MODELS, DesignCache, GseConfig, gse_lockstep
 from .gse import gse_run  # noqa: F401  bench/tracer.py patches this name
 from .instances import (BanditInstance, gen_adaptive_instance,
                         gen_corner_instance, gen_logistic_instance,
@@ -132,31 +132,37 @@ class _Chunk:
     stop: int
 
 
+LOCKSTEP_BATCH = 1000  # replications per gse_lockstep call: bounds a chunk's memory
+
+
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
-    """Tally replications [start, stop) of a point, run as one lockstep
-    batch; an instance generator's package error aborts its replication."""
+    """Tally replications [start, stop) of a point, run as successive
+    lockstep batches of at most ``LOCKSTEP_BATCH`` that share one design
+    cache for a fixed instance; an instance generator's package error
+    aborts its replication."""
     fixed = isinstance(task.source, BanditInstance)
-    jobs = []
-    aborts = 0
-    for r in range(task.start, task.stop):
-        ss = rep_seed(task.seed, task.family, task.spec.name,
-                      task.config.budget, r)
-        inst_ss, run_ss = ss.spawn(2)
-        try:
-            inst = (task.source if fixed
-                    else task.source(np.random.default_rng(inst_ss)))
-            config = replace(task.config,
-                             model=task.spec.model or _default_model(inst))
-        except FbbaiError:
-            aborts += 1
-            continue
-        jobs.append((inst, config, np.random.default_rng(run_ss)))
-    successes = 0
-    for result in gse_lockstep(jobs, DesignCache() if fixed else None):
-        if isinstance(result, FbbaiError):
-            aborts += 1
-        else:
-            successes += int(result.success)
+    cache = DesignCache() if fixed else None
+    configs = {model: replace(task.config, model=model) for model in MODELS}
+    successes = aborts = 0
+    for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
+        jobs = []
+        for r in range(lo, min(lo + LOCKSTEP_BATCH, task.stop)):
+            ss = rep_seed(task.seed, task.family, task.spec.name,
+                          task.config.budget, r)
+            inst_ss, run_ss = ss.spawn(2)
+            try:
+                inst = (task.source if fixed
+                        else task.source(np.random.default_rng(inst_ss)))
+            except FbbaiError:
+                aborts += 1
+                continue
+            config = configs[task.spec.model or _default_model(inst)]
+            jobs.append((inst, config, np.random.default_rng(run_ss)))
+        for result in gse_lockstep(jobs, cache):
+            if isinstance(result, FbbaiError):
+                aborts += 1
+            else:
+                successes += int(result.success)
     return successes, aborts
 
 

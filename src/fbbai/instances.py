@@ -276,6 +276,7 @@ def project_to_span(active_features: np.ndarray,
     Pairwise inner products are preserved because every row already lies in
     the span being factored out, so estimation in the reduced space is
     equivalent to estimation in the ambient space restricted to that span.
+    This is ``project_to_span_stack`` on a stack of one.
 
     Parameters
     ----------
@@ -293,17 +294,51 @@ def project_to_span(active_features: np.ndarray,
     A = np.asarray(active_features, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
         raise DegenerateInputError("active_features must be a nonempty 2-d array")
-    if not np.any(np.abs(A) > 0.0):
-        raise DegenerateInputError("cannot project an all-zero arm set")
-    if ids is None:
-        ids = range(A.shape[0])
-    ids = tuple(int(i) for i in ids)
-    if len(ids) != A.shape[0]:
+    (arms,) = project_to_span_stack(
+        A[None], [range(A.shape[0]) if ids is None else ids], rank_tol)
+    if isinstance(arms, DegenerateInputError):
+        raise arms
+    return arms
+
+
+def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
+                          rank_tol: float = 1e-9,
+                          ) -> list[ProjectedArmSet | DegenerateInputError]:
+    """``project_to_span`` of each (m, d) arm set in a (B, m, d) stack.
+
+    Entry b is, bit for bit, the projection of ``features[b]`` alone: one
+    stacked SVD factors every set, each set keeps its own numerical rank,
+    and ``A @ basis`` runs as one stacked product per rank.  An entry that
+    is entirely zero holds the ``DegenerateInputError`` its lone projection
+    raises.
+
+    Raises
+    ------
+    DegenerateInputError
+        If ``features`` is not a stack of nonempty matrices or ``ids`` does
+        not give one index per row of each set.
+    """
+    A = np.asarray(features, dtype=float)
+    if A.ndim != 3 or A.shape[1] == 0:
+        raise DegenerateInputError("features must be a stack of nonempty 2-d arrays")
+    ids = [tuple(int(i) for i in row) for row in ids]
+    if len(ids) != A.shape[0] or any(len(row) != A.shape[1] for row in ids):
         raise DegenerateInputError("ids must match the number of rows")
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    keep = svals > rank_tol * svals[0]
-    basis = vt[keep].T
-    return ProjectedArmSet(projected=A @ basis, basis=basis, original_ids=ids)
+    # singular values descend, so the kept ones are a prefix
+    ranks = (svals > rank_tol * svals[:, :1]).sum(axis=1)
+    nonzero = np.any(np.abs(A) > 0.0, axis=(1, 2))
+    out: list = [None if keep else DegenerateInputError(
+        "cannot project an all-zero arm set") for keep in nonzero]
+    for r in set(ranks[nonzero].tolist()):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(nonzero & (ranks == r))
+        whole = rows.size == len(ids)  # then the stacks need no copy
+        basis = (vt if whole else vt[rows])[:, :r].transpose(0, 2, 1)
+        projected = (A if whole else A[rows]) @ basis
+        for k, b in enumerate(rows):
+            out[b] = ProjectedArmSet(projected=projected[k], basis=basis[k],
+                                     original_ids=ids[b])
+    return out
 
 
 # ---------------------------------------------------------------------------

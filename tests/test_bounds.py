@@ -99,6 +99,7 @@ class TestInputValidation:
         dict(delta_min=0.0),
         dict(sigma2=-1.0),
         dict(sigma2=math.inf),
+        dict(eta=math.inf),  # log_eta K = 0 divided the exponent by zero
     ])
     def test_common_checks(self, overrides):
         with pytest.raises(UndefinedBoundError):

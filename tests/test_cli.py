@@ -109,7 +109,9 @@ class TestRun:
 
     @pytest.mark.parametrize("config", [["--budget", "0"],
                                         ["--budget", "40", "--eta", "1"],
-                                        ["--budget", "40", "--eta", "0.5"]])
+                                        ["--budget", "40", "--eta", "0.5"],
+                                        ["--budget", "40", "--eta", "inf"],
+                                        ["--budget", "40", "--eta", "nan"]])
     def test_invalid_run_configuration_exits_two(self, config, capsys):
         rc = run_cli("run", "--family", "static", "--K", "4",
                      "--variant", "gse-fwg", "--replications", "3", *config)

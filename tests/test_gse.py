@@ -27,6 +27,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(budget=0),
         dict(budget=100, eta=1.0),
+        dict(budget=100, eta=math.inf),
+        dict(budget=100, eta=math.nan),
         dict(budget=100, strategy="greedy"),
         dict(budget=100, model="poisson"),
     ])
@@ -70,6 +72,10 @@ class TestStageSchedule:
             stage_schedule(1, 2.0, 100)
         with pytest.raises(ConfigurationError):
             stage_schedule(8, 1.0, 100)
+        # an infinite eta would keep no arm at all: ceil(m / inf) = 0
+        for eta in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="finite"):
+                stage_schedule(8, eta, 100)
 
 
 class TestEliminate:
@@ -343,8 +349,24 @@ JOB_KINDS = [
     ("logistic", 6, 3, 90, "fw-g", "logistic"),
     ("adaptive", 0, 3, 60, "fw-g", "linear"),
     ("adaptive", 0, 3, 1, "fw-g", "linear"),
+    ("static", 0, 0, 160, "fw-g", "linear"),
+    ("grid", 0, 0, 240, "fw-g", "logistic"),
+    ("noiseless", 0, 0, 60, "uniform", "linear"),
+    ("duplicates", 0, 0, 90, "fw-g", "linear"),
 ]
-ADAPTIVE = gen_adaptive_instance(3)  # one shared fixed instance
+ADAPTIVE = gen_adaptive_instance(3)
+# shared fixed instances: saturated at every stage (static, grid), drawn
+# without noise, and with duplicate arms, so some active sets lose rank
+FIXED = {
+    "adaptive": ADAPTIVE,
+    "static": gen_static_instance(0.5, K=8, sigma2=4.0),
+    "grid": glm_grid_instance(8, 0.75),
+    "noiseless": noiseless(ADAPTIVE),
+    "duplicates": BanditInstance(
+        features=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                           [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.6, 0.6, 0.0]]),
+        theta_star=np.array([1.0, 0.5, 0.3])),
+}
 
 
 def make_job(kind, seed):
@@ -355,7 +377,7 @@ def make_job(kind, seed):
     elif family == "logistic":
         inst = gen_logistic_instance(K, d, rng)
     else:
-        inst = ADAPTIVE
+        inst = FIXED[family]
     return inst, GseConfig(budget, strategy=strategy, model=model), rng
 
 
@@ -371,6 +393,18 @@ def run_summary(result):
         for t in result.traces))
 
 
+def plan_summary(plan):
+    """Every bit of a stage plan, or the class of the error it raised."""
+    if isinstance(plan, FbbaiError):
+        return type(plan).__name__
+    design = plan.design
+    return (plan.arms.original_ids, plan.arms.projected.tobytes(),
+            plan.arms.basis.tobytes(), plan.counts.tobytes(), plan.saturated,
+            None if design is None else (design.weights.tobytes(),
+                                         design.g_value, design.iterations_used,
+                                         design.certified))
+
+
 def lone_summary(job):
     try:
         return run_summary(gse_run(*job))
@@ -379,7 +413,7 @@ def lone_summary(job):
 
 
 class TestLockstep:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(specs=st.lists(st.tuples(st.integers(0, len(JOB_KINDS) - 1),
                                     st.integers(0, 2**32 - 1)),
                           min_size=1, max_size=8),
@@ -426,6 +460,43 @@ class TestLockstep:
                  np.random.default_rng(s)) for s in range(5)]
         gse_lockstep(jobs)
         assert stacks[0] == (5, 8, 3)
+
+    def test_stacked_planning_matches_one_request_at_a_time(self):
+        """A batch of misses of mixed shapes, ranks, strategies and
+        outcomes gets the plans (or errors) each miss gets alone."""
+        rng = np.random.default_rng(5)
+        dup = FIXED["duplicates"]
+        zeros = BanditInstance(features=np.array([[1.0, 0.0], [0.0, 1.0],
+                                                  [0.0, 0.0], [0.0, 0.0]]),
+                               theta_star=np.array([1.0, 0.5]))
+        asks = []
+        for inst in [gen_sphere_instance(8, 3, rng) for _ in range(3)]:
+            for ids in [tuple(range(8)), (0, 2, 4, 6), (1, 5)]:
+                for strategy in ("fw-g", "uniform"):
+                    asks.append((inst, ids, 40, strategy))
+        first = len(asks) + 1
+        for ids in [tuple(range(6)), (1, 2, 5), (0, 1, 3), (1, 2), (3, 4),
+                    (0, 3, 4), (1, 2, 3, 4)]:
+            asks.append((dup, ids, 30, "fw-g"))
+        repeated = len(asks) + 1
+        asks += [
+            (dup, tuple(range(6)), 2, "fw-g"),  # below the span: an error
+            (dup, (1, 2, 5), 30, "fw-g"),       # the key of asks[first]
+            (zeros, (2, 3), 10, "uniform"),     # all-zero arms: an error
+            (zeros, (0, 1, 2), 10, "fw-g"),
+            (FIXED["static"], (0, 3, 5, 6), 40, "fw-g"),  # saturated
+        ]
+        caches = {}
+        batch = gse_mod._plan_stages([
+            (caches.setdefault(id(inst), DesignCache()), inst, ids, n, strategy)
+            for inst, ids, n, strategy in asks])
+        alone = [gse_mod._plan_stages([(DesignCache(), inst, ids, n, strategy)])[0]
+                 for inst, ids, n, strategy in asks]
+        assert batch[repeated] is batch[first]
+        assert [plan_summary(p) for p in batch] == [plan_summary(p) for p in alone]
+        assert {plan_summary(p) for p in batch} >= {
+            "ConfigurationError", "DegenerateInputError"}
+        assert any(not isinstance(p, FbbaiError) and p.saturated for p in batch)
 
     def test_an_aborted_job_leaves_the_others_alone(self):
         good = make_job(0, 11)

@@ -1,20 +1,25 @@
 """Seed derivation, Monte-Carlo tallies, presets, and output formats."""
 
+import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbbai.bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
+import fbbai.harness as harness_mod
 from fbbai.errors import ConfigurationError
+from fbbai.gse import DesignCache, GseConfig, gse_lockstep
 from fbbai.harness import (CSV_COLUMNS, PRESETS, VARIANTS, McResult, SweepRow,
                            VariantSpec, bound_for_source, family_source,
                            format_csv, format_json, mc_accuracy, read_csv,
                            rep_seed, run_point, run_preset, write_csv)
-from fbbai.instances import (BanditInstance, gen_logistic_instance,
-                             gen_static_instance, load_instance_csv,
-                             noiseless)
+from fbbai.instances import (LOGISTIC, BanditInstance,
+                             gen_logistic_instance, gen_static_instance,
+                             load_instance_csv, noiseless)
 
 
 def states(ss):
@@ -73,6 +78,18 @@ class TestMcAccuracy:
         pooled4 = mc_accuracy(inst, "gse-fwg", 40, 40, 9, workers=4)
         assert serial.successes == pooled3.successes == pooled4.successes
         assert serial.aborts == pooled3.aborts == pooled4.aborts
+
+    @pytest.mark.parametrize("source, variant", [
+        (gen_static_instance(0.5, K=8, sigma2=4.0), "gse-fwg"),
+        (family_source("sphere", {"K": 6, "d": 3}), "gse-uniform"),
+    ])
+    def test_lockstep_batches_do_not_change_the_tally(self, monkeypatch,
+                                                      source, variant):
+        whole = mc_accuracy(source, variant, 60, 40, 3, workers=1)
+        monkeypatch.setattr(harness_mod, "LOCKSTEP_BATCH", 7)
+        batched = mc_accuracy(source, variant, 60, 40, 3, workers=1)
+        assert (batched.successes, batched.aborts) == (whole.successes,
+                                                       whole.aborts)
 
     @pytest.mark.parametrize("value", ["abc", "2.5", ""])
     def test_non_integer_worker_variable_is_a_config_error(self, monkeypatch,
@@ -136,6 +153,79 @@ class TestMcAccuracy:
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError):
             mc_accuracy(inst, spec, 40, 3, 0, workers=1)
+
+
+def logistic_grid(K, gap):
+    theta = np.zeros(K)
+    theta[0] = gap
+    return BanditInstance(features=np.eye(K), theta_star=theta, model="glm",
+                          mean_fn=LOGISTIC, noise_sigma2=0.25, bernoulli=True)
+
+
+class TestGoldenTallies:
+    """Two fixed-instance points whose every stage is saturated, pinned bit
+    for bit: the ``mc_accuracy`` tally, and a digest of the first 60
+    replications' runs (every stage's counts, estimate bytes and
+    survivors) on the harness's streams with one shared cache.  The values
+    were recorded with per-job projection, draws and cuts, so they hold
+    the stacked stage kernels to the lone ones."""
+
+    @pytest.mark.parametrize("family, make, budget, R, model, tally, digest", [
+        ("static", lambda: gen_static_instance(1.0, K=16, sigma2=10.0), 2000,
+         400, "linear", 378, "c32f6f247b625cfb"),
+        ("grid", lambda: logistic_grid(16, 0.75), 480, 300, "logistic", 234,
+         "8cbe8cf1786c8873"),
+    ], ids=["static", "logistic-grid"])
+    def test_recorded_tally_and_runs(self, family, make, budget, R, model,
+                                     tally, digest):
+        inst = make()
+        res = mc_accuracy(inst, "gse-fwg", budget, R, 7, family=family,
+                          workers=1)
+        assert (res.successes, res.aborts) == (tally, 0)
+        jobs = []
+        for r in range(60):
+            _, run_ss = rep_seed(7, family, "gse-fwg", budget, r).spawn(2)
+            jobs.append((inst, GseConfig(budget, model=model),
+                         np.random.default_rng(run_ss)))
+        h = hashlib.sha256()
+        for run in gse_lockstep(jobs, DesignCache()):
+            h.update(repr(run.recommended).encode())
+            for t in run.traces:
+                h.update(t.counts.tobytes())
+                h.update(t.mu_hat.tobytes())
+                h.update(repr(t.survivors).encode())
+        assert h.hexdigest()[:16] == digest
+
+
+class TestBenchTracer:
+    """``bench/tracer.py`` patches package functions by name, so a refactor
+    that removes one of those names must fail here, not only in the
+    benchmark's smoke test."""
+
+    def test_install_run_and_uninstall_around_a_point(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        owners = (harness_mod, DesignCache, tracer_mod.gse, tracer_mod.cli)
+
+        def names():
+            return [{name: getattr(owner, name) for name in vars(owner)
+                     if not name.startswith("__")} for owner in owners]
+
+        before = names()
+        design = vars(DesignCache)["design"]
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            res = harness_mod.mc_accuracy(gen_static_instance(1.0, K=4), "gse-fwg",
+                                          40, 6, 0, workers=1)
+        finally:
+            tracer.uninstall()
+            DesignCache.design = design  # uninstall restores the bare function
+        assert (res.replications, res.aborts) == (6, 0)
+        assert tracer.totals().calls["harness.point"] == 1
+        assert names() == before
 
 
 class TestFamilySource:
