@@ -18,10 +18,12 @@ Somekh 2013).
 config, rng) jobs in lockstep, and works each stage as stacks.  The plans
 the jobs lack are built together: one stacked SVD projection per arm-set
 shape, and one stacked Frank-Wolfe solve, rounding and saturation test per
-projected shape.  Each job then draws from its own generator; one offset
-``np.bincount`` sums the draws of many jobs, saturated stages take their
-means S_i / c_i as one division, unsaturated ones are fitted job by job,
-and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
+projected shape.  Each job then makes its stage's one call on its own
+generator, and the rest of the draw is done once per block of jobs:
+Bernoulli sums are integer hit counts from one ``np.add.reduceat``,
+Gaussian sums come from one offset ``np.bincount``.  Saturated stages take
+their means S_i / c_i as one division, unsaturated ones are fitted job by
+job, and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
 gives each job the bits of its lone computation, so a job's result is the
 one it gets alone.  ``gse_run`` is the batch of one, and the harness runs
 each chunk of replications as a few such batches.
@@ -45,9 +47,10 @@ from .errors import (BudgetTooSmallError, ConfigurationError,
                      EstimationFailureError, FbbaiError)
 from .estimators import (RegressionData, irls_glm, least_squares,
                          mean_estimates, well_conditioned)
-from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet,
-                        project_to_span_stack, sample_rewards)
-from .instances import project_to_span  # noqa: F401  bench/tracer.py patches it
+from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, draw_noise,
+                        project_to_span_stack, rewards_of)
+# bench/tracer.py patches these names
+from .instances import project_to_span, sample_rewards  # noqa: F401
 
 STRATEGIES = ("uniform", "fw-g", "static")
 MODELS = ("linear", "logistic")
@@ -322,7 +325,7 @@ def explore(instance: BanditInstance, plan: StagePlan,
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
 
 
-DRAW_BLOCK = 1 << 14  # pulls per offset bincount: bounds the draw buffers
+DRAW_BLOCK = 1 << 14  # pulls per block: bounds the draw buffers
 
 
 def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
@@ -331,28 +334,61 @@ def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
     active-set size m: a (len(jobs), m) array, row g holding job g's
     per-arm sums S_i.
 
-    Each job draws from its own generator exactly as ``explore`` does.  One
-    offset ``np.bincount`` per block of about ``DRAW_BLOCK`` pulls sums the
-    block's jobs, adding each arm's rewards in draw order, as a bincount of
-    one job alone does.
+    The jobs are split by kind of reward, Bernoulli or Gaussian, and each
+    kind goes in blocks of about ``DRAW_BLOCK`` pulls (``_block_sums``).
+    Each job makes its stage's one generator call, the one
+    ``sample_rewards`` makes for the same pulls, so its sums are those of
+    ``explore`` on it alone.
     """
     counts = np.array([plan.counts for _, plan, _ in jobs])
     pulls = counts.sum(axis=1)
-    G, m = counts.shape
-    sums = np.empty((G, m))
-    step = max(1, DRAW_BLOCK // max(1, int(pulls.max())))
-    for lo in range(0, G, step):
-        block = jobs[lo:lo + step]
-        flat = counts[lo:lo + step].ravel()
-        pulled = np.repeat(np.array([plan.arms.original_ids for _, plan, _ in block]),
-                           flat)
-        ends = np.cumsum(pulls[lo:lo + step]).tolist()
-        rewards = [sample_rewards(instance, pulled[a:b], rng)
-                   for (instance, _, rng), a, b in zip(block, [0] + ends, ends)]
-        sums[lo:lo + step] = np.bincount(
-            np.repeat(np.arange(flat.size), flat), weights=np.concatenate(rewards),
-            minlength=flat.size).reshape(-1, m)
+    sums = np.empty(counts.shape)
+    bernoulli = np.array([instance.bernoulli for instance, _, _ in jobs])
+    for kind in (True, False):
+        rows = np.flatnonzero(bernoulli == kind)
+        if rows.size:
+            step = max(1, DRAW_BLOCK // max(1, int(pulls[rows].max())))
+            for block in np.split(rows, range(step, rows.size, step)):
+                sums[block] = _block_sums(kind, [jobs[g] for g in block],
+                                          counts[block], pulls[block])
     return sums
+
+
+def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
+                pulls: np.ndarray) -> np.ndarray:
+    """Per-arm reward sums of jobs with one kind of reward, given their
+    (G, m) pull counts and per-job pull totals.
+
+    Each job, in order, draws for its pulls (``draw_noise``), which go in
+    the order ``explore`` pulls: active arms in turn, each arm's pulls
+    contiguous.  The rest is done once for the block.  Bernoulli sums are
+    exact integer hit counts, one ``np.add.reduceat`` over the arms that
+    are pulled (an arm with no pull sums to 0).  Gaussian sums come from
+    one offset ``np.bincount``, which adds each arm's rewards in draw order
+    as a bincount of one job alone does; a noiseless job adds zero noise.
+    Either way a job's sums are those of ``sample_rewards`` on its pulls,
+    summed by ``np.bincount``, bit for bit.
+    """
+    sizes = pulls.tolist()
+    draws = [draw_noise(instance, n, rng)
+             for (instance, _, rng), n in zip(jobs, sizes)]
+    flat = counts.ravel()
+    mu = np.repeat(np.concatenate([instance.means.take(plan.arms.original_ids)
+                                   for instance, plan, _ in jobs]), flat)
+    if bernoulli:
+        hits = rewards_of(True, mu, np.concatenate(draws))
+        pulled = np.flatnonzero(flat)
+        sums = np.zeros(flat.size)
+        sums[pulled] = np.add.reduceat(hits.view(np.uint8),
+                                       (np.cumsum(flat) - flat)[pulled],
+                                       dtype=np.int64)
+    else:
+        noise = np.concatenate([np.zeros(n) if d is None else d
+                                for d, n in zip(draws, sizes)])
+        sums = np.bincount(np.repeat(np.arange(flat.size), flat),
+                           weights=rewards_of(False, mu, noise),
+                           minlength=flat.size)
+    return sums.reshape(counts.shape)
 
 
 # ---------------------------------------------------------------------------

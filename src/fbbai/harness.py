@@ -87,12 +87,30 @@ def _token_int(token: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _point_entropy(master: int, family: str, variant: str,
+                   budget: int) -> list[int]:
+    """The entropy words a point's replications share; a replication's
+    entropy appends its index."""
+    return [int(master) & 0xFFFFFFFF, _token_int(family), _token_int(variant),
+            _token_int(int(budget))]
+
+
 def rep_seed(master: int, family: str, variant: str, budget: int,
              rep: int) -> np.random.SeedSequence:
-    """Entropy for one replication, stable across chunkings and platforms."""
+    """Entropy for one replication, stable across chunkings and platforms.
+
+    The replication's streams are its ``spawn(2)`` children: the instance
+    stream (``spawn_key=(0,)``) and the run stream (``spawn_key=(1,)``).
+    """
     return np.random.SeedSequence(
-        [int(master) & 0xFFFFFFFF, _token_int(family), _token_int(variant),
-         _token_int(int(budget)), int(rep)])
+        _point_entropy(master, family, variant, budget) + [int(rep)])
+
+
+def _stream(entropy: list[int], key: int) -> np.random.Generator:
+    """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of the
+    replication with this entropy, built without its parent."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy, spawn_key=(key,))))
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +162,19 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     cache = DesignCache() if fixed else None
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
+    point = _point_entropy(task.seed, task.family, task.spec.name,
+                           task.config.budget)
     for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
         jobs = []
         for r in range(lo, min(lo + LOCKSTEP_BATCH, task.stop)):
-            ss = rep_seed(task.seed, task.family, task.spec.name,
-                          task.config.budget, r)
-            inst_ss, run_ss = ss.spawn(2)
+            entropy = point + [r]
             try:
-                inst = (task.source if fixed
-                        else task.source(np.random.default_rng(inst_ss)))
+                inst = task.source if fixed else task.source(_stream(entropy, 0))
             except FbbaiError:
                 aborts += 1
                 continue
             config = configs[task.spec.model or _default_model(inst)]
-            jobs.append((inst, config, np.random.default_rng(run_ss)))
+            jobs.append((inst, config, _stream(entropy, 1)))
         for result in gse_lockstep(jobs, cache):
             if isinstance(result, FbbaiError):
                 aborts += 1

@@ -225,20 +225,45 @@ def noiseless(instance: BanditInstance) -> BanditInstance:
 # ---------------------------------------------------------------------------
 
 
+def draw_noise(instance: BanditInstance, n: int,
+               rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The one generator call behind ``n`` rewards of ``instance``: ``n``
+    uniforms for Bernoulli rewards, ``n`` Gaussian noise terms, or no call
+    and ``None`` for noiseless Gaussian rewards.  ``rewards_of`` turns the
+    draws into rewards."""
+    if instance.bernoulli:
+        return rng.random(n)
+    if instance.noise_sigma2 == 0.0:
+        return None
+    return rng.normal(0.0, math.sqrt(instance.noise_sigma2), n)
+
+
+def rewards_of(bernoulli: bool, mu: np.ndarray,
+               draws: Optional[np.ndarray]) -> np.ndarray:
+    """Rewards of pulls with means ``mu`` from their ``draw_noise`` draws:
+    the hits ``draws < mu`` as booleans for Bernoulli rewards, else
+    ``mu + draws`` (``mu`` itself when ``draws`` is ``None``).  Elementwise,
+    so the rewards of many pulls are those of each pull alone."""
+    if bernoulli:
+        return draws < mu
+    return mu if draws is None else mu + draws
+
+
 def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
                    rng: np.random.Generator) -> np.ndarray:
     """Draw one reward per entry of ``arm_ids`` (repeats allowed), in order.
 
-    With ``noise_sigma2 == 0`` and Gaussian noise the exact means are
-    returned, which is the deterministic mode used by noiseless checks.
+    Bernoulli rewards are 0.0 or 1.0.  With ``noise_sigma2 == 0`` and
+    Gaussian noise the exact means are returned, which is the deterministic
+    mode used by noiseless checks.  The run's stage loop draws through
+    ``draw_noise`` and ``rewards_of`` too, so this is the per-pull
+    reference of its reward sums.
     """
     idx = np.asarray(arm_ids, dtype=int)
     mu = instance.means[idx]
-    if instance.bernoulli:
-        return (rng.random(idx.shape[0]) < mu).astype(float)
-    if instance.noise_sigma2 == 0.0:
-        return mu.copy()
-    return mu + rng.normal(0.0, math.sqrt(instance.noise_sigma2), idx.shape[0])
+    return np.asarray(rewards_of(instance.bernoulli, mu,
+                                 draw_noise(instance, idx.shape[0], rng)),
+                      dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,63 @@ def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
         assert straddling > 0  # some ties fell on the elimination cut
 
 
+def per_pull_sums(inst, plan, rng):
+    """Reference reward sums of a plan: one ``sample_rewards`` draw per
+    pull, in explore's order, summed by ``np.bincount``."""
+    ids = np.asarray(plan.arms.original_ids)
+    arm_of_pull = np.repeat(np.arange(ids.size), plan.counts)
+    return np.bincount(arm_of_pull,
+                       weights=sample_rewards(inst, ids[arm_of_pull], rng),
+                       minlength=ids.size)
+
+
+class TestExploreStack:
+    """``explore_stack`` sums bit for bit as the per-pull reference does on
+    a replayed generator, and leaves each generator where the reference
+    leaves it.  Every stack has eight active arms."""
+
+    GAUSS = gen_sphere_instance(8, 3, np.random.default_rng(1), sigma2=2.0)
+    BERN = gen_logistic_instance(8, 5, np.random.default_rng(2))
+    GRID = glm_grid_instance(8, 0.75)
+    WIDE = gen_static_instance(0.5, K=12, sigma2=4.0)  # active ids below
+    SUBSET = (0, 2, 3, 5, 7, 8, 10, 11)
+    EIGHT = tuple(range(8))
+
+    CASES = {
+        "gaussian": [(GAUSS, EIGHT, 40, "fw-g"), (WIDE, SUBSET, 20, "uniform")],
+        "bernoulli": [(BERN, EIGHT, 40, "fw-g"), (GRID, EIGHT, 21, "uniform")],
+        "noiseless": [(noiseless(GAUSS), EIGHT, 40, "fw-g"),
+                      (noiseless(WIDE), SUBSET, 20, "uniform")],
+        # fewer uniform pulls than arms: the last arms get none
+        "zero-counts": [(BERN, EIGHT, 6, "uniform"), (GAUSS, EIGHT, 5, "uniform"),
+                        (noiseless(GAUSS), EIGHT, 3, "uniform")],
+        "mixed": [(GRID, EIGHT, 21, "uniform"), (GAUSS, EIGHT, 40, "fw-g"),
+                  (noiseless(WIDE), SUBSET, 20, "uniform"),
+                  (BERN, EIGHT, 6, "uniform"), (GAUSS, EIGHT, 5, "uniform")],
+        # 40 jobs of 1000 pulls: three blocks of DRAW_BLOCK pulls or fewer
+        "blocks": [(GRID, EIGHT, 1000, "uniform"),
+                   (WIDE, SUBSET, 1000, "fw-g")] * 20,
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sums_match_per_pull_draws(self, case):
+        asks = self.CASES[case]
+        plans = [DesignCache().plan(inst, ids, n, strategy)
+                 for inst, ids, n, strategy in asks]
+        if case == "zero-counts":
+            assert all((plan.counts == 0).any() for plan in plans)
+        if case == "blocks":
+            assert sum(plan.counts.sum() for plan in plans) > 2 * gse_mod.DRAW_BLOCK
+        rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
+        sums = gse_mod.explore_stack([(ask[0], plan, rng) for ask, plan, rng
+                                      in zip(asks, plans, rngs)])
+        assert sums.shape == (len(asks), 8)
+        for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
+            replay = np.random.default_rng(100 + g)
+            assert sums[g].tobytes() == per_pull_sums(inst, plan, replay).tobytes()
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+
 class TestGseRun:
     @pytest.mark.parametrize("strategy", ["uniform", "fw-g", "static"])
     def test_noiseless_run_finds_the_best_arm(self, strategy):

@@ -196,6 +196,66 @@ class TestGoldenTallies:
                 h.update(repr(t.survivors).encode())
         assert h.hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("family, params, variant, budget, model, tally, digest", [
+        ("sphere", {"K": 32, "d": 10}, "gse-fwg", 1280, "linear", 18,
+         "71c09f762b12452b"),
+        ("sphere", {"K": 32, "d": 10}, "gse-uniform", 100, "linear", 6,
+         "52568709122acf27"),
+        ("logistic", {"K": 16, "d": 5}, "gse-uniform", 40, "logistic", 9,
+         "9d5034cda51bb32e"),
+    ], ids=["sphere-fwg", "sphere-uniform", "logistic-uniform"])
+    def test_recorded_generator_points(self, family, params, variant, budget,
+                                       model, tally, digest):
+        """Generator families: a new instance per replication, fitted
+        stages (m > d_t), and under uniform counts of fewer than m pulls,
+        arms with no pull.  The tally and a digest of all 50 runs were
+        recorded with per-job draws (``sample_rewards``) and each
+        replication's streams spawned from ``rep_seed``."""
+        source = family_source(family, params)
+        res = mc_accuracy(source, variant, budget, 50, 7, family=family,
+                          workers=1)
+        assert (res.successes, res.aborts) == (tally, 0)
+        config = GseConfig(budget, strategy=VARIANTS[variant].strategy,
+                           model=model)
+        jobs = []
+        for r in range(50):
+            inst_ss, run_ss = rep_seed(7, family, variant, budget, r).spawn(2)
+            jobs.append((source(np.random.default_rng(inst_ss)), config,
+                         np.random.default_rng(run_ss)))
+        h = hashlib.sha256()
+        for run in gse_lockstep(jobs):
+            h.update(repr(run.recommended).encode())
+            for t in run.traces:
+                h.update(t.counts.tobytes())
+                h.update(t.mu_hat.tobytes())
+                h.update(repr(t.survivors).encode())
+        assert h.hexdigest()[:16] == digest
+
+
+class TestReplicationStreams:
+    def test_streams_are_the_spawned_children_of_rep_seed(self, monkeypatch):
+        """A replication's instance and run streams are the ``spawn(2)``
+        children of its ``rep_seed``, however the harness builds them."""
+        seen, runs = [], []
+
+        def source(rng):
+            seen.append(rng.bit_generator.state)
+            return gen_logistic_instance(4, 2, rng)
+
+        lockstep = harness_mod.gse_lockstep
+
+        def recording(jobs, cache=None):
+            runs.extend(rng.bit_generator.state for _, _, rng in jobs)
+            return lockstep(jobs, cache)
+
+        monkeypatch.setattr(harness_mod, "gse_lockstep", recording)
+        mc_accuracy(source, "gse-fwg", 40, 5, 11, family="rec", workers=1)
+        assert len(seen) == len(runs) == 5
+        for r in range(5):
+            inst_ss, run_ss = rep_seed(11, "rec", "gse-fwg", 40, r).spawn(2)
+            assert seen[r] == np.random.default_rng(inst_ss).bit_generator.state
+            assert runs[r] == np.random.default_rng(run_ss).bit_generator.state
+
 
 class TestBenchTracer:
     """``bench/tracer.py`` patches package functions by name, so a refactor
