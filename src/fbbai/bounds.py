@@ -24,6 +24,7 @@ from .gse import RunResult
 from .instances import BanditInstance
 
 DEFAULT_PROBES = 100_000
+PROBE_SEED = 0  # seed of oracle_c_min's probe directions
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,20 @@ def bound_glm_general(inputs: BoundInputs) -> float:
 
 
 def oracle_c_min(instance: BanditInstance, radius: float = 0.5,
-                 n_probes: int = DEFAULT_PROBES,
-                 rng: Optional[np.random.Generator] = None) -> float:
+                 n_probes: int = DEFAULT_PROBES) -> float:
     """Smallest mean-function derivative near the true parameter.
 
     Probes the sphere of the given radius around theta_star (plus the
-    center itself) and minimizes the derivative over arms and probes.
+    center itself) in directions drawn from ``PROBE_SEED`` and minimizes
+    the derivative over arms and probes.
     Linear instances return exactly 1.
     """
     if instance.model == "linear":
         return 1.0
     if radius < 0.0:
         raise UndefinedBoundError("probe radius must be nonnegative")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_probes, instance.dim))
+    dirs = np.random.default_rng(PROBE_SEED).standard_normal(
+        (n_probes, instance.dim))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
     thetas = instance.theta_star + radius * (dirs / norms[:, None])

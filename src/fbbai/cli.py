@@ -40,7 +40,6 @@ FAMILY_DEFAULTS = {
     "sphere": {"K": 16, "d": 10},
     "logistic": {"K": 8, "d": 10},
     "corner": {"K": 10},
-    "csv": {"model": "linear", "sigma2": 1.0},
 }
 # the options a family cannot run without
 FAMILY_REQUIRED = {"adaptive": ("d",), "csv": ("features", "theta")}

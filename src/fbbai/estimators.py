@@ -13,6 +13,8 @@ from .instances import IDENTITY, MeanFunction
 
 COND_LIMIT = 1e12
 RESIDUAL_RTOL = 1e-8
+IRLS_TOL = 1e-8     # score norm at which IRLS has converged
+IRLS_RIDGE = 1e-10  # ridge added to each IRLS Jacobian
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,15 @@ def least_squares(data: RegressionData) -> ParameterEstimate:
     return ParameterEstimate(theta_hat=theta, covariance=V, converged=True, iterations=1)
 
 
-def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
-             max_iter: int = 100, ridge: float = 1e-10) -> ParameterEstimate:
+def irls_glm(data: RegressionData, mean_fn: MeanFunction,
+             max_iter: int = 100) -> ParameterEstimate:
     """Maximum quasi-likelihood fit for a monotone mean function.
 
     Newton/IRLS iterations drive the score sum_i (S_i - c_i h(x_i' theta)) x_i
     to zero, S_i being the reward sum of row i over its c_i pulls, halving
-    the step while the score norm fails to decrease.  The Jacobian is
-    sum_i c_i h'(x_i' theta) x_i x_i' plus a ridge, which stabilizes each
-    inner solve only; it is not part of the objective.
+    the step while the score norm fails to decrease, until it is at most
+    ``IRLS_TOL``.  The Jacobian is sum_i c_i h'(x_i' theta) x_i x_i' plus
+    a ridge ``IRLS_RIDGE``, which stabilizes each inner solve only.
 
     Returns ``converged=False`` with the best iterate if ``max_iter`` is
     reached, which is the expected outcome on separable Bernoulli data.
@@ -150,11 +152,11 @@ def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
     merit = float(np.linalg.norm(s))
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if merit <= tol:
+        if merit <= IRLS_TOL:
             return ParameterEstimate(theta_hat=theta, covariance=V,
                                      converged=True, iterations=iterations - 1)
         weights = counts * np.asarray(mean_fn.derivative(xs @ theta), dtype=float)
-        J = _info_matrix(weights, xs) + ridge * np.eye(d)
+        J = _info_matrix(weights, xs) + IRLS_RIDGE * np.eye(d)
         try:
             step = np.linalg.solve(J, s)
         except np.linalg.LinAlgError as exc:
@@ -173,7 +175,7 @@ def irls_glm(data: RegressionData, mean_fn: MeanFunction, tol: float = 1e-8,
             raise EstimationFailureError(
                 f"IRLS diverged: score norm {merit:.3e} not reducible after 30 halvings")
         theta, s, merit = cand, cand_s, cand_merit
-    converged = merit <= tol
+    converged = merit <= IRLS_TOL
     return ParameterEstimate(theta_hat=theta, covariance=V,
                              converged=converged, iterations=iterations)
 

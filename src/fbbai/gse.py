@@ -35,7 +35,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -129,11 +129,9 @@ class StagePlan:
 
 
 class DesignCache:
-    """Memo of stage plans keyed by (active ids, stage budget, strategy).
-
-    Projection, design solving and rounding are deterministic functions of
-    those three for a fixed instance, so its replications can share the
-    work; a cache serves one instance.
+    """Memo of stage plans keyed by (instance, active ids, stage budget,
+    strategy): a stage fixes its projection, design and rounding before it
+    sees a reward, so runs of one instance or of many can share a cache.
     """
 
     def __init__(self) -> None:
@@ -143,7 +141,7 @@ class DesignCache:
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arms ``ids``; raises
         ``ConfigurationError`` if ``n`` is below their span dimension."""
-        (plan,) = _plan_stages([(self, instance, ids, n, strategy)])
+        (plan,) = _plan_stages(self, [(instance, ids, n, strategy)])
         if isinstance(plan, FbbaiError):
             raise plan
         return plan
@@ -154,107 +152,76 @@ class DesignCache:
         # design.cache; called on the class, which the tracer's patch keeps
         return fw_g_optimal_stack(arms)
 
-    def _store(self, key: tuple, arms: ProjectedArmSet, counts: np.ndarray,
-               design: Optional[Design], saturated: bool) -> StagePlan:
-        counts.flags.writeable = False
-        plan = self._plans[key] = StagePlan(arms, counts, design, saturated)
-        return plan
 
-
-PlanRequest = tuple[DesignCache, BanditInstance, tuple[int, ...], int, str]
-
-
-class _Miss(NamedTuple):
-    """A plan no cache holds yet, with the requests waiting for it."""
-
-    cache: DesignCache
-    instance: BanditInstance
-    key: tuple  # (ids, n, strategy)
-    requests: list
-
-
-def _plan_stages(requests: Sequence[PlanRequest],
+def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
                  ) -> list[Union[StagePlan, FbbaiError]]:
-    """The plan of each (cache, instance, ids, n, strategy) request.
+    """The plan of each (instance, ids, n, strategy) key, from ``cache``.
 
-    A miss is built once per cache and key, and the misses are built as
-    stacks: the active arms are projected onto their span by one stacked
-    SVD per (m, d) shape and checked against ``n``; the ``fw-g`` designs
-    are solved, rounded and tested for saturation as one stack per (m, d_t)
-    shape, while uniform counts are set per miss.  Every stacked kernel
-    gives each miss the bits of its lone computation.  A miss that raises
-    gives its error to every request for it and stores nothing.
+    The keys the cache lacks are built once each, as stacks: the active
+    arms are projected onto their span by one stacked SVD per (m, d) shape
+    and checked against ``n``; the ``fw-g`` designs are solved, rounded and
+    tested for saturation as one stack per (m, d_t) shape, while uniform
+    counts are set per key.  Every stacked kernel gives each key the bits
+    of its lone computation.  The new plans are stored with read-only
+    counts; a key whose build raises gets its error, which is not stored.
     """
-    plans: list = [None] * len(requests)
-    misses: dict = {}
-    for r, (cache, instance, ids, n, strategy) in enumerate(requests):
-        key = (ids, n, strategy)
-        hit = cache._plans.get(key)
-        if hit is not None:
-            plans[r] = hit
-        else:
-            miss = misses.setdefault((id(cache), key),
-                                     _Miss(cache, instance, key, []))
-            miss.requests.append(r)
-
-    def settle(miss: _Miss, plan) -> None:
-        for r in miss.requests:
-            plans[r] = plan
-
-    by_shape = defaultdict(list)  # (m, d) -> misses
-    for miss in misses.values():
-        by_shape[len(miss.key[0]), miss.instance.dim].append(miss)
-    unsolved = defaultdict(list)  # (m, d_t) -> (miss, arms) waiting for a design
-    counted = defaultdict(list)   # (m, d_t) -> (miss, arms, counts, design)
+    plans = cache._plans
+    failed: dict = {}
+    by_shape = defaultdict(list)  # (m, d) -> keys to build
+    for key in dict.fromkeys(keys):
+        if key not in plans:
+            by_shape[len(key[1]), key[0].dim].append(key)
+    unsolved = defaultdict(list)  # (m, d_t) -> (key, arms) waiting for a design
+    counted = defaultdict(list)   # (m, d_t) -> (key, arms, counts, design)
     for group in by_shape.values():
         projections = project_to_span_stack(
-            np.stack([miss.instance.features.take(miss.key[0], axis=0)
-                      for miss in group]),
-            [miss.key[0] for miss in group])
-        for miss, arms in zip(group, projections):
-            _, n, strategy = miss.key
+            np.stack([instance.features.take(ids, axis=0)
+                      for instance, ids, _, _ in group]),
+            [ids for _, ids, _, _ in group])
+        for key, arms in zip(group, projections):
+            _, _, n, strategy = key
             if isinstance(arms, FbbaiError):
-                settle(miss, arms)
+                failed[key] = arms
             elif n < arms.dim:
-                settle(miss, ConfigurationError(
-                    f"per-stage budget {n} cannot span dimension {arms.dim}"))
+                failed[key] = ConfigurationError(
+                    f"per-stage budget {n} cannot span dimension {arms.dim}")
             elif strategy == "uniform":
                 base, rem = divmod(n, arms.n_arms)
                 counts = np.full(arms.n_arms, base, dtype=int)
                 counts[:rem] += 1  # equal remainders; lowest indices win
-                counted[arms.projected.shape].append((miss, arms, counts, None))
+                counted[arms.projected.shape].append((key, arms, counts, None))
             else:
-                unsolved[arms.projected.shape].append((miss, arms))
+                unsolved[arms.projected.shape].append((key, arms))
     for shape, group in unsolved.items():
         designs = DesignCache.design(np.stack([arms.projected for _, arms in group]))
         solved = []
-        for (miss, arms), design in zip(group, designs):
+        for (key, arms), design in zip(group, designs):
             if isinstance(design, FbbaiError):
-                settle(miss, design)
+                failed[key] = design
             else:
-                solved.append((miss, arms, design))
+                solved.append((key, arms, design))
         if not solved:
             continue
         rounded = round_allocation_stack(
-            np.array([miss.key[1] for miss, _, _ in solved]),
+            np.array([key[2] for key, _, _ in solved]),
             np.array([design.weights for _, _, design in solved]))
-        for (miss, arms, design), counts in zip(solved, rounded):
+        for (key, arms, design), counts in zip(solved, rounded):
             if isinstance(counts, BudgetTooSmallError):  # retry alone
                 try:
-                    counts = allocate_budget(miss.key[1], design, arms.projected)
+                    counts = allocate_budget(key[2], design, arms.projected)
                 except FbbaiError as exc:
-                    settle(miss, exc)
+                    failed[key] = exc
                     continue
-            counted[shape].append((miss, arms, counts, design))
+            counted[shape].append((key, arms, counts, design))
     for (m, dim), group in counted.items():
         # saturated: m = d_t and V passes the linear fit's condition test
         saturated = [False] * len(group) if m != dim else well_conditioned(
             _info_matrix(np.array([counts for _, _, counts, _ in group]),
                          np.array([arms.projected for _, arms, _, _ in group])))
-        for (miss, arms, counts, design), sat in zip(group, saturated):
-            settle(miss, miss.cache._store(miss.key, arms, counts, design,
-                                           bool(sat)))
-    return plans
+        for (key, arms, counts, design), sat in zip(group, saturated):
+            counts.flags.writeable = False
+            plans[key] = StagePlan(arms, counts, design, bool(sat))
+    return [failed[key] if key in failed else plans[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +423,6 @@ class _Run:
     instance: BanditInstance
     config: GseConfig
     rng: np.random.Generator
-    cache: DesignCache
     schedule: StageSchedule
     active: tuple[int, ...]
     traces: list
@@ -478,9 +444,10 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
     together.  Each job draws from its own generator, in the order a lone
     run draws, and every stacked step gives it the bits of its lone
     computation, so its result does not depend on the other jobs.  The
-    jobs share ``cache`` (which then serves their one instance), or else
-    each gets its own.  A package error ends only the job that raised it
-    and takes the place of its result.
+    jobs share ``cache``, or else one cache made for this call; plans are
+    keyed by instance, so jobs of different instances can share it too.
+    A package error ends only the job that raised it and takes the place
+    of its result.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
@@ -497,15 +464,15 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
         except FbbaiError as exc:
             results[slot] = exc
             continue
-        runs.append(_Run(slot, instance, config, rng,
-                         DesignCache() if cache is None else cache, schedule,
+        runs.append(_Run(slot, instance, config, rng, schedule,
                          tuple(range(instance.n_arms)), []))
+    cache = DesignCache() if cache is None else cache
     t = 0
     while runs:
         t += 1
-        plans = _plan_stages([(run.cache, run.instance, run.active,
-                               run.schedule.per_stage_budget, run.config.strategy)
-                              for run in runs])
+        plans = _plan_stages(cache, [(run.instance, run.active,
+                                      run.schedule.per_stage_budget,
+                                      run.config.strategy) for run in runs])
         stage = defaultdict(list)  # (m, arms kept) -> (run, plan)
         for run, plan in zip(runs, plans):
             if isinstance(plan, FbbaiError):

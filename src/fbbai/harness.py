@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
@@ -35,10 +35,6 @@ from .instances import (BanditInstance, gen_adaptive_instance,
 InstanceSource = Union[BanditInstance, Callable[[np.random.Generator], BanditInstance]]
 
 WORKERS_ENV = "FBBAI_WORKERS"
-
-CSV_COLUMNS = ("family", "variant", "param_name", "param_value", "R",
-               "successes", "accuracy", "stderr", "bound_delta", "aborts",
-               "wall_time_s")
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +151,9 @@ LOCKSTEP_BATCH = 1000  # replications per gse_lockstep call: bounds a chunk's me
 
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
-    lockstep batches of at most ``LOCKSTEP_BATCH`` that share one design
-    cache for a fixed instance; an instance generator's package error
-    aborts its replication."""
+    lockstep batches of at most ``LOCKSTEP_BATCH``; a fixed instance's
+    batches share one design cache, a generator's keep plans for one batch
+    only, and a generator's package error aborts its replication."""
     fixed = isinstance(task.source, BanditInstance)
     cache = DesignCache() if fixed else None
     configs = {model: replace(task.config, model=model) for model in MODELS}
@@ -249,17 +245,16 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
 
 
 def _gen_sphere(rng: np.random.Generator, K: int, d: int,
-                sigma2: float = 10.0) -> BanditInstance:
-    return gen_sphere_instance(K, d, rng, sigma2=sigma2)
+                **kw) -> BanditInstance:
+    return gen_sphere_instance(K, d, rng, **kw)
 
 
 def _gen_logistic(rng: np.random.Generator, K: int, d: int) -> BanditInstance:
     return gen_logistic_instance(K, d, rng)
 
 
-def _gen_corner(rng: np.random.Generator, K: int,
-                sigma2: float = 1.0) -> BanditInstance:
-    return gen_corner_instance(K, rng, sigma2=sigma2)
+def _gen_corner(rng: np.random.Generator, K: int, **kw) -> BanditInstance:
+    return gen_corner_instance(K, rng, **kw)
 
 
 def family_source(family: str, params: dict) -> InstanceSource:
@@ -306,7 +301,7 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One output record; column order follows CSV_COLUMNS."""
+    """One output record; its fields, in order, are the CSV_COLUMNS."""
 
     family: str
     variant: str
@@ -319,6 +314,9 @@ class SweepRow:
     bound_delta: float
     aborts: int
     wall_time_s: float
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 
 @dataclass(frozen=True)

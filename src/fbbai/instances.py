@@ -30,6 +30,8 @@ import numpy as np
 from .errors import DegenerateInputError
 
 MAX_RESAMPLE = 100
+RANK_TOL = 1e-9  # relative singular-value cutoff of the numerical rank
+MONOTONE_GRID = (-20.0, 20.0, 2001)  # (lo, hi, points) of check_monotone
 
 # ---------------------------------------------------------------------------
 # Mean functions
@@ -54,9 +56,9 @@ class MeanFunction:
     derivative: Callable[[np.ndarray], np.ndarray]
     name: str
 
-    def check_monotone(self, lo: float = -20.0, hi: float = 20.0, num: int = 2001) -> bool:
-        """Probe strict monotonicity of ``value`` on a grid of ``num`` points."""
-        zs = np.linspace(lo, hi, num)
+    def check_monotone(self) -> bool:
+        """Probe strict monotonicity of ``value`` on ``MONOTONE_GRID``."""
+        zs = np.linspace(*MONOTONE_GRID)
         vals = np.asarray(self.value(zs), dtype=float)
         return bool(np.all(np.diff(vals) > 0.0))
 
@@ -97,7 +99,7 @@ LOGISTIC = MeanFunction(value=_logistic, derivative=_logistic_deriv, name="logis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BanditInstance:
     """A fixed-budget best-arm identification problem.
 
@@ -119,6 +121,8 @@ class BanditInstance:
         mean plus Gaussian noise. Requires means inside [0, 1].
     name : str
         Label used in result tables.
+
+    Instances hash and compare by identity, so they can key plan memos.
     """
 
     features: np.ndarray
@@ -294,22 +298,20 @@ class ProjectedArmSet:
 
 
 def project_to_span(active_features: np.ndarray,
-                    ids: Optional[Sequence[int]] = None,
-                    rank_tol: float = 1e-9) -> ProjectedArmSet:
+                    ids: Optional[Sequence[int]] = None) -> ProjectedArmSet:
     """Project active arm rows onto an orthonormal basis of their row span.
 
     Pairwise inner products are preserved because every row already lies in
     the span being factored out, so estimation in the reduced space is
     equivalent to estimation in the ambient space restricted to that span.
-    This is ``project_to_span_stack`` on a stack of one.
+    The numerical rank counts the singular values above ``RANK_TOL`` times
+    the largest.  This is ``project_to_span_stack`` on a stack of one.
 
     Parameters
     ----------
     active_features : ndarray of shape (m, d)
     ids : sequence of int, optional
         Original arm indices for the rows; defaults to 0..m-1.
-    rank_tol : float
-        Relative singular-value cutoff defining the numerical rank.
 
     Raises
     ------
@@ -320,14 +322,13 @@ def project_to_span(active_features: np.ndarray,
     if A.ndim != 2 or A.shape[0] == 0:
         raise DegenerateInputError("active_features must be a nonempty 2-d array")
     (arms,) = project_to_span_stack(
-        A[None], [range(A.shape[0]) if ids is None else ids], rank_tol)
+        A[None], [range(A.shape[0]) if ids is None else ids])
     if isinstance(arms, DegenerateInputError):
         raise arms
     return arms
 
 
 def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
-                          rank_tol: float = 1e-9,
                           ) -> list[ProjectedArmSet | DegenerateInputError]:
     """``project_to_span`` of each (m, d) arm set in a (B, m, d) stack.
 
@@ -351,7 +352,7 @@ def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
         raise DegenerateInputError("ids must match the number of rows")
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     # singular values descend, so the kept ones are a prefix
-    ranks = (svals > rank_tol * svals[:, :1]).sum(axis=1)
+    ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
     nonzero = np.any(np.abs(A) > 0.0, axis=(1, 2))
     out: list = [None if keep else DegenerateInputError(
         "cannot project an all-zero arm set") for keep in nonzero]

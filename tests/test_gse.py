@@ -301,6 +301,18 @@ class TestGseRun:
         assert a.recommended == b.recommended
         assert np.array_equal(a.traces[0].mu_hat, b.traces[0].mu_hat)
 
+    def test_a_cache_used_by_another_instance_does_not_change_the_run(self):
+        rng = np.random.default_rng(3)
+        a, b = gen_sphere_instance(8, 3, rng), gen_sphere_instance(8, 3, rng)
+        cfg = GseConfig(budget=120)
+        cache = DesignCache()
+        gse_run(a, cfg, np.random.default_rng(0), cache)
+        shared = gse_run(b, cfg, np.random.default_rng(1), cache)
+        alone = gse_run(b, cfg, np.random.default_rng(1))
+        assert run_summary(shared) == run_summary(alone)
+        assert np.array_equal(shared.traces[0].arms.projected,
+                              project_to_span(b.features).projected)
+
     def test_remainder_is_dropped_by_default(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
         result = gse_run(inst, GseConfig(budget=13, strategy="uniform"),
@@ -479,22 +491,20 @@ class TestLockstep:
     def test_any_batching_matches_lone_runs(self, specs, cuts, shared):
         lone = [lone_summary(make_job(*spec)) for spec in specs]
         bounds = [0] + sorted(c for c in cuts if c < len(specs)) + [len(specs)]
+        # shared: one cache for every batch and all their instances
+        cache = DesignCache() if shared else None
         got = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             batch = [make_job(*spec) for spec in specs[lo:hi]]
-            if shared:  # one cache per instance, as the harness shares one
-                groups = {}
-                for k, job in enumerate(batch):
-                    groups.setdefault(id(job[0]), []).append(k)
-                results = [None] * len(batch)
-                for ks in groups.values():
-                    for k, res in zip(ks, gse_lockstep([batch[k] for k in ks],
-                                                       DesignCache())):
-                        results[k] = res
-            else:
-                results = gse_lockstep(batch)
-            got += [run_summary(res) for res in results]
+            got += [run_summary(res) for res in gse_lockstep(batch, cache)]
         assert got == lone
+
+    def test_one_cache_keeps_a_batch_of_instances_apart(self):
+        # two sphere and two logistic instances whose stage keys collide
+        specs = [(0, 1), (0, 2), (4, 1), (4, 2)]
+        got = gse_lockstep([make_job(*spec) for spec in specs], DesignCache())
+        assert [run_summary(res) for res in got] == [
+            lone_summary(make_job(*spec)) for spec in specs]
 
     def test_misses_are_solved_once_per_key_and_stacked_per_shape(
             self, monkeypatch):
@@ -543,12 +553,8 @@ class TestLockstep:
             (zeros, (0, 1, 2), 10, "fw-g"),
             (FIXED["static"], (0, 3, 5, 6), 40, "fw-g"),  # saturated
         ]
-        caches = {}
-        batch = gse_mod._plan_stages([
-            (caches.setdefault(id(inst), DesignCache()), inst, ids, n, strategy)
-            for inst, ids, n, strategy in asks])
-        alone = [gse_mod._plan_stages([(DesignCache(), inst, ids, n, strategy)])[0]
-                 for inst, ids, n, strategy in asks]
+        batch = gse_mod._plan_stages(DesignCache(), asks)
+        alone = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
         assert batch[repeated] is batch[first]
         assert [plan_summary(p) for p in batch] == [plan_summary(p) for p in alone]
         assert {plan_summary(p) for p in batch} >= {

@@ -1,5 +1,6 @@
 """Instance containers, reward sampling, span projection, and generators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestBanditInstance:
                               theta_star=np.array([1.0, 0.0]))
         assert not inst.has_unique_best()
         assert inst.best_arm == 0  # lowest index wins the tie
+
+    def test_instances_hash_and_compare_by_identity(self):
+        inst = triangle_instance()
+        twin = dataclasses.replace(inst)  # equal fields, another instance
+        assert inst == inst and inst != twin
+        plans = {inst: "a", twin: "b"}
+        assert plans[inst] == "a" and plans[twin] == "b"
 
     @pytest.mark.parametrize("kwargs", [
         dict(features=np.ones(3), theta_star=np.ones(3)),
