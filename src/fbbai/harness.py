@@ -5,6 +5,11 @@ variant, budget, replication index), so results are identical no matter
 how replications are split across worker processes.  Aborted replications
 (any package error during a run) count as failures and are tallied
 separately.
+
+Pooled points share one process-wide pool: its workers are forked once per
+worker count, reused by every later point with that count, and closed at
+interpreter exit.  Each task carries all of its inputs, so parent state
+patched after the first pooled call does not reach the workers.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Union
@@ -195,6 +201,49 @@ def resolve_workers(workers: Optional[int]) -> int:
             f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
 
 
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None  # (workers, pool)
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, waiting for its workers to exit."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's pool is not ours to use or close."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
+    # The executor exposes neither its workers nor its broken flag, and its
+    # thread may not yet have seen a worker that died since the last call;
+    # polling the workers finds (and reaps) a dead one at once.
+    alive = all(p.is_alive() for p in pool._processes.values())
+    return not alive or bool(pool._broken)
+
+
+def _executor(n: int) -> ProcessPoolExecutor:
+    """The process-wide pool of ``n`` workers, started on first use.
+
+    A kept pool of another size, or one that lost a worker since the last
+    call, is shut down first and waited for, so at most one pool runs and
+    new workers are forked while no pool thread is running.
+    """
+    global _pool
+    if _pool is not None and (_pool[0] != n or _lost_a_worker(_pool[1])):
+        _drop_pool()
+    if _pool is None:
+        _pool = (n, ProcessPoolExecutor(max_workers=n))
+    return _pool[1]
+
+
 def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
                 budget: int, replications: int, seed: int, *,
                 family: str = "custom", eta: float = 2.0,
@@ -208,6 +257,12 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     replication runs.  Its model is the variant's, or else resolved per
     instance: logistic for logistic GLM instances, linear otherwise.  The
     result does not depend on ``workers``.
+
+    With two or more workers and at least two replications per worker, the
+    chunks run on the kept pool of that many workers (forked on first use,
+    reused across points, closed at exit); each task carries its inputs.
+    If a worker dies during the call, ``BrokenProcessPool`` is raised and
+    the next call starts a fresh pool.
     """
     if replications < 1:
         raise ConfigurationError("need at least one replication")
@@ -230,12 +285,15 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
         return McResult(replications, successes, aborts)
     bounds = np.linspace(0, replications, n_workers + 1).astype(int)
     successes = aborts = 0
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for s, a in pool.map(_mc_chunk,
-                             [chunk(int(lo), int(hi))
-                              for lo, hi in zip(bounds[:-1], bounds[1:])]):
+    try:
+        for s, a in _executor(n_workers).map(
+                _mc_chunk, [chunk(int(lo), int(hi))
+                            for lo, hi in zip(bounds[:-1], bounds[1:])]):
             successes += s
             aborts += a
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
     return McResult(replications, successes, aborts)
 
 

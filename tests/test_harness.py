@@ -4,6 +4,14 @@ import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +161,141 @@ class TestMcAccuracy:
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError):
             mc_accuracy(inst, spec, 40, 3, 0, workers=1)
+
+
+def worker_pids():
+    """Pids of this process's live multiprocessing children (reaps the dead)."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def die_in_worker(parent_pid, rng):
+    """A generator source that kills the worker process running it."""
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("ran in the test process, not in a worker")
+
+
+POOL_FIXED = gen_static_instance(0.5, K=4, sigma2=4.0)
+POOL_SOURCES = [
+    pytest.param(POOL_FIXED, id="fixed"),
+    pytest.param(family_source("sphere", {"K": 6, "d": 3}), id="generator"),
+]
+
+
+class TestKeptPool:
+    """Pooled points share one pool per worker count."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        harness_mod._drop_pool()
+        yield
+        harness_mod._drop_pool()
+
+    @staticmethod
+    def tally(source, workers):
+        res = mc_accuracy(source, "gse-fwg", 40, 40, 9, workers=workers)
+        return res.successes, res.aborts
+
+    @pytest.mark.parametrize("source", POOL_SOURCES)
+    def test_consecutive_calls_reuse_the_workers(self, source):
+        serial = self.tally(source, 1)
+        assert worker_pids() == set()
+        assert self.tally(source, 2) == serial
+        pids = worker_pids()
+        assert len(pids) == 2
+        assert self.tally(source, 2) == serial
+        assert worker_pids() == pids
+
+    @pytest.mark.parametrize("source", POOL_SOURCES)
+    def test_a_new_worker_count_replaces_the_pool(self, source):
+        serial = self.tally(source, 1)
+        seen = []
+        for workers in (2, 3, 2):
+            assert self.tally(source, workers) == serial
+            pids = worker_pids()
+            assert len(pids) == workers
+            for old in seen:
+                assert not pids & old
+                assert all(gone(pid) for pid in old)
+            seen.append(pids)
+
+    def test_a_worker_killed_between_calls_is_replaced(self):
+        source = POOL_FIXED
+        serial = self.tally(source, 1)
+        self.tally(source, 2)
+        pids = worker_pids()
+        victim = min(pids)
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while victim in worker_pids():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert self.tally(source, 2) == serial
+        assert not worker_pids() & pids
+
+    def test_a_worker_killed_during_a_call_raises_then_a_fresh_pool_runs(self):
+        source = POOL_FIXED
+        serial = self.tally(source, 1)
+        with pytest.raises(BrokenProcessPool):
+            mc_accuracy(partial(die_in_worker, os.getpid()), "gse-fwg", 40, 8,
+                        0, workers=2)
+        assert harness_mod._pool is None
+        assert self.tally(source, 2) == serial
+
+    def test_a_forked_child_starts_its_own_pool(self):
+        source = POOL_FIXED
+        serial = self.tally(source, 1)
+        self.tally(source, 2)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if self.tally(source, 2) == serial else 2
+                harness_mod._drop_pool()
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the forked child did not finish")
+            time.sleep(0.02)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert self.tally(source, 2) == serial
+
+    def test_a_process_that_ran_a_pooled_point_exits_cleanly(self):
+        script = (
+            "import multiprocessing\n"
+            "from fbbai.harness import mc_accuracy\n"
+            "from fbbai.instances import gen_static_instance\n"
+            "inst = gen_static_instance(0.5, K=4, sigma2=4.0)\n"
+            "for _ in range(3):\n"
+            "    res = mc_accuracy(inst, 'gse-fwg', 40, 40, 9, workers=2)\n"
+            "print(res.successes, res.aborts)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        tally, pids = proc.stdout.splitlines()
+        source = POOL_FIXED
+        assert tuple(map(int, tally.split())) == self.tally(source, 1)
+        pids = [int(pid) for pid in pids.split()]
+        assert len(pids) == 2
+        assert all(gone(pid) for pid in pids)
 
 
 def logistic_grid(K, gap):
