@@ -40,13 +40,15 @@ The loop runs on a stack of same-shape arm sets in lockstep
 item's result is bit-identical to a lone solve because an iteration's
 arithmetic is elementwise or a stacked ``np.matmul`` with one right-hand
 side per item; an ``einsum`` or a multi-right-hand-side solve would sum in
-another order.  The uniform start is one stacked Cholesky, solve and
-norm computation, in which each item meets the same per-item kernels as a
-lone start.  The rare events (the certificate check, the periodic refresh
-of V^-1 and the final g) run per item through the 2-d helpers, and an
-item leaves the stack when it stops.  With d = 1 the first step
-has gamma = 1 and lands on the vertex of the longest arm, so such an item
-takes that vertex in closed form and never enters the loop.
+another order.  The loop starts from uniform weights with every norm at 0,
+so its first certificate test computes the uniform norms: items they
+certify stop at iteration 0, and the rest get V^-1 in the same step.  That
+renewal step serves every rare event (the certificate check, the periodic
+refresh of V^-1 and the norms, and the final g): it recomputes them for
+its items in one stacked call, in which each item meets the same per-item
+kernels as alone.  An item leaves the stack when it stops.  With d = 1 the
+step has gamma = 1 and jumps to the vertex of the largest norm, which the
+next certificate test confirms at iteration 1.
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ def _all_norms(weights: np.ndarray, arms: np.ndarray,
     return np.einsum("...ij,...ij->...j", half, half)
 
 
-def _inverse(V: np.ndarray) -> np.ndarray:
-    """V^{-1}; raises on a matrix that LU finds singular even where the
-    Cholesky factorization of ``_all_norms`` went through."""
+def _inverse(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
+    """V(pi)^{-1}, of a stack too; raises on a matrix that LU finds singular
+    even where the Cholesky factorization of ``_all_norms`` went through."""
     try:
-        return np.linalg.inv(V)
+        return np.linalg.inv(_info_matrix(weights, arms))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("design information matrix is singular") from exc
 
@@ -189,16 +191,15 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
                        tol: float = 0.01) -> list[Design | SingularDesignError]:
     """``fw_g_optimal`` of each arm set in a (B, K, d) stack, in lockstep.
 
-    Entry b is, bit for bit, the design of ``arms[b]`` solved alone: the
-    uniform start is checked for the whole stack at once (item by item
-    only if some item's arms do not span R^d), every iteration does its
-    arithmetic elementwise or as stacked matrix-vector products, and the
-    rare events (the certificate check, the refresh every
-    ``REFRESH_EVERY`` iterations and the final g) run per item through the
-    2-d helpers, and a d = 1 item takes its one step in closed form.  Items
-    leave the stack when they stop.  An entry whose arms are not finite or
-    do not span R^d holds the ``SingularDesignError`` its lone solve
-    raises; the other entries are unaffected.
+    Entry b is, bit for bit, the design of ``arms[b]`` solved alone: every
+    iteration does its arithmetic elementwise or as stacked matrix-vector
+    products, and the rare events (the certificate check, the refresh
+    every ``REFRESH_EVERY`` iterations and the final g) recompute the
+    norms of the items they concern in one stacked call (item by item only
+    if some item's V is singular).  Items leave the stack when they stop.
+    An entry whose arms are not finite or do not span R^d holds the
+    ``SingularDesignError`` its lone solve raises; the other entries are
+    unaffected.
 
     Raises
     ------
@@ -219,75 +220,50 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     target = d * (1.0 + tol) + CERT_SLACK
 
     results: list = [None] * B
-    pi = np.full(K, 1.0 / K)
     finite = np.isfinite(arms).all(axis=(1, 2))
     for b in np.flatnonzero(~finite):
         results[b] = SingularDesignError("arms must be finite")
-    rows = np.flatnonzero(finite)
-    starts = _each(lambda a: _all_norms(pi, a), arms[rows], rows, results)
-    rows = [b for b, start in zip(rows, starts) if start is not None]
-    starts = np.array([x for x in starts if x is not None]).reshape(len(rows), K)
-    live = []
-    for b, start, g in zip(rows, starts, starts.max(axis=1).tolist()):
-        if g <= target:  # uniform weights already certify (e.g. m = d_t)
-            results[b] = Design(weights=pi.copy(), g_value=g, iterations_used=0,
-                                certified=True)
-        elif d == 1 and cap >= 1:
-            # gamma = (u - 1) / (u - 1) = 1: one step to the longest arm
-            vertex = np.zeros(K)
-            vertex[start.argmax()] = 1.0
-            g = float(_all_norms(vertex, arms[b]).max())
-            results[b] = Design(weights=vertex, g_value=g, iterations_used=1,
-                                certified=g <= target)
-        else:
-            live.append((b, start))
-    if live:
-        ids = [b for b, _ in live]
-        Vinv = _each(_inverse, _info_matrix(pi, arms[ids]), ids, results)
-        live = [(b, start, inv) for (b, start), inv in zip(live, Vinv)
-                if inv is not None]
-    if live:
-        ids, norms, Vinv = (np.array(x) for x in zip(*live))
-        _fw_lockstep(arms[ids], norms, Vinv, ids, cap, target, results)
+    ids = np.flatnonzero(finite)
+    if ids.size:
+        _fw_lockstep(arms[ids], ids, cap, target, results)
     return results
-
-
-def _each(fn, stack: np.ndarray, rows, results: list) -> list:
-    """``fn`` of a whole stack, split into items.  If that raises
-    ``SingularDesignError``, ``fn`` of each item alone, with ``None`` for an
-    item that raises and its error in ``results[rows[k]]``."""
-    try:
-        return list(fn(stack))
-    except SingularDesignError:
-        out = []
-        for k, b in enumerate(rows):
-            try:
-                out.append(fn(stack[k]))
-            except SingularDesignError as exc:
-                results[b] = exc
-                out.append(None)
-        return out
 
 
 REFRESH_EVERY = 100  # iterations between recomputations of V^-1 and the norms
 
 
-def _final(pi: np.ndarray, arms: np.ndarray, best_g: float,
-           best_pi: np.ndarray, it: int, target: float) -> Design:
-    """The design of an item stopped without a certificate: the better of
-    its best iterate and its last one."""
-    final_g, _ = g_value_and_argmax(pi, arms)
-    if final_g < best_g:
-        best_g, best_pi = final_g, pi
-    return Design(weights=best_pi.copy(), g_value=float(best_g),
-                  iterations_used=it, certified=bool(best_g <= target))
+def _renew(fn, dest: np.ndarray, rows: np.ndarray, pi: np.ndarray,
+           arms: np.ndarray, out: dict) -> np.ndarray:
+    """``dest[rows] = fn(pi[rows], arms[rows])`` in one stacked call.  If
+    that raises ``SingularDesignError``, ``fn`` of each row alone, with a
+    failing row's error in ``out``; returns the rows that went through."""
+    if not rows.size:
+        return rows
+    try:
+        dest[rows] = fn(pi[rows], arms[rows])
+        return rows
+    except SingularDesignError:
+        for i in rows:
+            try:
+                dest[i] = fn(pi[i], arms[i])
+            except SingularDesignError as exc:
+                out[i] = exc
+        return np.array([i for i in rows if i not in out], dtype=int)
 
 
-def _fw_step(arms, Vinv, norms, pi, flat, uj, gamma):
+def _fw_step(arms, Vinv, norms, pi, flat, uj):
     """Step every row toward its arm ``flat`` (an index into the rows of all
-    items' arms): the Sherman-Morrison update of V^-1 and of the norms, and
-    the new weights."""
+    items' arms) with the determinant step gamma: the Sherman-Morrison
+    update of V^-1 and of the norms, and the new weights."""
     d = arms.shape[2]
+    if d == 1:
+        # gamma = (u - 1) / (u - 1) = 1: the step lands on the vertex, and
+        # norms of 0 make the next certificate test compute its own
+        pi = np.zeros(pi.shape)
+        pi.put(flat, 1.0)
+        return Vinv, np.zeros(norms.shape), pi
+    # d > 1 and u_j > d here, so gamma < 1/d keeps the step in the simplex
+    gamma = (uj / d - 1.0) / (uj - 1.0)
     vx = (Vinv @ arms.reshape(-1, d).take(flat, axis=0)[:, :, None])[:, :, 0]
     w = (arms @ vx[:, :, None])[:, :, 0]
     beta = gamma / (1.0 - gamma)
@@ -303,72 +279,71 @@ def _fw_step(arms, Vinv, norms, pi, flat, uj, gamma):
 
 def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
     """Write the results of the rows in ``out``; return ``ids`` and the
-    arrays without those rows."""
+    arrays without those rows, or None if no row is left."""
     for i, result in out.items():
         results[ids[i]] = result
+    if len(out) == ids.size:
+        return None
     keep = np.ones(ids.size, dtype=bool)
     keep[list(out)] = False
-    out.clear()
     return [a[keep] for a in (ids, *arrays)]
 
 
-def _fw_lockstep(arms, norms, Vinv, ids, cap, target, results) -> None:
-    """Iterate the rows of ``arms`` (d > 1) from uniform weights until each
-    stops, writing its design or error to ``results[ids[row]]``."""
+def _fw_lockstep(arms, ids, cap, target, results) -> None:
+    """Iterate the rows of ``arms`` from uniform weights until each stops,
+    writing its design or error to ``results[ids[row]]``."""
     n, K, d = arms.shape
     pi = np.full((n, K), 1.0 / K)
-    best_g, best_pi = norms.max(axis=1), pi.copy()
+    # norms of 0 pass the certificate test, so iteration 0 computes the
+    # uniform norms, certifies the rows they certify and inverts the rest
+    norms, Vinv = np.zeros((n, K)), np.zeros((n, d, d))
+    best_g, best_pi = np.full(n, np.inf), pi.copy()
     offsets = np.arange(0, n * K, K)  # row starts in the flattened (n, K) arrays
     it = 0
     while True:
         j = norms.argmax(axis=1)
         g_now = norms.take(offsets + j)
         out: dict = {}  # rows that stop at this iteration, with their results
-        for i in (g_now <= target).nonzero()[0]:
+        rows = (g_now <= target).nonzero()[0]
+        if rows.size:
             # confirm on freshly computed values before certifying
-            try:
-                norms[i] = _all_norms(pi[i], arms[i])
-                j[i] = norms[i].argmax()
-                g_now[i] = norms[i, j[i]]
-                if g_now[i] <= target:
-                    out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
-                                    iterations_used=it, certified=True)
-                else:
-                    Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
-            except SingularDesignError as exc:
-                out[i] = exc
+            rows = _renew(_all_norms, norms, rows, pi, arms, out)
+            j[rows] = norms[rows].argmax(axis=1)
+            g_now[rows] = norms[rows, j[rows]]
+            done = g_now[rows] <= target
+            for i in rows[done]:
+                out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
+                                iterations_used=it, certified=True)
+            _renew(_inverse, Vinv, rows[~done], pi, arms, out)
         better = g_now < best_g
         np.copyto(best_g, g_now, where=better)
         np.copyto(best_pi, pi, where=better[:, None])
-        # a row not in out has g_now > target > d, so the stop rule
-        # u_j <= d can only fire on a row whose norms the refresh renews
-        uj = g_now
         if it >= cap or (it > 0 and it % REFRESH_EVERY == 0):
-            uj = g_now.copy()
-            for i in range(ids.size):
-                if i in out:
-                    continue
-                try:
-                    if it < cap:
-                        norms[i] = _all_norms(pi[i], arms[i])
-                        Vinv[i] = _inverse(_info_matrix(pi[i], arms[i]))
-                        j[i] = norms[i].argmax()
-                        uj[i] = norms[i, j[i]]
-                    if it >= cap or uj[i] <= d:
-                        out[i] = _final(pi[i], arms[i], best_g[i], best_pi[i],
-                                        it, target)
-                except SingularDesignError as exc:
-                    out[i] = exc
+            # renew the other rows; at the cap each stops on the better of
+            # its best iterate and its last one, and before it a row stops
+            # when u_j <= d (a row not in out has g_now > target > d, so
+            # only renewed norms can meet that rule)
+            rows = np.delete(np.arange(ids.size), list(out))
+            rows = _renew(_all_norms, norms, rows, pi, arms, out)
+            j[rows] = norms[rows].argmax(axis=1)
+            g_now[rows] = norms[rows, j[rows]]
+            if it < cap:
+                rows = _renew(_inverse, Vinv, rows, pi, arms, out)
+                rows = rows[g_now[rows] <= d]
+            for i in rows:
+                if g_now[i] < best_g[i]:
+                    best_g[i], best_pi[i] = g_now[i], pi[i]
+                out[i] = Design(weights=best_pi[i].copy(), g_value=float(best_g[i]),
+                                iterations_used=it, certified=bool(best_g[i] <= target))
         if out:
-            ids, arms, pi, norms, Vinv, best_g, best_pi, j, uj = _settle(
-                out, results, ids, arms, pi, norms, Vinv, best_g, best_pi, j, uj)
-            if not ids.size:
+            left = _settle(out, results, ids, arms, pi, norms, Vinv, best_g,
+                           best_pi, j, g_now)
+            if left is None:
                 return
+            ids, arms, pi, norms, Vinv, best_g, best_pi, j, g_now = left
             offsets = offsets[:ids.size]
         it += 1
-        # d > 1 here, so gamma < 1/d and the step stays inside the simplex
-        gamma = (uj / d - 1.0) / (uj - 1.0)
-        Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j, uj, gamma)
+        Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j, g_now)
 
 
 # the D-optimal design: the same iteration (see the module docstring)

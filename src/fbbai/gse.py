@@ -373,8 +373,10 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
     tie exactly.  Only when m > d_t, where the fit couples the arms, can
     estimates that are equal in exact arithmetic differ by rounding, and
     then rounding decides the cut.  This is ``eliminate_stack`` on a stack
-    of one.
+    of one.  Raises ``ConfigurationError`` unless eta is finite and
+    exceeds 1, as ``GseConfig`` does.
     """
+    _check_eta(eta)
     m = len(active_ids)
     if mu_hat.shape[0] != m:
         raise ValueError("one estimate per active arm required")

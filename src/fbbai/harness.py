@@ -9,7 +9,9 @@ separately.
 Pooled points share one process-wide pool: its workers are forked once per
 worker count, reused by every later point with that count, and closed at
 interpreter exit.  Each task carries all of its inputs, so parent state
-patched after the first pooled call does not reach the workers.
+patched after the first pooled call does not reach the workers.  A worker
+exits by itself once the process that forked it is gone, even if that
+process was killed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -229,18 +233,33 @@ def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
     return not alive or bool(pool._broken)
 
 
+def _exit_with_owner(owner: int) -> None:
+    """Pool initializer: a daemon thread ends this worker once ``owner``,
+    the process that forked it, is gone (the worker is then re-parented),
+    so a killed owner leaves no sleeping workers holding its pipes open."""
+    def watch() -> None:
+        while os.getppid() == owner:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _executor(n: int) -> ProcessPoolExecutor:
     """The process-wide pool of ``n`` workers, started on first use.
 
     A kept pool of another size, or one that lost a worker since the last
     call, is shut down first and waited for, so at most one pool runs and
-    new workers are forked while no pool thread is running.
+    new workers are forked while no pool thread is running.  Each worker
+    exits on its own within about a second of its owner's death.
     """
     global _pool
     if _pool is not None and (_pool[0] != n or _lost_a_worker(_pool[1])):
         _drop_pool()
     if _pool is None:
-        _pool = (n, ProcessPoolExecutor(max_workers=n))
+        _pool = (n, ProcessPoolExecutor(  # forked, so the owner is their parent
+            max_workers=n, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_owner, initargs=(os.getpid(),)))
     return _pool[1]
 
 

@@ -316,7 +316,7 @@ def project_to_span(active_features: np.ndarray,
     Raises
     ------
     DegenerateInputError
-        If the matrix is empty or entirely zero.
+        If the matrix is empty, entirely zero or not finite.
     """
     A = np.asarray(active_features, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
@@ -333,10 +333,11 @@ def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
     """``project_to_span`` of each (m, d) arm set in a (B, m, d) stack.
 
     Entry b is, bit for bit, the projection of ``features[b]`` alone: one
-    stacked SVD factors every set, each set keeps its own numerical rank,
-    and ``A @ basis`` runs as one stacked product per rank.  An entry that
-    is entirely zero holds the ``DegenerateInputError`` its lone projection
-    raises.
+    stacked SVD factors every set that can be, each set keeps its own
+    numerical rank, and ``A @ basis`` runs as one stacked product per rank.
+    An entry that is entirely zero or not finite holds the
+    ``DegenerateInputError`` its lone projection raises; the other entries
+    are unaffected.
 
     Raises
     ------
@@ -350,18 +351,23 @@ def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
     ids = [tuple(int(i) for i in row) for row in ids]
     if len(ids) != A.shape[0] or any(len(row) != A.shape[1] for row in ids):
         raise DegenerateInputError("ids must match the number of rows")
+    finite = np.isfinite(A).all(axis=(1, 2))
+    usable = finite & np.any(np.abs(A) > 0.0, axis=(1, 2))
+    out: list = [None if ok else DegenerateInputError(
+        "cannot project an all-zero arm set" if fin else "arm set must be finite")
+        for ok, fin in zip(usable.tolist(), finite.tolist())]
+    good = np.flatnonzero(usable)
+    if good.size < len(ids):  # the SVD of a non-finite set would fail them all
+        A = A[good]
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     # singular values descend, so the kept ones are a prefix
     ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
-    nonzero = np.any(np.abs(A) > 0.0, axis=(1, 2))
-    out: list = [None if keep else DegenerateInputError(
-        "cannot project an all-zero arm set") for keep in nonzero]
-    for r in set(ranks[nonzero].tolist()):  # np.unique would import numpy.ma
-        rows = np.flatnonzero(nonzero & (ranks == r))
-        whole = rows.size == len(ids)  # then the stacks need no copy
+    for r in set(ranks.tolist()):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(ranks == r)
+        whole = rows.size == good.size  # then the stacks need no copy
         basis = (vt if whole else vt[rows])[:, :r].transpose(0, 2, 1)
         projected = (A if whole else A[rows]) @ basis
-        for k, b in enumerate(rows):
+        for k, b in enumerate(good[rows].tolist()):
             out[b] = ProjectedArmSet(projected=projected[k], basis=basis[k],
                                      original_ids=ids[b])
     return out

@@ -274,6 +274,80 @@ class TestGoldenDesigns:
             assert same_design(lone, stacked)
 
 
+# caps that stop a solve before, at and after a refresh of V^-1 (every
+# REFRESH_EVERY = 100 iterations), and a tolerance no set here reaches
+CAPS = (0, 1, 2, 99, 100, 101, 250)
+CAP_TOL = 1e-9
+
+
+def cap_corpus():
+    """Arm sets that run into every cap of ``CAPS``, by family: sphere and
+    logistic sets of the golden corpus (some certify at uniform weights)
+    and sets in one dimension."""
+    corpus = golden_corpus()
+    return {"sphere": corpus["sphere"][:4], "logistic": corpus["logistic"],
+            "line": list(np.random.default_rng(5).standard_normal((2, 7, 1)))}
+
+
+# golden_digest of each family's solves, cap-major in CAPS order; recorded
+# before the solver's start and refresh moved into one stacked renewal
+# step (numpy 2.4, OpenBLAS on one thread)
+GOLDEN_CAPS = {
+    "line": ("6728b8523f263cec54b130eb35edde99d178e5404875d6603c5ada2395e8bd3b",
+             (0, 0) + (1, 1) * 6),
+    "logistic": ("f999face68046ccdaab90ce93ea155993dcf4b9de3347a7b026c0c9ee6de1dc4",
+                 tuple(n for cap in CAPS for n in (cap, cap, cap, 0) * 3)),
+    "sphere": ("8e73d992f86ba2bd4a79c99e14f1de65f490a5ba334b9c2d8d25fee0ffac1474",
+               tuple(n for cap in CAPS for n in (cap,) * 4)),
+}
+
+
+class TestCapsAndRefreshes:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return cap_corpus()
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_CAPS))
+    def test_capped_designs_are_bit_identical(self, corpus, family):
+        designs = [fw_g_optimal(arms, iterations=cap, tol=CAP_TOL)
+                   for cap in CAPS for arms in corpus[family]]
+        assert golden_digest(designs) == GOLDEN_CAPS[family]
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_CAPS))
+    def test_capped_stacks_are_bit_identical(self, corpus, family):
+        designs = [des for cap in CAPS for des in solve_stacked_by_shape(
+            corpus[family], iterations=cap, tol=CAP_TOL)]
+        assert golden_digest(designs) == GOLDEN_CAPS[family]
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mixed_stack_matches_lone_solves(self, cap, d):
+        # one stack of non-finite, non-spanning, certified-at-uniform and
+        # iterating items: each entry is its lone solve's design or error
+        rng = np.random.default_rng(11)
+        iterating = [rng.standard_normal((9, d)) for _ in range(2)]
+        non_finite = iterating[0].copy()
+        non_finite[4, 0] = np.nan
+        non_spanning = iterating[1].copy()
+        non_spanning[:, -1] = 0.0
+        at_uniform = np.tile(np.eye(d), (9 // d, 1))  # V = I/d, all norms d
+        sets = [iterating[0], non_finite, at_uniform, non_spanning,
+                iterating[1]]
+        results = fw_g_optimal_stack(np.stack(sets), iterations=cap,
+                                     tol=CAP_TOL)
+        for arms, stacked in zip(sets, results):
+            try:
+                lone = fw_g_optimal(arms, iterations=cap, tol=CAP_TOL)
+            except SingularDesignError as exc:
+                assert type(stacked) is type(exc)
+                assert str(stacked) == str(exc)
+            else:
+                assert same_design(lone, stacked)
+        assert [isinstance(r, SingularDesignError) for r in results] == [
+            False, True, False, True, False]
+        assert results[2].iterations_used == 0 and results[2].certified
+
+
 class TestStackedSolver:
     def test_one_dimension_jumps_to_the_longest_arm(self):
         rng = np.random.default_rng(4)

@@ -111,6 +111,11 @@ class TestEliminate:
         with pytest.raises(ValueError):
             eliminate((0, 1, 2), np.array([1.0, 2.0]), 2.0)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.0, -2.0, math.nan, math.inf])
+    def test_invalid_eta_raises_a_config_error(self, eta):
+        with pytest.raises(ConfigurationError, match="eta"):
+            eliminate((0, 1, 2), np.array([1.0, 2.0, 3.0]), eta)
+
 
 class TestExplore:
     def test_uniform_split_with_remainder(self):

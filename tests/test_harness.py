@@ -176,6 +176,18 @@ def gone(pid):
     return False
 
 
+def exited(pid):
+    """True once ``pid`` has ended: gone, or a zombie its new parent has
+    not reaped yet."""
+    if gone(pid):
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 def die_in_worker(parent_pid, rng):
     """A generator source that kills the worker process running it."""
     if os.getpid() != parent_pid:
@@ -296,6 +308,44 @@ class TestKeptPool:
         pids = [int(pid) for pid in pids.split()]
         assert len(pids) == 2
         assert all(gone(pid) for pid in pids)
+
+    def test_workers_exit_when_their_owner_is_killed(self, tmp_path):
+        # the owner runs one pooled point, records its workers and kills
+        # itself; the orphaned workers must not outlive it (they would keep
+        # its stdout open, so a capture of that output would never end)
+        pid_file = tmp_path / "workers"
+        script = (
+            "import multiprocessing, os, signal, sys\n"
+            "from fbbai.harness import mc_accuracy\n"
+            "from fbbai.instances import gen_static_instance\n"
+            "inst = gen_static_instance(0.5, K=4, sigma2=4.0)\n"
+            "mc_accuracy(inst, 'gse-fwg', 40, 40, 9, workers=2)\n"
+            "pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "with open(sys.argv[1], 'w') as f:\n"
+            "    f.write(' '.join(map(str, pids)))\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        owner = subprocess.Popen([sys.executable, "-c", script, str(pid_file)],
+                                 env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL)
+        pids = []
+        try:
+            assert owner.wait(timeout=120) == -signal.SIGKILL
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10
+            while not all(map(exited, pids)):
+                assert time.monotonic() < deadline, "workers outlived the owner"
+                time.sleep(0.05)
+            assert owner.stdout.read() == b""  # every writer has closed it
+        finally:
+            for pid in pids:
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+            owner.stdout.close()
 
 
 def logistic_grid(K, gap):

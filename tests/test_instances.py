@@ -14,7 +14,7 @@ from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
                              gen_logistic_instance, gen_sphere_instance,
                              gen_static_instance, load_features,
                              load_instance_csv, noiseless, project_to_span,
-                             sample_rewards)
+                             project_to_span_stack, sample_rewards)
 
 
 def triangle_instance(**kwargs):
@@ -171,6 +171,39 @@ class TestProjection:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
             project_to_span(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, cell):
+        arms = np.eye(3)
+        arms[1, 2] = cell
+        with pytest.raises(DegenerateInputError, match="finite"):
+            project_to_span(arms)
+
+    def test_only_the_non_finite_or_zero_entries_fail(self):
+        rng = np.random.default_rng(13)
+        sets = rng.standard_normal((6, 5, 3))
+        sets[1, 0, 0] = np.nan
+        sets[2, 4, 2] = np.inf
+        sets[3] = 0.0
+        sets[5, :, 2] = sets[5, :, 0]  # rank 2, unlike the others
+        ids = [tuple(range(b, b + 5)) for b in range(6)]
+        results = project_to_span_stack(sets, ids)
+        for b, result in enumerate(results):
+            if b in (1, 2, 3):
+                assert isinstance(result, DegenerateInputError)
+                with pytest.raises(DegenerateInputError) as lone:
+                    project_to_span(sets[b], ids[b])
+                assert str(result) == str(lone.value)
+                continue
+            lone = project_to_span(sets[b], ids[b])
+            assert result.projected.tobytes() == lone.projected.tobytes()
+            assert result.basis.tobytes() == lone.basis.tobytes()
+            assert result.original_ids == lone.original_ids == ids[b]
+        assert [r.dim for r in results if not isinstance(r, Exception)] == [
+            3, 3, 2]
+        # a stack of only failing entries fails entry by entry
+        assert all(isinstance(r, DegenerateInputError)
+                   for r in project_to_span_stack(sets[1:4], ids[1:4]))
 
     def test_basis_is_orthonormal(self):
         rng = np.random.default_rng(11)
