@@ -10,8 +10,8 @@ needs a visibly larger budget for the same guarantee.
 
 import numpy as np
 
-from fbbai.bounds import (BoundInputs, bound_glm_gopt, bound_linear_gopt,
-                          oracle_c_min)
+from fbbai.bounds import oracle_c_min
+from fbbai.harness import bound_for_source
 from fbbai.instances import LOGISTIC, BanditInstance, gen_static_instance
 
 lin = gen_static_instance(1.0, K=8, sigma2=1.0)
@@ -27,10 +27,6 @@ print(f"glm   : K={glm.n_arms} pre-link gap={glm.linear_delta_min:.3f}"
 
 print(f"\n{'budget':>8} {'linear bound':>14} {'glm bound':>14}")
 for budget in (100, 200, 400, 800, 1600, 3200, 6400, 12800):
-    dl = bound_linear_gopt(BoundInputs(
-        K=lin.n_arms, d=lin.dim, eta=2.0, sigma2=lin.noise_sigma2,
-        delta_min=lin.delta_min, budget=budget))
-    dg = bound_glm_gopt(BoundInputs(
-        K=glm.n_arms, d=glm.dim, eta=2.0, sigma2=glm.noise_sigma2,
-        delta_min=glm.linear_delta_min, budget=budget, c_min=c))
+    dl = bound_for_source(lin, budget, 2.0)
+    dg = bound_for_source(glm, budget, 2.0)
     print(f"{budget:>8} {dl:>14.6f} {dg:>14.6f}")

@@ -73,45 +73,38 @@ def _check_common(inputs: BoundInputs) -> None:
         raise UndefinedBoundError("noise variance must be finite and nonnegative")
 
 
-def _check_budget(inputs: BoundInputs) -> int:
-    if inputs.budget is None or inputs.budget < 1:
+def _bound(inputs: BoundInputs, glm: bool, general: bool) -> float:
+    """2 eta log_eta(K) exp(-scale Delta^2 c^2 / (k sigma2 spread)), clipped.
+
+    k is 4 for linear rewards and 8 for GLMs, whose c is ``c_min`` (1 for
+    linear).  The G-optimal form has scale B and spread d log_eta(K); the
+    general form has scale 1 and spread max(norm_terms).
+    """
+    _check_common(inputs)
+    if general:
+        if not inputs.norm_terms:
+            raise UndefinedBoundError("general bound needs per-stage norm terms")
+        worst = max(inputs.norm_terms)
+        if not (math.isfinite(worst) and worst > 0.0):
+            raise UndefinedBoundError("norm terms must be finite and positive")
+    elif inputs.budget is None or inputs.budget < 1:
         raise UndefinedBoundError("G-optimal bound needs a positive budget")
-    return inputs.budget
-
-
-def _check_norms(inputs: BoundInputs) -> float:
-    terms = inputs.norm_terms
-    if not terms:
-        raise UndefinedBoundError("general bound needs per-stage norm terms")
-    worst = max(terms)
-    if not (math.isfinite(worst) and worst > 0.0):
-        raise UndefinedBoundError("norm terms must be finite and positive")
-    return worst
-
-
-def _check_cmin(inputs: BoundInputs) -> float:
-    if not (inputs.c_min > 0.0 and math.isfinite(inputs.c_min)):
+    if glm and not (inputs.c_min > 0.0 and math.isfinite(inputs.c_min)):
         raise UndefinedBoundError("c_min must be positive and finite")
-    return inputs.c_min
-
-
-def _clip(value: float) -> float:
-    return float(min(1.0, max(0.0, value)))
-
-
-def _log_eta(x: float, eta: float) -> float:
-    return math.log(x) / math.log(eta)
+    if inputs.sigma2 == 0.0:
+        return 0.0
+    lgk = math.log(inputs.K) / math.log(inputs.eta)
+    k, c2 = (8.0, inputs.c_min ** 2) if glm else (4.0, 1.0)
+    scale, spread, tail = ((1, worst, 1.0) if general
+                           else (inputs.budget, inputs.d, lgk))
+    expo = (-scale * inputs.delta_min ** 2 * c2
+            / (k * inputs.sigma2 * spread * tail))
+    return float(min(1.0, max(0.0, 2.0 * inputs.eta * lgk * math.exp(expo))))
 
 
 def bound_linear_gopt(inputs: BoundInputs) -> float:
     """Error bound for linear rewards with G-optimal stage allocations."""
-    _check_common(inputs)
-    B = _check_budget(inputs)
-    if inputs.sigma2 == 0.0:
-        return 0.0
-    lgk = _log_eta(inputs.K, inputs.eta)
-    expo = -B * inputs.delta_min ** 2 / (4.0 * inputs.sigma2 * inputs.d * lgk)
-    return _clip(2.0 * inputs.eta * lgk * math.exp(expo))
+    return _bound(inputs, glm=False, general=False)
 
 
 def bound_linear_general(inputs: BoundInputs) -> float:
@@ -120,26 +113,12 @@ def bound_linear_general(inputs: BoundInputs) -> float:
     ``norm_terms`` must hold, per stage, the largest squared V_t-inverse
     norm of any active arm's feature difference from the best arm.
     """
-    _check_common(inputs)
-    worst = _check_norms(inputs)
-    if inputs.sigma2 == 0.0:
-        return 0.0
-    lgk = _log_eta(inputs.K, inputs.eta)
-    expo = -inputs.delta_min ** 2 / (4.0 * inputs.sigma2 * worst)
-    return _clip(2.0 * inputs.eta * lgk * math.exp(expo))
+    return _bound(inputs, glm=False, general=True)
 
 
 def bound_glm_gopt(inputs: BoundInputs) -> float:
     """Error bound for GLM rewards with G-optimal stage allocations."""
-    _check_common(inputs)
-    B = _check_budget(inputs)
-    c = _check_cmin(inputs)
-    if inputs.sigma2 == 0.0:
-        return 0.0
-    lgk = _log_eta(inputs.K, inputs.eta)
-    expo = -B * inputs.delta_min ** 2 * c ** 2 / (
-        8.0 * inputs.sigma2 * inputs.d * lgk)
-    return _clip(2.0 * inputs.eta * lgk * math.exp(expo))
+    return _bound(inputs, glm=True, general=False)
 
 
 def bound_glm_general(inputs: BoundInputs) -> float:
@@ -148,14 +127,7 @@ def bound_glm_general(inputs: BoundInputs) -> float:
     ``norm_terms`` must hold, per stage, the largest squared V_t-inverse
     norm of any active arm's feature vector.
     """
-    _check_common(inputs)
-    worst = _check_norms(inputs)
-    c = _check_cmin(inputs)
-    if inputs.sigma2 == 0.0:
-        return 0.0
-    lgk = _log_eta(inputs.K, inputs.eta)
-    expo = -inputs.delta_min ** 2 * c ** 2 / (8.0 * inputs.sigma2 * worst)
-    return _clip(2.0 * inputs.eta * lgk * math.exp(expo))
+    return _bound(inputs, glm=True, general=True)
 
 
 def oracle_c_min(instance: BanditInstance, radius: float = 0.5,

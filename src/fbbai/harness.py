@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
-from .gse import MODELS, DesignCache, GseConfig, gse_lockstep
+from .gse import MODELS, GseConfig, gse_lockstep
 from .gse import gse_run  # noqa: F401  bench/tracer.py patches this name
 from .instances import (BanditInstance, gen_adaptive_instance,
                         gen_corner_instance, gen_logistic_instance,
@@ -93,11 +94,17 @@ def _token_int(token: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _check_seed(master: int) -> None:
+    if not 0 <= master < 2 ** 32:
+        raise ConfigurationError(
+            f"seed must be in [0, 2**32), not {master}")
+
+
 def _point_entropy(master: int, family: str, variant: str,
                    budget: int) -> list[int]:
     """The entropy words a point's replications share; a replication's
     entropy appends its index."""
-    return [int(master) & 0xFFFFFFFF, _token_int(family), _token_int(variant),
+    return [int(master), _token_int(family), _token_int(variant),
             _token_int(int(budget))]
 
 
@@ -107,7 +114,9 @@ def rep_seed(master: int, family: str, variant: str, budget: int,
 
     The replication's streams are its ``spawn(2)`` children: the instance
     stream (``spawn_key=(0,)``) and the run stream (``spawn_key=(1,)``).
+    A master seed outside [0, 2**32) raises ``ConfigurationError``.
     """
+    _check_seed(master)
     return np.random.SeedSequence(
         _point_entropy(master, family, variant, budget) + [int(rep)])
 
@@ -161,11 +170,9 @@ LOCKSTEP_BATCH = 1000  # replications per gse_lockstep call: bounds a chunk's me
 
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
-    lockstep batches of at most ``LOCKSTEP_BATCH``; a fixed instance's
-    batches share one design cache, a generator's keep plans for one batch
-    only, and a generator's package error aborts its replication."""
+    lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
+    plans; a generator's package error aborts its replication."""
     fixed = isinstance(task.source, BanditInstance)
-    cache = DesignCache() if fixed else None
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
     point = _point_entropy(task.seed, task.family, task.spec.name,
@@ -181,7 +188,7 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
                 continue
             config = configs[task.spec.model or _default_model(inst)]
             jobs.append((inst, config, _stream(entropy, 1)))
-        for result in gse_lockstep(jobs, cache):
+        for result in gse_lockstep(jobs):
             if isinstance(result, FbbaiError):
                 aborts += 1
             else:
@@ -269,22 +276,25 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
                 workers: Optional[int] = None) -> McResult:
     """Estimate best-arm accuracy over independent replications.
 
-    ``source`` is a fixed instance or a generator taking an rng; fixed
-    instances share one design cache per worker.  Every replication runs
-    ``GseConfig(budget, eta, spec.strategy)``, built once here, so an
-    invalid configuration raises ``ConfigurationError`` before any
-    replication runs.  Its model is the variant's, or else resolved per
-    instance: logistic for logistic GLM instances, linear otherwise.  The
-    result does not depend on ``workers``.
+    ``source`` is a fixed instance or a generator taking an rng.  Every
+    replication runs ``GseConfig(budget, eta, spec.strategy)``, built once
+    here, so an invalid configuration, like a seed outside [0, 2**32),
+    raises ``ConfigurationError`` before any replication runs.  Its model
+    is the variant's, or else resolved per instance: logistic for logistic
+    GLM instances, linear otherwise.  The result does not depend on
+    ``workers``.
 
-    With two or more workers and at least two replications per worker, the
-    chunks run on the kept pool of that many workers (forked on first use,
-    reused across points, closed at exit); each task carries its inputs.
+    The replications run as a list of chunks: one chunk, run here, or,
+    with two or more workers and at least two replications per worker,
+    one chunk per worker, run on the kept pool of that many workers
+    (forked on first use, reused across points, closed at exit); each
+    task carries its inputs.
     If a worker dies during the call, ``BrokenProcessPool`` is raised and
     the next call starts a fresh pool.
     """
     if replications < 1:
         raise ConfigurationError("need at least one replication")
+    _check_seed(seed)
     if isinstance(variant, str):
         if variant not in VARIANTS:
             raise ConfigurationError(
@@ -295,19 +305,15 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     config = GseConfig(budget, eta, spec.strategy,
                        model=spec.model or "linear")
     n_workers = resolve_workers(workers)
-
-    def chunk(start: int, stop: int) -> _Chunk:
-        return _Chunk(source, spec, config, seed, family, start, stop)
-
-    if n_workers == 1 or replications < 2 * n_workers:
-        successes, aborts = _mc_chunk(chunk(0, replications))
-        return McResult(replications, successes, aborts)
-    bounds = np.linspace(0, replications, n_workers + 1).astype(int)
+    pooled = n_workers > 1 and replications >= 2 * n_workers
+    bounds = np.linspace(0, replications,
+                         (n_workers if pooled else 1) + 1).astype(int)
+    chunks = [_Chunk(source, spec, config, seed, family, int(lo), int(hi))
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
     successes = aborts = 0
     try:
-        for s, a in _executor(n_workers).map(
-                _mc_chunk, [chunk(int(lo), int(hi))
-                            for lo, hi in zip(bounds[:-1], bounds[1:])]):
+        for s, a in (_executor(n_workers).map if pooled else map)(
+                _mc_chunk, chunks):
             successes += s
             aborts += a
     except BrokenProcessPool:
@@ -337,21 +343,35 @@ def _gen_corner(rng: np.random.Generator, K: int, **kw) -> BanditInstance:
 def family_source(family: str, params: dict) -> InstanceSource:
     """Fixed instance or picklable generator for a named family.
 
-    The ``csv`` family takes the keyword arguments of ``load_instance_csv``.
-    A generator draws one discarded instance from a fixed stream here, so
-    invalid parameters raise before any replication runs; the replication
-    streams are unchanged.
+    The ``csv`` family takes the keyword arguments of ``load_instance_csv``;
+    every other family takes those of its instance builder, less ``rng``.
+    Unknown or missing parameters raise ``ConfigurationError`` before
+    anything is built.  A generator draws one discarded instance from a
+    fixed stream here, so invalid parameter values raise before any
+    replication runs; the replication streams are unchanged.
     """
-    if family == "adaptive":
-        return gen_adaptive_instance(**params)
-    if family == "static":
-        return gen_static_instance(**params)
-    if family == "csv":
-        return load_instance_csv(**params)
+    builders = {"adaptive": gen_adaptive_instance,
+                "static": gen_static_instance, "csv": load_instance_csv,
+                "sphere": gen_sphere_instance,
+                "logistic": gen_logistic_instance,
+                "corner": gen_corner_instance}
+    if family not in builders:
+        raise ConfigurationError(f"unknown family {family!r}")
+    takes = {name: p for name, p in
+             inspect.signature(builders[family]).parameters.items()
+             if name != "rng"}
+    for name in params:
+        if name not in takes:
+            raise ConfigurationError(
+                f"family {family!r} takes no parameter {name!r}")
+    for name, p in takes.items():
+        if p.default is p.empty and name not in params:
+            raise ConfigurationError(
+                f"family {family!r} needs parameter {name!r}")
     generators = {"sphere": _gen_sphere, "logistic": _gen_logistic,
                   "corner": _gen_corner}
     if family not in generators:
-        raise ConfigurationError(f"unknown family {family!r}")
+        return builders[family](**params)
     source = partial(generators[family], **params)
     source(np.random.default_rng(0))
     return source
@@ -451,16 +471,11 @@ def bound_for_source(source: InstanceSource, budget: int,
     if not isinstance(source, BanditInstance):
         return float("nan")
     try:
-        if source.model == "linear":
-            inputs = BoundInputs(K=source.n_arms, d=source.dim, eta=eta,
-                                 sigma2=source.noise_sigma2,
-                                 delta_min=source.delta_min, budget=budget)
-            return bound_linear_gopt(inputs)
-        inputs = BoundInputs(K=source.n_arms, d=source.dim, eta=eta,
-                             sigma2=source.noise_sigma2,
-                             delta_min=source.linear_delta_min, budget=budget,
-                             c_min=oracle_c_min(source))
-        return bound_glm_gopt(inputs)
+        form = bound_linear_gopt if source.model == "linear" else bound_glm_gopt
+        return form(BoundInputs(K=source.n_arms, d=source.dim, eta=eta,
+                                sigma2=source.noise_sigma2,
+                                delta_min=source.linear_delta_min,
+                                budget=budget, c_min=oracle_c_min(source)))
     except UndefinedBoundError:
         return float("nan")
 

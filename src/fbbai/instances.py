@@ -152,8 +152,8 @@ class BanditInstance:
             raise DegenerateInputError(f"unknown model {self.model!r}")
         if self.model == "glm" and self.mean_fn is None:
             raise DegenerateInputError("glm model requires a mean_fn")
-        if self.noise_sigma2 < 0.0:
-            raise DegenerateInputError("noise_sigma2 must be nonnegative")
+        if not (math.isfinite(self.noise_sigma2) and self.noise_sigma2 >= 0.0):
+            raise DegenerateInputError("noise_sigma2 must be finite and nonnegative")
         if self.bernoulli and self.model != "glm":
             raise DegenerateInputError("bernoulli rewards require the glm model")
         object.__setattr__(self, "features", features)

@@ -106,6 +106,116 @@ class TestInputValidation:
             bound_linear_gopt(linear_inputs(**overrides))
 
 
+# Recorded from the four per-form implementations before they became one
+# kernel: each entry is (overrides of GOLDEN_BASE, outcomes of
+# bound_linear_gopt, bound_linear_general, bound_glm_gopt and
+# bound_glm_general).  A float outcome must match exactly; a string is the
+# message of the UndefinedBoundError the form must raise.
+inf, nan = math.inf, math.nan
+FEW_ARMS = "need at least two arms"
+BAD_ETA = "eta must be finite and exceed 1"
+BAD_DIM = "dimension must be positive"
+NO_GAP = "bound needs a unique best arm (positive gap)"
+BAD_SIGMA2 = "noise variance must be finite and nonnegative"
+NO_BUDGET = "G-optimal bound needs a positive budget"
+NO_NORMS = "general bound needs per-stage norm terms"
+BAD_NORMS = "norm terms must be finite and positive"
+BAD_CMIN = "c_min must be positive and finite"
+GOLDEN_BASE = dict(K=4, d=4, eta=2.0, sigma2=1.0, delta_min=1.0, budget=128)
+GOLDEN_FORMS = (bound_linear_gopt, bound_linear_general, bound_glm_gopt,
+                bound_glm_general)
+GOLDEN = [
+    (dict(),
+     (0.14652511110987343, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(budget=64),
+     (1.0, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(sigma2=0.0),
+     (0.0, NO_NORMS, 0.0, NO_NORMS)),
+    (dict(sigma2=0.0, norm_terms=(0.5, 0.25)),
+     (0.0, 0.0, 0.0, 0.0)),
+    (dict(budget=1000000),
+     (0.0, NO_NORMS, 0.0, NO_NORMS)),
+    (dict(K=16, d=5, eta=1.5, delta_min=0.7, budget=2000),
+     (0.015848562941670283, NO_NORMS, 0.5701925706336017, NO_NORMS)),
+    (dict(K=16, d=5, eta=1.5, delta_min=0.7, budget=2000, c_min=0.3),
+     (0.015848562941670283, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(budget=4000, c_min=0.105),
+     (4.133136506270289e-54, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(budget=None, delta_min=4.0, norm_terms=(0.5, 0.25)),
+     (NO_BUDGET, 0.002683701023220095, NO_BUDGET, 0.14652511110987343)),
+    (dict(budget=None, delta_min=4.0, norm_terms=(0.5, 0.25), c_min=0.5),
+     (NO_BUDGET, 0.002683701023220095, NO_BUDGET, 1.0)),
+    (dict(budget=2000, c_min=0.5),
+     (5.750225391248791e-27, NO_NORMS, 0.003237161354610116, NO_NORMS)),
+    (dict(budget=None, delta_min=8.0, c_min=0.5, norm_terms=(0.5,)),
+     (NO_BUDGET, 1.013133243927534e-13, NO_BUDGET, 0.14652511110987343)),
+    (dict(K=9, d=3, eta=3.0, sigma2=0.7, delta_min=3.0, c_min=0.6,
+         norm_terms=(0.05, 0.02, 0.04)),
+     (1.9906192578680294e-29, 1.446272959960976e-27, 5.232948949775149e-05,
+      0.00011318103725523648)),
+    (dict(K=2, d=1, eta=2.0, sigma2=0.25, delta_min=0.5, budget=7,
+         norm_terms=(0.1, nan)),
+     (0.6950957738017806, 0.3283399944955952, 1.0, 1.0)),
+    (dict(K=1),
+     (FEW_ARMS, FEW_ARMS, FEW_ARMS, FEW_ARMS)),
+    (dict(eta=1.0),
+     (BAD_ETA, BAD_ETA, BAD_ETA, BAD_ETA)),
+    (dict(eta=inf),
+     (BAD_ETA, BAD_ETA, BAD_ETA, BAD_ETA)),
+    (dict(eta=nan),
+     (BAD_ETA, BAD_ETA, BAD_ETA, BAD_ETA)),
+    (dict(d=0),
+     (BAD_DIM, BAD_DIM, BAD_DIM, BAD_DIM)),
+    (dict(delta_min=0.0),
+     (NO_GAP, NO_GAP, NO_GAP, NO_GAP)),
+    (dict(delta_min=nan),
+     (NO_GAP, NO_GAP, NO_GAP, NO_GAP)),
+    (dict(sigma2=-1.0),
+     (BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2)),
+    (dict(sigma2=inf),
+     (BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2)),
+    (dict(sigma2=nan),
+     (BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2, BAD_SIGMA2)),
+    (dict(budget=None),
+     (NO_BUDGET, NO_NORMS, NO_BUDGET, NO_NORMS)),
+    (dict(budget=0, norm_terms=(0.5, 0.25)),
+     (NO_BUDGET, 1.0, NO_BUDGET, 1.0)),
+    (dict(norm_terms=()),
+     (0.14652511110987343, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(norm_terms=(0.0,)),
+     (0.14652511110987343, BAD_NORMS, 1.0, BAD_NORMS)),
+    (dict(norm_terms=(0.5, inf)),
+     (0.14652511110987343, BAD_NORMS, 1.0, BAD_NORMS)),
+    (dict(norm_terms=(nan,)),
+     (0.14652511110987343, BAD_NORMS, 1.0, BAD_NORMS)),
+    (dict(c_min=0.0, norm_terms=(0.5, 0.25)),
+     (0.14652511110987343, 1.0, BAD_CMIN, BAD_CMIN)),
+    (dict(c_min=inf, norm_terms=(0.5, 0.25)),
+     (0.14652511110987343, 1.0, BAD_CMIN, BAD_CMIN)),
+    (dict(c_min=nan, norm_terms=(0.5, 0.25)),
+     (0.14652511110987343, 1.0, BAD_CMIN, BAD_CMIN)),
+    (dict(budget=None, c_min=0.0),
+     (NO_BUDGET, NO_NORMS, NO_BUDGET, NO_NORMS)),
+    (dict(sigma2=0.0, c_min=0.0, norm_terms=(0.0,)),
+     (0.0, BAD_NORMS, BAD_CMIN, BAD_NORMS)),
+    (dict(K=1, d=0, eta=1.0, delta_min=0.0, sigma2=-1.0),
+     (FEW_ARMS, FEW_ARMS, FEW_ARMS, FEW_ARMS)),
+]
+
+
+@pytest.mark.parametrize("overrides, outcomes", GOLDEN)
+def test_golden_bound_table(overrides, outcomes):
+    inputs = BoundInputs(**{**GOLDEN_BASE, **overrides})
+    for form, want in zip(GOLDEN_FORMS, outcomes):
+        if isinstance(want, str):
+            with pytest.raises(UndefinedBoundError) as excinfo:
+                form(inputs)
+            assert type(excinfo.value) is UndefinedBoundError
+            assert str(excinfo.value) == want, form.__name__
+        else:
+            assert form(inputs) == want, form.__name__
+
+
 class TestOracleCmin:
     def test_linear_model_returns_one(self):
         assert oracle_c_min(gen_static_instance(1.0, K=4)) == 1.0

@@ -358,6 +358,25 @@ class TestExitCodes:
         assert rc == 2
         assert str(tmp_path / "missing") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma2", ["nan", "inf"])
+    def test_non_finite_noise_variance_exits_two(self, capsys, sigma2):
+        # NaN rewards tie, the tie goes to arm 0, the best arm: accuracy 1
+        rc = run_cli("run", "--family", "static", "--K", "4", "--sigma2",
+                     sigma2, "--variant", "gse-fwg", "--budget", "40",
+                     "--replications", "20")
+        assert rc == 2
+        assert "noise_sigma2 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_seed_outside_32_bits_exits_two(self, capsys, seed):
+        # masking ran -1 as 4294967295 and 4294967296 as 0
+        rc = run_cli("run", "--family", "static", "--K", "4", "--variant",
+                     "gse-fwg", "--budget", "40", "--replications", "4",
+                     "--seed", seed, "--workers", "1")
+        assert rc == 2
+        assert f"seed must be in [0, 2**32), not {seed}" in (
+            capsys.readouterr().err)
+
     def test_runtime_abort_maps_to_three(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise EstimationFailureError("synthetic failure")

@@ -50,6 +50,12 @@ class TestRepSeed:
             900001, 1582190556888248499, 9415315121477248423,
             10837145441969312623, 24]
 
+    @pytest.mark.parametrize("master", [-1, 2 ** 32])
+    def test_seed_outside_32_bits_rejected(self, master):
+        # masking aliased 2**32 to 0 and -1 to 2**32 - 1
+        with pytest.raises(ConfigurationError, match="seed must be in"):
+            rep_seed(master, "static", "gse-fwg", 100, 3)
+
     def test_any_coordinate_changes_the_stream(self):
         base = states(rep_seed(7, "static", "gse-fwg", 100, 3))
         assert states(rep_seed(8, "static", "gse-fwg", 100, 3)) != base
@@ -142,6 +148,23 @@ class TestMcAccuracy:
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError):
             mc_accuracy(inst, "gse-fwg", 40, 0, 0, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32])
+    def test_seed_outside_32_bits_rejected_before_any_replication(
+            self, monkeypatch, seed, workers):
+        def never(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness_mod, "_mc_chunk", never)
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError, match="seed must be in"):
+            mc_accuracy(inst, "gse-fwg", 40, 8, seed, workers=workers)
+
+    def test_largest_seed_accepted(self):
+        inst = noiseless(gen_static_instance(1.0, K=4))
+        res = mc_accuracy(inst, "gse-fwg", 40, 3, 2 ** 32 - 1, workers=1)
+        assert res.successes == 3
 
     def test_custom_variant_spec_accepted(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
@@ -511,6 +534,21 @@ class TestFamilySource:
                 got.name) == (want.model, want.mean_fn.name,
                               want.noise_sigma2, want.bernoulli, want.name)
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("static", {"bogus": 1}, "family 'static' takes no parameter 'bogus'"),
+        ("adaptive", {}, "family 'adaptive' needs parameter 'd'"),
+        ("sphere", {"K": 4}, "family 'sphere' needs parameter 'd'"),
+        ("sphere", {"K": 4, "d": 3, "rng": 1},
+         "family 'sphere' takes no parameter 'rng'"),
+        ("csv", {}, "family 'csv' needs parameter 'features_path'"),
+        ("corner", {"K": 5, "d": 3}, "family 'corner' takes no parameter 'd'"),
+    ])
+    def test_unknown_or_missing_parameter_rejected(self, family, params,
+                                                   message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            family_source(family, params)
+        assert str(excinfo.value) == message
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
             family_source("pyramid", {})
@@ -521,7 +559,7 @@ class TestBoundForSource:
         inst = gen_static_instance(1.0, K=4)
         expected = bound_linear_gopt(BoundInputs(
             K=4, d=4, eta=2.0, sigma2=10.0, delta_min=1.0, budget=200))
-        assert bound_for_source(inst, 200, 2.0) == pytest.approx(expected)
+        assert bound_for_source(inst, 200, 2.0) == expected
 
     def test_glm_instance_uses_the_glm_bound_with_the_oracle_floor(self):
         inst = gen_logistic_instance(6, 3, np.random.default_rng(8))
@@ -529,7 +567,17 @@ class TestBoundForSource:
             K=6, d=3, eta=2.0, sigma2=0.25,
             delta_min=inst.linear_delta_min, budget=500,
             c_min=oracle_c_min(inst)))
-        assert bound_for_source(inst, 500, 2.0) == pytest.approx(expected)
+        assert bound_for_source(inst, 500, 2.0) == expected
+
+    def test_recorded_values(self):
+        # recorded before the bound forms shared one kernel
+        static = gen_static_instance(1.0, K=4)
+        logistic = gen_logistic_instance(6, 3, np.random.default_rng(8))
+        assert bound_for_source(static, 200, 2.0) == 1.0
+        assert bound_for_source(static, 2000, 2.0) == 0.015443633089821674
+        assert bound_for_source(static, 4000, 1.5) == 0.006846181313398207
+        assert bound_for_source(logistic, 500, 2.0) == 1.0
+        assert bound_for_source(logistic, 50000, 2.0) == 1.0804144336357086e-05
 
     def test_generator_source_has_no_single_bound(self):
         src = family_source("sphere", {"K": 6, "d": 3})

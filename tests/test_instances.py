@@ -92,6 +92,8 @@ class TestBanditInstance:
         dict(features=np.eye(2), theta_star=np.ones(2), model="cubic"),
         dict(features=np.eye(2), theta_star=np.ones(2), model="glm"),
         dict(features=np.eye(2), theta_star=np.ones(2), noise_sigma2=-1.0),
+        dict(features=np.eye(2), theta_star=np.ones(2), noise_sigma2=np.nan),
+        dict(features=np.eye(2), theta_star=np.ones(2), noise_sigma2=np.inf),
         dict(features=np.eye(2), theta_star=np.ones(2), bernoulli=True),
     ])
     def test_invalid_construction_rejected(self, kwargs):
