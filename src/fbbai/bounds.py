@@ -60,7 +60,16 @@ class BoundInputs:
     norm_terms: Optional[tuple[float, ...]] = None
 
 
-def _check_common(inputs: BoundInputs) -> None:
+def _bound(inputs: BoundInputs, glm: bool, general: bool) -> float:
+    """2 eta log_eta(K) exp(-scale Delta^2 c^2 / (k sigma2 spread)), clipped.
+
+    k is 4 for linear rewards and 8 for GLMs, whose c is ``c_min`` (1 for
+    linear).  The G-optimal form has scale B and spread d log_eta(K); the
+    general form has scale 1 and spread max(norm_terms).  An exponent whose
+    products overflow or underflow is sized by logs instead, where every
+    factor is positive and finite (or Delta infinite), so it keeps its
+    value or limit; finite products keep their float operations.
+    """
     if inputs.K < 2:
         raise UndefinedBoundError("need at least two arms")
     if not (math.isfinite(inputs.eta) and inputs.eta > 1.0):
@@ -71,21 +80,12 @@ def _check_common(inputs: BoundInputs) -> None:
         raise UndefinedBoundError("bound needs a unique best arm (positive gap)")
     if inputs.sigma2 < 0.0 or not math.isfinite(inputs.sigma2):
         raise UndefinedBoundError("noise variance must be finite and nonnegative")
-
-
-def _bound(inputs: BoundInputs, glm: bool, general: bool) -> float:
-    """2 eta log_eta(K) exp(-scale Delta^2 c^2 / (k sigma2 spread)), clipped.
-
-    k is 4 for linear rewards and 8 for GLMs, whose c is ``c_min`` (1 for
-    linear).  The G-optimal form has scale B and spread d log_eta(K); the
-    general form has scale 1 and spread max(norm_terms).
-    """
-    _check_common(inputs)
     if general:
         if not inputs.norm_terms:
             raise UndefinedBoundError("general bound needs per-stage norm terms")
         worst = max(inputs.norm_terms)
-        if not (math.isfinite(worst) and worst > 0.0):
+        if not (all(0.0 <= t < math.inf for t in inputs.norm_terms)
+                and worst > 0.0):
             raise UndefinedBoundError("norm terms must be finite and positive")
     elif inputs.budget is None or inputs.budget < 1:
         raise UndefinedBoundError("G-optimal bound needs a positive budget")
@@ -94,11 +94,18 @@ def _bound(inputs: BoundInputs, glm: bool, general: bool) -> float:
     if inputs.sigma2 == 0.0:
         return 0.0
     lgk = math.log(inputs.K) / math.log(inputs.eta)
-    k, c2 = (8.0, inputs.c_min ** 2) if glm else (4.0, 1.0)
+    k, c = (8.0, inputs.c_min) if glm else (4.0, 1.0)
     scale, spread, tail = ((1, worst, 1.0) if general
                            else (inputs.budget, inputs.d, lgk))
-    expo = (-scale * inputs.delta_min ** 2 * c2
-            / (k * inputs.sigma2 * spread * tail))
+    try:
+        expo = (-scale * inputs.delta_min ** 2 * c ** 2
+                / (k * inputs.sigma2 * spread * tail))
+    except (OverflowError, ZeroDivisionError):
+        expo = math.nan
+    if not math.isfinite(expo):
+        size = (math.log(scale) + 2.0 * (math.log(inputs.delta_min) + math.log(c))
+                - sum(map(math.log, (k, inputs.sigma2, spread, tail))))
+        expo = -math.exp(min(size, 709.0))  # exp(-exp(709)) is 0.0
     return float(min(1.0, max(0.0, 2.0 * inputs.eta * lgk * math.exp(expo))))
 
 

@@ -16,24 +16,12 @@ from typing import Optional, Sequence
 from .bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                      bound_linear_general, bound_linear_gopt)
 from .design import allocate_budget, fw_g_optimal
-from .errors import (BudgetTooSmallError, ConfigurationError,
-                     DegenerateInputError, FbbaiError, SingularDesignError,
-                     UndefinedBoundError)
-from .harness import (PRESETS, VARIANTS, SweepPoint, format_csv, format_json,
-                      run_point, run_preset, write_csv, write_json)
+from .errors import ConfigurationError, FbbaiError
+from .harness import (FAMILIES, PRESETS, VARIANTS, SweepPoint,
+                      family_parameters, format_csv, format_json, run_point,
+                      run_preset, write_csv, write_json)
 from .instances import load_features
 
-# the instance options each family reads; giving any other one is an error
-FAMILY_OPTIONS = {
-    "adaptive": ("d", "omega", "sigma2"),
-    "static": ("delta", "K", "sigma2"),
-    "sphere": ("K", "d", "sigma2"),
-    "logistic": ("K", "d"),
-    "corner": ("K", "sigma2"),
-    "csv": ("features", "theta", "model", "bernoulli", "sigma2"),
-}
-INSTANCE_OPTIONS = tuple(dict.fromkeys(
-    name for names in FAMILY_OPTIONS.values() for name in names))
 # the values a family uses for options that are not given
 FAMILY_DEFAULTS = {
     "static": {"delta": 1.0},
@@ -41,13 +29,21 @@ FAMILY_DEFAULTS = {
     "logistic": {"K": 8, "d": 10},
     "corner": {"K": 10},
 }
-# the options a family cannot run without
-FAMILY_REQUIRED = {"adaptive": ("d",), "csv": ("features", "theta")}
 # options whose instance keyword has another name
 PARAM_NAMES = {"features": "features_path", "theta": "theta_path"}
 
-CONFIG_ERRORS = (ConfigurationError, DegenerateInputError, SingularDesignError,
-                 BudgetTooSmallError, UndefinedBoundError)
+
+def _family_options(family: str) -> dict[str, bool]:
+    """The family's builder parameters under their option names, each
+    mapped to whether the builder requires it."""
+    option = {param: name for name, param in PARAM_NAMES.items()}
+    return {option.get(param, param): needed
+            for param, needed in family_parameters(family).items()}
+
+
+# every family's options; giving one the family does not read is an error
+INSTANCE_OPTIONS = tuple(dict.fromkeys(
+    name for family in FAMILIES for name in _family_options(family)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one Monte-Carlo point")
-    run.add_argument("--family", required=True, choices=tuple(FAMILY_OPTIONS))
+    run.add_argument("--family", required=True, choices=tuple(FAMILIES))
     run.add_argument("--variant", required=True, choices=sorted(VARIANTS))
     run.add_argument("--budget", required=True, type=int)
     run.add_argument("--replications", type=int, default=1000)
@@ -120,16 +116,18 @@ def _family_params(args: argparse.Namespace) -> dict:
     given = {name: getattr(args, name) for name in INSTANCE_OPTIONS
              if getattr(args, name) is not None
              and getattr(args, name) is not False}
-    foreign = [f"--{name}" for name in given
-               if name not in FAMILY_OPTIONS[args.family]]
+    takes = _family_options(args.family)
+    foreign = [f"--{name}" for name in given if name not in takes]
     if foreign:
         raise ConfigurationError(
             f"--family {args.family} does not take {', '.join(foreign)}")
-    required = FAMILY_REQUIRED.get(args.family, ())
+    defaults = FAMILY_DEFAULTS.get(args.family, {})
+    required = [name for name, needed in takes.items()
+                if needed and name not in defaults]
     if any(name not in given for name in required):
         raise ConfigurationError(f"--family {args.family} needs "
                                  + " and ".join(f"--{name}" for name in required))
-    params = {**FAMILY_DEFAULTS.get(args.family, {}), **given}
+    params = {**defaults, **given}
     return {PARAM_NAMES.get(name, name): value for name, value in params.items()}
 
 
@@ -142,11 +140,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                        "budget", float(args.budget), args.variant,
                        args.budget, args.eta)
     row = run_point(point, args.replications, args.seed, args.workers)
-    include_wall = not args.no_wall_time
-    if args.format == "json":
-        text = format_json([row], include_wall_time=include_wall)
-    else:
-        text = format_csv([row], include_wall_time=include_wall)
+    text = (format_json if args.format == "json" else format_csv)(
+        [row], include_wall_time=not args.no_wall_time)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -214,10 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "bound": _cmd_bound}
     try:
         return handlers[args.command](args)
-    except CONFIG_ERRORS as exc:
-        print(f"fbbai: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the package's input errors are ValueErrors
         print(f"fbbai: {exc}", file=sys.stderr)
         return 2
     except FbbaiError as exc:

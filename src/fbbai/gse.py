@@ -35,6 +35,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -66,7 +67,7 @@ class GseConfig:
     model: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
+        if not isinstance(self.budget, Integral) or self.budget < 1:
             raise ConfigurationError("budget must be a positive integer")
         _check_eta(self.eta)
         if self.strategy not in STRATEGIES:

@@ -30,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
+from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -38,10 +39,11 @@ from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
 from .gse import MODELS, GseConfig, gse_lockstep
 from .gse import gse_run  # noqa: F401  bench/tracer.py patches this name
-from .instances import (BanditInstance, gen_adaptive_instance,
-                        gen_corner_instance, gen_logistic_instance,
-                        gen_sphere_instance, gen_static_instance,
-                        load_instance_csv)
+from .instances import BanditInstance
+# FAMILIES names these, looked up when called; bench/tracer.py patches them
+from .instances import (gen_adaptive_instance, gen_corner_instance,  # noqa: F401
+                        gen_logistic_instance, gen_sphere_instance,
+                        gen_static_instance, load_instance_csv)
 
 InstanceSource = Union[BanditInstance, Callable[[np.random.Generator], BanditInstance]]
 
@@ -292,6 +294,9 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     If a worker dies during the call, ``BrokenProcessPool`` is raised and
     the next call starts a fresh pool.
     """
+    if not isinstance(replications, Integral):
+        raise ConfigurationError(
+            f"replications must be an integer, not {replications!r}")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
     _check_seed(seed)
@@ -327,52 +332,52 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
 # ---------------------------------------------------------------------------
 
 
-def _gen_sphere(rng: np.random.Generator, K: int, d: int,
-                **kw) -> BanditInstance:
-    return gen_sphere_instance(K, d, rng, **kw)
+# Each family's builder in this module, in the CLI's ``--family`` order
+FAMILIES = {"adaptive": "gen_adaptive_instance", "static": "gen_static_instance",
+            "sphere": "gen_sphere_instance", "logistic": "gen_logistic_instance",
+            "corner": "gen_corner_instance", "csv": "load_instance_csv"}
 
 
-def _gen_logistic(rng: np.random.Generator, K: int, d: int) -> BanditInstance:
-    return gen_logistic_instance(K, d, rng)
+def family_parameters(family: str) -> dict[str, bool]:
+    """Each parameter of the family's builder, less ``rng``, in order,
+    mapped to whether it is required; an unknown family raises
+    ``ConfigurationError``."""
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown family {family!r}")
+    return {name: p.default is p.empty for name, p in
+            inspect.signature(globals()[FAMILIES[family]]).parameters.items()
+            if name != "rng"}
 
 
-def _gen_corner(rng: np.random.Generator, K: int, **kw) -> BanditInstance:
-    return gen_corner_instance(K, rng, **kw)
+def _generate(builder: str, params: dict,
+              rng: np.random.Generator) -> BanditInstance:
+    # looked up when called, so a patched name reaches earlier sources
+    return globals()[builder](rng=rng, **params)
 
 
 def family_source(family: str, params: dict) -> InstanceSource:
     """Fixed instance or picklable generator for a named family.
 
-    The ``csv`` family takes the keyword arguments of ``load_instance_csv``;
-    every other family takes those of its instance builder, less ``rng``.
-    Unknown or missing parameters raise ``ConfigurationError`` before
-    anything is built.  A generator draws one discarded instance from a
-    fixed stream here, so invalid parameter values raise before any
+    A family takes the keyword arguments of its builder in ``FAMILIES``,
+    less ``rng``; a builder that takes ``rng`` makes the family a
+    generator.  Unknown or missing parameters raise ``ConfigurationError``
+    before anything is built.  A generator draws one discarded instance
+    from a fixed stream here, so invalid parameter values raise before any
     replication runs; the replication streams are unchanged.
     """
-    builders = {"adaptive": gen_adaptive_instance,
-                "static": gen_static_instance, "csv": load_instance_csv,
-                "sphere": gen_sphere_instance,
-                "logistic": gen_logistic_instance,
-                "corner": gen_corner_instance}
-    if family not in builders:
-        raise ConfigurationError(f"unknown family {family!r}")
-    takes = {name: p for name, p in
-             inspect.signature(builders[family]).parameters.items()
-             if name != "rng"}
+    takes = family_parameters(family)
     for name in params:
         if name not in takes:
             raise ConfigurationError(
                 f"family {family!r} takes no parameter {name!r}")
-    for name, p in takes.items():
-        if p.default is p.empty and name not in params:
+    for name, required in takes.items():
+        if required and name not in params:
             raise ConfigurationError(
                 f"family {family!r} needs parameter {name!r}")
-    generators = {"sphere": _gen_sphere, "logistic": _gen_logistic,
-                  "corner": _gen_corner}
-    if family not in generators:
-        return builders[family](**params)
-    source = partial(generators[family], **params)
+    builder = FAMILIES[family]
+    if "rng" not in inspect.signature(globals()[builder]).parameters:
+        return globals()[builder](**params)
+    source = partial(_generate, builder, dict(params))
     source(np.random.default_rng(0))
     return source
 
@@ -533,15 +538,8 @@ def format_csv(rows, include_wall_time: bool = True) -> str:
 
 def format_json(rows, include_wall_time: bool = True) -> str:
     cols = CSV_COLUMNS if include_wall_time else CSV_COLUMNS[:-1]
-    records = []
-    for row in rows:
-        rec = {}
-        for c in cols:
-            v = getattr(row, c)
-            if isinstance(v, float) and math.isnan(v):
-                v = None
-            rec[c] = v
-        records.append(rec)
+    records = [{c: None if isinstance(v := getattr(row, c), float)
+                and math.isnan(v) else v for c in cols} for row in rows]
     return json.dumps(records, indent=2) + "\n"
 
 

@@ -110,7 +110,10 @@ class TestInputValidation:
 # kernel: each entry is (overrides of GOLDEN_BASE, outcomes of
 # bound_linear_gopt, bound_linear_general, bound_glm_gopt and
 # bound_glm_general).  A float outcome must match exactly; a string is the
-# message of the UndefinedBoundError the form must raise.
+# message of the UndefinedBoundError the form must raise.  The last nine
+# rows, and the (0.1, nan) row's general forms, were recorded with the log
+# rule for exponents whose products overflow or underflow and the rule
+# that every norm term be finite and nonnegative.
 inf, nan = math.inf, math.nan
 FEW_ARMS = "need at least two arms"
 BAD_ETA = "eta must be finite and exceed 1"
@@ -155,7 +158,7 @@ GOLDEN = [
       0.00011318103725523648)),
     (dict(K=2, d=1, eta=2.0, sigma2=0.25, delta_min=0.5, budget=7,
          norm_terms=(0.1, nan)),
-     (0.6950957738017806, 0.3283399944955952, 1.0, 1.0)),
+     (0.6950957738017806, BAD_NORMS, 1.0, BAD_NORMS)),
     (dict(K=1),
      (FEW_ARMS, FEW_ARMS, FEW_ARMS, FEW_ARMS)),
     (dict(eta=1.0),
@@ -200,6 +203,24 @@ GOLDEN = [
      (0.0, BAD_NORMS, BAD_CMIN, BAD_NORMS)),
     (dict(K=1, d=0, eta=1.0, delta_min=0.0, sigma2=-1.0),
      (FEW_ARMS, FEW_ARMS, FEW_ARMS, FEW_ARMS)),
+    (dict(delta_min=1e200),  # Δ² overflows: the exponent's limit is -∞
+     (0.0, NO_NORMS, 0.0, NO_NORMS)),
+    (dict(sigma2=5e-324, budget=None, norm_terms=(1e-8,)),  # 1/0
+     (NO_BUDGET, 0.0, NO_BUDGET, 0.0)),
+    (dict(budget=None, c_min=1e200, norm_terms=(1e-300, 1.0)),  # c² overflows
+     (NO_BUDGET, 1.0, NO_BUDGET, 0.0)),
+    (dict(delta_min=inf, norm_terms=(0.5,)),
+     (0.0, 0.0, 0.0, 0.0)),
+    (dict(sigma2=1e308, delta_min=1e150, budget=10 ** 10),  # ∞/∞, exponent -3.125
+     (0.3514954689872281, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(K=2, d=1, sigma2=2e307, delta_min=1.4e154, budget=1),  # exponent -2.45
+     (0.3451743459974602, NO_NORMS, 1.0, NO_NORMS)),
+    (dict(norm_terms=(0.5, nan)),
+     (0.14652511110987343, BAD_NORMS, 1.0, BAD_NORMS)),
+    (dict(norm_terms=(0.5, -1.0)),
+     (0.14652511110987343, BAD_NORMS, 1.0, BAD_NORMS)),
+    (dict(norm_terms=(0.0, 0.5)),
+     (0.14652511110987343, 1.0, 1.0, 1.0)),
 ]
 
 

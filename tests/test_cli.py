@@ -77,6 +77,8 @@ class TestRun:
         rc = run_cli("run", "--family", "csv", "--variant", "gse-fwg",
                      "--budget", "10")
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "fbbai: --family csv needs --features and --theta\n")
 
     def test_csv_family_runs_from_files(self, tmp_path, capsys):
         arms = write_arms(tmp_path, [[1, 0], [0, 1], [0.5, 0.5]])
@@ -100,6 +102,14 @@ class TestRun:
         assert rc == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert (row["R"], row["aborts"]) == ("200", "0")
+
+    def test_instance_options_follow_the_builders(self):
+        assert cli.INSTANCE_OPTIONS == ("d", "omega", "sigma2", "delta", "K",
+                                        "features", "theta", "model",
+                                        "bernoulli")
+        args = cli._build_parser().parse_args(
+            ["run", "--family", "static", "--variant", "gse-fwg", "--budget", "1"])
+        assert all(hasattr(args, name) for name in cli.INSTANCE_OPTIONS)
 
     def test_adaptive_family_needs_d(self, capsys):
         rc = run_cli("run", "--family", "adaptive", "--variant", "gse-fwg",
@@ -285,6 +295,23 @@ class TestBound:
         rc = run_cli("bound", "--K", "4", "--d", "4", "--sigma2", "1",
                      "--delta-min", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("options", [
+        ["--delta-min", "1e200", "--B", "128"],
+        ["--sigma2", "5e-324", "--delta-min", "1", "--norm-terms", "1e-8"],
+    ])
+    def test_exponent_past_the_floats_prints_its_limit(self, options, capsys):
+        rc = run_cli("bound", "--K", "4", "--d", "4", "--sigma2", "1", *options)
+        assert rc == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("terms", ["0.5,nan", "nan,0.5", "0.5,-1", "0.5,inf"])
+    def test_every_norm_term_is_checked(self, terms, capsys):
+        rc = run_cli("bound", "--K", "4", "--d", "4", "--sigma2", "1",
+                     "--delta-min", "1", "--norm-terms", terms)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "fbbai: norm terms must be finite and positive\n")
 
 
 class TestSweep:

@@ -31,10 +31,16 @@ class TestConfig:
         dict(budget=100, eta=math.nan),
         dict(budget=100, strategy="greedy"),
         dict(budget=100, model="poisson"),
+        dict(budget=40.5),
+        dict(budget=40.0),
+        dict(budget="40"),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             GseConfig(**kwargs)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert GseConfig(budget=np.int64(40)).budget == 40
 
 
 class TestStageSchedule:

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -21,13 +22,14 @@ from fbbai.bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_
 import fbbai.harness as harness_mod
 from fbbai.errors import ConfigurationError
 from fbbai.gse import DesignCache, GseConfig, gse_lockstep
-from fbbai.harness import (CSV_COLUMNS, PRESETS, VARIANTS, McResult, SweepRow,
-                           VariantSpec, bound_for_source, family_source,
-                           format_csv, format_json, mc_accuracy, read_csv,
-                           rep_seed, run_point, run_preset, write_csv)
-from fbbai.instances import (LOGISTIC, BanditInstance,
-                             gen_logistic_instance, gen_static_instance,
-                             load_instance_csv, noiseless)
+from fbbai.harness import (CSV_COLUMNS, FAMILIES, PRESETS, VARIANTS, McResult,
+                           SweepRow, VariantSpec, bound_for_source,
+                           family_parameters, family_source, format_csv,
+                           format_json, mc_accuracy, read_csv, rep_seed,
+                           run_point, run_preset, write_csv)
+from fbbai.instances import (LOGISTIC, BanditInstance, gen_corner_instance,
+                             gen_logistic_instance, gen_sphere_instance,
+                             gen_static_instance, load_instance_csv, noiseless)
 
 
 def states(ss):
@@ -160,6 +162,28 @@ class TestMcAccuracy:
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError, match="seed must be in"):
             mc_accuracy(inst, "gse-fwg", 40, 8, seed, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget, replications, match", [
+        (40.5, 8, "budget must be a positive integer"),
+        (40, 6.5, "replications must be an integer, not 6.5"),
+        (40, 8.0, "replications must be an integer, not 8.0"),
+    ])
+    def test_non_integer_budget_or_replications_rejected_before_any_replication(
+            self, monkeypatch, budget, replications, match, workers):
+        def never(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness_mod, "_mc_chunk", never)
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError, match=match):
+            mc_accuracy(inst, "gse-fwg", budget, replications, 0, workers=workers)
+
+    def test_numpy_integer_budget_and_replications_accepted(self):
+        inst = noiseless(gen_static_instance(1.0, K=4))
+        res = mc_accuracy(inst, "gse-fwg", np.int64(40), np.int32(3), 0,
+                          workers=1)
+        assert (res.replications, res.successes) == (3, 3)
 
     def test_largest_seed_accepted(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
@@ -552,6 +576,59 @@ class TestFamilySource:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
             family_source("pyramid", {})
+
+    def test_parameters_are_the_builders_less_rng(self):
+        assert list(FAMILIES) == ["adaptive", "static", "sphere", "logistic",
+                                  "corner", "csv"]
+        assert {family: family_parameters(family) for family in FAMILIES} == {
+            "adaptive": {"d": True, "omega": False, "sigma2": False},
+            "static": {"delta": True, "K": False, "sigma2": False},
+            "sphere": {"K": True, "d": True, "sigma2": False},
+            "logistic": {"K": True, "d": True},
+            "corner": {"K": True, "sigma2": False},
+            "csv": {"features_path": True, "theta_path": True,
+                    "model": False, "sigma2": False, "bernoulli": False},
+        }
+        with pytest.raises(ConfigurationError, match="unknown family 'pyramid'"):
+            family_parameters("pyramid")
+
+    @pytest.mark.parametrize("family, params, draw", [
+        ("sphere", {"K": 6, "d": 3}, lambda rng: gen_sphere_instance(6, 3, rng)),
+        ("sphere", {"K": 6, "d": 3, "sigma2": 2.0},
+         lambda rng: gen_sphere_instance(6, 3, rng, sigma2=2.0)),
+        ("logistic", {"K": 5, "d": 4},
+         lambda rng: gen_logistic_instance(5, 4, rng)),
+        ("corner", {"K": 5, "sigma2": 2.0},
+         lambda rng: gen_corner_instance(5, rng, sigma2=2.0)),
+    ])
+    def test_generator_survives_pickling_and_draws_as_its_builder(
+            self, family, params, draw):
+        source = pickle.loads(pickle.dumps(family_source(family, params)))
+        got = source(np.random.default_rng(11))
+        want = draw(np.random.default_rng(11))
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.theta_star, want.theta_star)
+        assert (got.model, got.noise_sigma2, got.bernoulli, got.name) == (
+            want.model, want.noise_sigma2, want.bernoulli, want.name)
+
+    def test_generator_calls_the_builder_patched_after_it_was_built(
+            self, monkeypatch):
+        source = family_source("sphere", {"K": 6, "d": 3})
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            return gen_sphere_instance(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "gen_sphere_instance", patched)
+        assert source(np.random.default_rng(0)).n_arms == 6
+        assert calls == [1]
+
+    def test_generator_does_not_follow_the_callers_dict(self):
+        params = {"K": 6, "d": 3}
+        source = family_source("sphere", params)
+        params["K"] = 1
+        assert source(np.random.default_rng(0)).n_arms == 6
 
 
 class TestBoundForSource:
