@@ -251,30 +251,37 @@ def _renew(fn, dest: np.ndarray, rows: np.ndarray, pi: np.ndarray,
         return np.array([i for i in rows if i not in out], dtype=int)
 
 
-def _fw_step(arms, Vinv, norms, pi, flat, uj):
-    """Step every row toward its arm ``flat`` (an index into the rows of all
-    items' arms) with the determinant step gamma: the Sherman-Morrison
-    update of V^-1 and of the norms, and the new weights."""
-    d = arms.shape[2]
-    if d == 1:
+def _fw_step(flat_arms, arms, Vinv, norms, pi, flat, uj) -> None:
+    """Step every row toward its arm ``flat``, an index into ``flat_arms``,
+    the (n K, d) view of all rows' arms, with the determinant step gamma:
+    the Sherman-Morrison update of V^-1 and of the norms, and the new
+    weights, all in place."""
+    if arms.shape[2] == 1:
         # gamma = (u - 1) / (u - 1) = 1: the step lands on the vertex, and
         # norms of 0 make the next certificate test compute its own
-        pi = np.zeros(pi.shape)
+        pi.fill(0.0)
         pi.put(flat, 1.0)
-        return Vinv, np.zeros(norms.shape), pi
+        norms.fill(0.0)
+        return
     # d > 1 and u_j > d here, so gamma < 1/d keeps the step in the simplex
+    d = arms.shape[2]
     gamma = (uj / d - 1.0) / (uj - 1.0)
-    vx = (Vinv @ arms.reshape(-1, d).take(flat, axis=0)[:, :, None])[:, :, 0]
-    w = (arms @ vx[:, :, None])[:, :, 0]
-    beta = gamma / (1.0 - gamma)
+    shrink = 1.0 - gamma
+    beta = gamma / shrink
+    vx = Vinv @ flat_arms.take(flat, axis=0)[:, :, None]  # (n, d, 1)
     f = (beta / (1.0 + beta * uj))[:, None]
-    shrink = (1.0 - gamma)[:, None]
-    norms = (norms - f * w * w) / shrink
-    Vinv = (Vinv - f[:, :, None] * (vx[:, :, None] * vx[:, None, :])) / shrink[:, :, None]
-    pi = pi * shrink
+    w = (arms @ vx)[:, :, 0]
+    fw = f * w
+    fw *= w
+    norms -= fw
+    norms /= shrink[:, None]
+    outer = vx * vx.transpose(0, 2, 1)
+    outer *= f[:, :, None]
+    Vinv -= outer
+    Vinv /= shrink[:, None, None]
+    pi *= shrink[:, None]
     pi.put(flat, pi.take(flat) + gamma)
     pi /= pi.sum(axis=1, keepdims=True)
-    return Vinv, norms, pi
 
 
 def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
@@ -295,30 +302,44 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
     n, K, d = arms.shape
     pi = np.full((n, K), 1.0 / K)
     # norms of 0 pass the certificate test, so iteration 0 computes the
-    # uniform norms, certifies the rows they certify and inverts the rest
-    norms, Vinv = np.zeros((n, K)), np.zeros((n, d, d))
-    best_g, best_pi = np.full(n, np.inf), pi.copy()
+    # uniform norms and certifies the rows they certify; V^-1 and the best
+    # iterate are made after that, for the rows left
+    norms, Vinv = np.zeros((n, K)), None
     offsets = np.arange(0, n * K, K)  # row starts in the flattened (n, K) arrays
+    flat_arms = arms.reshape(-1, d)
     it = 0
     while True:
         j = norms.argmax(axis=1)
-        g_now = norms.take(offsets + j)
+        flat = offsets + j
+        g_now = norms.take(flat)
         out: dict = {}  # rows that stop at this iteration, with their results
-        rows = (g_now <= target).nonzero()[0]
-        if rows.size:
+        certify = (g_now <= target).nonzero()[0]
+        if certify.size:
             # confirm on freshly computed values before certifying
-            rows = _renew(_all_norms, norms, rows, pi, arms, out)
+            rows = _renew(_all_norms, norms, certify, pi, arms, out)
             j[rows] = norms[rows].argmax(axis=1)
             g_now[rows] = norms[rows, j[rows]]
             done = g_now[rows] <= target
             for i in rows[done]:
                 out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
                                 iterations_used=it, certified=True)
-            _renew(_inverse, Vinv, rows[~done], pi, arms, out)
+            rows = rows[~done]
+        if Vinv is None:  # the end of iteration 0
+            left = _settle(out, results, ids, arms, pi, norms, j, g_now)
+            if left is None:
+                return
+            ids, arms, pi, norms, j, g_now = left
+            offsets, flat_arms = offsets[:ids.size], arms.reshape(-1, d)
+            out, rows = {}, np.arange(ids.size)
+            Vinv, best_g, best_pi = (np.empty((ids.size, d, d)),
+                                     np.full(ids.size, np.inf), pi.copy())
+        if certify.size:
+            _renew(_inverse, Vinv, rows, pi, arms, out)
         better = g_now < best_g
         np.copyto(best_g, g_now, where=better)
         np.copyto(best_pi, pi, where=better[:, None])
-        if it >= cap or (it > 0 and it % REFRESH_EVERY == 0):
+        refresh = it >= cap or (it > 0 and it % REFRESH_EVERY == 0)
+        if refresh:
             # renew the other rows; at the cap each stops on the better of
             # its best iterate and its last one, and before it a row stops
             # when u_j <= d (a row not in out has g_now > target > d, so
@@ -335,15 +356,17 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
                     best_g[i], best_pi[i] = g_now[i], pi[i]
                 out[i] = Design(weights=best_pi[i].copy(), g_value=float(best_g[i]),
                                 iterations_used=it, certified=bool(best_g[i] <= target))
-        if out:
-            left = _settle(out, results, ids, arms, pi, norms, Vinv, best_g,
-                           best_pi, j, g_now)
-            if left is None:
-                return
-            ids, arms, pi, norms, Vinv, best_g, best_pi, j, g_now = left
-            offsets = offsets[:ids.size]
+        if certify.size or refresh:
+            if out:
+                left = _settle(out, results, ids, arms, pi, norms, Vinv, best_g,
+                               best_pi, j, g_now)
+                if left is None:
+                    return
+                ids, arms, pi, norms, Vinv, best_g, best_pi, j, g_now = left
+                offsets, flat_arms = offsets[:ids.size], arms.reshape(-1, d)
+            flat = offsets + j
         it += 1
-        Vinv, norms, pi = _fw_step(arms, Vinv, norms, pi, offsets + j, g_now)
+        _fw_step(flat_arms, arms, Vinv, norms, pi, flat, g_now)
 
 
 # the D-optimal design: the same iteration (see the module docstring)

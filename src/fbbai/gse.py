@@ -22,11 +22,12 @@ projected shape.  Each job then makes its stage's one call on its own
 generator, and the rest of the draw is done once per block of jobs:
 Bernoulli sums are integer hit counts from one ``np.add.reduceat``,
 Gaussian sums come from one offset ``np.bincount``.  Saturated stages take
-their means S_i / c_i as one division, unsaturated ones are fitted job by
-job, and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
-gives each job the bits of its lone computation, so a job's result is the
-one it gets alone.  ``gse_run`` is the batch of one, and the harness runs
-each chunk of replications as a few such batches.
+their means S_i / c_i as one division, unsaturated ones are fitted as one
+stack per model and projected shape, and one stacked ``np.lexsort`` makes
+every cut.  Every stacked kernel gives each job the bits of its lone
+computation, so a job's result is the one it gets alone.  ``gse_run`` is
+the batch of one, and the harness runs each chunk of replications as a few
+such batches.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ from .design import (Design, _info_matrix, allocate_budget,
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
 from .errors import (BudgetTooSmallError, ConfigurationError,
                      EstimationFailureError, FbbaiError)
-from .estimators import (RegressionData, irls_glm, least_squares,
-                         mean_estimates, well_conditioned)
+from .estimators import (RegressionData, irls_glm_stack, least_squares_stack,
+                         mean_estimates_stack, well_conditioned)
+# bench/tracer.py patches these names
+from .estimators import irls_glm, least_squares, mean_estimates  # noqa: F401
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, draw_noise,
                         project_to_span_stack, rewards_of)
 # bench/tracer.py patches these names
@@ -400,22 +403,36 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fit_means(plan: StagePlan, sums: np.ndarray, config: GseConfig,
-               ) -> tuple[np.ndarray, bool, int, bool]:
-    """Estimated means of an unsaturated stage from its reward sums, with
-    the fit's (converged, iterations, fallback)."""
-    data = RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
-    fellback = False
-    if config.model == "logistic":
-        try:
-            estimate = irls_glm(data, LOGISTIC)
-        except EstimationFailureError:
-            estimate, fellback = least_squares(data), True
+def _fit_stack(model: str, arms: np.ndarray, sums: np.ndarray,
+               counts: np.ndarray) -> list:
+    """Fit unsaturated stages of one model and one projected shape, from
+    (G, m, d) arms and (G, m) reward sums and pull counts, as one stack.
+    Entry g holds item g's estimated means and its fit's (converged,
+    iterations, fellback), or the package error that ends its job.  An
+    item whose logistic fit fails falls back to least squares."""
+    back: list = []  # items fitted by least squares after a logistic failure
+    if model == "logistic":
+        fits = irls_glm_stack(arms, sums, counts, LOGISTIC)
+        back = [g for g, fit in enumerate(fits)
+                if isinstance(fit, EstimationFailureError)]
+        if back:
+            for g, fit in zip(back, least_squares_stack(arms[back], sums[back],
+                                                        counts[back])):
+                fits[g] = fit
     else:
-        estimate = least_squares(data)
-    mean_fn = LOGISTIC if (config.model == "logistic" and not fellback) else None
-    mu_hat = mean_estimates(estimate, plan.arms.projected, mean_fn)
-    return mu_hat, estimate.converged, estimate.iterations, fellback
+        fits = least_squares_stack(arms, sums, counts)
+    by_link = defaultdict(list)  # fell back -> items fitted
+    for g, fit in enumerate(fits):
+        if not isinstance(fit, FbbaiError):
+            by_link[g in back].append(g)
+    out: list = list(fits)
+    for fellback, rows in by_link.items():
+        link = LOGISTIC if model == "logistic" and not fellback else None
+        mu_hat = mean_estimates_stack(
+            np.array([fits[g].theta_hat for g in rows]), arms[rows], link)
+        for g, mu in zip(rows, mu_hat):
+            out[g] = (mu, fits[g].converged, fits[g].iterations, fellback)
+    return out
 
 
 @dataclass(slots=True)
@@ -492,25 +509,30 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
             mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                                where=saturated[:, None])
             pulls = counts.sum(axis=1).tolist()
-            fitted = []  # (row, run, plan, converged, iterations, fellback)
+            # a saturated stage is ranked by S_i / c_i, computed above
+            fits: list = [(True, 0, False)] * len(group)
+            unsaturated = defaultdict(list)  # (model, projected shape) -> rows
             for g, (run, plan) in enumerate(group):
-                if plan.saturated:  # ranked by S_i / c_i, computed above
-                    fitted.append((g, run, plan, True, 0, False))
-                    continue
-                try:
-                    mu_hat[g], *fit = _fit_means(plan, sums[g], run.config)
-                except FbbaiError as exc:
-                    results[run.slot] = exc
-                    continue
-                fitted.append((g, run, plan, *fit))
-            if not fitted:
+                if not plan.saturated:
+                    unsaturated[run.config.model, plan.arms.projected.shape].append(g)
+            for (model, _), rows in unsaturated.items():
+                arms = np.array([group[g][1].arms.projected for g in rows])
+                for g, fit in zip(rows, _fit_stack(model, arms, sums[rows],
+                                                   counts[rows])):
+                    if isinstance(fit, FbbaiError):
+                        results[group[g][0].slot] = fit
+                        fits[g] = None
+                    else:
+                        mu_hat[g], fits[g] = fit[0], fit[1:]
+            rows = [g for g, fit in enumerate(fits) if fit is not None]
+            if not rows:
                 continue
-            rows = [f[0] for f in fitted]
             mu_hat = mu_hat[rows]
             survivors = eliminate_stack(
-                np.array([f[1].active for f in fitted]), mu_hat, keep)
-            for (g, run, plan, converged, iterations, fellback), mu, kept in zip(
-                    fitted, mu_hat, survivors):
+                np.array([group[g][0].active for g in rows]), mu_hat, keep)
+            for g, mu, kept in zip(rows, mu_hat, survivors):
+                run, plan = group[g]
+                converged, iterations, fellback = fits[g]
                 run.active = tuple(kept)
                 run.pulls += pulls[g]
                 run.traces.append(StageTrace(

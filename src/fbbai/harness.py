@@ -201,10 +201,12 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
 def resolve_workers(workers: Optional[int]) -> int:
     """``workers``, else the integer in FBBAI_WORKERS, else 1; at least 1.
 
-    Raises ``ConfigurationError`` naming the variable if its value is not
-    an integer.
+    Raises ``ConfigurationError`` if ``workers`` is not an integer (NumPy
+    integers are), or naming the variable if its value is not one.
     """
     if workers is not None:
+        if not isinstance(workers, Integral):
+            raise ConfigurationError(f"workers must be an integer, not {workers!r}")
         return max(1, int(workers))
     raw = os.environ.get(WORKERS_ENV, "1")
     try:

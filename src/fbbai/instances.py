@@ -22,7 +22,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -422,6 +422,15 @@ def gen_static_instance(delta: float, K: int = 16,
                           noise_sigma2=sigma2, name="static")
 
 
+@lru_cache(maxsize=64)
+def _pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(K, k=1)``, built once per K as read-only arrays."""
+    pairs = np.triu_indices(K, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def gen_sphere_instance(K: int, d: int, rng: np.random.Generator,
                         sigma2: float = 10.0) -> BanditInstance:
     """K arms drawn uniformly on the unit sphere, best pair nearly tied.
@@ -439,7 +448,7 @@ def gen_sphere_instance(K: int, d: int, rng: np.random.Generator,
             continue
         arms = raw / norms[:, None]
         d2 = np.sum((arms[:, None, :] - arms[None, :, :]) ** 2, axis=2)
-        iu = np.triu_indices(K, k=1)
+        iu = _pairs(K)
         dists = d2[iu]
         best = int(np.argmin(dists))  # argmin is the first hit, lexicographic pairs
         if dists[best] == 0.0:

@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fbbai.errors import EstimationFailureError, InvalidAllocationError
-from fbbai.estimators import (ParameterEstimate, RegressionData, irls_glm,
-                              least_squares, mean_estimates, well_conditioned)
+from fbbai.estimators import (ParameterEstimate, RegressionData, _norms, irls_glm,
+                              irls_glm_stack, least_squares, least_squares_stack,
+                              mean_estimates, mean_estimates_stack,
+                              well_conditioned)
 from fbbai.instances import IDENTITY, LOGISTIC, MeanFunction
 
 
@@ -225,3 +227,129 @@ class TestMeanEstimates:
         arms = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = mean_estimates(est, arms, LOGISTIC)
         assert np.allclose(out, 1.0 / (1.0 + np.exp(-np.array([1.0, 2.0]))))
+
+
+def outcome(fit):
+    """What a fit returned or raised, down to the bytes: theta and V bytes
+    with the fit flags, or the error class and message."""
+    if isinstance(fit, Exception):
+        return type(fit).__name__, str(fit)
+    return (fit.theta_hat.tobytes(), fit.covariance.tobytes(), fit.converged,
+            fit.iterations)
+
+
+def lone(fit, data, *args):
+    try:
+        return outcome(fit(data, *args))
+    except (InvalidAllocationError, EstimationFailureError) as exc:
+        return outcome(exc)
+
+
+def mixed_stack(m=6, d=2):
+    """Items of one (m, d) shape: four healthy Bernoulli items, a separable
+    one, one whose score is 0 at theta = 0, and one with two equal, huge
+    columns, which is ill-conditioned for least squares and whose IRLS
+    Jacobian is exactly singular (the ridge is lost in rounding)."""
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(-0.5, 0.5, (7, m, d))
+    counts = rng.integers(3, 9, (7, m)).astype(float)
+    sums = rng.binomial(counts.astype(int), 0.5).astype(float)
+    sums[4] = np.where(xs[4, :, 0] > 0, counts[4], 0.0)  # separable
+    counts[5] = 2.0
+    sums[5] = 1.0  # every arm at h(0) = 1/2
+    xs[6, :, 1] = xs[6, :, 0] = rng.uniform(1e12, 2e12, m)
+    return xs, sums, counts
+
+
+class TestStackedFits:
+    """Each entry of a stacked fit is its item's lone fit, bit for bit, or
+    the error the lone fit raises, whatever else is in the stack."""
+
+    def check(self, stack, single, xs, sums, counts, *args):
+        fits = stack(xs, sums, counts, *args)
+        assert len(fits) == len(xs)
+        for g, fit in enumerate(fits):
+            data = RegressionData(xs=xs[g], ys=sums[g], counts=counts[g])
+            assert outcome(fit) == lone(single, data, *args)
+        return [outcome(fit) for fit in fits]
+
+    def test_least_squares(self):
+        xs, sums, counts = mixed_stack()
+        got = self.check(least_squares_stack, least_squares, xs, sums, counts)
+        assert got[6][0] == "InvalidAllocationError"
+        assert "condition number" in got[6][1]
+        assert sum(isinstance(g[0], bytes) for g in got) == 6
+
+    @pytest.mark.parametrize("max_iter", [8, 100])
+    def test_irls(self, max_iter):
+        xs, sums, counts = mixed_stack()
+        got = self.check(irls_glm_stack, irls_glm, xs, sums, counts, LOGISTIC,
+                         max_iter)
+        assert got[6] == ("EstimationFailureError", "singular IRLS system")
+        assert got[5][2:] == (True, 0)
+        if max_iter == 8:
+            assert got[4][2:] == (False, 8)  # separable: still climbing
+        assert len({g[3] for g in got[:6]}) > 2  # items stop at other steps
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_irls_without_iterations_stops_at_zero(self, max_iter):
+        """With no Newton step allowed, each item stops at theta = 0 after 0
+        iterations, converged only if its score there is already 0."""
+        xs, sums, counts = mixed_stack()
+        got = self.check(irls_glm_stack, irls_glm, xs, sums, counts, LOGISTIC,
+                         max_iter)
+        zero = np.zeros(2).tobytes()
+        assert [g[0] for g in got] == [zero] * 7
+        assert [g[2:] for g in got] == [(False, 0)] * 5 + [(True, 0), (False, 0)]
+
+    def test_irls_with_a_diverging_mean_function(self):
+        def wrong_deriv(z):
+            mu = LOGISTIC.value(z)
+            return -mu * (1.0 - mu)
+
+        nasty = MeanFunction(value=LOGISTIC.value, derivative=wrong_deriv,
+                             name="bad-deriv")
+        xs, sums, counts = mixed_stack()
+        got = self.check(irls_glm_stack, irls_glm, xs, sums, counts, nasty)
+        assert got[5][2:] == (True, 0)
+        assert got[0][0] == "EstimationFailureError"
+        assert got[0][1].startswith("IRLS diverged")
+
+    def test_failed_stacked_factorizations_fall_back_to_lone_items(
+            self, monkeypatch):
+        """If a stacked Cholesky factorization or solve raises, every item
+        is computed alone, with the bits of its lone fit."""
+        for name in ("cholesky", "solve"):
+            original = getattr(np.linalg, name)
+
+            def stacked_fails(a, *args, original=original):
+                if a.ndim == 3 and len(a) > 1:
+                    raise np.linalg.LinAlgError("forced")
+                return original(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, stacked_fails)
+        xs, sums, counts = mixed_stack()
+        self.check(least_squares_stack, least_squares, xs[:6], sums[:6],
+                   counts[:6])
+        self.check(irls_glm_stack, irls_glm, xs, sums, counts, LOGISTIC)
+
+    def test_norms_are_the_lone_norms(self):
+        """The residual, norm of X'y and IRLS merit of a stack are the bits
+        of ``np.linalg.norm`` of each vector alone (a norm over an axis
+        sums in another order and misses in about one case in five)."""
+        rng = np.random.default_rng(2)
+        for d in range(1, 13):
+            v = rng.normal(size=(400, d, 1)) * 10.0 ** rng.integers(-8, 8, (400, 1, 1))
+            got = _norms(v)
+            assert [x.tobytes() for x in got] == [
+                np.float64(np.linalg.norm(x[:, 0])).tobytes() for x in v]
+
+    def test_mean_estimates(self):
+        rng = np.random.default_rng(4)
+        thetas, arms = rng.normal(size=(5, 3)), rng.normal(size=(5, 9, 3))
+        for mean_fn in (None, IDENTITY, LOGISTIC):
+            got = mean_estimates_stack(thetas, arms, mean_fn)
+            for g in range(5):
+                est = ParameterEstimate(theta_hat=thetas[g], covariance=np.eye(3))
+                assert got[g].tobytes() == mean_estimates(est, arms[g],
+                                                          mean_fn).tobytes()

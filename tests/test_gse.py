@@ -366,10 +366,10 @@ class TestGseRun:
         assert not any(t.used_fallback for t in result.traces)
 
     def test_estimation_failure_falls_back_to_least_squares(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise EstimationFailureError("forced")
+        def explode(xs, *args, **kwargs):
+            return [EstimationFailureError("forced")] * len(xs)
 
-        monkeypatch.setattr(gse_mod, "irls_glm", explode)
+        monkeypatch.setattr(gse_mod, "irls_glm_stack", explode)
         inst = gen_logistic_instance(6, 3, np.random.default_rng(14))
         cfg = GseConfig(budget=90, model="logistic")
         result = gse_run(inst, cfg, np.random.default_rng(5))
@@ -383,8 +383,8 @@ class TestGseRun:
         def explode(*args, **kwargs):
             raise InvalidAllocationError("no fit expected")
 
-        monkeypatch.setattr(gse_mod, "irls_glm", explode)
-        monkeypatch.setattr(gse_mod, "least_squares", explode)
+        monkeypatch.setattr(gse_mod, "irls_glm_stack", explode)
+        monkeypatch.setattr(gse_mod, "least_squares_stack", explode)
         inst = glm_grid_instance(8, 0.75)
         result = gse_run(inst, GseConfig(budget=200, model=model),
                          np.random.default_rng(3))

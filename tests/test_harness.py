@@ -179,6 +179,23 @@ class TestMcAccuracy:
         with pytest.raises(ConfigurationError, match=match):
             mc_accuracy(inst, "gse-fwg", budget, replications, 0, workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.9])
+    def test_non_integer_workers_rejected_before_any_replication(
+            self, monkeypatch, workers):
+        def never(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness_mod, "_mc_chunk", never)
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError,
+                           match=f"workers must be an integer, not {workers}"):
+            mc_accuracy(inst, "gse-fwg", 40, 8, 0, workers=workers)
+
+    def test_numpy_integer_workers_accepted(self):
+        inst = noiseless(gen_static_instance(1.0, K=4))
+        res = mc_accuracy(inst, "gse-fwg", 40, 3, 0, workers=np.int64(1))
+        assert res.successes == 3
+
     def test_numpy_integer_budget_and_replications_accepted(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
         res = mc_accuracy(inst, "gse-fwg", np.int64(40), np.int32(3), 0,
@@ -470,6 +487,33 @@ class TestGoldenTallies:
                 h.update(t.mu_hat.tobytes())
                 h.update(repr(t.survivors).encode())
         assert h.hexdigest()[:16] == digest
+
+    def test_recorded_logistic_fits(self):
+        """A Bernoulli-logistic K = 32, d = 5 point whose stages of 32, 16
+        and 8 arms are fitted by IRLS (one fit stops at ``max_iter``).  The
+        tally and a digest of all 50 runs, with every stage's fit flags,
+        were recorded with the fits made job by job."""
+        budget = 100
+        source = family_source("logistic", {"K": 32, "d": 5})
+        res = mc_accuracy(source, "gse-fwg", budget, 50, 7, family="logistic",
+                          workers=1)
+        assert (res.successes, res.aborts) == (10, 0)
+        config = GseConfig(budget, strategy="fw-g", model="logistic")
+        jobs = []
+        for r in range(50):
+            inst_ss, run_ss = rep_seed(7, "logistic", "gse-fwg", budget, r).spawn(2)
+            jobs.append((source(np.random.default_rng(inst_ss)), config,
+                         np.random.default_rng(run_ss)))
+        h = hashlib.sha256()
+        for run in gse_lockstep(jobs):
+            h.update(repr(run.recommended).encode())
+            for t in run.traces:
+                h.update(t.counts.tobytes())
+                h.update(t.mu_hat.tobytes())
+                h.update(repr(t.survivors).encode())
+                h.update(repr((t.estimator_converged, t.estimator_iterations,
+                               t.used_fallback)).encode())
+        assert h.hexdigest()[:16] == "f047a16a394c6012"
 
 
 class TestReplicationStreams:
