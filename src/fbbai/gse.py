@@ -21,13 +21,16 @@ shape, and one stacked Frank-Wolfe solve, rounding and saturation test per
 projected shape.  Each job then makes its stage's one call on its own
 generator, and the rest of the draw is done once per block of jobs:
 Bernoulli sums are integer hit counts from one ``np.add.reduceat``,
-Gaussian sums come from one offset ``np.bincount``.  Saturated stages take
-their means S_i / c_i as one division, unsaturated ones are fitted as one
-stack per model and projected shape, and one stacked ``np.lexsort`` makes
-every cut.  Every stacked kernel gives each job the bits of its lone
-computation, so a job's result is the one it gets alone.  ``gse_run`` is
-the batch of one, and the harness runs each chunk of replications as a few
-such batches.
+Gaussian sums come from one offset ``np.bincount``.  Jobs of one instance
+share work: a shape's feature rows, or a block's means, are then one
+``take`` of the stacked ids, and a plan that many jobs share is stacked
+once.  Saturated stages take their means S_i / c_i as one division,
+unsaturated ones are fitted as one stack per model and projected shape,
+and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
+gives each job the bits of its lone computation, so a job's result is the
+one it gets alone.  ``gse_run`` is the batch of one, and the harness runs
+each chunk of replications as a few such batches, with ``traces=False``:
+it reads only each run's success, so no ``StageTrace`` is built.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .estimators import (RegressionData, irls_glm_stack, least_squares_stack,
                          mean_estimates_stack, well_conditioned)
 # bench/tracer.py patches these names
 from .estimators import irls_glm, least_squares, mean_estimates  # noqa: F401
-from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, draw_noise,
-                        project_to_span_stack, rewards_of)
+from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, _project_stack,
+                        draw_noise, rewards_of)
 # bench/tracer.py patches these names
 from .instances import project_to_span, sample_rewards  # noqa: F401
 
@@ -145,6 +148,7 @@ class DesignCache:
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arms ``ids``; raises
         ``ConfigurationError`` if ``n`` is below their span dimension."""
+        ids = tuple(int(i) for i in ids)
         (plan,) = _plan_stages(self, [(instance, ids, n, strategy)])
         if isinstance(plan, FbbaiError):
             raise plan
@@ -159,15 +163,18 @@ class DesignCache:
 
 def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
                  ) -> list[Union[StagePlan, FbbaiError]]:
-    """The plan of each (instance, ids, n, strategy) key, from ``cache``.
+    """The plan of each (instance, ids, n, strategy) key, from ``cache``;
+    ``ids`` is a tuple of ints.
 
     The keys the cache lacks are built once each, as stacks: the active
     arms are projected onto their span by one stacked SVD per (m, d) shape
-    and checked against ``n``; the ``fw-g`` designs are solved, rounded and
-    tested for saturation as one stack per (m, d_t) shape, while uniform
-    counts are set per key.  Every stacked kernel gives each key the bits
-    of its lone computation.  The new plans are stored with read-only
-    counts; a key whose build raises gets its error, which is not stored.
+    and checked against ``n``.  A shape's feature rows are one ``take`` of
+    its stacked ids when all its keys hold one instance, else one per key.
+    Then the ``fw-g`` designs are solved, rounded and tested for saturation
+    as one stack per (m, d_t) shape, while uniform counts are set per key.
+    Every stacked kernel gives each key the bits of its lone computation.
+    The new plans are stored with read-only counts; a key whose build
+    raises gets its error, which is not stored.
     """
     plans = cache._plans
     failed: dict = {}
@@ -178,11 +185,14 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
     unsolved = defaultdict(list)  # (m, d_t) -> (key, arms) waiting for a design
     counted = defaultdict(list)   # (m, d_t) -> (key, arms, counts, design)
     for group in by_shape.values():
-        projections = project_to_span_stack(
-            np.stack([instance.features.take(ids, axis=0)
-                      for instance, ids, _, _ in group]),
-            [ids for _, ids, _, _ in group])
-        for key, arms in zip(group, projections):
+        ids = [key[1] for key in group]
+        instance = group[0][0]
+        if all(key[0] is instance for key in group):
+            features = instance.features.take(ids, axis=0)
+        else:
+            features = np.stack([key[0].features.take(key[1], axis=0)
+                                 for key in group])
+        for key, arms in zip(group, _project_stack(features, ids)):
             _, _, n, strategy = key
             if isinstance(arms, FbbaiError):
                 failed[key] = arms
@@ -225,7 +235,7 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
         for (key, arms, counts, design), sat in zip(group, saturated):
             counts.flags.writeable = False
             plans[key] = StagePlan(arms, counts, design, bool(sat))
-    return [failed[key] if key in failed else plans[key] for key in keys]
+    return [plans.get(key) or failed[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +321,29 @@ def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
     ``sample_rewards`` makes for the same pulls, so its sums are those of
     ``explore`` on it alone.
     """
-    counts = np.array([plan.counts for _, plan, _ in jobs])
+    counts, ids, _ = _plan_stacks([plan for _, plan, _ in jobs])
+    return _stage_sums(jobs, counts, ids)
+
+
+def _plan_stacks(plans: Sequence[StagePlan],
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (G, m) pull counts and active ids and the (G,) saturation flags
+    of plans that share an active-set size m.  Jobs of one instance share
+    most plans, so each distinct plan is stacked once and its row repeated.
+    """
+    distinct: dict = {}  # id(plan) -> (row, plan)
+    at = np.array([distinct.setdefault(id(plan), (len(distinct), plan))[0]
+                   for plan in plans])
+    plans = [plan for _, plan in distinct.values()]
+    return (np.array([plan.counts for plan in plans])[at],
+            np.array([plan.arms.original_ids for plan in plans])[at],
+            np.array([plan.saturated for plan in plans])[at])
+
+
+def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
+                ids: np.ndarray) -> np.ndarray:
+    """``explore_stack`` of jobs whose plans' pull counts and active ids
+    are the rows of ``counts`` and ``ids``."""
     pulls = counts.sum(axis=1)
     sums = np.empty(counts.shape)
     bernoulli = np.array([instance.bernoulli for instance, _, _ in jobs])
@@ -321,31 +353,39 @@ def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
             step = max(1, DRAW_BLOCK // max(1, int(pulls[rows].max())))
             for block in np.split(rows, range(step, rows.size, step)):
                 sums[block] = _block_sums(kind, [jobs[g] for g in block],
-                                          counts[block], pulls[block])
+                                          counts[block], ids[block],
+                                          pulls[block])
     return sums
 
 
 def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
-                pulls: np.ndarray) -> np.ndarray:
+                ids: np.ndarray, pulls: np.ndarray) -> np.ndarray:
     """Per-arm reward sums of jobs with one kind of reward, given their
-    (G, m) pull counts and per-job pull totals.
+    (G, m) pull counts and active ids and per-job pull totals.
 
     Each job, in order, draws for its pulls (``draw_noise``), which go in
     the order ``explore`` pulls: active arms in turn, each arm's pulls
-    contiguous.  The rest is done once for the block.  Bernoulli sums are
-    exact integer hit counts, one ``np.add.reduceat`` over the arms that
-    are pulled (an arm with no pull sums to 0).  Gaussian sums come from
-    one offset ``np.bincount``, which adds each arm's rewards in draw order
-    as a bincount of one job alone does; a noiseless job adds zero noise.
-    Either way a job's sums are those of ``sample_rewards`` on its pulls,
-    summed by ``np.bincount``, bit for bit.
+    contiguous.  The rest is done once for the block: the arms' means are
+    one ``take`` of ``ids`` when all jobs hold one instance, else one per
+    job.  Bernoulli sums are exact integer hit counts, one
+    ``np.add.reduceat`` over the arms that are pulled (an arm with no pull
+    sums to 0).  Gaussian sums come from one offset ``np.bincount``, which
+    adds each arm's rewards in draw order as a bincount of one job alone
+    does; a noiseless job adds zero noise.  Either way a job's sums are
+    those of ``sample_rewards`` on its pulls, summed by ``np.bincount``,
+    bit for bit.
     """
     sizes = pulls.tolist()
     draws = [draw_noise(instance, n, rng)
              for (instance, _, rng), n in zip(jobs, sizes)]
     flat = counts.ravel()
-    mu = np.repeat(np.concatenate([instance.means.take(plan.arms.original_ids)
-                                   for instance, plan, _ in jobs]), flat)
+    instance = jobs[0][0]
+    if all(job[0] is instance for job in jobs):
+        means = instance.means.take(ids)
+    else:
+        means = np.concatenate([job[0].means.take(row)
+                                for job, row in zip(jobs, ids)])
+    mu = np.repeat(means, flat)
     if bernoulli:
         hits = rewards_of(True, mu, np.concatenate(draws))
         pulled = np.flatnonzero(flat)
@@ -452,8 +492,8 @@ class _Run:
 Job = tuple[BanditInstance, GseConfig, np.random.Generator]
 
 
-def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
-                 ) -> list[Union[RunResult, FbbaiError]]:
+def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
+                 traces: bool = True) -> list[Union[RunResult, FbbaiError]]:
     """Run successive elimination on every (instance, config, rng) job, all
     jobs in lockstep, stage by stage; one result per job, in order.
 
@@ -467,7 +507,8 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
     jobs share ``cache``, or else one cache made for this call; plans are
     keyed by instance, so jobs of different instances can share it too.
     A package error ends only the job that raised it and takes the place
-    of its result.
+    of its result.  With ``traces=False`` no ``StageTrace`` is built and
+    every result's ``traces`` is ``()``; nothing else changes.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
@@ -502,44 +543,48 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None,
                     (run, plan))
         live = []
         for (_, keep), group in stage.items():
-            sums = explore_stack([(run.instance, plan, run.rng)
-                                  for run, plan in group])
-            counts = np.array([plan.counts for _, plan in group])
-            saturated = np.array([plan.saturated for _, plan in group])
+            counts, ids, saturated = _plan_stacks([plan for _, plan in group])
+            sums = _stage_sums([(run.instance, plan, run.rng)
+                                for run, plan in group], counts, ids)
             mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                                where=saturated[:, None])
             pulls = counts.sum(axis=1).tolist()
             # a saturated stage is ranked by S_i / c_i, computed above
-            fits: list = [(True, 0, False)] * len(group)
+            fits: dict = {}  # row -> (converged, iterations, fellback)
+            failed: set = set()
             unsaturated = defaultdict(list)  # (model, projected shape) -> rows
-            for g, (run, plan) in enumerate(group):
-                if not plan.saturated:
-                    unsaturated[run.config.model, plan.arms.projected.shape].append(g)
+            for g in np.flatnonzero(~saturated).tolist():
+                run, plan = group[g]
+                unsaturated[run.config.model, plan.arms.projected.shape].append(g)
             for (model, _), rows in unsaturated.items():
                 arms = np.array([group[g][1].arms.projected for g in rows])
                 for g, fit in zip(rows, _fit_stack(model, arms, sums[rows],
                                                    counts[rows])):
                     if isinstance(fit, FbbaiError):
                         results[group[g][0].slot] = fit
-                        fits[g] = None
+                        failed.add(g)
                     else:
                         mu_hat[g], fits[g] = fit[0], fit[1:]
-            rows = [g for g, fit in enumerate(fits) if fit is not None]
-            if not rows:
-                continue
-            mu_hat = mu_hat[rows]
-            survivors = eliminate_stack(
-                np.array([group[g][0].active for g in rows]), mu_hat, keep)
-            for g, mu, kept in zip(rows, mu_hat, survivors):
+            rows = range(len(group))
+            if failed:
+                rows = [g for g in rows if g not in failed]
+                if not rows:
+                    continue
+                mu_hat, ids = mu_hat[rows], ids[rows]
+            survivors = eliminate_stack(ids, mu_hat, keep)
+            for i, (g, kept) in enumerate(zip(rows, survivors)):
                 run, plan = group[g]
-                converged, iterations, fellback = fits[g]
                 run.active = tuple(kept)
                 run.pulls += pulls[g]
-                run.traces.append(StageTrace(
-                    stage=t, arms=plan.arms, counts=plan.counts, mu_hat=mu,
-                    survivors=run.active, estimator_converged=converged,
-                    estimator_iterations=iterations, used_fallback=fellback,
-                    design=plan.design))
+                if traces:
+                    converged, iterations, fellback = fits.get(
+                        g, (True, 0, False))
+                    run.traces.append(StageTrace(
+                        stage=t, arms=plan.arms, counts=plan.counts,
+                        mu_hat=mu_hat[i], survivors=run.active,
+                        estimator_converged=converged,
+                        estimator_iterations=iterations,
+                        used_fallback=fellback, design=plan.design))
                 if t < run.schedule.stages:
                     live.append(run)
                 else:

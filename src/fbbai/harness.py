@@ -116,18 +116,43 @@ def rep_seed(master: int, family: str, variant: str, budget: int,
 
     The replication's streams are its ``spawn(2)`` children: the instance
     stream (``spawn_key=(0,)``) and the run stream (``spawn_key=(1,)``).
-    A master seed outside [0, 2**32) raises ``ConfigurationError``.
+    A master seed outside [0, 2**32), a ``rep`` that is not a non-negative
+    integer or a ``budget`` that is not an integer raises
+    ``ConfigurationError``.
     """
     _check_seed(master)
+    if not isinstance(rep, Integral) or rep < 0:
+        raise ConfigurationError(
+            f"rep must be a non-negative integer, not {rep!r}")
+    if not isinstance(budget, Integral):
+        raise ConfigurationError(f"budget must be an integer, not {budget!r}")
     return np.random.SeedSequence(
         _point_entropy(master, family, variant, budget) + [int(rep)])
 
 
-def _stream(entropy: list[int], key: int) -> np.random.Generator:
+def _seed_words(values) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of non-negative ints: the
+    little-endian 32-bit words of each, one word for 0."""
+    words = []
+    for n in values:
+        n = int(n)
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _rep_words(point: list[int], rep: int) -> np.ndarray:
+    """The entropy words of replication ``rep`` of the point whose shared
+    words are ``point`` (``_seed_words`` of its ``_point_entropy``)."""
+    return np.array(point + _seed_words((rep,)), dtype=np.uint32)
+
+
+def _stream(words: np.ndarray, key: int) -> np.random.Generator:
     """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of the
-    replication with this entropy, built without its parent."""
+    replication with these entropy words, built without its parent."""
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy, spawn_key=(key,))))
+        np.random.SeedSequence(words, spawn_key=(key,))))
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +198,26 @@ LOCKSTEP_BATCH = 1000  # replications per gse_lockstep call: bounds a chunk's me
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
     lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
-    plans; a generator's package error aborts its replication."""
+    plans and building no stage traces; a generator's package error aborts
+    its replication.  The point's seed words are made once; each
+    replication appends the words of its index."""
     fixed = isinstance(task.source, BanditInstance)
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
-    point = _point_entropy(task.seed, task.family, task.spec.name,
-                           task.config.budget)
+    point = _seed_words(_point_entropy(task.seed, task.family, task.spec.name,
+                                       task.config.budget))
     for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
         jobs = []
         for r in range(lo, min(lo + LOCKSTEP_BATCH, task.stop)):
-            entropy = point + [r]
+            words = _rep_words(point, r)
             try:
-                inst = task.source if fixed else task.source(_stream(entropy, 0))
+                inst = task.source if fixed else task.source(_stream(words, 0))
             except FbbaiError:
                 aborts += 1
                 continue
             config = configs[task.spec.model or _default_model(inst)]
-            jobs.append((inst, config, _stream(entropy, 1)))
-        for result in gse_lockstep(jobs):
+            jobs.append((inst, config, _stream(words, 1)))
+        for result in gse_lockstep(jobs, traces=False):
             if isinstance(result, FbbaiError):
                 aborts += 1
             else:

@@ -351,6 +351,13 @@ def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
     ids = [tuple(int(i) for i in row) for row in ids]
     if len(ids) != A.shape[0] or any(len(row) != A.shape[1] for row in ids):
         raise DegenerateInputError("ids must match the number of rows")
+    return _project_stack(A, ids)
+
+
+def _project_stack(A: np.ndarray, ids: list[tuple[int, ...]],
+                   ) -> list[ProjectedArmSet | DegenerateInputError]:
+    """``project_to_span_stack`` of a float (B, m, d) stack whose ids are
+    already tuples of ints, one per row of each set."""
     finite = np.isfinite(A).all(axis=(1, 2))
     usable = finite & np.any(np.abs(A) > 0.0, axis=(1, 2))
     out: list = [None if ok else DegenerateInputError(

@@ -267,6 +267,21 @@ class TestExploreStack:
             assert all((plan.counts == 0).any() for plan in plans)
         if case == "blocks":
             assert sum(plan.counts.sum() for plan in plans) > 2 * gse_mod.DRAW_BLOCK
+        self.check_sums(asks, plans)
+
+    def test_jobs_of_one_instance_sharing_plans(self):
+        # the plans' rows are stacked once per plan and the means gathered
+        # with one take
+        cache = DesignCache()
+        asks = [(self.WIDE, self.SUBSET, 20, "uniform"),
+                (self.WIDE, tuple(range(1, 9)), 40, "fw-g")] * 3
+        plans = [cache.plan(inst, ids, n, strategy)
+                 for inst, ids, n, strategy in asks]
+        assert plans[0] is plans[2] and plans[1] is plans[5]
+        self.check_sums(asks, plans)
+
+    @staticmethod
+    def check_sums(asks, plans):
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
         sums = gse_mod.explore_stack([(ask[0], plan, rng) for ask, plan, rng
                                       in zip(asks, plans, rngs)])
@@ -571,6 +586,43 @@ class TestLockstep:
         assert {plan_summary(p) for p in batch} >= {
             "ConfigurationError", "DegenerateInputError"}
         assert any(not isinstance(p, FbbaiError) and p.saturated for p in batch)
+
+    def test_shared_instance_gather_matches_key_by_key(self):
+        """Keys of one instance gather their feature rows with one take;
+        the plans are those built key by key, and those built when a key of
+        another instance sends each shape down the per-key path."""
+        inst = gen_sphere_instance(12, 4, np.random.default_rng(8))
+        other = gen_sphere_instance(12, 4, np.random.default_rng(9))
+        sets = [tuple(range(12)), tuple(range(0, 12, 2)), tuple(range(1, 12, 2)),
+                (0, 1, 2, 3, 4, 5), (3, 7, 11, 2)]
+        asks = [(inst, ids, 40, strategy) for ids in sets
+                for strategy in ("fw-g", "uniform")]
+        shared = gse_mod._plan_stages(DesignCache(), asks)
+        mixed = gse_mod._plan_stages(
+            DesignCache(), asks + [(other, ids, 40, "fw-g") for ids in sets])
+        alone = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        assert not any(isinstance(plan, FbbaiError) for plan in alone)
+        want = [plan_summary(plan) for plan in alone]
+        assert [plan_summary(plan) for plan in shared] == want
+        assert [plan_summary(plan) for plan in mixed[:len(asks)]] == want
+
+    def test_traces_off_changes_nothing_but_the_traces(self):
+        """A batch of fixed and generated instances, linear and logistic
+        fits, and jobs that abort at the schedule and at the first plan."""
+        specs = [(kind, seed) for kind in range(len(JOB_KINDS))
+                 for seed in (3, 4)]
+        on = gse_lockstep([make_job(*spec) for spec in specs])
+        off = gse_lockstep([make_job(*spec) for spec in specs], traces=False)
+
+        def outcome(result):
+            if isinstance(result, FbbaiError):
+                return type(result), str(result)
+            return result.recommended, result.success, result.total_pulls
+
+        assert [outcome(r) for r in off] == [outcome(r) for r in on]
+        runs = [(a, b) for a, b in zip(on, off) if not isinstance(a, FbbaiError)]
+        assert runs and len(runs) < len(specs)
+        assert all(a.traces and b.traces == () for a, b in runs)
 
     def test_an_aborted_job_leaves_the_others_alone(self):
         good = make_job(0, 11)

@@ -58,6 +58,21 @@ class TestRepSeed:
         with pytest.raises(ConfigurationError, match="seed must be in"):
             rep_seed(master, "static", "gse-fwg", 100, 3)
 
+    @pytest.mark.parametrize("rep", [-1, 1.5, 3.0, "3", None])
+    def test_rep_must_be_a_non_negative_integer(self, rep):
+        with pytest.raises(ConfigurationError, match="rep must be"):
+            rep_seed(7, "static", "gse-fwg", 100, rep)
+
+    @pytest.mark.parametrize("budget", [10.5, 100.0, "100"])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ConfigurationError, match="budget must be"):
+            rep_seed(7, "static", "gse-fwg", budget, 3)
+
+    def test_numpy_integers_give_the_same_entropy(self):
+        assert rep_seed(7, "static", "gse-fwg", np.int64(100),
+                        np.uint32(3)).entropy == rep_seed(
+                            7, "static", "gse-fwg", 100, 3).entropy
+
     def test_any_coordinate_changes_the_stream(self):
         base = states(rep_seed(7, "static", "gse-fwg", 100, 3))
         assert states(rep_seed(8, "static", "gse-fwg", 100, 3)) != base
@@ -528,9 +543,9 @@ class TestReplicationStreams:
 
         lockstep = harness_mod.gse_lockstep
 
-        def recording(jobs, cache=None):
+        def recording(jobs, *args, **kwargs):
             runs.extend(rng.bit_generator.state for _, _, rng in jobs)
-            return lockstep(jobs, cache)
+            return lockstep(jobs, *args, **kwargs)
 
         monkeypatch.setattr(harness_mod, "gse_lockstep", recording)
         mc_accuracy(source, "gse-fwg", 40, 5, 11, family="rec", workers=1)
@@ -539,6 +554,24 @@ class TestReplicationStreams:
             inst_ss, run_ss = rep_seed(11, "rec", "gse-fwg", 40, r).spawn(2)
             assert seen[r] == np.random.default_rng(inst_ss).bit_generator.state
             assert runs[r] == np.random.default_rng(run_ss).bit_generator.state
+
+
+    def test_seed_words_are_little_endian_32_bit_words(self):
+        assert harness_mod._seed_words([0, 2**32 - 1, 2**32 + 5, 2**64]) == [
+            0, 2**32 - 1, 5, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("key", [0, 1])
+    @pytest.mark.parametrize("rep", [0, 2**32 - 1, 2**32 + 5])
+    @pytest.mark.parametrize("master", [0, 2**32 - 1])
+    def test_chunk_streams_match_rep_seed_on_edge_entropy(self, master, rep,
+                                                          key):
+        # 2**32 + 5 is the first index of two words
+        point = harness_mod._seed_words(
+            harness_mod._point_entropy(master, "edge", "gse-fwg", 40))
+        got = harness_mod._stream(harness_mod._rep_words(point, rep), key)
+        child = rep_seed(master, "edge", "gse-fwg", 40, rep).spawn(2)[key]
+        assert got.bit_generator.state == \
+            np.random.default_rng(child).bit_generator.state
 
 
 class TestBenchTracer:
