@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, SingularDesignError
+from .errors import BudgetTooSmallError, SingularDesignError, _one
 
 SUPPORT_TOL = 1e-9
 CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
@@ -181,10 +181,7 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 2 or arms.shape[0] == 0:
         raise SingularDesignError("arms must be a nonempty 2-d array")
-    (design,) = fw_g_optimal_stack(arms[None], iterations, tol)
-    if isinstance(design, SingularDesignError):
-        raise design
-    return design
+    return _one(fw_g_optimal_stack(arms[None], iterations, tol))
 
 
 def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
@@ -404,11 +401,8 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
         If n is below the support size; callers may drop weights under 1/n
         and retry once (see ``allocate_budget``).
     """
-    (counts,) = round_allocation_stack(
-        np.array([int(n)]), np.asarray(design.weights, dtype=float)[None])
-    if isinstance(counts, BudgetTooSmallError):
-        raise counts
-    return counts
+    return _one(round_allocation_stack(
+        np.array([int(n)]), np.asarray(design.weights, dtype=float)[None]))
 
 
 def round_allocation_stack(n: np.ndarray, weights: np.ndarray,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_one``, which unwraps
+the result of a stacked kernel run on a stack of one."""
 
 
 class FbbaiError(Exception):
@@ -31,3 +32,11 @@ class EstimationFailureError(FbbaiError, RuntimeError):
 
 class UndefinedBoundError(FbbaiError, ValueError):
     """A probability bound is requested for inputs where it is undefined."""
+
+
+def _one(stack: list):
+    """The entry of a stack of one, raised if it is an error."""
+    (entry,) = stack
+    if isinstance(entry, Exception):
+        raise entry
+    return entry

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .design import _info_matrix, _settle
-from .errors import EstimationFailureError, InvalidAllocationError
+from .errors import EstimationFailureError, InvalidAllocationError, _one
 from .instances import IDENTITY, MeanFunction
 
 COND_LIMIT = 1e12
@@ -91,14 +91,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     stacked matmul that gives the bits of ``np.linalg.norm`` of the column
     alone (``np.linalg.norm(axis=...)`` sums in another order)."""
     return np.sqrt((v.swapaxes(1, 2) @ v)[:, 0, 0])
-
-
-def _one(stack: list):
-    """The entry of a stack of one, raised if it is an error."""
-    (entry,) = stack
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
 
 
 def least_squares(data: RegressionData) -> ParameterEstimate:

@@ -49,7 +49,7 @@ from .design import (Design, _info_matrix, allocate_budget,
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
 from .errors import (BudgetTooSmallError, ConfigurationError,
-                     EstimationFailureError, FbbaiError)
+                     EstimationFailureError, FbbaiError, _one)
 from .estimators import (RegressionData, irls_glm_stack, least_squares_stack,
                          mean_estimates_stack, well_conditioned)
 # bench/tracer.py patches these names
@@ -149,10 +149,7 @@ class DesignCache:
         """The plan of ``n`` pulls on the arms ``ids``; raises
         ``ConfigurationError`` if ``n`` is below their span dimension."""
         ids = tuple(int(i) for i in ids)
-        (plan,) = _plan_stages(self, [(instance, ids, n, strategy)])
-        if isinstance(plan, FbbaiError):
-            raise plan
-        return plan
+        return _one(_plan_stages(self, [(instance, ids, n, strategy)]))
 
     @staticmethod
     def design(arms: np.ndarray) -> list:
@@ -168,8 +165,7 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
 
     The keys the cache lacks are built once each, as stacks: the active
     arms are projected onto their span by one stacked SVD per (m, d) shape
-    and checked against ``n``.  A shape's feature rows are one ``take`` of
-    its stacked ids when all its keys hold one instance, else one per key.
+    and checked against ``n``; a shape's feature rows are one ``_gather``.
     Then the ``fw-g`` designs are solved, rounded and tested for saturation
     as one stack per (m, d_t) shape, while uniform counts are set per key.
     Every stacked kernel gives each key the bits of its lone computation.
@@ -186,12 +182,7 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
     counted = defaultdict(list)   # (m, d_t) -> (key, arms, counts, design)
     for group in by_shape.values():
         ids = [key[1] for key in group]
-        instance = group[0][0]
-        if all(key[0] is instance for key in group):
-            features = instance.features.take(ids, axis=0)
-        else:
-            features = np.stack([key[0].features.take(key[1], axis=0)
-                                 for key in group])
+        features = _gather([key[0] for key in group], "features", ids)
         for key, arms in zip(group, _project_stack(features, ids)):
             _, _, n, strategy = key
             if isinstance(arms, FbbaiError):
@@ -299,30 +290,15 @@ def explore(instance: BanditInstance, plan: StagePlan,
     Pulls are drawn in active-arm order, each arm's pulls contiguous, one
     reward per pull, so a run is reproducible from (instance, config, seed)
     alone.  The returned data has one row per active arm: its projected
-    features, its reward sum and its pull count.  This is ``explore_stack``
+    features, its reward sum and its pull count.  This is ``_stage_sums``
     on a stack of one.
     """
-    (sums,) = explore_stack([(instance, plan, rng)])
+    (sums,) = _stage_sums([(instance, plan, rng)], plan.counts[None],
+                          np.array([plan.arms.original_ids]))
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
 
 
 DRAW_BLOCK = 1 << 14  # pulls per block: bounds the draw buffers
-
-
-def explore_stack(jobs: Sequence[tuple[BanditInstance, StagePlan,
-                                       np.random.Generator]]) -> np.ndarray:
-    """Reward sums of each (instance, plan, rng) job whose plans share an
-    active-set size m: a (len(jobs), m) array, row g holding job g's
-    per-arm sums S_i.
-
-    The jobs are split by kind of reward, Bernoulli or Gaussian, and each
-    kind goes in blocks of about ``DRAW_BLOCK`` pulls (``_block_sums``).
-    Each job makes its stage's one generator call, the one
-    ``sample_rewards`` makes for the same pulls, so its sums are those of
-    ``explore`` on it alone.
-    """
-    counts, ids, _ = _plan_stacks([plan for _, plan, _ in jobs])
-    return _stage_sums(jobs, counts, ids)
 
 
 def _plan_stacks(plans: Sequence[StagePlan],
@@ -340,10 +316,31 @@ def _plan_stacks(plans: Sequence[StagePlan],
             np.array([plan.saturated for plan in plans])[at])
 
 
+def _gather(instances: Sequence[BanditInstance], attr: str,
+            ids: Sequence) -> np.ndarray:
+    """Row g of the result holds the rows ``ids[g]`` of attribute ``attr``
+    of ``instances[g]``: one ``take`` of the stacked ids when all entries
+    of ``instances`` are one instance, else one ``take`` per entry."""
+    first = instances[0]
+    if all(instance is first for instance in instances):
+        return getattr(first, attr).take(ids, axis=0)
+    return np.stack([getattr(instance, attr).take(row, axis=0)
+                     for instance, row in zip(instances, ids)])
+
+
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
-    """``explore_stack`` of jobs whose plans' pull counts and active ids
-    are the rows of ``counts`` and ``ids``."""
+    """Reward sums of each (instance, plan, rng) job whose plans share an
+    active-set size m and whose pull counts and active ids are the rows of
+    the (G, m) ``counts`` and ``ids``: a (G, m) array, row g holding job
+    g's per-arm sums S_i.
+
+    The jobs are split by kind of reward, Bernoulli or Gaussian, and each
+    kind goes in blocks of about ``DRAW_BLOCK`` pulls (``_block_sums``).
+    Each job makes its stage's one generator call, the one
+    ``sample_rewards`` makes for the same pulls, so its sums are, bit for
+    bit, those of ``sample_rewards`` on its pulls summed per arm.
+    """
     pulls = counts.sum(axis=1)
     sums = np.empty(counts.shape)
     bernoulli = np.array([instance.bernoulli for instance, _, _ in jobs])
@@ -366,8 +363,7 @@ def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
     Each job, in order, draws for its pulls (``draw_noise``), which go in
     the order ``explore`` pulls: active arms in turn, each arm's pulls
     contiguous.  The rest is done once for the block: the arms' means are
-    one ``take`` of ``ids`` when all jobs hold one instance, else one per
-    job.  Bernoulli sums are exact integer hit counts, one
+    one ``_gather``.  Bernoulli sums are exact integer hit counts, one
     ``np.add.reduceat`` over the arms that are pulled (an arm with no pull
     sums to 0).  Gaussian sums come from one offset ``np.bincount``, which
     adds each arm's rewards in draw order as a bincount of one job alone
@@ -379,13 +375,7 @@ def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
     draws = [draw_noise(instance, n, rng)
              for (instance, _, rng), n in zip(jobs, sizes)]
     flat = counts.ravel()
-    instance = jobs[0][0]
-    if all(job[0] is instance for job in jobs):
-        means = instance.means.take(ids)
-    else:
-        means = np.concatenate([job[0].means.take(row)
-                                for job, row in zip(jobs, ids)])
-    mu = np.repeat(means, flat)
+    mu = np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
     if bernoulli:
         hits = rewards_of(True, mu, np.concatenate(draws))
         pulled = np.flatnonzero(flat)
@@ -500,7 +490,7 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
     Each stage looks up the plans of all live jobs at once
     (``_plan_stages``), which builds the missing ones as stacks.  The jobs
     whose stages keep the same number of arms out of the same number then
-    draw (``explore_stack``), estimate and are cut (``eliminate_stack``)
+    draw (``_stage_sums``), estimate and are cut (``eliminate_stack``)
     together.  Each job draws from its own generator, in the order a lone
     run draws, and every stacked step gives it the bits of its lone
     computation, so its result does not depend on the other jobs.  The
@@ -601,7 +591,4 @@ def gse_run(instance: BanditInstance, config: GseConfig,
             cache: Optional[DesignCache] = None) -> RunResult:
     """Run successive elimination and recommend the single surviving arm:
     ``gse_lockstep`` on one job, raising the error that ends it."""
-    (result,) = gse_lockstep([(instance, config, rng)], cache)
-    if isinstance(result, FbbaiError):
-        raise result
-    return result
+    return _one(gse_lockstep([(instance, config, rng)], cache))

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _one
 
 MAX_RESAMPLE = 100
 RANK_TOL = 1e-9  # relative singular-value cutoff of the numerical rank
@@ -305,7 +305,7 @@ def project_to_span(active_features: np.ndarray,
     the span being factored out, so estimation in the reduced space is
     equivalent to estimation in the ambient space restricted to that span.
     The numerical rank counts the singular values above ``RANK_TOL`` times
-    the largest.  This is ``project_to_span_stack`` on a stack of one.
+    the largest.  This is ``_project_stack`` on a stack of one.
 
     Parameters
     ----------
@@ -316,48 +316,29 @@ def project_to_span(active_features: np.ndarray,
     Raises
     ------
     DegenerateInputError
-        If the matrix is empty, entirely zero or not finite.
+        If the matrix is empty, entirely zero or not finite, or ``ids``
+        does not give one index per row.
     """
     A = np.asarray(active_features, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
         raise DegenerateInputError("active_features must be a nonempty 2-d array")
-    (arms,) = project_to_span_stack(
-        A[None], [range(A.shape[0]) if ids is None else ids])
-    if isinstance(arms, DegenerateInputError):
-        raise arms
-    return arms
-
-
-def project_to_span_stack(features: np.ndarray, ids: Sequence[Sequence[int]],
-                          ) -> list[ProjectedArmSet | DegenerateInputError]:
-    """``project_to_span`` of each (m, d) arm set in a (B, m, d) stack.
-
-    Entry b is, bit for bit, the projection of ``features[b]`` alone: one
-    stacked SVD factors every set that can be, each set keeps its own
-    numerical rank, and ``A @ basis`` runs as one stacked product per rank.
-    An entry that is entirely zero or not finite holds the
-    ``DegenerateInputError`` its lone projection raises; the other entries
-    are unaffected.
-
-    Raises
-    ------
-    DegenerateInputError
-        If ``features`` is not a stack of nonempty matrices or ``ids`` does
-        not give one index per row of each set.
-    """
-    A = np.asarray(features, dtype=float)
-    if A.ndim != 3 or A.shape[1] == 0:
-        raise DegenerateInputError("features must be a stack of nonempty 2-d arrays")
-    ids = [tuple(int(i) for i in row) for row in ids]
-    if len(ids) != A.shape[0] or any(len(row) != A.shape[1] for row in ids):
+    ids = tuple(range(A.shape[0]) if ids is None else (int(i) for i in ids))
+    if len(ids) != A.shape[0]:
         raise DegenerateInputError("ids must match the number of rows")
-    return _project_stack(A, ids)
+    return _one(_project_stack(A[None], [ids]))
 
 
 def _project_stack(A: np.ndarray, ids: list[tuple[int, ...]],
                    ) -> list[ProjectedArmSet | DegenerateInputError]:
-    """``project_to_span_stack`` of a float (B, m, d) stack whose ids are
-    already tuples of ints, one per row of each set."""
+    """``project_to_span`` of each set of a float (B, m, d) stack, whose
+    ids are tuples of ints, one per row of each set.
+
+    Entry b is, bit for bit, the projection of ``A[b]`` alone: one stacked
+    SVD factors every set that can be, each set keeps its own numerical
+    rank, and ``A @ basis`` runs as one stacked product per rank.  An entry
+    that is entirely zero or not finite holds the ``DegenerateInputError``
+    its lone projection raises; the other entries are unaffected.
+    """
     finite = np.isfinite(A).all(axis=(1, 2))
     usable = finite & np.any(np.abs(A) > 0.0, axis=(1, 2))
     out: list = [None if ok else DegenerateInputError(

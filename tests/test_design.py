@@ -12,7 +12,7 @@ from fbbai.design import (SUPPORT_TOL, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, fw_g_optimal_stack,
                           g_gradient, g_value_and_argmax, kw_certificate,
-                          round_allocation)
+                          round_allocation, round_allocation_stack)
 from fbbai.errors import BudgetTooSmallError, SingularDesignError
 from fbbai.instances import (gen_adaptive_instance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -481,6 +481,31 @@ class TestRounding:
     def test_budget_below_support_size_raises(self):
         with pytest.raises(BudgetTooSmallError):
             round_allocation(1, uniform_design(2))
+
+    def test_stack_rows_equal_lone_roundings(self):
+        # different budgets, an empty support and a support above its budget
+        rng = np.random.default_rng(5)
+        weights = rng.dirichlet(np.ones(6), size=6)
+        weights[1, 2:] = 0.0
+        weights[1] /= weights[1].sum()
+        weights[3] = 0.0
+        n = np.array([17, 4, 250, 9, 5, 6])
+        rows = round_allocation_stack(n, weights)
+        assert isinstance(rows[3], BudgetTooSmallError)
+        assert isinstance(rows[4], BudgetTooSmallError)
+        for b, row in enumerate(rows):
+            des = Design(weights=weights[b], g_value=0.0, iterations_used=0,
+                         certified=True)
+            if isinstance(row, BudgetTooSmallError):
+                with pytest.raises(BudgetTooSmallError) as lone:
+                    round_allocation(int(n[b]), des)
+                assert str(row) == str(lone.value)
+            else:
+                assert row.tobytes() == round_allocation(int(n[b]),
+                                                         des).tobytes()
+        assert str(rows[3]) == "design has empty support"
+        assert str(rows[4]) == (
+            "budget 5 cannot give every one of 6 support arms a pull")
 
     def test_allocate_budget_drops_negligible_support(self):
         k = 11

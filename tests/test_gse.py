@@ -231,7 +231,7 @@ def per_pull_sums(inst, plan, rng):
 
 
 class TestExploreStack:
-    """``explore_stack`` sums bit for bit as the per-pull reference does on
+    """``_stage_sums`` sums bit for bit as the per-pull reference does on
     a replayed generator, and leaves each generator where the reference
     leaves it.  Every stack has eight active arms."""
 
@@ -283,8 +283,9 @@ class TestExploreStack:
     @staticmethod
     def check_sums(asks, plans):
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
-        sums = gse_mod.explore_stack([(ask[0], plan, rng) for ask, plan, rng
-                                      in zip(asks, plans, rngs)])
+        counts, ids, _ = gse_mod._plan_stacks(plans)
+        sums = gse_mod._stage_sums([(ask[0], plan, rng) for ask, plan, rng
+                                    in zip(asks, plans, rngs)], counts, ids)
         assert sums.shape == (len(asks), 8)
         for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
             replay = np.random.default_rng(100 + g)

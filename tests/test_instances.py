@@ -14,7 +14,7 @@ from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
                              gen_logistic_instance, gen_sphere_instance,
                              gen_static_instance, load_features,
                              load_instance_csv, noiseless, project_to_span,
-                             project_to_span_stack, sample_rewards)
+                             sample_rewards, _project_stack)
 
 
 def triangle_instance(**kwargs):
@@ -167,8 +167,18 @@ class TestProjection:
         assert proj.original_ids == (4, 7, 9)
 
     def test_id_count_mismatch_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            project_to_span(np.eye(3), ids=(0, 1))
+        for ids in [(0, 1), (0, 1, 2, 3)]:
+            with pytest.raises(DegenerateInputError,
+                               match="ids must match the number of rows"):
+                project_to_span(np.eye(3), ids=ids)
+
+    @pytest.mark.parametrize("arms", [np.ones(3), np.zeros((0, 3)),
+                                      np.ones((2, 3, 3))],
+                             ids=["1-d", "empty", "3-d"])
+    def test_non_matrix_rejected(self, arms):
+        with pytest.raises(DegenerateInputError,
+                           match="active_features must be a nonempty 2-d array"):
+            project_to_span(arms)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -189,7 +199,7 @@ class TestProjection:
         sets[3] = 0.0
         sets[5, :, 2] = sets[5, :, 0]  # rank 2, unlike the others
         ids = [tuple(range(b, b + 5)) for b in range(6)]
-        results = project_to_span_stack(sets, ids)
+        results = _project_stack(sets, ids)
         for b, result in enumerate(results):
             if b in (1, 2, 3):
                 assert isinstance(result, DegenerateInputError)
@@ -205,7 +215,7 @@ class TestProjection:
             3, 3, 2]
         # a stack of only failing entries fails entry by entry
         assert all(isinstance(r, DegenerateInputError)
-                   for r in project_to_span_stack(sets[1:4], ids[1:4]))
+                   for r in _project_stack(sets[1:4], ids[1:4]))
 
     def test_basis_is_orthonormal(self):
         rng = np.random.default_rng(11)
