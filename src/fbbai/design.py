@@ -299,9 +299,10 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
     n, K, d = arms.shape
     pi = np.full((n, K), 1.0 / K)
     # norms of 0 pass the certificate test, so iteration 0 computes the
-    # uniform norms and certifies the rows they certify; V^-1 and the best
-    # iterate are made after that, for the rows left
-    norms, Vinv = np.zeros((n, K)), None
+    # uniform norms, certifies the rows they certify and renews V^-1 for
+    # the rows left
+    norms, Vinv = np.zeros((n, K)), np.empty((n, d, d))
+    best_g, best_pi = np.full(n, np.inf), pi.copy()
     offsets = np.arange(0, n * K, K)  # row starts in the flattened (n, K) arrays
     flat_arms = arms.reshape(-1, d)
     it = 0
@@ -320,18 +321,7 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
             for i in rows[done]:
                 out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
                                 iterations_used=it, certified=True)
-            rows = rows[~done]
-        if Vinv is None:  # the end of iteration 0
-            left = _settle(out, results, ids, arms, pi, norms, j, g_now)
-            if left is None:
-                return
-            ids, arms, pi, norms, j, g_now = left
-            offsets, flat_arms = offsets[:ids.size], arms.reshape(-1, d)
-            out, rows = {}, np.arange(ids.size)
-            Vinv, best_g, best_pi = (np.empty((ids.size, d, d)),
-                                     np.full(ids.size, np.inf), pi.copy())
-        if certify.size:
-            _renew(_inverse, Vinv, rows, pi, arms, out)
+            _renew(_inverse, Vinv, rows[~done], pi, arms, out)
         better = g_now < best_g
         np.copyto(best_g, g_now, where=better)
         np.copyto(best_pi, pi, where=better[:, None])

@@ -146,8 +146,10 @@ class DesignCache:
 
     def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
              strategy: str) -> StagePlan:
-        """The plan of ``n`` pulls on the arms ``ids``; raises
-        ``ConfigurationError`` if ``n`` is below their span dimension."""
+        """The plan of ``n`` pulls on the integer arm ids ``ids``; raises
+        ``ConfigurationError`` for other ids or ``n`` below their span dimension."""
+        if not all(isinstance(i, Integral) for i in ids):
+            raise ConfigurationError(f"arm ids must be integers, not {ids}")
         ids = tuple(int(i) for i in ids)
         return _one(_plan_stages(self, [(instance, ids, n, strategy)]))
 
@@ -433,36 +435,45 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fit_stack(model: str, arms: np.ndarray, sums: np.ndarray,
-               counts: np.ndarray) -> list:
-    """Fit unsaturated stages of one model and one projected shape, from
-    (G, m, d) arms and (G, m) reward sums and pull counts, as one stack.
-    Entry g holds item g's estimated means and its fit's (converged,
-    iterations, fellback), or the package error that ends its job.  An
-    item whose logistic fit fails falls back to least squares."""
-    back: list = []  # items fitted by least squares after a logistic failure
-    if model == "logistic":
-        fits = irls_glm_stack(arms, sums, counts, LOGISTIC)
-        back = [g for g, fit in enumerate(fits)
-                if isinstance(fit, EstimationFailureError)]
+def _estimate(group: list, sums: np.ndarray, counts: np.ndarray,
+              saturated: np.ndarray) -> tuple[np.ndarray, list]:
+    """The (G, m) estimated means of a stage group's (run, plan) jobs, from
+    their (G, m) reward sums and pull counts, and one entry per job: its
+    fit's (converged, iterations, fellback), or the package error that ends
+    it.  Saturated jobs take S_i / c_i and (True, 0, False).  The others are
+    fitted as one stack per model and projected shape; an item whose
+    logistic fit fails falls back to least squares."""
+    mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
+                       where=saturated[:, None])
+    fits: list = [(True, 0, False)] * len(group)
+    unsaturated = defaultdict(list)  # (model, projected shape) -> rows
+    for g in np.flatnonzero(~saturated).tolist():
+        run, plan = group[g]
+        unsaturated[run.config.model, plan.arms.projected.shape].append(g)
+    for (model, _), rows in unsaturated.items():
+        arms = np.array([group[g][1].arms.projected for g in rows])
+        y, c = sums[rows], counts[rows]
+        fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
+                  else least_squares_stack(arms, y, c))
+        # items whose logistic fit diverged are fitted by least squares
+        back = [k for k, f in enumerate(fitted)
+                if isinstance(f, EstimationFailureError)]
         if back:
-            for g, fit in zip(back, least_squares_stack(arms[back], sums[back],
-                                                        counts[back])):
-                fits[g] = fit
-    else:
-        fits = least_squares_stack(arms, sums, counts)
-    by_link = defaultdict(list)  # fell back -> items fitted
-    for g, fit in enumerate(fits):
-        if not isinstance(fit, FbbaiError):
-            by_link[g in back].append(g)
-    out: list = list(fits)
-    for fellback, rows in by_link.items():
-        link = LOGISTIC if model == "logistic" and not fellback else None
-        mu_hat = mean_estimates_stack(
-            np.array([fits[g].theta_hat for g in rows]), arms[rows], link)
-        for g, mu in zip(rows, mu_hat):
-            out[g] = (mu, fits[g].converged, fits[g].iterations, fellback)
-    return out
+            for k, f in zip(back, least_squares_stack(arms[back], y[back], c[back])):
+                fitted[k] = f
+        by_link = defaultdict(list)  # fell back -> items fitted
+        for k, f in enumerate(fitted):
+            if isinstance(f, FbbaiError):
+                fits[rows[k]] = f
+            else:
+                by_link[k in back].append(k)
+        for fellback, items in by_link.items():
+            link = LOGISTIC if model == "logistic" and not fellback else None
+            mu_hat[[rows[k] for k in items]] = mean_estimates_stack(
+                np.array([fitted[k].theta_hat for k in items]), arms[items], link)
+            for k in items:
+                fits[rows[k]] = (fitted[k].converged, fitted[k].iterations, fellback)
+    return mu_hat, fits
 
 
 @dataclass(slots=True)
@@ -536,42 +547,24 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
             counts, ids, saturated = _plan_stacks([plan for _, plan in group])
             sums = _stage_sums([(run.instance, plan, run.rng)
                                 for run, plan in group], counts, ids)
-            mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
-                               where=saturated[:, None])
+            mu_hat, fits = _estimate(group, sums, counts, saturated)
             pulls = counts.sum(axis=1).tolist()
-            # a saturated stage is ranked by S_i / c_i, computed above
-            fits: dict = {}  # row -> (converged, iterations, fellback)
-            failed: set = set()
-            unsaturated = defaultdict(list)  # (model, projected shape) -> rows
-            for g in np.flatnonzero(~saturated).tolist():
-                run, plan = group[g]
-                unsaturated[run.config.model, plan.arms.projected.shape].append(g)
-            for (model, _), rows in unsaturated.items():
-                arms = np.array([group[g][1].arms.projected for g in rows])
-                for g, fit in zip(rows, _fit_stack(model, arms, sums[rows],
-                                                   counts[rows])):
-                    if isinstance(fit, FbbaiError):
-                        results[group[g][0].slot] = fit
-                        failed.add(g)
-                    else:
-                        mu_hat[g], fits[g] = fit[0], fit[1:]
-            rows = range(len(group))
-            if failed:
-                rows = [g for g in rows if g not in failed]
-                if not rows:
-                    continue
-                mu_hat, ids = mu_hat[rows], ids[rows]
-            survivors = eliminate_stack(ids, mu_hat, keep)
-            for i, (g, kept) in enumerate(zip(rows, survivors)):
+            rows = []
+            for g, fit in enumerate(fits):
+                if isinstance(fit, FbbaiError):
+                    results[group[g][0].slot] = fit
+                else:
+                    rows.append(g)
+            survivors = eliminate_stack(ids[rows], mu_hat[rows], keep)
+            for g, kept in zip(rows, survivors):
                 run, plan = group[g]
                 run.active = tuple(kept)
                 run.pulls += pulls[g]
                 if traces:
-                    converged, iterations, fellback = fits.get(
-                        g, (True, 0, False))
+                    converged, iterations, fellback = fits[g]
                     run.traces.append(StageTrace(
                         stage=t, arms=plan.arms, counts=plan.counts,
-                        mu_hat=mu_hat[i], survivors=run.active,
+                        mu_hat=mu_hat[g], survivors=run.active,
                         estimator_converged=converged,
                         estimator_iterations=iterations,
                         used_fallback=fellback, design=plan.design))

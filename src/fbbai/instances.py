@@ -23,11 +23,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, _one
+from .errors import ConfigurationError, DegenerateInputError, _one
 
 MAX_RESAMPLE = 100
 RANK_TOL = 1e-9  # relative singular-value cutoff of the numerical rank
@@ -318,14 +319,18 @@ def project_to_span(active_features: np.ndarray,
     DegenerateInputError
         If the matrix is empty, entirely zero or not finite, or ``ids``
         does not give one index per row.
+    ConfigurationError
+        If an entry of ``ids`` is not an integer.
     """
     A = np.asarray(active_features, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
         raise DegenerateInputError("active_features must be a nonempty 2-d array")
-    ids = tuple(range(A.shape[0]) if ids is None else (int(i) for i in ids))
+    ids = tuple(range(A.shape[0]) if ids is None else ids)
+    if not all(isinstance(i, Integral) for i in ids):
+        raise ConfigurationError(f"arm ids must be integers, not {ids}")
     if len(ids) != A.shape[0]:
         raise DegenerateInputError("ids must match the number of rows")
-    return _one(_project_stack(A[None], [ids]))
+    return _one(_project_stack(A[None], [tuple(int(i) for i in ids)]))
 
 
 def _project_stack(A: np.ndarray, ids: list[tuple[int, ...]],
@@ -352,9 +357,8 @@ def _project_stack(A: np.ndarray, ids: list[tuple[int, ...]],
     ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
     for r in set(ranks.tolist()):  # np.unique would import numpy.ma
         rows = np.flatnonzero(ranks == r)
-        whole = rows.size == good.size  # then the stacks need no copy
-        basis = (vt if whole else vt[rows])[:, :r].transpose(0, 2, 1)
-        projected = (A if whole else A[rows]) @ basis
+        basis = vt[rows, :r].transpose(0, 2, 1)
+        projected = A[rows] @ basis
         for k, b in enumerate(good[rows].tolist()):
             out[b] = ProjectedArmSet(projected=projected[k], basis=basis[k],
                                      original_ids=ids[b])

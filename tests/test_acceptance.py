@@ -6,6 +6,7 @@ next to the assertions they protect.  One extra test checks the exact
 stage-1 oracle that criterion 08 relies on.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -16,8 +17,8 @@ import scipy.stats
 
 from fbbai.bounds import (BoundInputs, bound_glm_gopt, bound_linear_gopt,
                           oracle_c_min, stage_norm_terms)
-from fbbai.design import (d_opt_gradient, fw_g_optimal, g_gradient,
-                          g_value_and_argmax)
+from fbbai.design import (d_opt_gradient, fw_g_optimal, fw_g_optimal_stack,
+                          g_gradient, g_value_and_argmax)
 from fbbai.estimators import RegressionData, irls_glm, least_squares
 from fbbai.gse import DesignCache, GseConfig, gse_lockstep, gse_run
 from fbbai.harness import (family_source, format_csv, mc_accuracy, rep_seed,
@@ -95,16 +96,29 @@ def test_criterion_02_kiefer_wolfowitz_certification():
     assert time.perf_counter() - start < 10.0
 
 
-def grid_min_g_three_arms(arms, step=1e-3):
-    """Exhaustive minimum of the g criterion over the weight simplex for
-    K = 3, d = 2, via closed-form 2x2 inverses on the whole grid at once."""
+@functools.lru_cache(maxsize=None)
+def simplex_grid(step):
+    """Weights (w1, w2, w3) of every point of the K = 3 simplex grid of
+    spacing ``step``, built once: they do not depend on the arms."""
     n = int(round(1.0 / step))
     idx = np.arange(n + 1)
     i, j = np.meshgrid(idx, idx, indexing="ij")
     keep = i + j <= n
     w1 = i[keep] * step
     w2 = j[keep] * step
-    w3 = 1.0 - w1 - w2
+    return w1, w2, 1.0 - w1 - w2
+
+
+def grid_min_g_three_arms(arms, step=1e-3, chunk=1 << 14):
+    """Exhaustive minimum of the g criterion over the weight simplex for
+    K = 3, d = 2, via closed-form 2x2 inverses on the grid, ``chunk`` points
+    at a time so that the temporaries stay in cache."""
+    weights = simplex_grid(step)
+    return min(_grid_min_g(arms, *(w[lo:lo + chunk] for w in weights))
+               for lo in range(0, weights[0].size, chunk))
+
+
+def _grid_min_g(arms, w1, w2, w3):
     a = w1 * arms[0, 0] ** 2 + w2 * arms[1, 0] ** 2 + w3 * arms[2, 0] ** 2
     b = (w1 * arms[0, 0] * arms[0, 1] + w2 * arms[1, 0] * arms[1, 1]
          + w3 * arms[2, 0] * arms[2, 1])
@@ -121,13 +135,16 @@ def grid_min_g_three_arms(arms, step=1e-3):
 
 def test_criterion_03_solver_matches_exhaustive_grid():
     rng = np.random.default_rng(77)
+    sets = []
     for _ in range(50):
         arms = rng.standard_normal((3, 2))
         while np.linalg.matrix_rank(arms) < 2:
             arms = rng.standard_normal((3, 2))
+        sets.append(arms)
+    # one stacked solve; each entry is its lone solve (TestGoldenDesigns)
+    for arms, design in zip(sets, fw_g_optimal_stack(np.stack(sets), tol=1e-4)):
         g_grid = grid_min_g_three_arms(arms)
-        g_fw = fw_g_optimal(arms, tol=1e-4).g_value
-        assert abs(g_fw - g_grid) <= 1e-3
+        assert abs(design.g_value - g_grid) <= 1e-3
 
 
 def test_criterion_04_gradients_match_finite_differences():

@@ -143,6 +143,13 @@ class TestExplore:
         with pytest.raises(ConfigurationError):
             DesignCache().plan(inst, (0, 1, 2, 3), 3, "uniform")
 
+    def test_non_integer_ids_rejected(self):
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            DesignCache().plan(inst, (0.5, 1.2, 2.9, 3), 10, "uniform")
+        plan = DesignCache().plan(inst, np.arange(4), 10, "uniform")
+        assert plan.arms.original_ids == (0, 1, 2, 3)
+
     def test_design_allocation_spends_the_stage_budget(self):
         inst = noiseless(gen_adaptive_instance(4))
         plan = DesignCache().plan(inst, tuple(range(inst.n_arms)), 40, "fw-g")
@@ -631,3 +638,39 @@ class TestLockstep:
         results = gse_lockstep([bad, make_job(0, 11)])
         assert isinstance(results[0], ConfigurationError)
         assert run_summary(results[1]) == run_summary(gse_run(*good))
+
+    @pytest.mark.parametrize("kind,failing", [
+        (0, [2]),           # one sphere job's least-squares fit fails
+        (0, [0, 1, 2, 3]),  # every job of the stage group fails
+        (4, [1]),           # a logistic job's IRLS fit and its fallback fail
+    ])
+    def test_a_failed_stage_fit_ends_only_its_job(self, monkeypatch, kind,
+                                                  failing):
+        seeds = [21, 22, 23, 24]
+        lone = [gse_run(*make_job(kind, seed)) for seed in seeds]
+        # a job's items are known by their projected arms at some stage
+        marked = {t.arms.projected.tobytes() for g in failing
+                  for t in lone[g].traces}
+
+        def fail_marked(name, error):
+            fit = getattr(gse_mod, name)
+
+            def wrapped(arms, *args):
+                return [error("forced") if a.tobytes() in marked else out
+                        for a, out in zip(arms, fit(arms, *args))]
+
+            monkeypatch.setattr(gse_mod, name, wrapped)
+
+        def flags(result):
+            return [(t.estimator_converged, t.estimator_iterations,
+                     t.used_fallback) for t in result.traces]
+
+        fail_marked("least_squares_stack", InvalidAllocationError)
+        fail_marked("irls_glm_stack", EstimationFailureError)
+        got = gse_lockstep([make_job(kind, seed) for seed in seeds])
+        for g, (result, alone) in enumerate(zip(got, lone)):
+            if g in failing:
+                assert isinstance(result, InvalidAllocationError)
+            else:
+                assert run_summary(result) == run_summary(alone)
+                assert flags(result) == flags(alone)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbbai.errors import DegenerateInputError
+from fbbai.errors import ConfigurationError, DegenerateInputError
 from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
                              gen_adaptive_instance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -165,6 +165,13 @@ class TestProjection:
     def test_explicit_ids_are_recorded(self):
         proj = project_to_span(np.eye(3), ids=(4, 7, 9))
         assert proj.original_ids == (4, 7, 9)
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            project_to_span(np.eye(2), ids=(0.7, 1.9))
+        proj = project_to_span(np.eye(2), ids=np.array([3, 5]))
+        assert proj.original_ids == (3, 5)
+        assert all(type(i) is int for i in proj.original_ids)
 
     def test_id_count_mismatch_rejected(self):
         for ids in [(0, 1), (0, 1, 2, 3)]:
