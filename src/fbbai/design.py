@@ -196,7 +196,7 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     if some item's V is singular).  Items leave the stack when they stop.
     An entry whose arms are not finite or do not span R^d holds the
     ``SingularDesignError`` its lone solve raises; the other entries are
-    unaffected.
+    unaffected.  This is ``_fw_solve`` with each row made a ``Design``.
 
     Raises
     ------
@@ -204,6 +204,20 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
         If ``arms`` is not a stack of nonempty matrices, ``tol`` is not
         finite and positive, or ``iterations`` is negative.
     """
+    *rows, errors = _fw_solve(arms, iterations, tol)
+    return [errors.get(b) or _design(rows, b) for b in range(len(rows[1]))]
+
+
+def _design(rows, b: int) -> Design:
+    """The ``Design`` of row b of ``_fw_solve``'s arrays ``rows``."""
+    return Design(weights=rows[0][b], g_value=float(rows[1][b]),
+                  iterations_used=int(rows[2][b]), certified=bool(rows[3][b]))
+
+
+def _fw_solve(arms: np.ndarray, iterations: int | None = None,
+              tol: float = 0.01) -> tuple:
+    """``fw_g_optimal_stack`` as arrays: (B, K) weights, (B,) g, iterations
+    and certificates, and a dict of failed entries' errors (rows of zeros)."""
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 3 or arms.shape[1] == 0:
         raise SingularDesignError("arms must be a stack of nonempty 2-d arrays")
@@ -215,15 +229,15 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     B, K, d = arms.shape
     cap = default_iteration_cap(K, d, tol) if iterations is None else int(iterations)
     target = d * (1.0 + tol) + CERT_SLACK
-
-    results: list = [None] * B
     finite = np.isfinite(arms).all(axis=(1, 2))
-    for b in np.flatnonzero(~finite):
-        results[b] = SingularDesignError("arms must be finite")
+    errors = {b: SingularDesignError("arms must be finite")
+              for b in np.flatnonzero(~finite).tolist()}
+    out = (np.zeros((B, K)), np.zeros(B), np.zeros(B, dtype=int),
+           np.zeros(B, dtype=bool), errors)
     ids = np.flatnonzero(finite)
     if ids.size:
-        _fw_lockstep(arms[ids], ids, cap, target, results)
-    return results
+        _fw_lockstep(arms[ids], ids, cap, target, out)
+    return out
 
 
 REFRESH_EVERY = 100  # iterations between recomputations of V^-1 and the norms
@@ -281,21 +295,11 @@ def _fw_step(flat_arms, arms, Vinv, norms, pi, flat, uj) -> None:
     pi /= pi.sum(axis=1, keepdims=True)
 
 
-def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
-    """Write the results of the rows in ``out``; return ``ids`` and the
-    arrays without those rows, or None if no row is left."""
-    for i, result in out.items():
-        results[ids[i]] = result
-    if len(out) == ids.size:
-        return None
-    keep = np.ones(ids.size, dtype=bool)
-    keep[list(out)] = False
-    return [a[keep] for a in (ids, *arrays)]
-
-
-def _fw_lockstep(arms, ids, cap, target, results) -> None:
+def _fw_lockstep(arms, ids, cap, target, out) -> None:
     """Iterate the rows of ``arms`` from uniform weights until each stops,
-    writing its design or error to ``results[ids[row]]``."""
+    writing its weights, g, iteration count and certificate to row
+    ``ids[row]`` of the arrays of ``out``, or its error to the dict
+    ``out[4]`` (see ``_fw_solve``)."""
     n, K, d = arms.shape
     pi = np.full((n, K), 1.0 / K)
     # norms of 0 pass the certificate test, so iteration 0 computes the
@@ -305,23 +309,28 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
     best_g, best_pi = np.full(n, np.inf), pi.copy()
     offsets = np.arange(0, n * K, K)  # row starts in the flattened (n, K) arrays
     flat_arms = arms.reshape(-1, d)
+
+    def stop(rows, weights, g, certified):
+        at = ids[rows]
+        out[0][at], out[1][at], out[2][at], out[3][at] = weights, g, it, certified
+        return rows.tolist()
+
     it = 0
     while True:
         j = norms.argmax(axis=1)
         flat = offsets + j
         g_now = norms.take(flat)
-        out: dict = {}  # rows that stop at this iteration, with their results
+        failed: dict = {}  # rows whose V is singular, with their errors
+        stopped = []  # rows that stop with a design
         certify = (g_now <= target).nonzero()[0]
         if certify.size:
             # confirm on freshly computed values before certifying
-            rows = _renew(_all_norms, norms, certify, pi, arms, out)
+            rows = _renew(_all_norms, norms, certify, pi, arms, failed)
             j[rows] = norms[rows].argmax(axis=1)
             g_now[rows] = norms[rows, j[rows]]
             done = g_now[rows] <= target
-            for i in rows[done]:
-                out[i] = Design(weights=pi[i].copy(), g_value=float(g_now[i]),
-                                iterations_used=it, certified=True)
-            _renew(_inverse, Vinv, rows[~done], pi, arms, out)
+            stopped = stop(rows[done], pi[rows[done]], g_now[rows[done]], True)
+            _renew(_inverse, Vinv, rows[~done], pi, arms, failed)
         better = g_now < best_g
         np.copyto(best_g, g_now, where=better)
         np.copyto(best_pi, pi, where=better[:, None])
@@ -329,28 +338,28 @@ def _fw_lockstep(arms, ids, cap, target, results) -> None:
         if refresh:
             # renew the other rows; at the cap each stops on the better of
             # its best iterate and its last one, and before it a row stops
-            # when u_j <= d (a row not in out has g_now > target > d, so
-            # only renewed norms can meet that rule)
-            rows = np.delete(np.arange(ids.size), list(out))
-            rows = _renew(_all_norms, norms, rows, pi, arms, out)
+            # when u_j <= d (a row that has not stopped has g_now > target
+            # > d, so only renewed norms can meet that rule)
+            rows = np.delete(np.arange(ids.size), stopped + list(failed))
+            rows = _renew(_all_norms, norms, rows, pi, arms, failed)
             j[rows] = norms[rows].argmax(axis=1)
             g_now[rows] = norms[rows, j[rows]]
             if it < cap:
-                rows = _renew(_inverse, Vinv, rows, pi, arms, out)
+                rows = _renew(_inverse, Vinv, rows, pi, arms, failed)
                 rows = rows[g_now[rows] <= d]
-            for i in rows:
-                if g_now[i] < best_g[i]:
-                    best_g[i], best_pi[i] = g_now[i], pi[i]
-                out[i] = Design(weights=best_pi[i].copy(), g_value=float(best_g[i]),
-                                iterations_used=it, certified=bool(best_g[i] <= target))
+            up = rows[g_now[rows] < best_g[rows]]
+            best_g[up], best_pi[up] = g_now[up], pi[up]
+            stopped += stop(rows, best_pi[rows], best_g[rows], best_g[rows] <= target)
+        if stopped or failed:
+            out[4].update((int(ids[i]), exc) for i, exc in failed.items())
+            keep = np.delete(np.arange(ids.size), stopped + list(failed))
+            if not keep.size:
+                return
+            ids, arms, pi, norms, Vinv, best_g, best_pi, j, g_now = (
+                a[keep] for a in (ids, arms, pi, norms, Vinv, best_g, best_pi,
+                                  j, g_now))
+            offsets, flat_arms = offsets[:ids.size], arms.reshape(-1, d)
         if certify.size or refresh:
-            if out:
-                left = _settle(out, results, ids, arms, pi, norms, Vinv, best_g,
-                               best_pi, j, g_now)
-                if left is None:
-                    return
-                ids, arms, pi, norms, Vinv, best_g, best_pi, j, g_now = left
-                offsets, flat_arms = offsets[:ids.size], arms.reshape(-1, d)
             flat = offsets + j
         it += 1
         _fw_step(flat_arms, arms, Vinv, norms, pi, flat, g_now)
@@ -403,16 +412,22 @@ def round_allocation_stack(n: np.ndarray, weights: np.ndarray,
 
     The rows step in lockstep, each stopping when its total is reached, and
     every step is elementwise per row, so each row's counts are those of
-    its lone rounding."""
+    its lone rounding.  This is ``_round_rows`` with its rows split."""
+    counts, errors = _round_rows(n, weights)
+    return [errors.get(b, counts[b]) for b in range(n.size)]
+
+
+def _round_rows(n: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``round_allocation_stack`` as the (B, K) counts and a dict of the
+    rows that fail, with their errors (their rows hold zeros)."""
     support = weights > SUPPORT_TOL
     p = support.sum(axis=1)
-    out: list = [None] * n.size
-    for b in np.flatnonzero((p == 0) | (n < p)):
-        out[b] = BudgetTooSmallError(
-            "design has empty support" if p[b] == 0 else
-            f"budget {n[b]} cannot give every one of {p[b]} support arms a pull")
-    rows = np.flatnonzero((p > 0) & (n >= p))
-    n, p, weights, support = n[rows], p[rows], weights[rows], support[rows]
+    ok = (p > 0) & (n >= p)
+    errors = {b: BudgetTooSmallError(
+        "design has empty support" if p[b] == 0 else
+        f"budget {n[b]} cannot give every one of {p[b]} support arms a pull")
+        for b in np.flatnonzero(~ok).tolist()}
+    n, support = np.where(ok, n, 0), support & ok[:, None]  # failed rows: no pulls
     counts = np.where(support, np.ceil((n - p / 2.0)[:, None] * weights), 0.0)
     counts = np.where(support, np.maximum(counts.astype(int), 1), 0)
     ratio = np.full(weights.shape, np.nan)
@@ -425,9 +440,7 @@ def round_allocation_stack(n: np.ndarray, weights: np.ndarray,
         i = np.argmin(np.where(np.isnan(ratio[r]), np.inf, ratio[r]), axis=1)
         counts[r, i] += 1
         ratio[r, i] = counts[r, i] / weights[r, i]
-    for k, b in enumerate(rows):
-        out[b] = counts[k]
-    return out
+    return counts, errors
 
 
 def _spanning_keep(weights: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import _info_matrix, _settle
+from .design import _info_matrix
 from .errors import EstimationFailureError, InvalidAllocationError, _one
 from .instances import IDENTITY, MeanFunction
 
@@ -167,6 +167,15 @@ def least_squares_stack(xs: np.ndarray, sums: np.ndarray, counts: np.ndarray,
             out[g] = ParameterEstimate(theta_hat=theta[k, :, 0], covariance=V[k],
                                        converged=True, iterations=1)
     return out
+
+
+def _settle(out: dict, results: list, ids: np.ndarray, *arrays):
+    """Write the results of the rows in ``out``; return ``ids`` and the
+    arrays without those rows, or None if no row is left."""
+    for i, result in out.items():
+        results[ids[i]] = result
+    keep = np.delete(np.arange(ids.size), list(out))
+    return [a[keep] for a in (ids, *arrays)] if keep.size else None
 
 
 def irls_glm(data: RegressionData, mean_fn: MeanFunction,

@@ -16,21 +16,23 @@ Somekh 2013).
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
 config, rng) jobs in lockstep, and works each stage as stacks.  The plans
-the jobs lack are built together: one stacked SVD projection per arm-set
-shape, and one stacked Frank-Wolfe solve, rounding and saturation test per
-projected shape.  Each job then makes its stage's one call on its own
+the jobs lack are built together, as plan blocks: the keys of one shape
+and strategy get one stacked SVD projection, Frank-Wolfe solve, rounding
+and saturation test, and keep their rows stacked in a ``_PlanBlock``.  A
+stage's counts and ids are one ``take`` of each block's rows, and a
+``StagePlan`` is made from a row only when a trace or ``DesignCache.plan``
+asks for it.  Each job then makes its stage's one call on its own
 generator, and the rest of the draw is done once per block of jobs:
 Bernoulli sums are integer hit counts from one ``np.add.reduceat``,
-Gaussian sums come from one offset ``np.bincount``.  Jobs of one instance
-share work: a shape's feature rows, or a block's means, are then one
-``take`` of the stacked ids, and a plan that many jobs share is stacked
-once.  Saturated stages take their means S_i / c_i as one division,
-unsaturated ones are fitted as one stack per model and projected shape,
-and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
-gives each job the bits of its lone computation, so a job's result is the
-one it gets alone.  ``gse_run`` is the batch of one, and the harness runs
-each chunk of replications as a few such batches, with ``traces=False``:
-it reads only each run's success, so no ``StageTrace`` is built.
+Gaussian sums come from one offset ``np.bincount``; the means of jobs of
+one instance are one ``take``.  Saturated stages take their means
+S_i / c_i as one division, unsaturated ones are fitted as one stack per
+model and block, and one stacked ``np.lexsort`` makes every cut.  Every
+stacked kernel gives each job the bits of its lone computation, so a
+job's result is the one it gets alone.  ``gse_run`` is the batch of one,
+and the harness runs each chunk of replications as a few such batches,
+with ``traces=False``: it reads only each run's success, so no
+``StageTrace`` or ``StagePlan`` is built.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .design import (Design, _info_matrix, allocate_budget,
-                     fw_g_optimal_stack, round_allocation_stack)
+from .design import (Design, _design, _fw_solve, _info_matrix, _round_rows,
+                     allocate_budget)
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
-from .errors import (BudgetTooSmallError, ConfigurationError,
-                     EstimationFailureError, FbbaiError, _one)
+from .errors import ConfigurationError, EstimationFailureError, FbbaiError, _one
 from .estimators import (RegressionData, irls_glm_stack, least_squares_stack,
                          mean_estimates_stack, well_conditioned)
 # bench/tracer.py patches these names
@@ -135,10 +136,66 @@ class StagePlan:
     saturated: bool
 
 
+class _PlanBlock:
+    """The plans of ``keys`` of one (m, d_t) shape and strategy, built
+    together from their stacked ids, budgets, projected arms and bases and
+    held as stacked rows: ``ids``, read-only ``counts``, ``saturated``,
+    ``projected``, ``basis`` and the solver's (weights, g, iterations,
+    certified) ``design`` arrays, none for uniform counts.  Rounding
+    retries a row it rejects alone (``allocate_budget``); a key whose
+    budget is below d_t or whose build raises leaves ``keys`` for the dict
+    ``failed``, with its error.  ``plan`` makes a row's ``StagePlan`` on
+    request, once.
+    """
+
+    def __init__(self, keys: list, ids: np.ndarray, n: np.ndarray,
+                 projected: np.ndarray, basis: np.ndarray, uniform: bool) -> None:
+        m, dim = projected.shape[1:]
+        bad = {b: ConfigurationError(  # row -> the error its build raised
+            f"per-stage budget {n[b]} cannot span dimension {dim}")
+            for b in np.flatnonzero(n < dim).tolist()}
+        if uniform:  # equal remainders; lowest indices win
+            base, rem = divmod(n, m)
+            counts, design = base[:, None] + (np.arange(m) < rem[:, None]), []
+        else:
+            *design, errors = DesignCache.design(projected)
+            bad = {**errors, **bad}
+            counts, short = _round_rows(n, design[0])
+            for b in short:
+                if b not in bad:
+                    try:
+                        counts[b] = allocate_budget(int(n[b]), _design(design, b),
+                                                    projected[b])
+                    except FbbaiError as exc:
+                        bad[b] = exc
+        self.failed = {keys[b]: exc for b, exc in bad.items()}
+        if bad:
+            keep = np.delete(np.arange(len(keys)), list(bad))
+            keys = [keys[b] for b in keep]
+            ids, counts, projected, basis, *design = (
+                a[keep] for a in (ids, counts, projected, basis, *design))
+        # saturated: m = d_t and V passes the linear fit's condition test
+        self.saturated = (well_conditioned(_info_matrix(counts, projected))
+                          if keys and m == dim else np.zeros(len(keys), dtype=bool))
+        counts.flags.writeable = False
+        self.keys, self.ids, self.counts, self.design = keys, ids, counts, design
+        self.projected, self.basis, self.plans = projected, basis, {}
+
+    def plan(self, row: int) -> StagePlan:
+        if row not in self.plans:
+            arms = ProjectedArmSet(self.projected[row], self.basis[row],
+                                   tuple(self.ids[row].tolist()))
+            design = _design(self.design, row) if self.design else None
+            self.plans[row] = StagePlan(arms, self.counts[row], design,
+                                        bool(self.saturated[row]))
+        return self.plans[row]
+
+
 class DesignCache:
     """Memo of stage plans keyed by (instance, active ids, stage budget,
     strategy): a stage fixes its projection, design and rounding before it
     sees a reward, so runs of one instance or of many can share a cache.
+    Each key maps to its row of a ``_PlanBlock``.
     """
 
     def __init__(self) -> None:
@@ -146,88 +203,50 @@ class DesignCache:
 
     def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
              strategy: str) -> StagePlan:
-        """The plan of ``n`` pulls on the integer arm ids ``ids``; raises
-        ``ConfigurationError`` for other ids or ``n`` below their span dimension."""
-        if not all(isinstance(i, Integral) for i in ids):
-            raise ConfigurationError(f"arm ids must be integers, not {ids}")
+        """The plan of ``n`` pulls on the arm ids ``ids``; raises
+        ``ConfigurationError`` for non-integers or ``n`` below their span dimension."""
+        if not all(isinstance(i, Integral) for i in (*ids, n)):
+            raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
         ids = tuple(int(i) for i in ids)
-        return _one(_plan_stages(self, [(instance, ids, n, strategy)]))
+        block, row = _one(_plan_stages(self, [(instance, ids, int(n), strategy)]))
+        return block.plan(row)
 
     @staticmethod
-    def design(arms: np.ndarray) -> list:
+    def design(arms: np.ndarray) -> tuple:
         # a method of its own because bench/tracer.py times it as
         # design.cache; called on the class, which the tracer's patch keeps
-        return fw_g_optimal_stack(arms)
+        return _fw_solve(arms)
 
 
 def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
-                 ) -> list[Union[StagePlan, FbbaiError]]:
-    """The plan of each (instance, ids, n, strategy) key, from ``cache``;
-    ``ids`` is a tuple of ints.
+                 ) -> list[Union[tuple[_PlanBlock, int], FbbaiError]]:
+    """The (block, row) plan of each (instance, ids, n, strategy) key, from
+    ``cache``; ``ids`` is a tuple of ints.
 
-    The keys the cache lacks are built once each, as stacks: the active
-    arms are projected onto their span by one stacked SVD per (m, d) shape
-    and checked against ``n``; a shape's feature rows are one ``_gather``.
-    Then the ``fw-g`` designs are solved, rounded and tested for saturation
-    as one stack per (m, d_t) shape, while uniform counts are set per key.
-    Every stacked kernel gives each key the bits of its lone computation.
-    The new plans are stored with read-only counts; a key whose build
-    raises gets its error, which is not stored.
+    The keys the cache lacks are built once each, as stacks: those of one
+    (m, d) shape and strategy are gathered (``_gather``) and projected onto
+    their span by one stacked SVD, and each span dimension d_t makes one
+    ``_PlanBlock``.  Every stacked kernel gives each key the bits of its
+    lone computation.  A key whose build raises gets its error, which is
+    not stored.
     """
     plans = cache._plans
     failed: dict = {}
-    by_shape = defaultdict(list)  # (m, d) -> keys to build
+    by_shape = defaultdict(list)  # (m, d, uniform) -> keys to build
     for key in dict.fromkeys(keys):
         if key not in plans:
-            by_shape[len(key[1]), key[0].dim].append(key)
-    unsolved = defaultdict(list)  # (m, d_t) -> (key, arms) waiting for a design
-    counted = defaultdict(list)   # (m, d_t) -> (key, arms, counts, design)
-    for group in by_shape.values():
-        ids = [key[1] for key in group]
-        features = _gather([key[0] for key in group], "features", ids)
-        for key, arms in zip(group, _project_stack(features, ids)):
-            _, _, n, strategy = key
-            if isinstance(arms, FbbaiError):
-                failed[key] = arms
-            elif n < arms.dim:
-                failed[key] = ConfigurationError(
-                    f"per-stage budget {n} cannot span dimension {arms.dim}")
-            elif strategy == "uniform":
-                base, rem = divmod(n, arms.n_arms)
-                counts = np.full(arms.n_arms, base, dtype=int)
-                counts[:rem] += 1  # equal remainders; lowest indices win
-                counted[arms.projected.shape].append((key, arms, counts, None))
-            else:
-                unsolved[arms.projected.shape].append((key, arms))
-    for shape, group in unsolved.items():
-        designs = DesignCache.design(np.stack([arms.projected for _, arms in group]))
-        solved = []
-        for (key, arms), design in zip(group, designs):
-            if isinstance(design, FbbaiError):
-                failed[key] = design
-            else:
-                solved.append((key, arms, design))
-        if not solved:
-            continue
-        rounded = round_allocation_stack(
-            np.array([key[2] for key, _, _ in solved]),
-            np.array([design.weights for _, _, design in solved]))
-        for (key, arms, design), counts in zip(solved, rounded):
-            if isinstance(counts, BudgetTooSmallError):  # retry alone
-                try:
-                    counts = allocate_budget(key[2], design, arms.projected)
-                except FbbaiError as exc:
-                    failed[key] = exc
-                    continue
-            counted[shape].append((key, arms, counts, design))
-    for (m, dim), group in counted.items():
-        # saturated: m = d_t and V passes the linear fit's condition test
-        saturated = [False] * len(group) if m != dim else well_conditioned(
-            _info_matrix(np.array([counts for _, _, counts, _ in group]),
-                         np.array([arms.projected for _, arms, _, _ in group])))
-        for (key, arms, counts, design), sat in zip(group, saturated):
-            counts.flags.writeable = False
-            plans[key] = StagePlan(arms, counts, design, bool(sat))
+            by_shape[len(key[1]), key[0].dim, key[3] == "uniform"].append(key)
+    for (_, _, uniform), group in by_shape.items():
+        ids = np.array([key[1] for key in group])
+        n = np.array([key[2] for key in group])
+        errors, stacks = _project_stack(
+            _gather([key[0] for key in group], "features", ids))
+        for items, projected, basis in stacks:
+            block = _PlanBlock([group[b] for b in items.tolist()], ids[items],
+                               n[items], projected, basis, uniform)
+            plans.update((key, (block, row)) for row, key in enumerate(block.keys))
+            failed.update(block.failed)
+        failed.update((group[b], exc) for b, exc in errors.items())
     return [plans.get(key) or failed[key] for key in keys]
 
 
@@ -295,7 +314,7 @@ def explore(instance: BanditInstance, plan: StagePlan,
     features, its reward sum and its pull count.  This is ``_stage_sums``
     on a stack of one.
     """
-    (sums,) = _stage_sums([(instance, plan, rng)], plan.counts[None],
+    (sums,) = _stage_sums([(instance, rng)], plan.counts[None],
                           np.array([plan.arms.original_ids]))
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
 
@@ -303,19 +322,21 @@ def explore(instance: BanditInstance, plan: StagePlan,
 DRAW_BLOCK = 1 << 14  # pulls per block: bounds the draw buffers
 
 
-def _plan_stacks(plans: Sequence[StagePlan],
+def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]],
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (G, m) pull counts and active ids and the (G,) saturation flags
-    of plans that share an active-set size m.  Jobs of one instance share
-    most plans, so each distinct plan is stacked once and its row repeated.
-    """
-    distinct: dict = {}  # id(plan) -> (row, plan)
-    at = np.array([distinct.setdefault(id(plan), (len(distinct), plan))[0]
-                   for plan in plans])
-    plans = [plan for _, plan in distinct.values()]
-    return (np.array([plan.counts for plan in plans])[at],
-            np.array([plan.arms.original_ids for plan in plans])[at],
-            np.array([plan.saturated for plan in plans])[at])
+    of (block, row) plans that share an active-set size m: one ``take`` of
+    each block's rows, and a stage's jobs nearly always share one block."""
+    jobs = defaultdict(list)  # block -> the jobs of its rows, in order
+    for g, (block, _) in enumerate(plans):
+        jobs[block].append(g)
+    parts = [tuple(a.take([plans[g][1] for g in js], axis=0)
+                   for a in (block.counts, block.ids, block.saturated))
+             for block, js in jobs.items()]
+    if len(parts) == 1:
+        return parts[0]
+    order = np.argsort(np.concatenate(list(jobs.values())))
+    return tuple(np.concatenate(part)[order] for part in zip(*parts))
 
 
 def _gather(instances: Sequence[BanditInstance], attr: str,
@@ -332,7 +353,7 @@ def _gather(instances: Sequence[BanditInstance], attr: str,
 
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
-    """Reward sums of each (instance, plan, rng) job whose plans share an
+    """Reward sums of each (instance, rng) job whose plans share an
     active-set size m and whose pull counts and active ids are the rows of
     the (G, m) ``counts`` and ``ids``: a (G, m) array, row g holding job
     g's per-arm sums S_i.
@@ -345,7 +366,7 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     """
     pulls = counts.sum(axis=1)
     sums = np.empty(counts.shape)
-    bernoulli = np.array([instance.bernoulli for instance, _, _ in jobs])
+    bernoulli = np.array([instance.bernoulli for instance, _ in jobs])
     for kind in (True, False):
         rows = np.flatnonzero(bernoulli == kind)
         if rows.size:
@@ -375,7 +396,7 @@ def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
     """
     sizes = pulls.tolist()
     draws = [draw_noise(instance, n, rng)
-             for (instance, _, rng), n in zip(jobs, sizes)]
+             for (instance, rng), n in zip(jobs, sizes)]
     flat = counts.ravel()
     mu = np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
     if bernoulli:
@@ -437,21 +458,21 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
 
 def _estimate(group: list, sums: np.ndarray, counts: np.ndarray,
               saturated: np.ndarray) -> tuple[np.ndarray, list]:
-    """The (G, m) estimated means of a stage group's (run, plan) jobs, from
+    """The (G, m) estimated means of a stage group's (run, (block, row)) jobs, from
     their (G, m) reward sums and pull counts, and one entry per job: its
     fit's (converged, iterations, fellback), or the package error that ends
     it.  Saturated jobs take S_i / c_i and (True, 0, False).  The others are
-    fitted as one stack per model and projected shape; an item whose
-    logistic fit fails falls back to least squares."""
+    fitted as one stack per model and block; an item whose logistic fit
+    fails falls back to least squares."""
     mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                        where=saturated[:, None])
     fits: list = [(True, 0, False)] * len(group)
-    unsaturated = defaultdict(list)  # (model, projected shape) -> rows
+    unsaturated = defaultdict(list)  # (model, block) -> rows
     for g in np.flatnonzero(~saturated).tolist():
-        run, plan = group[g]
-        unsaturated[run.config.model, plan.arms.projected.shape].append(g)
-    for (model, _), rows in unsaturated.items():
-        arms = np.array([group[g][1].arms.projected for g in rows])
+        run, (block, _) = group[g]
+        unsaturated[run.config.model, block].append(g)
+    for (model, block), rows in unsaturated.items():
+        arms = block.projected.take([group[g][1][1] for g in rows], axis=0)
         y, c = sums[rows], counts[rows]
         fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
                   else least_squares_stack(arms, y, c))
@@ -535,7 +556,7 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
         plans = _plan_stages(cache, [(run.instance, run.active,
                                       run.schedule.per_stage_budget,
                                       run.config.strategy) for run in runs])
-        stage = defaultdict(list)  # (m, arms kept) -> (run, plan)
+        stage = defaultdict(list)  # (m, arms kept) -> (run, (block, row))
         for run, plan in zip(runs, plans):
             if isinstance(plan, FbbaiError):
                 results[run.slot] = plan
@@ -545,8 +566,8 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
         live = []
         for (_, keep), group in stage.items():
             counts, ids, saturated = _plan_stacks([plan for _, plan in group])
-            sums = _stage_sums([(run.instance, plan, run.rng)
-                                for run, plan in group], counts, ids)
+            sums = _stage_sums([(run.instance, run.rng) for run, _ in group],
+                               counts, ids)
             mu_hat, fits = _estimate(group, sums, counts, saturated)
             pulls = counts.sum(axis=1).tolist()
             rows = []
@@ -557,17 +578,13 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
                     rows.append(g)
             survivors = eliminate_stack(ids[rows], mu_hat[rows], keep)
             for g, kept in zip(rows, survivors):
-                run, plan = group[g]
+                run, (block, row) = group[g]
                 run.active = tuple(kept)
                 run.pulls += pulls[g]
-                if traces:
-                    converged, iterations, fellback = fits[g]
-                    run.traces.append(StageTrace(
-                        stage=t, arms=plan.arms, counts=plan.counts,
-                        mu_hat=mu_hat[g], survivors=run.active,
-                        estimator_converged=converged,
-                        estimator_iterations=iterations,
-                        used_fallback=fellback, design=plan.design))
+                if traces:  # fits[g] is (converged, iterations, fellback)
+                    plan = block.plan(row)
+                    run.traces.append(StageTrace(t, plan.arms, plan.counts, mu_hat[g],
+                                                 run.active, *fits[g], plan.design))
                 if t < run.schedule.stages:
                     live.append(run)
                 else:

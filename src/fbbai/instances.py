@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, _one
+from .errors import ConfigurationError, DegenerateInputError
 
 MAX_RESAMPLE = 100
 RANK_TOL = 1e-9  # relative singular-value cutoff of the numerical rank
@@ -330,39 +330,40 @@ def project_to_span(active_features: np.ndarray,
         raise ConfigurationError(f"arm ids must be integers, not {ids}")
     if len(ids) != A.shape[0]:
         raise DegenerateInputError("ids must match the number of rows")
-    return _one(_project_stack(A[None], [tuple(int(i) for i in ids)]))
+    errors, stacks = _project_stack(A[None])
+    if errors:
+        raise errors[0]
+    ((_, projected, basis),) = stacks
+    return ProjectedArmSet(projected=projected[0], basis=basis[0],
+                           original_ids=tuple(int(i) for i in ids))
 
 
-def _project_stack(A: np.ndarray, ids: list[tuple[int, ...]],
-                   ) -> list[ProjectedArmSet | DegenerateInputError]:
-    """``project_to_span`` of each set of a float (B, m, d) stack, whose
-    ids are tuples of ints, one per row of each set.
-
-    Entry b is, bit for bit, the projection of ``A[b]`` alone: one stacked
-    SVD factors every set that can be, each set keeps its own numerical
-    rank, and ``A @ basis`` runs as one stacked product per rank.  An entry
-    that is entirely zero or not finite holds the ``DegenerateInputError``
-    its lone projection raises; the other entries are unaffected.
-    """
+def _project_stack(A: np.ndarray) -> tuple[dict, list]:
+    """``project_to_span`` of each set of a float (B, m, d) stack: a dict
+    of the sets that fail, with the ``DegenerateInputError`` each one's
+    lone projection raises, and one (items, projected, basis) stack per
+    numerical rank r, of the sets ``items`` of that rank.  Each set's
+    projection is, bit for bit, its lone one: one stacked SVD factors every
+    usable set and ``A @ basis`` is one stacked product per rank; with one
+    rank in all, the bases are a view of the SVD output."""
     finite = np.isfinite(A).all(axis=(1, 2))
     usable = finite & np.any(np.abs(A) > 0.0, axis=(1, 2))
-    out: list = [None if ok else DegenerateInputError(
-        "cannot project an all-zero arm set" if fin else "arm set must be finite")
-        for ok, fin in zip(usable.tolist(), finite.tolist())]
+    errors = {b: DegenerateInputError("cannot project an all-zero arm set"
+                                      if finite[b] else "arm set must be finite")
+              for b in np.flatnonzero(~usable).tolist()}
     good = np.flatnonzero(usable)
-    if good.size < len(ids):  # the SVD of a non-finite set would fail them all
+    if errors:  # the SVD of a non-finite set would fail them all
         A = A[good]
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     # singular values descend, so the kept ones are a prefix
     ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
+    stacks = []
     for r in set(ranks.tolist()):  # np.unique would import numpy.ma
         rows = np.flatnonzero(ranks == r)
-        basis = vt[rows, :r].transpose(0, 2, 1)
-        projected = A[rows] @ basis
-        for k, b in enumerate(good[rows].tolist()):
-            out[b] = ProjectedArmSet(projected=projected[k], basis=basis[k],
-                                     original_ids=ids[b])
-    return out
+        pick = rows if rows.size < ranks.size else slice(None)
+        basis = vt[pick, :r].transpose(0, 2, 1)
+        stacks.append((good[rows], A[pick] @ basis, basis))
+    return errors, stacks
 
 
 # ---------------------------------------------------------------------------

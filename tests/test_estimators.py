@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fbbai.errors import EstimationFailureError, InvalidAllocationError
@@ -100,17 +100,21 @@ class TestSaturatedFits:
     of ``gse_run`` ranks by in place of either fit."""
 
     @settings(max_examples=60, deadline=None)
+    @example(seed=8347, d=5)  # cond(V) = 1.5e9: misses 1e-9 by 1.5e-7
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))
     def test_fits_interpolate_the_per_arm_means(self, seed, d):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((d, d))
         counts = rng.integers(1, 9, d)
-        assume(well_conditioned(xs.T @ (xs * counts[:, None])))
+        V = xs.T @ (xs * counts[:, None])
+        assume(well_conditioned(V))
         sums = counts * rng.normal(0.0, 2.0, d)
         fit = least_squares(RegressionData(xs=xs, ys=sums, counts=counts))
         means = sums / counts
-        np.testing.assert_allclose(xs @ fit.theta_hat, means, rtol=1e-9,
-                                   atol=1e-9 * np.abs(means).max())
+        # the solve's error grows with cond(V), which may reach 1e12 here
+        tol = max(1e-9, 64 * np.linalg.cond(V) * np.finfo(float).eps)
+        np.testing.assert_allclose(xs @ fit.theta_hat, means, rtol=tol,
+                                   atol=tol * np.abs(means).max())
 
         wins = rng.integers(0, counts + 1)  # Bernoulli sums
         fit = irls_glm(RegressionData(xs=xs, ys=wins, counts=counts), LOGISTIC)

@@ -1,5 +1,6 @@
 """Stage scheduling, exploration, elimination, and full elimination runs."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fbbai.errors import (ConfigurationError, EstimationFailureError,
                           FbbaiError, InvalidAllocationError)
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_schedule)
+from fbbai.harness import family_source, rep_seed
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
                              gen_logistic_instance, gen_sphere_instance,
                              gen_static_instance, noiseless, project_to_span,
@@ -147,6 +149,8 @@ class TestExplore:
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError, match="must be integers"):
             DesignCache().plan(inst, (0.5, 1.2, 2.9, 3), 10, "uniform")
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            DesignCache().plan(inst, (0, 1, 2, 3), 10.0, "uniform")
         plan = DesignCache().plan(inst, np.arange(4), 10, "uniform")
         assert plan.arms.original_ids == (0, 1, 2, 3)
 
@@ -268,31 +272,32 @@ class TestExploreStack:
     @pytest.mark.parametrize("case", list(CASES))
     def test_sums_match_per_pull_draws(self, case):
         asks = self.CASES[case]
-        plans = [DesignCache().plan(inst, ids, n, strategy)
-                 for inst, ids, n, strategy in asks]
+        rows = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        plans = [block.plan(row) for block, row in rows]
         if case == "zero-counts":
             assert all((plan.counts == 0).any() for plan in plans)
         if case == "blocks":
             assert sum(plan.counts.sum() for plan in plans) > 2 * gse_mod.DRAW_BLOCK
-        self.check_sums(asks, plans)
+        self.check_sums(asks, rows)
 
     def test_jobs_of_one_instance_sharing_plans(self):
-        # the plans' rows are stacked once per plan and the means gathered
+        # the plans' rows are taken once per block and the means gathered
         # with one take
-        cache = DesignCache()
         asks = [(self.WIDE, self.SUBSET, 20, "uniform"),
                 (self.WIDE, tuple(range(1, 9)), 40, "fw-g")] * 3
-        plans = [cache.plan(inst, ids, n, strategy)
-                 for inst, ids, n, strategy in asks]
+        rows = gse_mod._plan_stages(DesignCache(), asks)
+        plans = [block.plan(row) for block, row in rows]
         assert plans[0] is plans[2] and plans[1] is plans[5]
-        self.check_sums(asks, plans)
+        self.check_sums(asks, rows)
 
     @staticmethod
-    def check_sums(asks, plans):
+    def check_sums(asks, rows):
+        """``rows`` holds each ask's (block, row) plan."""
+        plans = [block.plan(row) for block, row in rows]
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
-        counts, ids, _ = gse_mod._plan_stacks(plans)
-        sums = gse_mod._stage_sums([(ask[0], plan, rng) for ask, plan, rng
-                                    in zip(asks, plans, rngs)], counts, ids)
+        counts, ids, _ = gse_mod._plan_stacks(rows)
+        sums = gse_mod._stage_sums([(ask[0], rng) for ask, rng
+                                    in zip(asks, rngs)], counts, ids)
         assert sums.shape == (len(asks), 8)
         for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
             replay = np.random.default_rng(100 + g)
@@ -508,6 +513,13 @@ def plan_summary(plan):
                                          design.certified))
 
 
+def planned(asks):
+    """The plans of one ``_plan_stages`` call on a new cache, each made a
+    ``StagePlan`` from its block row, or the error of its key."""
+    return [plan if isinstance(plan, FbbaiError) else plan[0].plan(plan[1])
+            for plan in gse_mod._plan_stages(DesignCache(), asks)]
+
+
 def lone_summary(job):
     try:
         return run_summary(gse_run(*job))
@@ -586,14 +598,18 @@ class TestLockstep:
             (zeros, (2, 3), 10, "uniform"),     # all-zero arms: an error
             (zeros, (0, 1, 2), 10, "fw-g"),
             (FIXED["static"], (0, 3, 5, 6), 40, "fw-g"),  # saturated
+            # rounding rejects the design; the retry rounds it alone
+            (gen_sphere_instance(8, 3, np.random.default_rng(5)),
+             tuple(range(8)), 4, "fw-g"),
         ]
-        batch = gse_mod._plan_stages(DesignCache(), asks)
-        alone = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        batch = planned(asks)
+        alone = [planned([ask])[0] for ask in asks]
         assert batch[repeated] is batch[first]
         assert [plan_summary(p) for p in batch] == [plan_summary(p) for p in alone]
         assert {plan_summary(p) for p in batch} >= {
             "ConfigurationError", "DegenerateInputError"}
         assert any(not isinstance(p, FbbaiError) and p.saturated for p in batch)
+        assert batch[-1].counts.tolist() == [0, 0, 1, 0, 2, 1, 0, 0]
 
     def test_shared_instance_gather_matches_key_by_key(self):
         """Keys of one instance gather their feature rows with one take;
@@ -605,10 +621,9 @@ class TestLockstep:
                 (0, 1, 2, 3, 4, 5), (3, 7, 11, 2)]
         asks = [(inst, ids, 40, strategy) for ids in sets
                 for strategy in ("fw-g", "uniform")]
-        shared = gse_mod._plan_stages(DesignCache(), asks)
-        mixed = gse_mod._plan_stages(
-            DesignCache(), asks + [(other, ids, 40, "fw-g") for ids in sets])
-        alone = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        shared = planned(asks)
+        mixed = planned(asks + [(other, ids, 40, "fw-g") for ids in sets])
+        alone = [planned([ask])[0] for ask in asks]
         assert not any(isinstance(plan, FbbaiError) for plan in alone)
         want = [plan_summary(plan) for plan in alone]
         assert [plan_summary(plan) for plan in shared] == want
@@ -674,3 +689,48 @@ class TestLockstep:
             else:
                 assert run_summary(result) == run_summary(alone)
                 assert flags(result) == flags(alone)
+
+
+def trace_digest(result):
+    """sha256 of a run's recommendation and every stage's counts, estimate
+    bytes, survivors, design (weight bytes, g, iterations, certificate)
+    and fit flags."""
+    h = hashlib.sha256(repr(result.recommended).encode())
+    for t in result.traces:
+        h.update(t.counts.tobytes())
+        h.update(t.mu_hat.tobytes())
+        h.update(repr(t.survivors).encode())
+        if t.design is not None:
+            h.update(t.design.weights.tobytes())
+            h.update(repr((t.design.g_value, t.design.iterations_used,
+                           t.design.certified)).encode())
+        h.update(repr((t.estimator_converged, t.estimator_iterations,
+                       t.used_fallback)).encode())
+    return h.hexdigest()
+
+
+def recorded_logistic_job():
+    """Replication 0 of ``test_recorded_logistic_fits``'s point: K = 32,
+    d = 5, B = 100, its stages of 32, 16 and 8 arms fitted by IRLS."""
+    config = GseConfig(100, strategy="fw-g", model="logistic")
+    inst_ss, run_ss = rep_seed(7, "logistic", "gse-fwg", 100, 0).spawn(2)
+    source = family_source("logistic", {"K": 32, "d": 5})
+    return (source(np.random.default_rng(inst_ss)), config,
+            np.random.default_rng(run_ss))
+
+
+class TestPinnedTraces:
+    """Traces built from the plans' rows on request, pinned bit for bit."""
+
+    @pytest.mark.parametrize("job,digest", [
+        (lambda: (FIXED["static"], GseConfig(160, strategy="fw-g"),
+                  np.random.default_rng(0)),
+         "5280a296d8a8e5fd7258a98f54d19f3ae53ffc61f663d372f7fabf1f4dbf1e02"),
+        # stages of 8 and 4 arms in R^3 are fitted
+        (lambda: make_job(0, 21),
+         "f5f5ac308215ee249098f94e49efe6da8f39632ce23772adf57e695ffd71054e"),
+        (recorded_logistic_job,
+         "e52d8faadc21ba0ac8610dfb1c7ea8f377f707805b8cecd5da3d75517ce05c12"),
+    ], ids=["static", "sphere", "logistic"])
+    def test_trace_digest(self, job, digest):
+        assert trace_digest(gse_run(*job())) == digest

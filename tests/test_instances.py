@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fbbai.errors import ConfigurationError, DegenerateInputError
 from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance, MeanFunction,
-                             gen_adaptive_instance, gen_corner_instance,
-                             gen_logistic_instance, gen_sphere_instance,
-                             gen_static_instance, load_features,
-                             load_instance_csv, noiseless, project_to_span,
-                             sample_rewards, _project_stack)
+                             ProjectedArmSet, gen_adaptive_instance,
+                             gen_corner_instance, gen_logistic_instance,
+                             gen_sphere_instance, gen_static_instance,
+                             load_features, load_instance_csv, noiseless,
+                             project_to_span, sample_rewards, _project_stack)
 
 
 def triangle_instance(**kwargs):
@@ -133,6 +133,17 @@ class TestSampling:
         assert abs(ys.mean() - inst.means[0]) < 0.15
 
 
+def projected_entries(sets, ids):
+    """``_project_stack``'s output as one entry per set: its error, or its
+    rank stack's rows made a ``ProjectedArmSet`` with ids ``ids[b]``."""
+    errors, stacks = _project_stack(sets)
+    out = dict(errors)
+    for items, projected, basis in stacks:
+        for k, b in enumerate(items.tolist()):
+            out[b] = ProjectedArmSet(projected[k], basis[k], ids[b])
+    return [out[b] for b in range(len(sets))]
+
+
 class TestProjection:
     def test_projection_preserves_inner_products(self):
         rng = np.random.default_rng(7)
@@ -206,7 +217,7 @@ class TestProjection:
         sets[3] = 0.0
         sets[5, :, 2] = sets[5, :, 0]  # rank 2, unlike the others
         ids = [tuple(range(b, b + 5)) for b in range(6)]
-        results = _project_stack(sets, ids)
+        results = projected_entries(sets, ids)
         for b, result in enumerate(results):
             if b in (1, 2, 3):
                 assert isinstance(result, DegenerateInputError)
@@ -222,7 +233,7 @@ class TestProjection:
             3, 3, 2]
         # a stack of only failing entries fails entry by entry
         assert all(isinstance(r, DegenerateInputError)
-                   for r in _project_stack(sets[1:4], ids[1:4]))
+                   for r in projected_entries(sets[1:4], ids[1:4]))
 
     def test_basis_is_orthonormal(self):
         rng = np.random.default_rng(11)
