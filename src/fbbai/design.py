@@ -391,8 +391,8 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
     counts are then decremented (arm maximizing count/weight, kept >= 1) or
     incremented (arm minimizing count/weight) until the total hits n, ties
     to the lowest index.  Every support arm keeps at least one pull.
-    Returns one integer count per arm.  This is ``round_allocation_stack``
-    on a stack of one.
+    Returns one integer count per arm.  This is ``_round_rows`` on a
+    stack of one.
 
     Raises
     ------
@@ -400,26 +400,22 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
         If n is below the support size; callers may drop weights under 1/n
         and retry once (see ``allocate_budget``).
     """
-    return _one(round_allocation_stack(
-        np.array([int(n)]), np.asarray(design.weights, dtype=float)[None]))
-
-
-def round_allocation_stack(n: np.ndarray, weights: np.ndarray,
-                           ) -> list[np.ndarray | BudgetTooSmallError]:
-    """``round_allocation`` of budget ``n[b]`` over weights ``weights[b]``
-    for each row of a (B, K) stack, with the ``BudgetTooSmallError`` of a
-    row whose support is empty or larger than its budget.
-
-    The rows step in lockstep, each stopping when its total is reached, and
-    every step is elementwise per row, so each row's counts are those of
-    its lone rounding.  This is ``_round_rows`` with its rows split."""
-    counts, errors = _round_rows(n, weights)
-    return [errors.get(b, counts[b]) for b in range(n.size)]
+    counts, errors = _round_rows(
+        np.array([int(n)]), np.asarray(design.weights, dtype=float)[None])
+    if errors:
+        raise errors[0]
+    return counts[0]
 
 
 def _round_rows(n: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``round_allocation_stack`` as the (B, K) counts and a dict of the
-    rows that fail, with their errors (their rows hold zeros)."""
+    """``round_allocation`` of budget ``n[b]`` over weights ``weights[b]``
+    for each row of a (B, K) stack: the (B, K) counts, and a dict of the
+    rows whose support is empty or larger than their budget, with their
+    ``BudgetTooSmallError`` (their rows hold zeros).
+
+    The rows step in lockstep, each stopping when its total is reached, and
+    every step is elementwise per row, so each row's counts are those of
+    its lone rounding."""
     support = weights > SUPPORT_TOL
     p = support.sum(axis=1)
     ok = (p > 0) & (n >= p)

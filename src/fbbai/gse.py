@@ -204,9 +204,13 @@ class DesignCache:
     def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arm ids ``ids``; raises
-        ``ConfigurationError`` for non-integers or ``n`` below their span dimension."""
+        ``ConfigurationError`` for non-integers, a strategy outside
+        ``STRATEGIES`` or ``n`` below their span dimension."""
         if not all(isinstance(i, Integral) for i in (*ids, n)):
             raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
+        if strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"strategy {strategy!r} not one of {STRATEGIES}")
         ids = tuple(int(i) for i in ids)
         block, row = _one(_plan_stages(self, [(instance, ids, int(n), strategy)]))
         return block.plan(row)
@@ -383,30 +387,36 @@ def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
     """Per-arm reward sums of jobs with one kind of reward, given their
     (G, m) pull counts and active ids and per-job pull totals.
 
-    Each job, in order, draws for its pulls (``draw_noise``), which go in
-    the order ``explore`` pulls: active arms in turn, each arm's pulls
-    contiguous.  The rest is done once for the block: the arms' means are
-    one ``_gather``.  Bernoulli sums are exact integer hit counts, one
+    Each job, in order, makes its one ``draw_noise`` call for its pulls,
+    which go in the order ``explore`` pulls: active arms in turn, each
+    arm's pulls contiguous.  A Bernoulli job's uniforms go straight into
+    its slice of one block buffer (``rng.random(out=...)``, the same
+    draws).  The rest is done once for the block: the arms' means are one
+    ``_gather``.  Bernoulli sums are exact integer hit counts, one
     ``np.add.reduceat`` over the arms that are pulled (an arm with no pull
-    sums to 0).  Gaussian sums come from one offset ``np.bincount``, which
-    adds each arm's rewards in draw order as a bincount of one job alone
-    does; a noiseless job adds zero noise.  Either way a job's sums are
-    those of ``sample_rewards`` on its pulls, summed by ``np.bincount``,
-    bit for bit.
+    sums to 0), in uint16 when every count fits.  Gaussian sums come from
+    one offset ``np.bincount``, which adds each arm's rewards in draw
+    order as a bincount of one job alone does; a noiseless job adds zero
+    noise.  Either way a job's sums are those of ``sample_rewards`` on its
+    pulls, summed by ``np.bincount``, bit for bit.
     """
-    sizes = pulls.tolist()
-    draws = [draw_noise(instance, n, rng)
-             for (instance, rng), n in zip(jobs, sizes)]
     flat = counts.ravel()
     mu = np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
     if bernoulli:
-        hits = rewards_of(True, mu, np.concatenate(draws))
+        draws = np.empty(mu.size)
+        ends = np.cumsum(pulls).tolist()
+        for (_, rng), lo, hi in zip(jobs, [0] + ends, ends):
+            rng.random(out=draws[lo:hi])
         pulled = np.flatnonzero(flat)
         sums = np.zeros(flat.size)
-        sums[pulled] = np.add.reduceat(hits.view(np.uint8),
-                                       (np.cumsum(flat) - flat)[pulled],
-                                       dtype=np.int64)
+        sums[pulled] = np.add.reduceat(
+            rewards_of(True, mu, draws).view(np.uint8),
+            (np.cumsum(flat) - flat)[pulled],
+            dtype=np.uint16 if flat.max() < 1 << 16 else np.int64)
     else:
+        sizes = pulls.tolist()
+        draws = [draw_noise(instance, n, rng)
+                 for (instance, rng), n in zip(jobs, sizes)]
         noise = np.concatenate([np.zeros(n) if d is None else d
                                 for d, n in zip(draws, sizes)])
         sums = np.bincount(np.repeat(np.arange(flat.size), flat),

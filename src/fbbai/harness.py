@@ -30,10 +30,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
+from itertools import repeat
 from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
@@ -142,17 +144,114 @@ def _seed_words(values) -> list[int]:
     return words
 
 
-def _rep_words(point: list[int], rep: int) -> np.ndarray:
-    """The entropy words of replication ``rep`` of the point whose shared
-    words are ``point`` (``_seed_words`` of its ``_point_entropy``)."""
-    return np.array(point + _seed_words((rep,)), dtype=np.uint32)
+# SeedSequence's hash (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe): a pool of four uint32 words, filled by ``mix_entropy`` with
+# the multiplier INIT_A * MULT_A**i on its i-th hashmix and read out by
+# ``generate_state`` with INIT_B * MULT_B**i on its i-th word
+_POOL, _MASK = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _stream(words: np.ndarray, key: int) -> np.random.Generator:
-    """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of the
-    replication with these entropy words, built without its parent."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(words, spawn_key=(key,))))
+def _multipliers(h: int, mult: int, n: int) -> list[int]:
+    """``h`` and the ``n`` multipliers that follow it."""
+    out = [h]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK)
+    return out
+
+
+_OUT = np.array(_multipliers(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """The hashed ``value`` and the next multiplier."""
+    value ^= h
+    h = h * _MULT_A & _MASK
+    value = value * h & _MASK
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK
+    return r ^ r >> 16
+
+
+def _point_pool(point: list[int]) -> tuple[list[int], int]:
+    """The pool ``mix_entropy`` makes of the words ``point`` (at least
+    ``_POOL`` of them) before any later word, and the multiplier it has
+    reached, in Python ints."""
+    h, pool = _INIT_A, []
+    for word in point[:_POOL]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in point[_POOL:]:
+        for dst in range(_POOL):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, h
+
+
+def _absorb(pool: np.ndarray, h: int, words: np.ndarray) -> tuple[np.ndarray, int]:
+    """``mix_entropy``'s step for one more word per row: ``words[b]`` mixed
+    into each word of row b of the (n, ``_POOL``) uint32 ``pool``."""
+    mults = np.array(_multipliers(h, _MULT_A, _POOL), dtype=np.uint32)
+    value = words[:, None] ^ mults[:-1]
+    value *= mults[1:]
+    value ^= value >> 16
+    pool = _MIX_L * pool - _MIX_R * value
+    pool ^= pool >> 16
+    return pool, int(mults[-1])
+
+
+class _Seed(ISeedSequence):
+    """A replication's ``PCG64`` seed, the four uint64 words its
+    ``SeedSequence`` would generate."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for (4, np.uint64)
+
+
+def _streams(point: list[int], reps, key: int) -> list[np.random.Generator]:
+    """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of each
+    replication in ``reps`` (non-negative ints below 2**64) of the point
+    whose shared words are ``point`` (``_seed_words`` of its
+    ``_point_entropy``).
+
+    A replication's entropy is ``point``, then its index words, then
+    ``key``; only the last two differ between replications.  So
+    ``SeedSequence``'s hash is restated: ``point`` is mixed once, in
+    Python ints, and the index words (two for indices of 2**32 and up,
+    which form their own group), the key and the eight output words are
+    uint32 array operations over the batch.  Each generator's state is
+    that of ``SeedSequence(point + index words, spawn_key=(key,))``.
+    """
+    reps = np.asarray(reps, dtype=np.uint64)
+    start, h = _point_pool(point)
+    seeds = np.empty((reps.size, _POOL), dtype=np.uint64)
+    wide = reps > _MASK
+    for rows, two in ((~wide, False), (wide, True)):
+        if not rows.any():
+            continue
+        index = reps[rows]
+        words = [index & _MASK, index >> 32][:1 + two]
+        pool = np.tile(np.array(start, dtype=np.uint32), (index.size, 1))
+        g = h
+        for word in (*words, np.array([key])):
+            pool, g = _absorb(pool, g, word.astype(np.uint32))
+        state = np.tile(pool, 2) ^ _OUT[:-1]
+        state *= _OUT[1:]
+        state ^= state >> 16
+        seeds[rows] = state.astype("<u4", copy=False).view("<u8")
+    return [np.random.Generator(np.random.PCG64(_Seed(row))) for row in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +298,25 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
     lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
     plans and building no stage traces; a generator's package error aborts
-    its replication.  The point's seed words are made once; each
-    replication appends the words of its index."""
+    its replication.  The point's seed words are made once, and each batch
+    seeds its replications' streams together (``_streams``)."""
     fixed = isinstance(task.source, BanditInstance)
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
     point = _seed_words(_point_entropy(task.seed, task.family, task.spec.name,
                                        task.config.budget))
     for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
+        reps = range(lo, min(lo + LOCKSTEP_BATCH, task.stop))
+        sources = repeat(None) if fixed else _streams(point, reps, 0)
         jobs = []
-        for r in range(lo, min(lo + LOCKSTEP_BATCH, task.stop)):
-            words = _rep_words(point, r)
+        for rng, run in zip(sources, _streams(point, reps, 1)):
             try:
-                inst = task.source if fixed else task.source(_stream(words, 0))
+                inst = task.source if fixed else task.source(rng)
             except FbbaiError:
                 aborts += 1
                 continue
             config = configs[task.spec.model or _default_model(inst)]
-            jobs.append((inst, config, _stream(words, 1)))
+            jobs.append((inst, config, run))
         for result in gse_lockstep(jobs, traces=False):
             if isinstance(result, FbbaiError):
                 aborts += 1

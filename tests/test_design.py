@@ -12,7 +12,7 @@ from fbbai.design import (SUPPORT_TOL, Design, allocate_budget,
                           d_opt_gradient, default_iteration_cap,
                           fw_d_optimal, fw_g_optimal, fw_g_optimal_stack,
                           g_gradient, g_value_and_argmax, kw_certificate,
-                          round_allocation, round_allocation_stack)
+                          round_allocation, _round_rows)
 from fbbai.errors import BudgetTooSmallError, SingularDesignError
 from fbbai.instances import (gen_adaptive_instance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -490,7 +490,8 @@ class TestRounding:
         weights[1] /= weights[1].sum()
         weights[3] = 0.0
         n = np.array([17, 4, 250, 9, 5, 6])
-        rows = round_allocation_stack(n, weights)
+        counts, errors = _round_rows(n, weights)
+        rows = [errors.get(b, counts[b]) for b in range(n.size)]
         assert isinstance(rows[3], BudgetTooSmallError)
         assert isinstance(rows[4], BudgetTooSmallError)
         for b, row in enumerate(rows):

@@ -154,6 +154,14 @@ class TestExplore:
         plan = DesignCache().plan(inst, np.arange(4), 10, "uniform")
         assert plan.arms.original_ids == (0, 1, 2, 3)
 
+    def test_unknown_strategy_rejected(self):
+        # as GseConfig rejects it, rather than planning a G-design
+        inst = gen_static_instance(1.0, K=4)
+        cache = DesignCache()
+        with pytest.raises(ConfigurationError, match="'bogus' not one of"):
+            cache.plan(inst, (0, 1, 2, 3), 10, "bogus")
+        assert not cache._plans
+
     def test_design_allocation_spends_the_stage_budget(self):
         inst = noiseless(gen_adaptive_instance(4))
         plan = DesignCache().plan(inst, tuple(range(inst.n_arms)), 40, "fw-g")
@@ -267,6 +275,10 @@ class TestExploreStack:
         # 40 jobs of 1000 pulls: three blocks of DRAW_BLOCK pulls or fewer
         "blocks": [(GRID, EIGHT, 1000, "uniform"),
                    (WIDE, SUBSET, 1000, "fw-g")] * 20,
+        # hit counts of 2**16 and more (arms of mean 1/2 or above), which
+        # uint16 cannot hold
+        "wide-counts": [(GRID, EIGHT, 8 * 140_000, "uniform"),
+                        (BERN, EIGHT, 40, "fw-g")],
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -278,6 +290,9 @@ class TestExploreStack:
             assert all((plan.counts == 0).any() for plan in plans)
         if case == "blocks":
             assert sum(plan.counts.sum() for plan in plans) > 2 * gse_mod.DRAW_BLOCK
+        if case == "wide-counts":
+            assert plans[0].counts.min() >= 1 << 17
+            assert self.GRID.means.min() >= 0.5
         self.check_sums(asks, rows)
 
     def test_jobs_of_one_instance_sharing_plans(self):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbbai.bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 import fbbai.harness as harness_mod
@@ -568,10 +570,30 @@ class TestReplicationStreams:
         # 2**32 + 5 is the first index of two words
         point = harness_mod._seed_words(
             harness_mod._point_entropy(master, "edge", "gse-fwg", 40))
-        got = harness_mod._stream(harness_mod._rep_words(point, rep), key)
+        (got,) = harness_mod._streams(point, [rep], key)
         child = rep_seed(master, "edge", "gse-fwg", 40, rep).spawn(2)[key]
         assert got.bit_generator.state == \
             np.random.default_rng(child).bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=9),
+           reps=st.lists(st.sampled_from([0, 1, 2**32 - 1, 2**32 + 5]),
+                         min_size=1, max_size=6),
+           key=st.sampled_from([0, 1]))
+    def test_batch_streams_match_seed_sequence_children(self, point, reps,
+                                                        key):
+        """Any point words (tokens of one word included), indices of one
+        and two words, mixed in one batch, and either key."""
+        got = harness_mod._streams(point, reps, key)
+        assert len(got) == len(reps)
+        for rng, rep in zip(got, reps):
+            words = np.array(point + harness_mod._seed_words([rep]),
+                             dtype=np.uint32)
+            want = np.random.default_rng(
+                np.random.SeedSequence(words, spawn_key=(key,)))
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.integers(0, 2**63, 4).tolist() == \
+                want.integers(0, 2**63, 4).tolist()
 
 
 class TestBenchTracer:
