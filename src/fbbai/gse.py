@@ -12,7 +12,12 @@ test, so every arm is pulled.  Both fits then interpolate,
 x_i' theta_hat = S_i / c_i for least squares and h(x_i' theta_hat) =
 S_i / c_i for the GLM, so such a stage ranks by the empirical means
 S_i / c_i without fitting: Sequential Halving's rule (Karnin, Koren &
-Somekh 2013).
+Somekh 2013).  Every later stage of a run keeps a subset of such a set,
+which is saturated too: when cond(V) <= sqrt(1e12) leaves the margin
+that interlacing needs (see ``DesignCache``), the run inherits
+saturation and plans no later stage; it pulls with the counts row that
+every inheriting run of the same (m, n, strategy) shares, the row the
+full build would give.
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
 config, rng) jobs in lockstep, and works each stage as stacks.  The plans
@@ -51,8 +56,8 @@ from .design import (Design, _design, _fw_solve, _info_matrix, _round_rows,
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
 from .errors import ConfigurationError, EstimationFailureError, FbbaiError, _one
-from .estimators import (RegressionData, irls_glm_stack, least_squares_stack,
-                         mean_estimates_stack, well_conditioned)
+from .estimators import (COND_LIMIT, RegressionData, irls_glm_stack,
+                         least_squares_stack, mean_estimates_stack)
 # bench/tracer.py patches these names
 from .estimators import irls_glm, least_squares, mean_estimates  # noqa: F401
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, _project_stack,
@@ -136,16 +141,32 @@ class StagePlan:
     saturated: bool
 
 
+def _uniform_counts(n: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Uniform counts of ``n[b]`` pulls on the active ids ``ids[b]`` of
+    each row of a (B, m) stack: floor(n / m) pulls each, and the n mod m
+    remainder pulls one each to the lowest ids.  So with n < m the arms
+    that are sampled are the lowest ids, whatever order the ids are listed
+    in."""
+    base, rem = divmod(n, ids.shape[1])
+    rank = ids.argsort(axis=1).argsort(axis=1)
+    return base[:, None] + (rank < rem[:, None])
+
+
 class _PlanBlock:
     """The plans of ``keys`` of one (m, d_t) shape and strategy, built
     together from their stacked ids, budgets, projected arms and bases and
     held as stacked rows: ``ids``, read-only ``counts``, ``saturated``,
-    ``projected``, ``basis`` and the solver's (weights, g, iterations,
-    certified) ``design`` arrays, none for uniform counts.  Rounding
-    retries a row it rejects alone (``allocate_budget``); a key whose
-    budget is below d_t or whose build raises leaves ``keys`` for the dict
-    ``failed``, with its error.  ``plan`` makes a row's ``StagePlan`` on
-    request, once.
+    ``inherit``, ``projected``, ``basis`` and the solver's (weights, g,
+    iterations, certified) ``design`` arrays, none for uniform counts.
+    Uniform counts give the remainder pulls to the lowest active ids
+    (``_uniform_counts``).  Rounding retries a row it rejects alone
+    (``allocate_budget``); a key whose budget is below d_t or whose build
+    raises leaves ``keys`` for the dict ``failed``, with its error.  One
+    ``np.linalg.cond`` of the rows' V gives both flags: ``saturated``
+    (m = d_t and cond(V) < ``COND_LIMIT``) and ``inherit`` (saturated,
+    cond(V) <= ``INHERIT_COND`` and counts within a factor 2; see
+    ``DesignCache``).  ``plan`` makes a row's ``StagePlan`` on request,
+    once.
     """
 
     def __init__(self, keys: list, ids: np.ndarray, n: np.ndarray,
@@ -154,9 +175,8 @@ class _PlanBlock:
         bad = {b: ConfigurationError(  # row -> the error its build raised
             f"per-stage budget {n[b]} cannot span dimension {dim}")
             for b in np.flatnonzero(n < dim).tolist()}
-        if uniform:  # equal remainders; lowest indices win
-            base, rem = divmod(n, m)
-            counts, design = base[:, None] + (np.arange(m) < rem[:, None]), []
+        if uniform:
+            counts, design = _uniform_counts(n, ids), []
         else:
             *design, errors = DesignCache.design(projected)
             bad = {**errors, **bad}
@@ -174,9 +194,12 @@ class _PlanBlock:
             keys = [keys[b] for b in keep]
             ids, counts, projected, basis, *design = (
                 a[keep] for a in (ids, counts, projected, basis, *design))
-        # saturated: m = d_t and V passes the linear fit's condition test
-        self.saturated = (well_conditioned(_info_matrix(counts, projected))
-                          if keys and m == dim else np.zeros(len(keys), dtype=bool))
+        self.saturated = self.inherit = np.zeros(len(keys), dtype=bool)
+        if keys and m == dim:  # V must pass the linear fit's condition test
+            cond = np.linalg.cond(_info_matrix(counts, projected))
+            self.saturated = np.isfinite(cond) & (cond < COND_LIMIT)
+            self.inherit = (self.saturated & (cond <= INHERIT_COND)
+                            & (counts.max(axis=1) <= 2 * counts.min(axis=1)))
         counts.flags.writeable = False
         self.keys, self.ids, self.counts, self.design = keys, ids, counts, design
         self.projected, self.basis, self.plans = projected, basis, {}
@@ -196,6 +219,25 @@ class DesignCache:
     strategy): a stage fixes its projection, design and rounding before it
     sees a reward, so runs of one instance or of many can share a cache.
     Each key maps to its row of a ``_PlanBlock``.
+
+    A run whose stage was saturated with cond(V) <= ``INHERIT_COND`` =
+    sqrt(``COND_LIMIT``) and counts within a factor 2 inherits saturation:
+    ``gse_lockstep`` builds no later plan for it, and each later stage
+    pulls with the counts row ``_inherited_counts(m, n, strategy)`` that
+    every such run shares.  That is exactly what the full build gives:
+    - the later active arms X_sub are rows of that stage's X, and their
+      Gram matrix X_sub X_sub' is a principal submatrix of X X', so the
+      eigenvalues interlace and cond(X_sub) <= cond(X);
+    - with counts in a factor r of each other, cond(X)^2 <= r cond(V),
+      and the later counts are within a factor 2 too, so
+      cond(V_sub) <= 2 * 2 * cond(V) <= 4e6;
+    - so the full build finds rank m = d_t, certifies Frank-Wolfe at its
+      iteration 0 with weights 1.0 / m (uniform g is m exactly, and its
+      computed value is within about 1e-8 of m against the 1% tolerance),
+      rounds them to ``_inherited_counts``'s row, and passes the 1e12
+      condition test: the same counts and the same ``saturated`` flag.
+    Traced runs inherit too, but still ask for their full plans, built as
+    stacks, which their ``StageTrace`` shows.
     """
 
     def __init__(self) -> None:
@@ -252,6 +294,25 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
             failed.update(block.failed)
         failed.update((group[b], exc) for b, exc in errors.items())
     return [plans.get(key) or failed[key] for key in keys]
+
+
+INHERIT_COND = math.sqrt(COND_LIMIT)  # cond(V) up to which saturation is inherited
+
+
+@lru_cache(maxsize=256)  # every inheriting run of a point asks for a few
+def _inherited_counts(m: int, n: int, strategy: str) -> np.ndarray:
+    """The read-only counts row of n pulls on the m active arms of a run
+    that inherits saturation (see ``DesignCache``): ``_round_rows`` of
+    weights 1.0 / m, the G-design of m independent arms, for fw-g, and
+    ``_uniform_counts`` for uniform, whose remainder pulls go to the
+    lowest active ids, here the first m positions, since a run's active
+    ids are ascending."""
+    if strategy == "uniform":
+        counts = _uniform_counts(np.array([n]), np.arange(m)[None])[0]
+    else:
+        counts = _round_rows(np.array([n]), np.full((1, m), 1.0 / m))[0][0]
+    counts.flags.writeable = False
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +529,13 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
 
 def _estimate(group: list, sums: np.ndarray, counts: np.ndarray,
               saturated: np.ndarray) -> tuple[np.ndarray, list]:
-    """The (G, m) estimated means of a stage group's (run, (block, row)) jobs, from
+    """The (G, m) estimated means of a stage group's (run, plan) jobs, from
     their (G, m) reward sums and pull counts, and one entry per job: its
     fit's (converged, iterations, fellback), or the package error that ends
-    it.  Saturated jobs take S_i / c_i and (True, 0, False).  The others are
-    fitted as one stack per model and block; an item whose logistic fit
-    fails falls back to least squares."""
+    it.  Saturated jobs take S_i / c_i and (True, 0, False).  The others,
+    whose plans are (block, row) pairs, are fitted as one stack per model
+    and block; an item whose logistic fit fails falls back to least
+    squares."""
     mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                        where=saturated[:, None])
     fits: list = [(True, 0, False)] * len(group)
@@ -519,6 +581,7 @@ class _Run:
     active: tuple[int, ...]
     traces: list
     pulls: int = 0
+    inherits: bool = False  # saturation, from the next stage on (DesignCache)
 
 
 Job = tuple[BanditInstance, GseConfig, np.random.Generator]
@@ -530,12 +593,15 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
     jobs in lockstep, stage by stage; one result per job, in order.
 
     Each stage looks up the plans of all live jobs at once
-    (``_plan_stages``), which builds the missing ones as stacks.  The jobs
-    whose stages keep the same number of arms out of the same number then
-    draw (``_stage_sums``), estimate and are cut (``eliminate_stack``)
-    together.  Each job draws from its own generator, in the order a lone
-    run draws, and every stacked step gives it the bits of its lone
-    computation, so its result does not depend on the other jobs.  The
+    (``_plan_stages``), which builds the missing ones as stacks; a job
+    that inherits saturation (see ``DesignCache``) pulls with its shared
+    ``_inherited_counts`` row and asks for no plan, unless its trace needs
+    one.  The jobs whose stages keep the same number of arms out of the
+    same number, and that inherit or do not, then draw (``_stage_sums``),
+    estimate and are cut (``eliminate_stack``) together.  Each job draws
+    from its own generator, in the order a lone run draws, and every
+    stacked step gives it the bits of its lone computation, so its result
+    does not depend on the other jobs.  The
     jobs share ``cache``, or else one cache made for this call; plans are
     keyed by instance, so jobs of different instances can share it too.
     A package error ends only the job that raised it and takes the place
@@ -563,19 +629,32 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
     t = 0
     while runs:
         t += 1
-        plans = _plan_stages(cache, [(run.instance, run.active,
-                                      run.schedule.per_stage_budget,
-                                      run.config.strategy) for run in runs])
-        stage = defaultdict(list)  # (m, arms kept) -> (run, (block, row))
-        for run, plan in zip(runs, plans):
-            if isinstance(plan, FbbaiError):
+        # with traces, inheriting runs ask too: their traces show full plans
+        asked = [run for run in runs if traces or not run.inherits]
+        plans = dict(zip([run.slot for run in asked], _plan_stages(
+            cache, [(run.instance, run.active, run.schedule.per_stage_budget,
+                     run.config.strategy) for run in asked])))
+        # (m, arms kept, inherits) -> (run, (block, row)), or for a run that
+        # inherits saturation (run, its shared counts row)
+        stage = defaultdict(list)
+        for run in runs:
+            if run.inherits:
+                plan = _inherited_counts(len(run.active),
+                                         run.schedule.per_stage_budget,
+                                         run.config.strategy)
+            elif isinstance(plan := plans[run.slot], FbbaiError):
                 results[run.slot] = plan
-            else:
-                stage[run.schedule.sizes[t - 1], run.schedule.sizes[t]].append(
-                    (run, plan))
+                continue
+            sizes = run.schedule.sizes
+            stage[sizes[t - 1], sizes[t], run.inherits].append((run, plan))
         live = []
-        for (_, keep), group in stage.items():
-            counts, ids, saturated = _plan_stacks([plan for _, plan in group])
+        for (_, keep, inherits), group in stage.items():
+            if inherits:
+                counts = np.array([plan for _, plan in group])
+                ids = np.array([run.active for run, _ in group])
+                saturated = np.ones(len(group), dtype=bool)
+            else:
+                counts, ids, saturated = _plan_stacks([plan for _, plan in group])
             sums = _stage_sums([(run.instance, run.rng) for run, _ in group],
                                counts, ids)
             mu_hat, fits = _estimate(group, sums, counts, saturated)
@@ -588,10 +667,13 @@ def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
                     rows.append(g)
             survivors = eliminate_stack(ids[rows], mu_hat[rows], keep)
             for g, kept in zip(rows, survivors):
-                run, (block, row) = group[g]
+                run, plan = group[g]
                 run.active = tuple(kept)
                 run.pulls += pulls[g]
+                if not inherits:
+                    run.inherits = bool(plan[0].inherit[plan[1]])
                 if traces:  # fits[g] is (converged, iterations, fellback)
+                    block, row = plans[run.slot]
                     plan = block.plan(row)
                     run.traces.append(StageTrace(t, plan.arms, plan.counts, mu_hat[g],
                                                  run.active, *fits[g], plan.design))

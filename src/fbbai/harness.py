@@ -220,22 +220,24 @@ class _Seed(ISeedSequence):
         return self.words  # PCG64 asks for (4, np.uint64)
 
 
-def _streams(point: list[int], reps, key: int) -> list[np.random.Generator]:
+def _streams(pool: tuple[list[int], int], reps,
+             key: int) -> list[np.random.Generator]:
     """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of each
     replication in ``reps`` (non-negative ints below 2**64) of the point
-    whose shared words are ``point`` (``_seed_words`` of its
-    ``_point_entropy``).
+    whose ``_point_pool`` is ``pool``, that of the point's shared words
+    (``_seed_words`` of its ``_point_entropy``).
 
-    A replication's entropy is ``point``, then its index words, then
-    ``key``; only the last two differ between replications.  So
-    ``SeedSequence``'s hash is restated: ``point`` is mixed once, in
-    Python ints, and the index words (two for indices of 2**32 and up,
-    which form their own group), the key and the eight output words are
-    uint32 array operations over the batch.  Each generator's state is
-    that of ``SeedSequence(point + index words, spawn_key=(key,))``.
+    A replication's entropy is the point's words, then its index words,
+    then ``key``; only the last two differ between replications.  So
+    ``SeedSequence``'s hash is restated: the point's words are mixed once,
+    by the caller, in Python ints (``_point_pool``), and the index words
+    (two for indices of 2**32 and up, which form their own group), the key
+    and the eight output words are uint32 array operations over the batch.
+    Each generator's state is that of ``SeedSequence(point words + index
+    words, spawn_key=(key,))``.
     """
     reps = np.asarray(reps, dtype=np.uint64)
-    start, h = _point_pool(point)
+    start, h = pool
     seeds = np.empty((reps.size, _POOL), dtype=np.uint64)
     wide = reps > _MASK
     for rows, two in ((~wide, False), (wide, True)):
@@ -298,18 +300,19 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
     lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
     plans and building no stage traces; a generator's package error aborts
-    its replication.  The point's seed words are made once, and each batch
-    seeds its replications' streams together (``_streams``)."""
+    its replication.  The point's seed words are made and mixed once
+    (``_point_pool``), and each batch seeds its replications' streams
+    together (``_streams``)."""
     fixed = isinstance(task.source, BanditInstance)
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
-    point = _seed_words(_point_entropy(task.seed, task.family, task.spec.name,
-                                       task.config.budget))
+    pool = _point_pool(_seed_words(_point_entropy(
+        task.seed, task.family, task.spec.name, task.config.budget)))
     for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
         reps = range(lo, min(lo + LOCKSTEP_BATCH, task.stop))
-        sources = repeat(None) if fixed else _streams(point, reps, 0)
+        sources = repeat(None) if fixed else _streams(pool, reps, 0)
         jobs = []
-        for rng, run in zip(sources, _streams(point, reps, 1)):
+        for rng, run in zip(sources, _streams(pool, reps, 1)):
             try:
                 inst = task.source if fixed else task.source(rng)
             except FbbaiError:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
@@ -139,6 +139,24 @@ class TestExplore:
         assert np.array_equal(data.xs, active.projected)
         assert list(data.counts) == [3, 3, 2, 2]
         assert list(data.ys) == pytest.approx([3.0, 0.0, 0.0, 0.0])
+
+    def test_uniform_remainders_go_to_the_lowest_ids(self):
+        # six arms in R^2, so the set is not saturated and n < m is allowed
+        inst = gen_sphere_instance(6, 2, np.random.default_rng(0))
+        cache = DesignCache()
+        listed = (5, 1, 3, 0, 2, 4)
+        for n, by_id in [(4, [1, 1, 1, 1, 0, 0]), (8, [2, 2, 1, 1, 1, 1]),
+                         (15, [3, 3, 3, 2, 2, 2])]:
+            plan = cache.plan(inst, listed, n, "uniform")
+            assert not plan.saturated
+            assert plan.counts.tolist() == [by_id[i] for i in listed]
+            ascending = cache.plan(inst, tuple(range(6)), n, "uniform")
+            assert ascending.counts.tolist() == by_id
+        # the shared rows of inheriting runs follow the same rule
+        eye = gen_static_instance(1.0, K=4)
+        assert gse_mod._inherited_counts(4, 10, "uniform").tolist() == \
+            cache.plan(eye, (0, 1, 2, 3), 10, "uniform").counts.tolist() == \
+            [3, 3, 2, 2]
 
     def test_stage_budget_below_dimension_rejected(self):
         inst = gen_static_instance(1.0, K=4)
@@ -704,6 +722,160 @@ class TestLockstep:
             else:
                 assert run_summary(result) == run_summary(alone)
                 assert flags(result) == flags(alone)
+
+
+def conditioned_set(m, log_cond, rng):
+    """m arms in R^m whose singular values run from 1 down to
+    10**-log_cond, in random orthogonal frames."""
+    left, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    values = 10.0 ** -np.linspace(0.0, log_cond, m)
+    return BanditInstance(features=(left * values) @ right.T,
+                          theta_star=rng.standard_normal(m))
+
+
+SPHERE32 = gen_sphere_instance(32, 10, np.random.default_rng(4))
+
+
+class TestInheritance:
+    """A run whose stage was saturated with cond(V) <= sqrt(1e12) plans no
+    later stage and pulls with ``_inherited_counts``'s shared row, which
+    must be what the full build gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["eye", "grid", "random", "sphere"]),
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 60),
+           tenths=st.sampled_from(range(36)),
+           strategy=st.sampled_from(["fw-g", "uniform"]))
+    def test_inherited_rows_equal_full_builds(self, kind, seed, extra,
+                                              tenths, strategy):
+        """Nested subsets of saturated sets: the static eye, the glm grid,
+        random sets of cond(X) = 10**(tenths / 10), up to past the margin,
+        and eight arms of a sphere K = 32, d = 10 instance (its stage-3
+        sets)."""
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            inst = conditioned_set(int(rng.integers(2, 13)), tenths / 10, rng)
+        else:
+            inst = {"eye": gen_static_instance(1.0, K=16),
+                    "grid": glm_grid_instance(16, 0.75),
+                    "sphere": SPHERE32}[kind]
+        ids = np.arange(inst.n_arms)
+        if kind == "sphere":
+            ids = np.sort(rng.choice(ids, 8, replace=False))
+        n = ids.size + extra
+        cache = DesignCache()
+        block, row = gse_mod._plan_stages(
+            cache, [(inst, tuple(ids.tolist()), n, strategy)])[0]
+        assume(block.inherit[row])
+        assert block.saturated[row]
+        while ids.size > 1:  # every later stage keeps a subset
+            ids = np.sort(rng.choice(ids, int(rng.integers(1, ids.size)),
+                                     replace=False))
+            full = cache.plan(inst, tuple(ids.tolist()), n, strategy)
+            inherited = gse_mod._inherited_counts(ids.size, n, strategy)
+            assert full.saturated
+            assert full.counts.tobytes() == inherited.tobytes()
+            assert not inherited.flags.writeable
+            if strategy == "fw-g":
+                assert full.design.iterations_used == 0
+                assert full.design.certified
+
+    @pytest.mark.parametrize("strategy", ["fw-g", "uniform"])
+    def test_a_parent_past_the_margin_passes_nothing_on(self, monkeypatch,
+                                                        strategy):
+        """Arm 7 is short, cond(X) = 1e4, so every set that holds it is
+        saturated with cond(V) near 1e8: such a stage passes nothing on,
+        while a stage without arm 7 (an orthonormal set) does."""
+        scale = np.ones(8)
+        scale[7] = 1e-4
+        inst = BanditInstance(features=np.diag(scale),
+                              theta_star=np.linspace(0.1, 0.8, 8) / scale,
+                              noise_sigma2=4.0)
+        n = 30
+        block, row = gse_mod._plan_stages(
+            DesignCache(), [(inst, tuple(range(8)), n, strategy)])[0]
+        cond = np.linalg.cond(
+            (block.projected[row].T * block.counts[row]) @ block.projected[row])
+        assert 1e6 < cond < 1e12
+        assert block.saturated[row] and not block.inherit[row]
+
+        asked = []
+        plan_stages = gse_mod._plan_stages
+
+        def recording(cache, keys):
+            asked.extend(key[1] for key in keys)
+            return plan_stages(cache, keys)
+
+        cfg = GseConfig(budget=3 * n, strategy=strategy)
+        kinds = set()
+        for seed in range(40):
+            result = gse_run(inst, cfg, np.random.default_rng(seed))
+            asked.clear()  # the sets this run alone plans
+            monkeypatch.setattr(gse_mod, "_plan_stages", recording)
+            (untraced,) = gse_lockstep([(inst, cfg, np.random.default_rng(seed))],
+                                       traces=False)
+            monkeypatch.undo()
+            assert (untraced.recommended, untraced.total_pulls) == (
+                result.recommended, result.total_pulls)
+            stages = [t.arms.original_ids for t in result.traces]
+            for prev, ids in zip(stages, stages[1:]):
+                # a stage is planned unless the one before left the margin
+                assert (ids in asked) == (7 in prev)
+                kinds.add(7 in prev)
+            for t in result.traces:  # the full build's counts and flags
+                full = DesignCache().plan(inst, t.arms.original_ids, n, strategy)
+                assert t.counts.tobytes() == full.counts.tobytes()
+                assert full.saturated
+        assert kinds == {True, False}
+
+    def test_skewed_counts_pass_nothing_on(self, monkeypatch):
+        # the margin assumes counts within a factor 2, as counts rounded
+        # from weights 1/m are; skewed by hand, they pass nothing on
+        monkeypatch.setattr(gse_mod, "_round_rows",
+                            lambda n, weights: (np.array([[1, 1, 1, 7]]), {}))
+        block, row = gse_mod._plan_stages(DesignCache(), [
+            (gen_static_instance(1.0, K=4), (0, 1, 2, 3), 10, "fw-g")])[0]
+        assert block.saturated[row] and not block.inherit[row]
+
+    @pytest.mark.parametrize("kind", ["static", "grid", "sphere"])
+    def test_traced_and_untraced_runs_inherit_alike(self, monkeypatch, kind):
+        """Traces of inheriting runs take the full plans, so they are
+        those of runs that inherit nothing, and the untraced outcomes
+        match; on the fixed instances only the stage-1 plan is built."""
+        if kind == "sphere":  # stages of 32, 16, 8, 4 and 2 arms in R^10
+            cfg = GseConfig(budget=1280)
+            jobs = lambda: [(gen_sphere_instance(32, 10, np.random.default_rng(s)),
+                             cfg, np.random.default_rng(s)) for s in range(6)]
+        else:
+            inst = (gen_static_instance(1.0, K=16) if kind == "static"
+                    else glm_grid_instance(16, 0.75))
+            cfg = GseConfig(budget=2000, model="linear" if kind == "static"
+                            else "logistic")
+            jobs = lambda: [(inst, cfg, np.random.default_rng(s))
+                            for s in range(30)]
+        rows = []
+        init = gse_mod._PlanBlock.__init__
+
+        def counting(self, *args):
+            init(self, *args)
+            rows.append(len(self.keys))
+
+        monkeypatch.setattr(gse_mod._PlanBlock, "__init__", counting)
+        untraced = gse_lockstep(jobs(), traces=False)
+        built = sum(rows)
+        traced = gse_lockstep(jobs())
+        monkeypatch.setattr(gse_mod, "INHERIT_COND", 0.0)  # no run inherits
+        rows.clear()
+        plain = gse_lockstep(jobs(), traces=False)
+        assert built < sum(rows)
+        if kind != "sphere":
+            assert built == 1
+        want = gse_lockstep(jobs())
+        assert [run_summary(r) for r in traced] == [run_summary(r) for r in want]
+        assert [(r.recommended, r.success, r.total_pulls) for r in untraced] == [
+            (r.recommended, r.success, r.total_pulls) for r in plain] == [
+            (r.recommended, r.success, r.total_pulls) for r in traced]
 
 
 def trace_digest(result):

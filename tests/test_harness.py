@@ -570,7 +570,8 @@ class TestReplicationStreams:
         # 2**32 + 5 is the first index of two words
         point = harness_mod._seed_words(
             harness_mod._point_entropy(master, "edge", "gse-fwg", 40))
-        (got,) = harness_mod._streams(point, [rep], key)
+        (got,) = harness_mod._streams(harness_mod._point_pool(point), [rep],
+                                      key)
         child = rep_seed(master, "edge", "gse-fwg", 40, rep).spawn(2)[key]
         assert got.bit_generator.state == \
             np.random.default_rng(child).bit_generator.state
@@ -584,7 +585,7 @@ class TestReplicationStreams:
                                                         key):
         """Any point words (tokens of one word included), indices of one
         and two words, mixed in one batch, and either key."""
-        got = harness_mod._streams(point, reps, key)
+        got = harness_mod._streams(harness_mod._point_pool(point), reps, key)
         assert len(got) == len(reps)
         for rng, rep in zip(got, reps):
             words = np.array(point + harness_mod._seed_words([rep]),
