@@ -27,10 +27,13 @@ and saturation test, and keep their rows stacked in a ``_PlanBlock``.  A
 stage's counts and ids are one ``take`` of each block's rows, and a
 ``StagePlan`` is made from a row only when a trace or ``DesignCache.plan``
 asks for it.  Each job then makes its stage's one call on its own
-generator, and the rest of the draw is done once per block of jobs:
-Bernoulli sums are integer hit counts from one ``np.add.reduceat``,
-Gaussian sums come from one offset ``np.bincount``; the means of jobs of
-one instance are one ``take``.  Saturated stages take their means
+generator, and the rest of the draw is done once per block of jobs, a
+slice of the stage's rows of one kind of reward.  The draws fill work
+buffers of ``DRAW_BLOCK`` pulls that every block and stage reuses, a
+Gaussian job's noise scaled in place; Bernoulli sums are integer hit
+counts from one ``np.add.reduceat``, Gaussian sums come from one offset
+``np.bincount``; the means of jobs of one instance are one ``take``.
+Saturated stages take their means
 S_i / c_i as one division, unsaturated ones are fitted as one stack per
 model and block, and one stacked ``np.lexsort`` makes every cut.  Every
 stacked kernel gives each job the bits of its lone computation, so a
@@ -43,6 +46,7 @@ with ``traces=False``: it reads only each run's success, so no
 from __future__ import annotations
 
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -61,7 +65,7 @@ from .estimators import (COND_LIMIT, RegressionData, irls_glm_stack,
 # bench/tracer.py patches these names
 from .estimators import irls_glm, least_squares, mean_estimates  # noqa: F401
 from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, _project_stack,
-                        draw_noise, rewards_of)
+                        draw_noise)
 # bench/tracer.py patches these names
 from .instances import project_to_span, sample_rewards  # noqa: F401
 
@@ -384,9 +388,6 @@ def explore(instance: BanditInstance, plan: StagePlan,
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
 
 
-DRAW_BLOCK = 1 << 14  # pulls per block: bounds the draw buffers
-
-
 def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]],
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (G, m) pull counts and active ids and the (G,) saturation flags
@@ -416,6 +417,30 @@ def _gather(instances: Sequence[BanditInstance], attr: str,
                      for instance, row in zip(instances, ids)])
 
 
+DRAW_BLOCK = 1 << 14  # pulls per block: the size of the kept draw buffers
+
+
+class _DrawBuffers(threading.local):
+    """Each thread's kept work buffers for one block's draws: ``DRAW_BLOCK``
+    uniforms or rewards and ``DRAW_BLOCK`` hit flags, reused by every
+    block, stage and run of the thread.  A larger block gets transient
+    arrays, so these never grow."""
+
+    def __init__(self) -> None:
+        self.draws = np.empty(DRAW_BLOCK)
+        self.hits = np.empty(DRAW_BLOCK, dtype=bool)
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Work arrays for ``n`` pulls: views of the kept buffers when they
+        are large enough, else fresh arrays."""
+        if n <= DRAW_BLOCK:
+            return self.draws[:n], self.hits[:n]
+        return np.empty(n), np.empty(n, dtype=bool)
+
+
+_BUFFERS = _DrawBuffers()
+
+
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
     """Reward sums of each (instance, rng) job whose plans share an
@@ -423,66 +448,82 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     the (G, m) ``counts`` and ``ids``: a (G, m) array, row g holding job
     g's per-arm sums S_i.
 
-    The jobs are split by kind of reward, Bernoulli or Gaussian, and each
-    kind goes in blocks of about ``DRAW_BLOCK`` pulls (``_block_sums``).
-    Each job makes its stage's one generator call, the one
-    ``sample_rewards`` makes for the same pulls, so its sums are, bit for
-    bit, those of ``sample_rewards`` on its pulls summed per arm.
+    The jobs of each kind of reward, Bernoulli or Gaussian, go in blocks
+    of consecutive jobs of about ``DRAW_BLOCK`` pulls (``_block_sums``),
+    and a block's counts, ids and sums are slices of the stage's rows.
+    A stage nearly always has one kind; one that mixes kinds is put in
+    kind order first and its sums put back in job order.  Each job makes
+    its stage's one generator call, the one ``sample_rewards`` makes for
+    the same pulls, so its sums are, bit for bit, those of
+    ``sample_rewards`` on its pulls summed per arm.
     """
+    kinds = np.array([instance.bernoulli for instance, _ in jobs])
+    split = int(kinds.sum())  # the Bernoulli jobs go first
+    order = None
+    if 0 < split < len(jobs):
+        order = np.argsort(~kinds, kind="stable")
+        jobs = [jobs[g] for g in order]
+        counts, ids = counts[order], ids[order]
     pulls = counts.sum(axis=1)
     sums = np.empty(counts.shape)
-    bernoulli = np.array([instance.bernoulli for instance, _ in jobs])
-    for kind in (True, False):
-        rows = np.flatnonzero(bernoulli == kind)
-        if rows.size:
-            step = max(1, DRAW_BLOCK // max(1, int(pulls[rows].max())))
-            for block in np.split(rows, range(step, rows.size, step)):
-                sums[block] = _block_sums(kind, [jobs[g] for g in block],
-                                          counts[block], ids[block],
-                                          pulls[block])
-    return sums
+    for kind, lo, hi in ((True, 0, split), (False, split, len(jobs))):
+        if lo < hi:
+            step = max(1, DRAW_BLOCK // max(1, int(pulls[lo:hi].max())))
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                sums[a:b] = _block_sums(kind, jobs[a:b], counts[a:b], ids[a:b])
+    if order is None:
+        return sums
+    unsorted = np.empty_like(sums)
+    unsorted[order] = sums
+    return unsorted
 
 
 def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
-                ids: np.ndarray, pulls: np.ndarray) -> np.ndarray:
+                ids: np.ndarray) -> np.ndarray:
     """Per-arm reward sums of jobs with one kind of reward, given their
-    (G, m) pull counts and active ids and per-job pull totals.
+    (G, m) pull counts and active ids.
 
     Each job, in order, makes its one ``draw_noise`` call for its pulls,
     which go in the order ``explore`` pulls: active arms in turn, each
-    arm's pulls contiguous.  A Bernoulli job's uniforms go straight into
-    its slice of one block buffer (``rng.random(out=...)``, the same
-    draws).  The rest is done once for the block: the arms' means are one
-    ``_gather``.  Bernoulli sums are exact integer hit counts, one
-    ``np.add.reduceat`` over the arms that are pulled (an arm with no pull
-    sums to 0), in uint16 when every count fits.  Gaussian sums come from
-    one offset ``np.bincount``, which adds each arm's rewards in draw
-    order as a bincount of one job alone does; a noiseless job adds zero
-    noise.  Either way a job's sums are those of ``sample_rewards`` on its
-    pulls, summed by ``np.bincount``, bit for bit.
+    arm's pulls contiguous.  The draws fill the job's slice of one work
+    array in place, a view of the kept buffers (``_DrawBuffers``).  The
+    rest is done once for the block: the arms' means are one ``_gather``
+    repeated per pull.  Bernoulli sums are exact integer hit counts, in
+    uint16 when every count fits: one ``np.add.reduceat`` of the hit mask
+    when every arm is pulled, else one over the pulled arms only,
+    scattered into zeros (``reduceat`` cannot sum an empty run).  Gaussian
+    rewards are the means added to the noise in place, summed by one
+    offset ``np.bincount``, which adds each arm's rewards in draw order as
+    a bincount of one job alone does; a noiseless job's noise is -0.0,
+    which adds exactly.  Either way a job's sums are those of
+    ``sample_rewards`` on its pulls, summed by ``np.bincount``, bit for
+    bit.
     """
+    m = counts.shape[1]
     flat = counts.ravel()
+    ends = np.cumsum(flat)  # where each arm's pulls end, and each job's
     mu = np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
+    draws, hits = _BUFFERS.take(mu.size)
+    lo = 0
+    for (instance, rng), hi in zip(jobs, ends[m - 1::m].tolist()):
+        draw_noise(instance, draws[lo:hi], rng)
+        lo = hi
     if bernoulli:
-        draws = np.empty(mu.size)
-        ends = np.cumsum(pulls).tolist()
-        for (_, rng), lo, hi in zip(jobs, [0] + ends, ends):
-            rng.random(out=draws[lo:hi])
-        pulled = np.flatnonzero(flat)
-        sums = np.zeros(flat.size)
-        sums[pulled] = np.add.reduceat(
-            rewards_of(True, mu, draws).view(np.uint8),
-            (np.cumsum(flat) - flat)[pulled],
-            dtype=np.uint16 if flat.max() < 1 << 16 else np.int64)
+        np.less(draws, mu, out=hits)
+        starts = ends - flat
+        dtype = np.uint16 if flat.max() < 1 << 16 else np.int64
+        if flat.all():
+            sums = np.add.reduceat(hits.view(np.uint8), starts, dtype=dtype)
+        else:
+            pulled = np.flatnonzero(flat)
+            sums = np.zeros(flat.size)
+            sums[pulled] = np.add.reduceat(hits.view(np.uint8), starts[pulled],
+                                           dtype=dtype)
     else:
-        sizes = pulls.tolist()
-        draws = [draw_noise(instance, n, rng)
-                 for (instance, rng), n in zip(jobs, sizes)]
-        noise = np.concatenate([np.zeros(n) if d is None else d
-                                for d, n in zip(draws, sizes)])
+        draws += mu
         sums = np.bincount(np.repeat(np.arange(flat.size), flat),
-                           weights=rewards_of(False, mu, noise),
-                           minlength=flat.size)
+                           weights=draws, minlength=flat.size)
     return sums.reshape(counts.shape)
 
 

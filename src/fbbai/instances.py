@@ -230,28 +230,21 @@ def noiseless(instance: BanditInstance) -> BanditInstance:
 # ---------------------------------------------------------------------------
 
 
-def draw_noise(instance: BanditInstance, n: int,
-               rng: np.random.Generator) -> Optional[np.ndarray]:
-    """The one generator call behind ``n`` rewards of ``instance``: ``n``
-    uniforms for Bernoulli rewards, ``n`` Gaussian noise terms, or no call
-    and ``None`` for noiseless Gaussian rewards.  ``rewards_of`` turns the
-    draws into rewards."""
+def draw_noise(instance: BanditInstance, out: np.ndarray,
+               rng: np.random.Generator) -> None:
+    """Fill ``out`` in place with the draws behind ``out.size`` rewards of
+    ``instance``, from one generator call: uniforms for Bernoulli rewards
+    (a pull hits when its uniform is below its mean), σ-scaled standard
+    normals for Gaussian rewards (a reward is its mean plus its noise;
+    the same bits as ``rng.normal(0.0, σ, n)``), and no call for noiseless
+    Gaussian rewards, whose noise is -0.0: it adds to any mean exactly."""
     if instance.bernoulli:
-        return rng.random(n)
-    if instance.noise_sigma2 == 0.0:
-        return None
-    return rng.normal(0.0, math.sqrt(instance.noise_sigma2), n)
-
-
-def rewards_of(bernoulli: bool, mu: np.ndarray,
-               draws: Optional[np.ndarray]) -> np.ndarray:
-    """Rewards of pulls with means ``mu`` from their ``draw_noise`` draws:
-    the hits ``draws < mu`` as booleans for Bernoulli rewards, else
-    ``mu + draws`` (``mu`` itself when ``draws`` is ``None``).  Elementwise,
-    so the rewards of many pulls are those of each pull alone."""
-    if bernoulli:
-        return draws < mu
-    return mu if draws is None else mu + draws
+        rng.random(out=out)
+    elif instance.noise_sigma2 == 0.0:
+        out.fill(-0.0)
+    else:
+        rng.standard_normal(out=out)
+        out *= math.sqrt(instance.noise_sigma2)
 
 
 def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
@@ -261,14 +254,16 @@ def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
     Bernoulli rewards are 0.0 or 1.0.  With ``noise_sigma2 == 0`` and
     Gaussian noise the exact means are returned, which is the deterministic
     mode used by noiseless checks.  The run's stage loop draws through
-    ``draw_noise`` and ``rewards_of`` too, so this is the per-pull
-    reference of its reward sums.
+    ``draw_noise`` too, so this is the per-pull reference of its reward
+    sums.
     """
     idx = np.asarray(arm_ids, dtype=int)
     mu = instance.means[idx]
-    return np.asarray(rewards_of(instance.bernoulli, mu,
-                                 draw_noise(instance, idx.shape[0], rng)),
-                      dtype=float)
+    draws = np.empty(idx.shape[0])
+    draw_noise(instance, draws, rng)
+    if instance.bernoulli:
+        return (draws < mu).astype(float)
+    return mu + draws
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from fbbai.errors import (ConfigurationError, EstimationFailureError,
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_schedule)
 from fbbai.harness import family_source, rep_seed
-from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
-                             gen_logistic_instance, gen_sphere_instance,
-                             gen_static_instance, noiseless, project_to_span,
-                             sample_rewards)
+from fbbai.instances import (LOGISTIC, BanditInstance, draw_noise,
+                             gen_adaptive_instance, gen_logistic_instance,
+                             gen_sphere_instance, gen_static_instance, noiseless,
+                             project_to_span, sample_rewards)
 
 
 class TestConfig:
@@ -302,7 +302,7 @@ class TestExploreStack:
     @pytest.mark.parametrize("case", list(CASES))
     def test_sums_match_per_pull_draws(self, case):
         asks = self.CASES[case]
-        rows = [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        rows = self.lone_rows(asks)
         plans = [block.plan(row) for block, row in rows]
         if case == "zero-counts":
             assert all((plan.counts == 0).any() for plan in plans)
@@ -322,6 +322,59 @@ class TestExploreStack:
         plans = [block.plan(row) for block, row in rows]
         assert plans[0] is plans[2] and plans[1] is plans[5]
         self.check_sums(asks, rows)
+
+    def test_back_to_back_stages_on_the_kept_buffers(self):
+        # blocks shrink and grow, Gaussian follows Bernoulli, noiseless
+        # follows noisy: a draw left in the kept buffers must never reach
+        # a later stage's sums
+        for case in ("blocks", "bernoulli", "gaussian", "noiseless",
+                     "zero-counts", "blocks", "noiseless", "mixed",
+                     "wide-counts", "bernoulli", "noiseless", "zero-counts"):
+            asks = self.CASES[case]
+            self.check_sums(asks, self.lone_rows(asks))
+
+    def test_kept_buffers_never_grow(self):
+        asks = self.CASES["wide-counts"]
+        self.check_sums(asks, self.lone_rows(asks))
+        kept = [a for a in vars(gse_mod._BUFFERS).values()
+                if isinstance(a, np.ndarray)]
+        assert len(kept) == 2
+        assert all(a.size <= gse_mod.DRAW_BLOCK for a in kept)
+
+    @pytest.mark.parametrize("ask, unpulled", [
+        ((GRID, EIGHT, 21, "uniform"), False),  # one reduceat over every arm
+        ((BERN, EIGHT, 6, "uniform"), True),  # one over the pulled arms only
+    ])
+    def test_bernoulli_block_with_and_without_unpulled_arms(self, ask, unpulled):
+        ((block, row),) = rows = self.lone_rows([ask])
+        assert (block.plan(row).counts == 0).any() == unpulled
+        self.check_sums([ask], rows)
+
+    @pytest.mark.parametrize("sigma2", [10.0, 4.0, 2.0, 0.25, 1e-300])
+    def test_gaussian_noise_is_numpys_normal(self, sigma2):
+        # standard normals scaled in place are rng.normal(0, sigma, n) bit
+        # for bit, and leave the generator where it leaves it
+        inst = gen_static_instance(0.5, K=4, sigma2=sigma2)
+        rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+        out = np.empty(50_000)
+        draw_noise(inst, out, rng)
+        want = replay.normal(0.0, math.sqrt(sigma2), out.size)
+        assert out.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_noiseless_noise_adds_exactly_without_a_draw(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        out = np.ones(5)
+        draw_noise(noiseless(self.GAUSS), out, rng)
+        mu = np.array([0.0, -0.0, 1.5, -2.25, 1e-310])
+        assert (mu + out).tobytes() == mu.tobytes()
+        assert rng.bit_generator.state == state
+
+    @staticmethod
+    def lone_rows(asks):
+        """Each ask's (block, row) plan, planned alone."""
+        return [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
 
     @staticmethod
     def check_sums(asks, rows):
