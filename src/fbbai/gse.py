@@ -26,21 +26,21 @@ and strategy get one stacked SVD projection, Frank-Wolfe solve, rounding
 and saturation test, and keep their rows stacked in a ``_PlanBlock``.  A
 stage's counts and ids are one ``take`` of each block's rows, and a
 ``StagePlan`` is made from a row only when a trace or ``DesignCache.plan``
-asks for it.  Each job then makes its stage's one call on its own
-generator, and the rest of the draw is done once per block of jobs, a
-slice of the stage's rows of one kind of reward.  The draws fill work
-buffers of ``DRAW_BLOCK`` pulls that every block and stage reuses, a
-Gaussian job's noise scaled in place; Bernoulli sums are integer hit
-counts from one ``np.add.reduceat``, Gaussian sums come from one offset
-``np.bincount``; the means of jobs of one instance are one ``take``.
-Saturated stages take their means
-S_i / c_i as one division, unsaturated ones are fitted as one stack per
-model and block, and one stacked ``np.lexsort`` makes every cut.  Every
-stacked kernel gives each job the bits of its lone computation, so a
-job's result is the one it gets alone.  ``gse_run`` is the batch of one,
-and the harness runs each chunk of replications as a few such batches,
-with ``traces=False``: it reads only each run's success, so no
-``StageTrace`` or ``StagePlan`` is built.
+asks for it.  Each job then draws its stage on its own generator.  A
+Bernoulli job draws each arm's sum S_i ~ Binomial(c_i, mu_i) directly,
+O(m) per stage.  A Gaussian job makes one generator call for its pulls'
+noise, and the rest of its draw is done once per block of jobs, a slice
+of the stage's rows: the noise fills a work buffer of ``DRAW_BLOCK``
+pulls that every block and stage reuses, the means of jobs of one
+instance are one ``take``, and the sums come from one offset
+``np.bincount``.  Saturated stages take their means S_i / c_i as one
+division, unsaturated ones are fitted as one stack per model and block,
+and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
+gives each job the bits of its lone computation, so a job's result is
+the one it gets alone.
+``gse_run`` is the batch of one, and the harness runs each chunk of
+replications as a few such batches, with ``traces=False``: it reads only
+each run's success, so no ``StageTrace`` or ``StagePlan`` is built.
 """
 
 from __future__ import annotations
@@ -377,11 +377,13 @@ def explore(instance: BanditInstance, plan: StagePlan,
             rng: np.random.Generator) -> RegressionData:
     """Draw the plan's pulls and return per-arm statistics.
 
-    Pulls are drawn in active-arm order, each arm's pulls contiguous, one
-    reward per pull, so a run is reproducible from (instance, config, seed)
-    alone.  The returned data has one row per active arm: its projected
-    features, its reward sum and its pull count.  This is ``_stage_sums``
-    on a stack of one.
+    A Bernoulli instance draws each active arm's reward sum as one
+    Binomial(c_i, mu_i) variate, in active-arm order.  Gaussian
+    pulls are drawn in active-arm order, each arm's pulls contiguous, one
+    reward per pull.  Either way a run is reproducible from (instance,
+    config, seed) alone.  The returned data has one row per active arm:
+    its projected features, its reward sum and its pull count.  This is
+    ``_stage_sums`` on a stack of one.
     """
     (sums,) = _stage_sums([(instance, rng)], plan.counts[None],
                           np.array([plan.arms.original_ids]))
@@ -417,28 +419,27 @@ def _gather(instances: Sequence[BanditInstance], attr: str,
                      for instance, row in zip(instances, ids)])
 
 
-DRAW_BLOCK = 1 << 14  # pulls per block: the size of the kept draw buffers
+DRAW_BLOCK = 1 << 14  # pulls per block: the size of the kept draw buffer
 
 
 class _DrawBuffers(threading.local):
-    """Each thread's kept work buffers for one block's draws: ``DRAW_BLOCK``
-    uniforms or rewards and ``DRAW_BLOCK`` hit flags, reused by every
-    block, stage and run of the thread.  A larger block gets transient
-    arrays, so these never grow."""
+    """Each thread's kept work buffer for one block's Gaussian draws:
+    ``DRAW_BLOCK`` rewards, reused by every block, stage and run of the
+    thread.  A larger block gets a transient array, so it never grows."""
 
     def __init__(self) -> None:
         self.draws = np.empty(DRAW_BLOCK)
-        self.hits = np.empty(DRAW_BLOCK, dtype=bool)
 
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Work arrays for ``n`` pulls: views of the kept buffers when they
-        are large enough, else fresh arrays."""
-        if n <= DRAW_BLOCK:
-            return self.draws[:n], self.hits[:n]
-        return np.empty(n), np.empty(n, dtype=bool)
+    def take(self, n: int) -> np.ndarray:
+        """A work array for ``n`` pulls: a view of the kept buffer when it
+        is large enough, else a fresh array."""
+        return self.draws[:n] if n <= DRAW_BLOCK else np.empty(n)
 
 
 _BUFFERS = _DrawBuffers()
+
+
+SCALAR_BINOMIAL_ARMS = 8  # up to this many arms, one binomial call per arm
 
 
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
@@ -448,82 +449,64 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     the (G, m) ``counts`` and ``ids``: a (G, m) array, row g holding job
     g's per-arm sums S_i.
 
-    The jobs of each kind of reward, Bernoulli or Gaussian, go in blocks
-    of consecutive jobs of about ``DRAW_BLOCK`` pulls (``_block_sums``),
-    and a block's counts, ids and sums are slices of the stage's rows.
-    A stage nearly always has one kind; one that mixes kinds is put in
-    kind order first and its sums put back in job order.  Each job makes
-    its stage's one generator call, the one ``sample_rewards`` makes for
-    the same pulls, so its sums are, bit for bit, those of
-    ``sample_rewards`` on its pulls summed per arm.
+    A sum of c Bernoulli(mu) rewards is Binomial(c, mu), so a Bernoulli job
+    draws its row as one ``rng.binomial(counts, means)`` call, O(m): its
+    sums have the distribution of ``sample_rewards`` on its pulls summed
+    per arm, not its bits.  Up to ``SCALAR_BINOMIAL_ARMS`` arms the row is
+    m scalar calls instead, the same draws without the array call's
+    argument checks, which cost about ten scalar calls.  Gaussian and
+    noiseless jobs go in blocks of about ``DRAW_BLOCK`` pulls
+    (``_block_sums``), slices of their rows.  Each job draws on its own
+    generator only, so its sums do not depend on the other jobs.
     """
-    kinds = np.array([instance.bernoulli for instance, _ in jobs])
-    split = int(kinds.sum())  # the Bernoulli jobs go first
-    order = None
-    if 0 < split < len(jobs):
-        order = np.argsort(~kinds, kind="stable")
-        jobs = [jobs[g] for g in order]
-        counts, ids = counts[order], ids[order]
-    pulls = counts.sum(axis=1)
+    bernoulli = [instance.bernoulli for instance, _ in jobs]
     sums = np.empty(counts.shape)
-    for kind, lo, hi in ((True, 0, split), (False, split, len(jobs))):
-        if lo < hi:
-            step = max(1, DRAW_BLOCK // max(1, int(pulls[lo:hi].max())))
-            for a in range(lo, hi, step):
-                b = min(a + step, hi)
-                sums[a:b] = _block_sums(kind, jobs[a:b], counts[a:b], ids[a:b])
-    if order is None:
+    if not any(bernoulli):
+        step = max(1, DRAW_BLOCK // max(1, int(counts.sum(axis=1).max())))
+        for a in range(0, len(jobs), step):
+            b = a + step
+            sums[a:b] = _block_sums(jobs[a:b], counts[a:b], ids[a:b])
         return sums
-    unsorted = np.empty_like(sums)
-    unsorted[order] = sums
-    return unsorted
+    means = _gather([instance for instance, _ in jobs], "means", ids)
+    few = counts.shape[1] <= SCALAR_BINOMIAL_ARMS
+    rows = zip(counts.tolist(), means.tolist()) if few else zip(counts, means)
+    for g, ((_, rng), (c, mu)) in enumerate(zip(jobs, rows)):
+        if bernoulli[g]:
+            sums[g] = list(map(rng.binomial, c, mu)) if few else rng.binomial(c, mu)
+    if not all(bernoulli):  # a mixed stage: its Gaussian rows go in blocks
+        gauss = [g for g, kind in enumerate(bernoulli) if not kind]
+        sums[gauss] = _stage_sums([jobs[g] for g in gauss], counts[gauss],
+                                  ids[gauss])
+    return sums
 
 
-def _block_sums(bernoulli: bool, jobs: list, counts: np.ndarray,
-                ids: np.ndarray) -> np.ndarray:
-    """Per-arm reward sums of jobs with one kind of reward, given their
+def _block_sums(jobs: list, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per-arm reward sums of Gaussian or noiseless jobs, given their
     (G, m) pull counts and active ids.
 
     Each job, in order, makes its one ``draw_noise`` call for its pulls,
     which go in the order ``explore`` pulls: active arms in turn, each
     arm's pulls contiguous.  The draws fill the job's slice of one work
-    array in place, a view of the kept buffers (``_DrawBuffers``).  The
+    array in place, a view of the kept buffer (``_DrawBuffers``).  The
     rest is done once for the block: the arms' means are one ``_gather``
-    repeated per pull.  Bernoulli sums are exact integer hit counts, in
-    uint16 when every count fits: one ``np.add.reduceat`` of the hit mask
-    when every arm is pulled, else one over the pulled arms only,
-    scattered into zeros (``reduceat`` cannot sum an empty run).  Gaussian
-    rewards are the means added to the noise in place, summed by one
-    offset ``np.bincount``, which adds each arm's rewards in draw order as
-    a bincount of one job alone does; a noiseless job's noise is -0.0,
-    which adds exactly.  Either way a job's sums are those of
+    repeated per pull, added to the noise in place, and the rewards are
+    summed by one offset ``np.bincount``, which adds each arm's rewards in
+    draw order as a bincount of one job alone does; a noiseless job's
+    noise is -0.0, which adds exactly.  So a job's sums are those of
     ``sample_rewards`` on its pulls, summed by ``np.bincount``, bit for
     bit.
     """
     m = counts.shape[1]
     flat = counts.ravel()
     ends = np.cumsum(flat)  # where each arm's pulls end, and each job's
-    mu = np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
-    draws, hits = _BUFFERS.take(mu.size)
+    draws = _BUFFERS.take(int(ends[-1]))
     lo = 0
     for (instance, rng), hi in zip(jobs, ends[m - 1::m].tolist()):
         draw_noise(instance, draws[lo:hi], rng)
         lo = hi
-    if bernoulli:
-        np.less(draws, mu, out=hits)
-        starts = ends - flat
-        dtype = np.uint16 if flat.max() < 1 << 16 else np.int64
-        if flat.all():
-            sums = np.add.reduceat(hits.view(np.uint8), starts, dtype=dtype)
-        else:
-            pulled = np.flatnonzero(flat)
-            sums = np.zeros(flat.size)
-            sums[pulled] = np.add.reduceat(hits.view(np.uint8), starts[pulled],
-                                           dtype=dtype)
-    else:
-        draws += mu
-        sums = np.bincount(np.repeat(np.arange(flat.size), flat),
-                           weights=draws, minlength=flat.size)
+    draws += np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
+    sums = np.bincount(np.repeat(np.arange(flat.size), flat),
+                       weights=draws, minlength=flat.size)
     return sums.reshape(counts.shape)
 
 

@@ -11,7 +11,8 @@ worker count, reused by every later point with that count, and closed at
 interpreter exit.  Each task carries all of its inputs, so parent state
 patched after the first pooled call does not reach the workers.  A worker
 exits by itself once the process that forked it is gone, even if that
-process was killed.
+process was killed.  A serial run never imports ``multiprocessing`` or
+``concurrent.futures``: the first pooled point does.
 """
 
 from __future__ import annotations
@@ -22,17 +23,14 @@ import inspect
 import io
 import json
 import math
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import repeat
 from numbers import Integral
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -46,6 +44,9 @@ from .instances import BanditInstance
 from .instances import (gen_adaptive_instance, gen_corner_instance,  # noqa: F401
                         gen_logistic_instance, gen_sphere_instance,
                         gen_static_instance, load_instance_csv)
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 InstanceSource = Union[BanditInstance, Callable[[np.random.Generator], BanditInstance]]
 
@@ -394,6 +395,8 @@ def _executor(n: int) -> ProcessPoolExecutor:
     new workers are forked while no pool thread is running.  Each worker
     exits on its own within about a second of its owner's death.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     global _pool
     if _pool is not None and (_pool[0] != n or _lost_a_worker(_pool[1])):
         _drop_pool()
@@ -448,15 +451,22 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     chunks = [_Chunk(source, spec, config, seed, family, int(lo), int(hi))
               for lo, hi in zip(bounds[:-1], bounds[1:])]
     successes = aborts = 0
+    for s, a in (_pool_map(n_workers, chunks) if pooled
+                 else map(_mc_chunk, chunks)):
+        successes += s
+        aborts += a
+    return McResult(replications, successes, aborts)
+
+
+def _pool_map(n: int, chunks: list) -> list[tuple[int, int]]:
+    """``_mc_chunk`` of each chunk on the kept pool of ``n`` workers; a
+    pool that breaks is dropped, so the next call starts a fresh one."""
+    from concurrent.futures.process import BrokenProcessPool
     try:
-        for s, a in (_executor(n_workers).map if pooled else map)(
-                _mc_chunk, chunks):
-            successes += s
-            aborts += a
+        return list(_executor(n).map(_mc_chunk, chunks))
     except BrokenProcessPool:
         _drop_pool()
         raise
-    return McResult(replications, successes, aborts)
 
 
 # ---------------------------------------------------------------------------

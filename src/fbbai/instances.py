@@ -237,7 +237,8 @@ def draw_noise(instance: BanditInstance, out: np.ndarray,
     (a pull hits when its uniform is below its mean), σ-scaled standard
     normals for Gaussian rewards (a reward is its mean plus its noise;
     the same bits as ``rng.normal(0.0, σ, n)``), and no call for noiseless
-    Gaussian rewards, whose noise is -0.0: it adds to any mean exactly."""
+    Gaussian rewards, whose noise is -0.0: it adds to any mean exactly.
+    The stage loop draws Bernoulli stage sums as Binomials, not with this."""
     if instance.bernoulli:
         rng.random(out=out)
     elif instance.noise_sigma2 == 0.0:
@@ -253,9 +254,10 @@ def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
 
     Bernoulli rewards are 0.0 or 1.0.  With ``noise_sigma2 == 0`` and
     Gaussian noise the exact means are returned, which is the deterministic
-    mode used by noiseless checks.  The run's stage loop draws through
-    ``draw_noise`` too, so this is the per-pull reference of its reward
-    sums.
+    mode used by noiseless checks.  The stage loop draws Gaussian rewards
+    through ``draw_noise`` too, so this is the per-pull bit reference of
+    their sums; it draws a Bernoulli arm's sum as one Binomial variate, so
+    for Bernoulli rewards this is the reference of the sums' distribution.
     """
     idx = np.asarray(arm_ids, dtype=int)
     mu = instance.means[idx]

@@ -3,7 +3,8 @@
 Each test pins its own seeds, so every run of this file exercises the
 identical sequence of random draws.  Monte-Carlo tolerances are stated
 next to the assertions they protect.  One extra test checks the exact
-stage-1 oracle that criterion 08 relies on.
+stage-1 oracle that criterion 08 relies on, and another checks full runs
+on Bernoulli stage sums against an exact success probability.
 """
 
 import functools
@@ -246,6 +247,52 @@ def test_criterion_06_glm_bound_holds_empirically():
                               family=f"glm-K{K}", workers=1)
             slack = 3.0 * math.sqrt(promised * (1.0 - promised) / R)
             assert failure_rate(res) <= promised + slack
+
+
+def grid_success_exact(K, gap, per_stage):
+    """P(success) of gse (eta = 2) on the Bernoulli-logistic grid whose
+    every stage pulls each of its m active arms per_stage / m times.
+
+    The arms are orthonormal, so every stage is saturated and ranks by
+    S_i / c_i; with equal counts arm 0 wins every tie on its id.  Every
+    other arm has mean 1/2 and fresh sums at each stage, so stages are
+    independent.  Arm 0, with sum s ~ Binomial(c, p_1), is kept when fewer
+    than k of the m - 1 others exceed s, each with probability
+    SF(s; c, 1/2):
+    P = prod_t sum_s pmf(s; c_t, p_1) BinomCDF(k_t - 1; m_t - 1, SF(s; c_t, 1/2)).
+    """
+    p1 = 1.0 / (1.0 + math.exp(-gap))
+    total, m = 1.0, K
+    while m > 1:
+        keep, c = -(-m // 2), per_stage // m
+        assert c * m == per_stage
+        s = np.arange(c + 1)
+        total *= np.sum(scipy.stats.binom.pmf(s, c, p1) * scipy.stats.binom.cdf(
+            keep - 1, m - 1, scipy.stats.binom.sf(s, c, 0.5)))
+        m = keep
+    return float(total)
+
+
+def test_glm_grid_accuracy_matches_the_exact_binomial_product():
+    """Full runs on Bernoulli stage sums: on the glm grid (gap 0.75) at
+    budgets whose counts are equal at every stage, ``mc_accuracy`` over
+    R = 4000 is within four binomial standard errors of
+    ``grid_success_exact``.  Cells, seed, R and gate were fixed before the
+    first run; the exact values are 0.699, 0.875 and 0.740."""
+    R = 4000
+    for K, budget in ((16, 256), (16, 704), (8, 144)):
+        inst = glm_grid_instance(K, 0.75)
+        per_stage = budget // round(log_eta(K))
+        for trace in gse_run(inst, GseConfig(budget, model="logistic"),
+                             np.random.default_rng(0)).traces:
+            assert (trace.counts == per_stage // trace.counts.size).all()
+        exact = grid_success_exact(K, 0.75, per_stage)
+        assert 0.6 <= exact <= 0.9
+        res = mc_accuracy(inst, "gse-fwg", budget, R, 90, family=f"glm-K{K}",
+                          workers=1)
+        assert res.aborts == 0
+        assert abs(res.accuracy - exact) <= 4.0 * math.sqrt(
+            exact * (1.0 - exact) / R)
 
 
 def test_criterion_07_accuracy_rises_with_the_gap():

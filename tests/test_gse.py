@@ -242,9 +242,7 @@ def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
             replay = np.random.default_rng(seed)  # redraws the run's rewards
             for trace in result.traces:
                 ids = np.asarray(trace.arms.original_ids)
-                arm_of_pull = np.repeat(np.arange(ids.size), trace.counts)
-                ys = sample_rewards(inst, ids[arm_of_pull], replay)
-                sums = np.bincount(arm_of_pull, weights=ys, minlength=ids.size)
+                sums = per_arm_sums(inst, ids, trace.counts, replay)
                 for i in range(ids.size):
                     for j in range(i + 1, ids.size):
                         if (trace.counts[i], sums[i]) != (trace.counts[j], sums[j]):
@@ -257,18 +255,21 @@ def test_arms_with_equal_statistics_tie_to_the_lower_id(model):
         assert straddling > 0  # some ties fell on the elimination cut
 
 
-def per_pull_sums(inst, plan, rng):
-    """Reference reward sums of a plan: one ``sample_rewards`` draw per
-    pull, in explore's order, summed by ``np.bincount``."""
-    ids = np.asarray(plan.arms.original_ids)
-    arm_of_pull = np.repeat(np.arange(ids.size), plan.counts)
+def per_arm_sums(inst, ids, counts, rng):
+    """Reference reward sums of a stage's pulls of the arms ``ids``, drawn
+    as a lone job draws them: one ``rng.binomial(counts, means)`` call for
+    Bernoulli rewards, else one ``sample_rewards`` draw per pull, in
+    explore's order, summed by ``np.bincount``."""
+    if inst.bernoulli:
+        return rng.binomial(counts, inst.means[ids]).astype(float)
+    arm_of_pull = np.repeat(np.arange(ids.size), counts)
     return np.bincount(arm_of_pull,
                        weights=sample_rewards(inst, ids[arm_of_pull], rng),
                        minlength=ids.size)
 
 
 class TestExploreStack:
-    """``_stage_sums`` sums bit for bit as the per-pull reference does on
+    """``_stage_sums`` sums bit for bit as the per-arm reference does on
     a replayed generator, and leaves each generator where the reference
     leaves it.  Every stack has eight active arms."""
 
@@ -276,12 +277,14 @@ class TestExploreStack:
     BERN = gen_logistic_instance(8, 5, np.random.default_rng(2))
     GRID = glm_grid_instance(8, 0.75)
     WIDE = gen_static_instance(0.5, K=12, sigma2=4.0)  # active ids below
+    WIDE_BERN = gen_logistic_instance(12, 5, np.random.default_rng(3))
     SUBSET = (0, 2, 3, 5, 7, 8, 10, 11)
     EIGHT = tuple(range(8))
 
     CASES = {
         "gaussian": [(GAUSS, EIGHT, 40, "fw-g"), (WIDE, SUBSET, 20, "uniform")],
-        "bernoulli": [(BERN, EIGHT, 40, "fw-g"), (GRID, EIGHT, 21, "uniform")],
+        "bernoulli": [(BERN, EIGHT, 40, "fw-g"), (GRID, EIGHT, 21, "uniform"),
+                      (WIDE_BERN, SUBSET, 30, "uniform")],
         "noiseless": [(noiseless(GAUSS), EIGHT, 40, "fw-g"),
                       (noiseless(WIDE), SUBSET, 20, "uniform")],
         # fewer uniform pulls than arms: the last arms get none
@@ -290,13 +293,15 @@ class TestExploreStack:
         "mixed": [(GRID, EIGHT, 21, "uniform"), (GAUSS, EIGHT, 40, "fw-g"),
                   (noiseless(WIDE), SUBSET, 20, "uniform"),
                   (BERN, EIGHT, 6, "uniform"), (GAUSS, EIGHT, 5, "uniform")],
-        # 40 jobs of 1000 pulls: three blocks of DRAW_BLOCK pulls or fewer
-        "blocks": [(GRID, EIGHT, 1000, "uniform"),
+        # 40 Gaussian jobs of 1000 pulls between Bernoulli ones: three
+        # blocks of DRAW_BLOCK pulls or fewer
+        "blocks": [(GRID, EIGHT, 1000, "uniform"), (WIDE, SUBSET, 1000, "fw-g"),
                    (WIDE, SUBSET, 1000, "fw-g")] * 20,
-        # hit counts of 2**16 and more (arms of mean 1/2 or above), which
-        # uint16 cannot hold
+        # Bernoulli sums of 2**16 and more (arms of mean 1/2 or above), and
+        # a Gaussian block too large for the kept buffer
         "wide-counts": [(GRID, EIGHT, 8 * 140_000, "uniform"),
-                        (BERN, EIGHT, 40, "fw-g")],
+                        (BERN, EIGHT, 40, "fw-g"),
+                        (WIDE, SUBSET, 8 * 2500, "uniform")],
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -306,12 +311,25 @@ class TestExploreStack:
         plans = [block.plan(row) for block, row in rows]
         if case == "zero-counts":
             assert all((plan.counts == 0).any() for plan in plans)
+        gaussian = sum(plan.counts.sum() for (inst, *_), plan in zip(asks, plans)
+                       if not inst.bernoulli)
         if case == "blocks":
-            assert sum(plan.counts.sum() for plan in plans) > 2 * gse_mod.DRAW_BLOCK
+            assert gaussian > 2 * gse_mod.DRAW_BLOCK
         if case == "wide-counts":
             assert plans[0].counts.min() >= 1 << 17
             assert self.GRID.means.min() >= 0.5
+            assert plans[2].counts.sum() > gse_mod.DRAW_BLOCK
         self.check_sums(asks, rows)
+
+    @pytest.mark.parametrize("case", ["bernoulli", "zero-counts", "mixed",
+                                      "wide-counts"])
+    def test_array_calls_draw_as_scalar_calls_do(self, case, monkeypatch):
+        # stacks of eight arms draw Bernoulli rows by scalar calls; with
+        # none allowed each job makes the reference's one array call
+        assert gse_mod.SCALAR_BINOMIAL_ARMS >= 8
+        monkeypatch.setattr(gse_mod, "SCALAR_BINOMIAL_ARMS", 0)
+        asks = self.CASES[case]
+        self.check_sums(asks, self.lone_rows(asks))
 
     def test_jobs_of_one_instance_sharing_plans(self):
         # the plans' rows are taken once per block and the means gathered
@@ -338,17 +356,8 @@ class TestExploreStack:
         self.check_sums(asks, self.lone_rows(asks))
         kept = [a for a in vars(gse_mod._BUFFERS).values()
                 if isinstance(a, np.ndarray)]
-        assert len(kept) == 2
-        assert all(a.size <= gse_mod.DRAW_BLOCK for a in kept)
-
-    @pytest.mark.parametrize("ask, unpulled", [
-        ((GRID, EIGHT, 21, "uniform"), False),  # one reduceat over every arm
-        ((BERN, EIGHT, 6, "uniform"), True),  # one over the pulled arms only
-    ])
-    def test_bernoulli_block_with_and_without_unpulled_arms(self, ask, unpulled):
-        ((block, row),) = rows = self.lone_rows([ask])
-        assert (block.plan(row).counts == 0).any() == unpulled
-        self.check_sums([ask], rows)
+        assert len(kept) == 1
+        assert kept[0].size == gse_mod.DRAW_BLOCK
 
     @pytest.mark.parametrize("sigma2", [10.0, 4.0, 2.0, 0.25, 1e-300])
     def test_gaussian_noise_is_numpys_normal(self, sigma2):
@@ -387,8 +396,64 @@ class TestExploreStack:
         assert sums.shape == (len(asks), 8)
         for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
             replay = np.random.default_rng(100 + g)
-            assert sums[g].tobytes() == per_pull_sums(inst, plan, replay).tobytes()
+            want = per_arm_sums(inst, np.asarray(plan.arms.original_ids),
+                                plan.counts, replay)
+            assert sums[g].tobytes() == want.tobytes()
             assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_bernoulli_sums_follow_the_binomial_pmf():
+    """Pooled over 3000 jobs per plan, each pulled arm's stage sums fit
+    Binomial(c, mu): one chi-squared statistic over every pulled arm of
+    three plans, each arm's outcomes merged into bins that expect at least
+    five sums, gated at p >= 1e-3 (seed, job count and gate fixed before
+    the first run).  An arm with no pull sums to exactly 0."""
+    stats = pytest.importorskip("scipy.stats")
+    S, n = TestExploreStack, 3000
+    asks = [(S.GRID, S.EIGHT, 200, "uniform"), (S.BERN, S.EIGHT, 40, "fw-g"),
+            (S.BERN, S.EIGHT, 6, "uniform")]
+    counts, ids, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
+    jobs = [(asks[g % 3][0], np.random.default_rng([21, g]))
+            for g in range(3 * n)]
+    sums = gse_mod._stage_sums(jobs, counts, ids)
+    chi2 = dof = unpulled = 0
+    for k, (inst, *_) in enumerate(asks):
+        for i in range(8):
+            c, mu, s = counts[k, i], inst.means[ids[k, i]], sums[k::3, i]
+            if c == 0:
+                assert not s.any()
+                unpulled += 1
+                continue
+            observed = np.bincount(s.astype(int), minlength=c + 1)
+            expected = n * stats.binom.pmf(np.arange(c + 1), c, mu)
+            starts, mass = [0], 0.0
+            for v in range(c):
+                mass += expected[v]
+                if mass >= 5.0:
+                    starts.append(v + 1)
+                    mass = 0.0
+            if expected[starts[-1]:].sum() < 5.0 and len(starts) > 1:
+                starts.pop()  # the tail joins the bin before it
+            o, e = (np.add.reduceat(a, starts) for a in (observed, expected))
+            chi2 += ((o - e) ** 2 / e).sum()
+            dof += len(starts) - 1
+    assert unpulled == 2 and dof > 100
+    assert stats.chi2.sf(chi2, dof) >= 1e-3
+
+
+def test_binomial_stream_is_pinned():
+    """The stream behind Bernoulli stage sums: ``Generator.binomial`` over
+    counts of 0 to 2**17 and means of 0 to 1, both of its algorithms
+    (inversion below n min(p, 1 - p) = 30, BTPE above) and the p > 1/2
+    reflection, pinned with the draw that follows.  NumPy promises no
+    stream compatibility of ``Generator`` methods across versions, so this
+    runs on the oldest NumPy that pyproject.toml admits too."""
+    rng = np.random.default_rng(2026)
+    counts = np.array([0, 5, 40, 40, 1000, 1 << 16, 1 << 17, 70_000, 12, 300])
+    p = np.array([0.5, 0.0, 1.0, 0.3, 0.02, 0.5, 0.9, 1.0, 0.75, 0.6])
+    assert rng.binomial(counts, p).tolist() == [
+        0, 0, 40, 13, 19, 32806, 118063, 70000, 6, 198]
+    assert rng.integers(1 << 62) == 3471364087721151040
 
 
 class TestGseRun:
@@ -970,7 +1035,7 @@ class TestPinnedTraces:
         (lambda: make_job(0, 21),
          "f5f5ac308215ee249098f94e49efe6da8f39632ce23772adf57e695ffd71054e"),
         (recorded_logistic_job,
-         "e52d8faadc21ba0ac8610dfb1c7ea8f377f707805b8cecd5da3d75517ce05c12"),
+         "159b0f338decadb3d7c289dd5269e9852e3bc00eaeabf3dbfbca4311a483d91d"),
     ], ids=["static", "sphere", "logistic"])
     def test_trace_digest(self, job, digest):
         assert trace_digest(gse_run(*job())) == digest

@@ -366,6 +366,26 @@ class TestKeptPool:
         assert os.waitstatus_to_exitcode(status) == 0
         assert self.tally(source, 2) == serial
 
+    def test_only_a_pooled_point_imports_the_pool(self):
+        script = (
+            "import sys\n"
+            "from fbbai.harness import mc_accuracy\n"
+            "from fbbai.instances import gen_static_instance\n"
+            "pool = ('multiprocessing', 'concurrent.futures')\n"
+            "inst = gen_static_instance(0.5, K=4, sigma2=4.0)\n"
+            "mc_accuracy(inst, 'gse-fwg', 40, 40, 9, workers=1)\n"
+            "print(*[m in sys.modules for m in pool])\n"
+            "mc_accuracy(inst, 'gse-fwg', 40, 40, 9, workers=2)\n"
+            "print(*[m in sys.modules for m in pool])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False False", "True True"]
+
     def test_a_process_that_ran_a_pooled_point_exits_cleanly(self):
         script = (
             "import multiprocessing\n"
@@ -441,14 +461,15 @@ class TestGoldenTallies:
     for bit: the ``mc_accuracy`` tally, and a digest of the first 60
     replications' runs (every stage's counts, estimate bytes and
     survivors) on the harness's streams with one shared cache.  The values
-    were recorded with per-job projection, draws and cuts, so they hold
-    the stacked stage kernels to the lone ones."""
+    were recorded with per-job projection, draws and cuts (the logistic
+    grid's on lone runs), so they hold the stacked stage kernels to the
+    lone ones."""
 
     @pytest.mark.parametrize("family, make, budget, R, model, tally, digest", [
         ("static", lambda: gen_static_instance(1.0, K=16, sigma2=10.0), 2000,
          400, "linear", 378, "c32f6f247b625cfb"),
-        ("grid", lambda: logistic_grid(16, 0.75), 480, 300, "logistic", 234,
-         "8cbe8cf1786c8873"),
+        ("grid", lambda: logistic_grid(16, 0.75), 480, 300, "logistic", 226,
+         "5d2750755009d14c"),
     ], ids=["static", "logistic-grid"])
     def test_recorded_tally_and_runs(self, family, make, budget, R, model,
                                      tally, digest):
@@ -475,16 +496,18 @@ class TestGoldenTallies:
          "71c09f762b12452b"),
         ("sphere", {"K": 32, "d": 10}, "gse-uniform", 100, "linear", 6,
          "52568709122acf27"),
-        ("logistic", {"K": 16, "d": 5}, "gse-uniform", 40, "logistic", 9,
-         "9d5034cda51bb32e"),
+        ("logistic", {"K": 16, "d": 5}, "gse-uniform", 40, "logistic", 18,
+         "d60bcbe7cdbb1f7a"),
     ], ids=["sphere-fwg", "sphere-uniform", "logistic-uniform"])
     def test_recorded_generator_points(self, family, params, variant, budget,
                                        model, tally, digest):
         """Generator families: a new instance per replication, fitted
         stages (m > d_t), and under uniform counts of fewer than m pulls,
         arms with no pull.  The tally and a digest of all 50 runs were
-        recorded with per-job draws (``sample_rewards``) and each
-        replication's streams spawned from ``rep_seed``."""
+        recorded with per-job draws (``sample_rewards``; for Bernoulli
+        rewards one ``rng.binomial`` per job and stage, checked against
+        lone runs) and each replication's streams spawned from
+        ``rep_seed``."""
         source = family_source(family, params)
         res = mc_accuracy(source, variant, budget, 50, 7, family=family,
                           workers=1)
@@ -507,14 +530,14 @@ class TestGoldenTallies:
 
     def test_recorded_logistic_fits(self):
         """A Bernoulli-logistic K = 32, d = 5 point whose stages of 32, 16
-        and 8 arms are fitted by IRLS (one fit stops at ``max_iter``).  The
-        tally and a digest of all 50 runs, with every stage's fit flags,
-        were recorded with the fits made job by job."""
+        and 8 arms are fitted by IRLS.  The tally and a digest of all 50
+        runs, with every stage's fit flags, were recorded with the fits
+        made job by job, on lone runs."""
         budget = 100
         source = family_source("logistic", {"K": 32, "d": 5})
         res = mc_accuracy(source, "gse-fwg", budget, 50, 7, family="logistic",
                           workers=1)
-        assert (res.successes, res.aborts) == (10, 0)
+        assert (res.successes, res.aborts) == (12, 0)
         config = GseConfig(budget, strategy="fw-g", model="logistic")
         jobs = []
         for r in range(50):
@@ -530,7 +553,7 @@ class TestGoldenTallies:
                 h.update(repr(t.survivors).encode())
                 h.update(repr((t.estimator_converged, t.estimator_iterations,
                                t.used_fallback)).encode())
-        assert h.hexdigest()[:16] == "f047a16a394c6012"
+        assert h.hexdigest()[:16] == "e44d15f080f87641"
 
 
 class TestReplicationStreams:
