@@ -439,7 +439,10 @@ class _DrawBuffers(threading.local):
 _BUFFERS = _DrawBuffers()
 
 
-SCALAR_BINOMIAL_ARMS = 8  # up to this many arms, one binomial call per arm
+# Up to this many arms a Bernoulli row is one scalar binomial call per arm:
+# the measured crossover, about 7 us per array call against 0.65 us per
+# scalar call (BENCH_binomial.json).
+SCALAR_BINOMIAL_ARMS = 10
 
 
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,

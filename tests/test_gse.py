@@ -3,6 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import fbbai.gse as gse_mod
 from fbbai.errors import (ConfigurationError, EstimationFailureError,
                           FbbaiError, InvalidAllocationError)
+from fbbai.estimators import irls_glm_stack
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_schedule)
 from fbbai.harness import family_source, rep_seed
@@ -271,7 +273,7 @@ def per_arm_sums(inst, ids, counts, rng):
 class TestExploreStack:
     """``_stage_sums`` sums bit for bit as the per-arm reference does on
     a replayed generator, and leaves each generator where the reference
-    leaves it.  Every stack has eight active arms."""
+    leaves it.  Every stack in ``CASES`` has eight active arms."""
 
     GAUSS = gen_sphere_instance(8, 3, np.random.default_rng(1), sigma2=2.0)
     BERN = gen_logistic_instance(8, 5, np.random.default_rng(2))
@@ -321,15 +323,19 @@ class TestExploreStack:
             assert plans[2].counts.sum() > gse_mod.DRAW_BLOCK
         self.check_sums(asks, rows)
 
-    @pytest.mark.parametrize("case", ["bernoulli", "zero-counts", "mixed",
-                                      "wide-counts"])
-    def test_array_calls_draw_as_scalar_calls_do(self, case, monkeypatch):
-        # stacks of eight arms draw Bernoulli rows by scalar calls; with
-        # none allowed each job makes the reference's one array call
-        assert gse_mod.SCALAR_BINOMIAL_ARMS >= 8
-        monkeypatch.setattr(gse_mod, "SCALAR_BINOMIAL_ARMS", 0)
-        asks = self.CASES[case]
-        self.check_sums(asks, self.lone_rows(asks))
+    def test_stacks_wider_than_the_scalar_path(self):
+        # stacks of eight arms draw Bernoulli rows by scalar calls, stacks
+        # of twelve by one array call per job: both match the reference,
+        # with unpulled arms, sums of 2**16 and more and a Gaussian job
+        assert 8 <= gse_mod.SCALAR_BINOMIAL_ARMS < 12
+        twelve = tuple(range(12))
+        asks = [(self.WIDE_BERN, twelve, 40, "fw-g"),
+                (self.WIDE_BERN, twelve, 6, "uniform"),
+                (self.WIDE, twelve, 20, "uniform"),
+                (glm_grid_instance(12, 0.75), twelve, 12 * 70_000, "uniform")]
+        rows = self.lone_rows(asks)
+        assert (rows[1][0].plan(rows[1][1]).counts == 0).any()
+        self.check_sums(asks, rows)
 
     def test_jobs_of_one_instance_sharing_plans(self):
         # the plans' rows are taken once per block and the means gathered
@@ -393,7 +399,7 @@ class TestExploreStack:
         counts, ids, _ = gse_mod._plan_stacks(rows)
         sums = gse_mod._stage_sums([(ask[0], rng) for ask, rng
                                     in zip(asks, rngs)], counts, ids)
-        assert sums.shape == (len(asks), 8)
+        assert sums.shape == (len(asks), len(asks[0][1]))
         for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
             replay = np.random.default_rng(100 + g)
             want = per_arm_sums(inst, np.asarray(plan.arms.original_ids),
@@ -702,6 +708,39 @@ class TestLockstep:
         got = gse_lockstep([make_job(*spec) for spec in specs], DesignCache())
         assert [run_summary(res) for res in got] == [
             lone_summary(make_job(*spec)) for spec in specs]
+
+    @pytest.mark.parametrize("max_iter", [8, 100])
+    def test_fits_stopped_at_max_iter_carry_through_runs(self, max_iter,
+                                                         monkeypatch):
+        # Bernoulli-logistic K = 32, d = 5 runs with theta* scaled by 6, so
+        # that stages' sums come near separable: IRLS fits that stop at
+        # max_iter unconverged keep their best iterate, in a stack as alone,
+        # beside fits that converge.  At 8 iterations most fits stop; at
+        # the default 100, some of these 50 runs' fits do.
+        monkeypatch.setattr(gse_mod, "irls_glm_stack",
+                            partial(irls_glm_stack, max_iter=max_iter))
+        base = gen_logistic_instance(32, 5, np.random.default_rng(5))
+        inst = BanditInstance(features=base.features,
+                              theta_star=6 * base.theta_star, model="glm",
+                              mean_fn=LOGISTIC, noise_sigma2=0.25,
+                              bernoulli=True)
+        config = GseConfig(100, model="logistic")
+
+        def jobs():
+            return [(inst, config, np.random.default_rng([3, r]))
+                    for r in range(50)]
+
+        def summary(run):
+            return run_summary(run), tuple(
+                (t.estimator_converged, t.estimator_iterations, t.used_fallback)
+                for t in run.traces)
+
+        got = [summary(run) for run in gse_lockstep(jobs())]
+        assert got == [summary(gse_run(*job)) for job in jobs()]
+        fits = [fit for _, run_fits in got for fit in run_fits]
+        stopped = [fit for fit in fits if not fit[0]]
+        assert stopped and any(fit[0] and fit[1] > 0 for fit in fits)
+        assert all(fit == (False, max_iter, False) for fit in stopped)
 
     def test_misses_are_solved_once_per_key_and_stacked_per_shape(
             self, monkeypatch):
