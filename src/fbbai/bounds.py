@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .design import _all_norms
-from .errors import SingularDesignError, UndefinedBoundError
+from .errors import ConfigurationError, SingularDesignError, UndefinedBoundError
 from .gse import RunResult
 from .instances import BanditInstance
 
@@ -170,10 +170,11 @@ def stage_norm_terms(instance: BanditInstance, result: RunResult,
     they actually sampled in, with V_t = sum_i c_i x_i x_i' from the
     stage's pull counts, through the Cholesky kernel of ``fbbai.design``.
     The difference form is only defined while the best arm is still
-    active; a stage whose V_t is singular raises ``UndefinedBoundError``.
+    active; a stage whose V_t is singular raises ``UndefinedBoundError``,
+    and an unknown ``kind`` ``ConfigurationError``.
     """
     if kind not in ("difference", "feature"):
-        raise ValueError(f"unknown norm kind {kind!r}")
+        raise ConfigurationError(f"unknown norm kind {kind!r}")
     best = instance.best_arm
     terms: list[float] = []
     for trace in result.traces:

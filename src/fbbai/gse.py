@@ -20,27 +20,21 @@ every inheriting run of the same (m, n, strategy) shares, the row the
 full build would give.
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
-config, rng) jobs in lockstep, and works each stage as stacks.  The plans
-the jobs lack are built together, as plan blocks: the keys of one shape
-and strategy get one stacked SVD projection, Frank-Wolfe solve, rounding
-and saturation test, and keep their rows stacked in a ``_PlanBlock``.  A
-stage's counts and ids are one ``take`` of each block's rows, and a
-``StagePlan`` is made from a row only when a trace or ``DesignCache.plan``
-asks for it.  Each job then draws its stage on its own generator.  A
-Bernoulli job draws each arm's sum S_i ~ Binomial(c_i, mu_i) directly,
-O(m) per stage.  A Gaussian job makes one generator call for its pulls'
-noise, and the rest of its draw is done once per block of jobs, a slice
-of the stage's rows: the noise fills a work buffer of ``DRAW_BLOCK``
-pulls that every block and stage reuses, the means of jobs of one
-instance are one ``take``, and the sums come from one offset
-``np.bincount``.  Saturated stages take their means S_i / c_i as one
-division, unsaturated ones are fitted as one stack per model and block,
-and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
-gives each job the bits of its lone computation, so a job's result is
-the one it gets alone.
-``gse_run`` is the batch of one, and the harness runs each chunk of
-replications as a few such batches, with ``traces=False``: it reads only
-each run's success, so no ``StageTrace`` or ``StagePlan`` is built.
+config, rng) jobs in lockstep, held as cohorts of arrays, and works each
+stage as stacks.  The plans the jobs lack are built together, as plan
+blocks: the keys of one shape and strategy get one stacked SVD
+projection, Frank-Wolfe solve, rounding and saturation test, and keep
+their rows stacked in a ``_PlanBlock``, from which a ``StagePlan`` is made
+only when a trace or ``DesignCache.plan`` asks for it.  Each job draws on
+its own generator: a Bernoulli job each arm's sum S_i ~ Binomial(c_i,
+mu_i), a Gaussian job one standard-normal call for its pulls, scaled and
+summed per block of jobs (``_block_sums``).  Saturated stages take their
+means S_i / c_i as one division, unsaturated ones are fitted as one
+stack per model and block, and one stacked ``np.lexsort`` makes every
+cut.  Every stacked kernel gives each job the bits of its lone
+computation, so a job's result is the one it gets alone.  ``gse_run`` is
+the batch of one; the harness runs replications as such batches with
+``traces=False``, so no ``StageTrace`` or ``StagePlan`` is built.
 """
 
 from __future__ import annotations
@@ -64,8 +58,7 @@ from .estimators import (COND_LIMIT, RegressionData, irls_glm_stack,
                          least_squares_stack, mean_estimates_stack)
 # bench/tracer.py patches these names
 from .estimators import irls_glm, least_squares, mean_estimates  # noqa: F401
-from .instances import (LOGISTIC, BanditInstance, ProjectedArmSet, _project_stack,
-                        draw_noise)
+from .instances import LOGISTIC, BanditInstance, ProjectedArmSet, _project_stack
 # bench/tracer.py patches these names
 from .instances import project_to_span, sample_rewards  # noqa: F401
 
@@ -375,31 +368,26 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
 
 def explore(instance: BanditInstance, plan: StagePlan,
             rng: np.random.Generator) -> RegressionData:
-    """Draw the plan's pulls and return per-arm statistics.
-
-    A Bernoulli instance draws each active arm's reward sum as one
-    Binomial(c_i, mu_i) variate, in active-arm order.  Gaussian
-    pulls are drawn in active-arm order, each arm's pulls contiguous, one
-    reward per pull.  Either way a run is reproducible from (instance,
-    config, seed) alone.  The returned data has one row per active arm:
-    its projected features, its reward sum and its pull count.  This is
-    ``_stage_sums`` on a stack of one.
-    """
+    """Draw the plan's pulls and return per-arm statistics, one row per
+    active arm: its projected features, reward sum and pull count.  A
+    Bernoulli arm's sum is one Binomial(c_i, mu_i) variate; Gaussian
+    rewards are one per pull, each arm's pulls contiguous, in active-arm
+    order.  This is ``_stage_sums`` on a stack of one."""
     (sums,) = _stage_sums([(instance, rng)], plan.counts[None],
                           np.array([plan.arms.original_ids]))
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
 
 
-def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]],
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (G, m) pull counts and active ids and the (G,) saturation flags
-    of (block, row) plans that share an active-set size m: one ``take`` of
-    each block's rows, and a stage's jobs nearly always share one block."""
+def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]]) -> tuple[np.ndarray, ...]:
+    """The (G, m) pull counts and active ids and the (G,) saturation and
+    inherit flags of (block, row) plans that share an active-set size m:
+    one ``take`` of each block's rows, and a stage's jobs nearly always
+    share one block."""
     jobs = defaultdict(list)  # block -> the jobs of its rows, in order
     for g, (block, _) in enumerate(plans):
         jobs[block].append(g)
-    parts = [tuple(a.take([plans[g][1] for g in js], axis=0)
-                   for a in (block.counts, block.ids, block.saturated))
+    parts = [tuple(a.take([plans[g][1] for g in js], axis=0) for a in (
+        block.counts, block.ids, block.saturated, block.inherit))
              for block, js in jobs.items()]
     if len(parts) == 1:
         return parts[0]
@@ -487,26 +475,33 @@ def _block_sums(jobs: list, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per-arm reward sums of Gaussian or noiseless jobs, given their
     (G, m) pull counts and active ids.
 
-    Each job, in order, makes its one ``draw_noise`` call for its pulls,
-    which go in the order ``explore`` pulls: active arms in turn, each
-    arm's pulls contiguous.  The draws fill the job's slice of one work
-    array in place, a view of the kept buffer (``_DrawBuffers``).  The
-    rest is done once for the block: the arms' means are one ``_gather``
-    repeated per pull, added to the noise in place, and the rewards are
-    summed by one offset ``np.bincount``, which adds each arm's rewards in
-    draw order as a bincount of one job alone does; a noiseless job's
-    noise is -0.0, which adds exactly.  So a job's sums are those of
-    ``sample_rewards`` on its pulls, summed by ``np.bincount``, bit for
-    bit.
+    Each job, in order, fills its slice of one work array (a view of the
+    kept buffer, ``_DrawBuffers``) with one ``rng.standard_normal(out=...)``
+    call, its pulls in the order ``explore`` pulls them, each arm's pulls
+    contiguous; each run of consecutive jobs of one noise variance is then
+    scaled by its sigma with one multiply, and a noiseless job's slice is
+    -0.0, which adds exactly: the bits of ``draw_noise``, job by job.  The
+    means are one ``_gather`` repeated per pull and added in place, and one
+    offset ``np.bincount`` adds each arm's rewards in draw order, as a lone
+    job's bincount does.  So a job's sums are those of ``sample_rewards``
+    on its pulls summed by ``np.bincount``, bit for bit.
     """
     m = counts.shape[1]
     flat = counts.ravel()
     ends = np.cumsum(flat)  # where each arm's pulls end, and each job's
     draws = _BUFFERS.take(int(ends[-1]))
-    lo = 0
+    lo, runs = 0, [(0, None)]  # (first pull, variance) of each run of jobs
     for (instance, rng), hi in zip(jobs, ends[m - 1::m].tolist()):
-        draw_noise(instance, draws[lo:hi], rng)
+        if instance.noise_sigma2 != runs[-1][1]:
+            runs.append((lo, instance.noise_sigma2))
+        if instance.noise_sigma2 == 0.0:
+            draws[lo:hi] = -0.0
+        else:
+            rng.standard_normal(out=draws[lo:hi])
         lo = hi
+    for (a, sigma2), (b, _) in zip(runs[1:], runs[2:] + [(lo, None)]):
+        if sigma2 != 0.0:
+            draws[a:b] *= math.sqrt(sigma2)
     draws += np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
     sums = np.bincount(np.repeat(np.arange(flat.size), flat),
                        weights=draws, minlength=flat.size)
@@ -528,25 +523,25 @@ def eliminate(active_ids: tuple[int, ...], mu_hat: np.ndarray,
     tie exactly.  Only when m > d_t, where the fit couples the arms, can
     estimates that are equal in exact arithmetic differ by rounding, and
     then rounding decides the cut.  This is ``eliminate_stack`` on a stack
-    of one.  Raises ``ConfigurationError`` unless eta is finite and
-    exceeds 1, as ``GseConfig`` does.
+    of one.  Raises ``ConfigurationError`` unless eta is finite and above
+    1, as ``GseConfig`` does, and there is one estimate per active arm.
     """
     _check_eta(eta)
     m = len(active_ids)
-    if mu_hat.shape[0] != m:
-        raise ValueError("one estimate per active arm required")
+    mu_hat = np.asarray(mu_hat)
+    if mu_hat.shape != (m,):
+        raise ConfigurationError("one estimate per active arm required")
     (survivors,) = eliminate_stack(np.array([active_ids]), mu_hat[None],
                                    _ceil_div(m, eta))
-    return tuple(survivors)
+    return tuple(survivors.tolist())
 
 
-def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
+def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> np.ndarray:
     """``eliminate`` of each row of (G, m) active ids and estimates, keeping
-    ``keep`` arms per row: one stacked ``np.lexsort``.  Returns each row's
-    survivors as a list of ints in ascending order."""
+    ``keep`` arms per row: one stacked ``np.lexsort``.  Returns the (G,
+    keep) survivors, each row in ascending order."""
     order = np.lexsort((ids, -mu_hat))  # primary: highest mean; then lowest id
-    top = np.take_along_axis(ids, order[:, :keep], axis=1)
-    return np.sort(top, axis=1).tolist()
+    return np.sort(np.take_along_axis(ids, order[:, :keep], axis=1), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,24 +549,22 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _estimate(group: list, sums: np.ndarray, counts: np.ndarray,
-              saturated: np.ndarray) -> tuple[np.ndarray, list]:
-    """The (G, m) estimated means of a stage group's (run, plan) jobs, from
-    their (G, m) reward sums and pull counts, and one entry per job: its
-    fit's (converged, iterations, fellback), or the package error that ends
-    it.  Saturated jobs take S_i / c_i and (True, 0, False).  The others,
-    whose plans are (block, row) pairs, are fitted as one stack per model
-    and block; an item whose logistic fit fails falls back to least
-    squares."""
+def _estimate(models: list, plans: list, sums: np.ndarray, counts: np.ndarray,
+              saturated: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The (G, m) estimated means of a stage group's jobs from their (G, m)
+    reward sums and pull counts, and a dict from each unsaturated row g to
+    its fit's (converged, iterations, fellback) or the package error that
+    ends its job.  Saturated rows take S_i / c_i.  The others, whose
+    ``plans[g]`` are (block, row) pairs, are fitted as one stack per model
+    and block; an item whose logistic fit fails falls back to least squares."""
     mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                        where=saturated[:, None])
-    fits: list = [(True, 0, False)] * len(group)
+    fits: dict = {}
     unsaturated = defaultdict(list)  # (model, block) -> rows
     for g in np.flatnonzero(~saturated).tolist():
-        run, (block, _) = group[g]
-        unsaturated[run.config.model, block].append(g)
+        unsaturated[models[g], plans[g][0]].append(g)
     for (model, block), rows in unsaturated.items():
-        arms = block.projected.take([group[g][1][1] for g in rows], axis=0)
+        arms = block.projected.take([plans[g][1] for g in rows], axis=0)
         y, c = sums[rows], counts[rows]
         fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
                   else least_squares_stack(arms, y, c))
@@ -596,122 +589,128 @@ def _estimate(group: list, sums: np.ndarray, counts: np.ndarray,
     return mu_hat, fits
 
 
-@dataclass(slots=True)
-class _Run:
-    """One job of ``gse_lockstep`` between stages."""
-
-    slot: int
-    instance: BanditInstance
-    config: GseConfig
-    rng: np.random.Generator
-    schedule: StageSchedule
-    active: tuple[int, ...]
-    traces: list
-    pulls: int = 0
-    inherits: bool = False  # saturation, from the next stage on (DesignCache)
+def _inherited_stack(m: int, pull: np.ndarray) -> np.ndarray:
+    """The (G, m) counts of an inheriting group whose jobs' stage budgets n
+    and strategies are coded 2 n + (strategy is uniform) in ``pull``: their
+    ``_inherited_counts`` rows, one read-only broadcast row if they share
+    one code."""
+    codes, inverse = np.unique(pull, return_inverse=True)
+    rows = np.array([_inherited_counts(m, n, ("fw-g", "uniform")[u])
+                     for n, u in (divmod(code, 2) for code in codes.tolist())])
+    return np.broadcast_to(rows[0], (pull.size, m)) if codes.size == 1 else rows[inverse]
 
 
-Job = tuple[BanditInstance, GseConfig, np.random.Generator]
-
-
-def gse_lockstep(jobs: Sequence[Job], cache: Optional[DesignCache] = None, *,
-                 traces: bool = True) -> list[Union[RunResult, FbbaiError]]:
+def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Generator]],
+                 cache: Optional[DesignCache] = None, *, traces: bool = True,
+                 ) -> list[Union[RunResult, FbbaiError]]:
     """Run successive elimination on every (instance, config, rng) job, all
     jobs in lockstep, stage by stage; one result per job, in order.
 
-    Each stage looks up the plans of all live jobs at once
-    (``_plan_stages``), which builds the missing ones as stacks; a job
-    that inherits saturation (see ``DesignCache``) pulls with its shared
-    ``_inherited_counts`` row and asks for no plan, unless its trace needs
-    one.  The jobs whose stages keep the same number of arms out of the
-    same number, and that inherit or do not, then draw (``_stage_sums``),
-    estimate and are cut (``eliminate_stack``) together.  Each job draws
-    from its own generator, in the order a lone run draws, and every
-    stacked step gives it the bits of its lone computation, so its result
-    does not depend on the other jobs.  The
-    jobs share ``cache``, or else one cache made for this call; plans are
-    keyed by instance, so jobs of different instances can share it too.
-    A package error ends only the job that raised it and takes the place
-    of its result.  With ``traces=False`` no ``StageTrace`` is built and
-    every result's ``traces`` is ``()``; nothing else changes.
+    The live jobs are cohorts of arrays, one per active-set size m: job
+    indices, (G, m) active ids, pull totals and inherit flags.  A stage
+    splits each cohort into groups by one mask per (arms kept, inherits)
+    and looks up the plans of all jobs that ask for one at once
+    (``_plan_stages``), building the missing ones as stacks; a job that
+    inherits saturation (see ``DesignCache``) asks for none unless its
+    trace needs one, and pulls with its ``_inherited_counts`` row.  Each
+    group draws (``_stage_sums``), estimates and is cut
+    (``eliminate_stack``) together; its survivors join the next cohort of
+    their size.  A job draws from its own generator, in the order a lone
+    run draws, and every stacked step gives it the bits of its lone
+    computation, so its result does not depend on the other jobs.  Jobs
+    share ``cache``, or else one made for this call; plans are keyed by
+    instance, so jobs of different instances can share it.  A package
+    error ends only the job that raised it and takes the place of its
+    result.  With ``traces=False`` no ``StageTrace`` is built and every
+    result's ``traces`` is ``()``; nothing else changes.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
     loop with eta = K, which keeps only the top arm.
     """
     results: list = [None] * len(jobs)
-    runs = []
-    for slot, (instance, config, rng) in enumerate(jobs):
+    asks: list = [None] * len(jobs)  # each job's (stage budget n, strategy, model)
+    runs = defaultdict(list)  # (stage sizes K -> 1, n, strategy) -> jobs
+    for j, (instance, config, _) in enumerate(jobs):
         if config.strategy == "static":
             config = replace(config, strategy="fw-g", model="linear",
                              eta=float(instance.n_arms))
         try:
             schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
         except FbbaiError as exc:
-            results[slot] = exc
+            results[j] = exc
             continue
-        runs.append(_Run(slot, instance, config, rng, schedule,
-                         tuple(range(instance.n_arms)), []))
+        asks[j] = schedule.per_stage_budget, config.strategy, config.model
+        runs[schedule.sizes, schedule.per_stage_budget, config.strategy].append(j)
+    # per job: its sizes padded with 1s, and 2 n + (strategy is uniform)
+    path = np.ones((len(jobs), 1 + max([len(run[0]) for run in runs], default=0)), int)
+    pull = np.zeros(len(jobs), dtype=int)
+    for (sizes, n, strategy), js in runs.items():
+        path[js, :len(sizes)], pull[js] = sizes, 2 * n + (strategy == "uniform")
+    draws = [(instance, rng) for instance, _, rng in jobs]
+    trace_of: dict = defaultdict(list)  # job index -> its StageTraces
+    cohorts = [(idx, np.broadcast_to(np.arange(m), (idx.size, m)),
+                np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=bool))
+               for m in {run[0][0] for run in runs}
+               for idx in [np.flatnonzero(path[:, 0] == m)]]
     cache = DesignCache() if cache is None else cache
     t = 0
-    while runs:
+    while cohorts:
         t += 1
-        # with traces, inheriting runs ask too: their traces show full plans
-        asked = [run for run in runs if traces or not run.inherits]
-        plans = dict(zip([run.slot for run in asked], _plan_stages(
-            cache, [(run.instance, run.active, run.schedule.per_stage_budget,
-                     run.config.strategy) for run in asked])))
-        # (m, arms kept, inherits) -> (run, (block, row)), or for a run that
-        # inherits saturation (run, its shared counts row)
-        stage = defaultdict(list)
-        for run in runs:
-            if run.inherits:
-                plan = _inherited_counts(len(run.active),
-                                         run.schedule.per_stage_budget,
-                                         run.config.strategy)
-            elif isinstance(plan := plans[run.slot], FbbaiError):
-                results[run.slot] = plan
+        groups, keys = [], []  # (jobs, active, pulls, keep, inherits, first key)
+        for idx, active, pulls, inherits in cohorts:
+            split = path[idx, t] * 2 + inherits
+            codes = np.unique(split).tolist()
+            for code in codes:
+                mask = split == code if len(codes) > 1 else slice(None)
+                keep, inherit = divmod(code, 2)
+                first = len(keys) if traces or not inherit else None
+                if first is not None:
+                    keys += [(draws[j][0], ids, *asks[j][:2]) for j, ids in zip(
+                        idx[mask].tolist(), map(tuple, active[mask].tolist()))]
+                groups.append((idx[mask], active[mask], pulls[mask], keep, inherit, first))
+        plans = _plan_stages(cache, keys) if keys else []
+        nxt = defaultdict(list)  # m -> parts of the next stage's cohort
+        for idx, active, pulls, keep, inherit, first in groups:
+            got = [] if first is None else plans[first:first + idx.size]
+            bad = [g for g, plan in enumerate(got) if isinstance(plan, FbbaiError)]
+            if bad:
+                for g in bad:
+                    results[idx[g]] = got[g]
+                live = np.delete(np.arange(idx.size), bad)
+                idx, active, pulls = idx[live], active[live], pulls[live]
+                got = [got[g] for g in live.tolist()]
+            if not idx.size:
                 continue
-            sizes = run.schedule.sizes
-            stage[sizes[t - 1], sizes[t], run.inherits].append((run, plan))
-        live = []
-        for (_, keep, inherits), group in stage.items():
-            if inherits:
-                counts = np.array([plan for _, plan in group])
-                ids = np.array([run.active for run, _ in group])
-                saturated = np.ones(len(group), dtype=bool)
+            if inherit:
+                counts, ids = _inherited_stack(active.shape[1], pull[idx]), active
+                saturated = passed = np.ones(idx.size, dtype=bool)
             else:
-                counts, ids, saturated = _plan_stacks([plan for _, plan in group])
-            sums = _stage_sums([(run.instance, run.rng) for run, _ in group],
-                               counts, ids)
-            mu_hat, fits = _estimate(group, sums, counts, saturated)
-            pulls = counts.sum(axis=1).tolist()
-            rows = []
-            for g, fit in enumerate(fits):
-                if isinstance(fit, FbbaiError):
-                    results[group[g][0].slot] = fit
-                else:
-                    rows.append(g)
-            survivors = eliminate_stack(ids[rows], mu_hat[rows], keep)
-            for g, kept in zip(rows, survivors):
-                run, plan = group[g]
-                run.active = tuple(kept)
-                run.pulls += pulls[g]
-                if not inherits:
-                    run.inherits = bool(plan[0].inherit[plan[1]])
-                if traces:  # fits[g] is (converged, iterations, fellback)
-                    block, row = plans[run.slot]
-                    plan = block.plan(row)
-                    run.traces.append(StageTrace(t, plan.arms, plan.counts, mu_hat[g],
-                                                 run.active, *fits[g], plan.design))
-                if t < run.schedule.stages:
-                    live.append(run)
-                else:
-                    results[run.slot] = RunResult(
-                        recommended=kept[0],
-                        success=kept[0] == run.instance.best_arm,
-                        traces=tuple(run.traces), total_pulls=run.pulls)
-        runs = live
+                counts, ids, saturated, passed = _plan_stacks(got)
+            order = idx.tolist()
+            sums = _stage_sums([draws[j] for j in order], counts, ids)
+            mu_hat, fits = _estimate([asks[j][2] for j in order], got, sums,
+                                     counts, saturated)
+            bad = [g for g, fit in fits.items() if isinstance(fit, FbbaiError)]
+            for g in bad:
+                results[order[g]] = fits[g]
+            live = np.delete(np.arange(idx.size), bad) if bad else np.arange(idx.size)
+            kept = eliminate_stack(ids[live], mu_hat[live], keep)
+            pulls = pulls[live] + counts.sum(axis=1)[live]
+            if traces:
+                for g, survivors in zip(live.tolist(), map(tuple, kept.tolist())):
+                    plan = got[g][0].plan(got[g][1])
+                    trace_of[order[g]].append(StageTrace(
+                        t, plan.arms, plan.counts, mu_hat[g], survivors,
+                        *fits.get(g, (True, 0, False)), plan.design))
+            if keep > 1:
+                nxt[keep].append((idx[live], kept, pulls, passed[live]))
+                continue
+            for j, best, total in zip(idx[live].tolist(), kept[:, 0].tolist(),
+                                      pulls.tolist()):
+                results[j] = RunResult(best, best == draws[j][0].best_arm,
+                                       tuple(trace_of.pop(j, ())), total)
+        cohorts = [tuple(map(np.concatenate, zip(*parts))) for parts in nxt.values()]
     return results
 
 

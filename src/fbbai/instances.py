@@ -235,10 +235,10 @@ def draw_noise(instance: BanditInstance, out: np.ndarray,
     """Fill ``out`` in place with the draws behind ``out.size`` rewards of
     ``instance``, from one generator call: uniforms for Bernoulli rewards
     (a pull hits when its uniform is below its mean), σ-scaled standard
-    normals for Gaussian rewards (a reward is its mean plus its noise;
-    the same bits as ``rng.normal(0.0, σ, n)``), and no call for noiseless
-    Gaussian rewards, whose noise is -0.0: it adds to any mean exactly.
-    The stage loop draws Bernoulli stage sums as Binomials, not with this."""
+    normals for Gaussian rewards (the bits of ``rng.normal(0.0, σ, n)``;
+    a reward is its mean plus its noise), and no call when noiseless: the
+    noise is -0.0, which adds to any mean exactly.  ``gse._block_sums``
+    draws these Gaussian bits with one σ multiply per run of jobs."""
     if instance.bernoulli:
         rng.random(out=out)
     elif instance.noise_sigma2 == 0.0:
@@ -254,10 +254,10 @@ def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
 
     Bernoulli rewards are 0.0 or 1.0.  With ``noise_sigma2 == 0`` and
     Gaussian noise the exact means are returned, which is the deterministic
-    mode used by noiseless checks.  The stage loop draws Gaussian rewards
-    through ``draw_noise`` too, so this is the per-pull bit reference of
-    their sums; it draws a Bernoulli arm's sum as one Binomial variate, so
-    for Bernoulli rewards this is the reference of the sums' distribution.
+    mode used by noiseless checks.  The stage loop draws Gaussian noise
+    with the bits of ``draw_noise``, so this is the per-pull bit reference
+    of their sums; it draws a Bernoulli arm's sum as one Binomial variate,
+    so for Bernoulli rewards this is the reference of the sums' law.
     """
     idx = np.asarray(arm_ids, dtype=int)
     mu = instance.means[idx]

@@ -9,7 +9,7 @@ import pytest
 from fbbai.bounds import (BoundInputs, bound_glm_general, bound_glm_gopt,
                           bound_linear_general, bound_linear_gopt,
                           oracle_c_min, stage_norm_terms)
-from fbbai.errors import UndefinedBoundError
+from fbbai.errors import ConfigurationError, UndefinedBoundError
 from fbbai.gse import GseConfig, gse_run
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_logistic_instance,
                              gen_static_instance, noiseless)
@@ -317,4 +317,9 @@ class TestStageNormTerms:
     def test_unknown_kind_rejected(self):
         inst, result = self.run_noiseless_static()
         with pytest.raises(ValueError):
+            stage_norm_terms(inst, result, kind="spectral")
+
+    def test_unknown_kind_is_a_configuration_error(self):
+        inst, result = self.run_noiseless_static()
+        with pytest.raises(ConfigurationError, match="unknown norm kind 'spectral'"):
             stage_norm_terms(inst, result, kind="spectral")

@@ -121,6 +121,14 @@ class TestEliminate:
         with pytest.raises(ValueError):
             eliminate((0, 1, 2), np.array([1.0, 2.0]), 2.0)
 
+    @pytest.mark.parametrize("mu_hat", [[1.0, 2.0], [[1.0], [2.0], [3.0]], 1.0])
+    def test_estimates_of_the_wrong_shape_are_a_configuration_error(self, mu_hat):
+        with pytest.raises(ConfigurationError, match="one estimate per active arm"):
+            eliminate((0, 1, 2), mu_hat, 2.0)
+
+    def test_estimates_may_be_a_list(self):
+        assert eliminate((0, 1, 2), [1.0, 3.0, 2.0], 2.0) == (1, 2)
+
     @pytest.mark.parametrize("eta", [0.0, 1.0, -2.0, math.nan, math.inf])
     def test_invalid_eta_raises_a_config_error(self, eta):
         with pytest.raises(ConfigurationError, match="eta"):
@@ -396,7 +404,7 @@ class TestExploreStack:
         """``rows`` holds each ask's (block, row) plan."""
         plans = [block.plan(row) for block, row in rows]
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
-        counts, ids, _ = gse_mod._plan_stacks(rows)
+        counts, ids, _, _ = gse_mod._plan_stacks(rows)
         sums = gse_mod._stage_sums([(ask[0], rng) for ask, rng
                                     in zip(asks, rngs)], counts, ids)
         assert sums.shape == (len(asks), len(asks[0][1]))
@@ -418,7 +426,7 @@ def test_bernoulli_sums_follow_the_binomial_pmf():
     S, n = TestExploreStack, 3000
     asks = [(S.GRID, S.EIGHT, 200, "uniform"), (S.BERN, S.EIGHT, 40, "fw-g"),
             (S.BERN, S.EIGHT, 6, "uniform")]
-    counts, ids, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
+    counts, ids, _, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
     jobs = [(asks[g % 3][0], np.random.default_rng([21, g]))
             for g in range(3 * n)]
     sums = gse_mod._stage_sums(jobs, counts, ids)
@@ -677,11 +685,24 @@ def planned(asks):
             for plan in gse_mod._plan_stages(DesignCache(), asks)]
 
 
-def lone_summary(job):
+def lone_run(job):
+    """The result of ``gse_run``, or the package error it raised."""
     try:
-        return run_summary(gse_run(*job))
+        return gse_run(*job)
     except FbbaiError as exc:
-        return type(exc).__name__
+        return exc
+
+
+def lone_summary(job):
+    return run_summary(lone_run(job))
+
+
+def outcome(result):
+    """An untraced run's (recommended, success, total_pulls), or the class
+    of the error that ended it."""
+    if isinstance(result, FbbaiError):
+        return type(result).__name__
+    return result.recommended, result.success, result.total_pulls
 
 
 class TestLockstep:
@@ -692,15 +713,22 @@ class TestLockstep:
            cuts=st.sets(st.integers(1, 7)),
            shared=st.booleans())
     def test_any_batching_matches_lone_runs(self, specs, cuts, shared):
+        """Traced batches give each job its lone run's traces, and untraced
+        batches, as the harness runs them, its lone outcome."""
         lone = [lone_summary(make_job(*spec)) for spec in specs]
         bounds = [0] + sorted(c for c in cuts if c < len(specs)) + [len(specs)]
-        # shared: one cache for every batch and all their instances
-        cache = DesignCache() if shared else None
-        got = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            batch = [make_job(*spec) for spec in specs[lo:hi]]
-            got += [run_summary(res) for res in gse_lockstep(batch, cache)]
-        assert got == lone
+        for traces in (True, False):
+            # shared: one cache for every batch and all their instances
+            cache = DesignCache() if shared else None
+            got = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                batch = [make_job(*spec) for spec in specs[lo:hi]]
+                got += gse_lockstep(batch, cache, traces=traces)
+            if traces:
+                assert [run_summary(res) for res in got] == lone
+            else:
+                assert [outcome(res) for res in got] == [
+                    outcome(lone_run(make_job(*spec))) for spec in specs]
 
     def test_one_cache_keeps_a_batch_of_instances_apart(self):
         # two sphere and two logistic instances whose stage keys collide
@@ -879,6 +907,55 @@ class TestLockstep:
             else:
                 assert run_summary(result) == run_summary(alone)
                 assert flags(result) == flags(alone)
+
+    def test_cohorts_of_mixed_sizes_budgets_and_outcomes(self, monkeypatch):
+        """K = 8 and K = 7 jobs (eta 2) meet at the same 4 -> 2 and 2 -> 1
+        steps with different stage budgets and strategies, and each of
+        those stages holds jobs that inherit saturation (eye and grid
+        instances) beside jobs that plan (sphere instances in R^3).  Jobs
+        abort at the schedule, at the first plan and at a stage-2 fit.
+        Each outcome, traced or not, is that of its lone run."""
+        def sphere(K, d, seed):
+            return gen_sphere_instance(K, d, np.random.default_rng(seed))
+
+        specs = [
+            (gen_static_instance(1.0, K=8, sigma2=4.0), 120, "fw-g", "linear"),
+            (gen_static_instance(1.0, K=7, sigma2=4.0), 90, "uniform", "linear"),
+            (gen_static_instance(1.0, K=8, sigma2=4.0), 150, "uniform", "linear"),
+            (glm_grid_instance(8, 0.75), 240, "fw-g", "logistic"),
+            (sphere(8, 3, 1), 150, "fw-g", "linear"),
+            (sphere(7, 3, 2), 120, "uniform", "linear"),
+            (gen_static_instance(1.0, K=8), 2, "fw-g", "linear"),  # schedule
+            (sphere(7, 4, 3), 9, "fw-g", "linear"),  # 3 pulls cannot span R^4
+            (sphere(8, 3, 4), 90, "fw-g", "linear"),  # its stage-2 fit fails
+        ]
+
+        def jobs():
+            return [(inst, GseConfig(budget, strategy=strategy, model=model),
+                     np.random.default_rng([31, g]))
+                    for g, (inst, budget, strategy, model) in enumerate(specs)]
+
+        doomed = gse_run(*jobs()[-1]).traces[1].arms.projected.tobytes()
+        fit = gse_mod.least_squares_stack
+        monkeypatch.setattr(gse_mod, "least_squares_stack", lambda arms, *args: [
+            InvalidAllocationError("forced") if a.tobytes() == doomed else out
+            for a, out in zip(arms, fit(arms, *args))])
+        lone = [lone_run(job) for job in jobs()]
+        assert [type(r).__name__ for r in lone[-3:]] == [
+            "ConfigurationError", "ConfigurationError", "InvalidAllocationError"]
+        steps = []  # (m, inherits) of each stage group that draws
+        for name, inherits in (("_inherited_stack", True), ("_plan_stacks", False)):
+            def spy(*args, _f=getattr(gse_mod, name), _inherits=inherits):
+                out = _f(*args)
+                steps.append((out.shape[1] if _inherits else out[0].shape[1],
+                              _inherits))
+                return out
+            monkeypatch.setattr(gse_mod, name, spy)
+        traced = gse_lockstep(jobs())
+        assert {(4, True), (4, False), (2, True), (2, False)} <= set(steps)
+        assert [run_summary(r) for r in traced] == [run_summary(r) for r in lone]
+        assert [outcome(r) for r in gse_lockstep(jobs(), traces=False)] == [
+            outcome(r) for r in lone]
 
 
 def conditioned_set(m, log_cond, rng):
