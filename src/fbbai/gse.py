@@ -20,8 +20,9 @@ every inheriting run of the same (m, n, strategy) shares, the row the
 full build would give.
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
-config, rng) jobs in lockstep, held as cohorts of arrays, and works each
-stage as stacks.  The plans the jobs lack are built together, as plan
+config, rng) jobs in lockstep, held as cohorts of arrays keyed by run
+(stage sizes, stage budget, strategy, model), and works each stage in
+one pass, as stacks.  The plans the jobs lack are built together, as plan
 blocks: the keys of one shape and strategy get one stacked SVD
 projection, Frank-Wolfe solve, rounding and saturation test, and keep
 their rows stacked in a ``_PlanBlock``, from which a ``StagePlan`` is made
@@ -243,14 +244,17 @@ class DesignCache:
     def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arm ids ``ids``; raises
-        ``ConfigurationError`` for non-integers, a strategy outside
-        ``STRATEGIES`` or ``n`` below their span dimension."""
+        ``ConfigurationError`` for non-integers, ids that are not distinct
+        arm ids in [0, K) or none at all, a strategy outside ``STRATEGIES``
+        or ``n`` below their span dimension."""
         if not all(isinstance(i, Integral) for i in (*ids, n)):
             raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
+        ids, K = tuple(int(i) for i in ids), instance.n_arms
+        if not (ids and len(set(ids)) == len(ids) and 0 <= min(ids) <= max(ids) < K):
+            raise ConfigurationError(f"arm ids {ids} are not distinct ids in [0, {K})")
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"strategy {strategy!r} not one of {STRATEGIES}")
-        ids = tuple(int(i) for i in ids)
         block, row = _one(_plan_stages(self, [(instance, ids, int(n), strategy)]))
         return block.plan(row)
 
@@ -326,8 +330,9 @@ def _ceil_div(m: int, eta: float) -> int:
     if float(eta).is_integer():
         e = int(eta)
         return (m + e - 1) // e
-    # guard keeps exact ratios from rounding up twice in floats
-    return math.ceil(m / eta - 1e-12)
+    # guard keeps exact ratios from rounding up twice in floats; a huge eta
+    # must still keep one arm: ceil(m / eta) >= 1 for m >= 1
+    return max(1, math.ceil(m / eta - 1e-12))
 
 
 @lru_cache(maxsize=256)  # every replication of a point asks for the same one
@@ -549,21 +554,22 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _estimate(models: list, plans: list, sums: np.ndarray, counts: np.ndarray,
+def _estimate(model: str, plans: list, sums: np.ndarray, counts: np.ndarray,
               saturated: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The (G, m) estimated means of a stage group's jobs from their (G, m)
-    reward sums and pull counts, and a dict from each unsaturated row g to
-    its fit's (converged, iterations, fellback) or the package error that
-    ends its job.  Saturated rows take S_i / c_i.  The others, whose
-    ``plans[g]`` are (block, row) pairs, are fitted as one stack per model
-    and block; an item whose logistic fit fails falls back to least squares."""
+    """The (G, m) estimated means of a stage group's jobs, which fit
+    ``model``, from their (G, m) reward sums and pull counts, and a dict
+    from each unsaturated row g to its fit's (converged, iterations,
+    fellback) or the package error that ends its job.  Saturated rows take
+    S_i / c_i.  The others, whose ``plans[g]`` are (block, row) pairs, are
+    fitted as one stack per block; an item whose logistic fit fails falls
+    back to least squares."""
     mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                        where=saturated[:, None])
     fits: dict = {}
-    unsaturated = defaultdict(list)  # (model, block) -> rows
+    unsaturated = defaultdict(list)  # block -> rows
     for g in np.flatnonzero(~saturated).tolist():
-        unsaturated[models[g], plans[g][0]].append(g)
-    for (model, block), rows in unsaturated.items():
+        unsaturated[plans[g][0]].append(g)
+    for block, rows in unsaturated.items():
         arms = block.projected.take([plans[g][1] for g in rows], axis=0)
         y, c = sums[rows], counts[rows]
         fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
@@ -589,37 +595,28 @@ def _estimate(models: list, plans: list, sums: np.ndarray, counts: np.ndarray,
     return mu_hat, fits
 
 
-def _inherited_stack(m: int, pull: np.ndarray) -> np.ndarray:
-    """The (G, m) counts of an inheriting group whose jobs' stage budgets n
-    and strategies are coded 2 n + (strategy is uniform) in ``pull``: their
-    ``_inherited_counts`` rows, one read-only broadcast row if they share
-    one code."""
-    codes, inverse = np.unique(pull, return_inverse=True)
-    rows = np.array([_inherited_counts(m, n, ("fw-g", "uniform")[u])
-                     for n, u in (divmod(code, 2) for code in codes.tolist())])
-    return np.broadcast_to(rows[0], (pull.size, m)) if codes.size == 1 else rows[inverse]
-
-
 def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Generator]],
                  cache: Optional[DesignCache] = None, *, traces: bool = True,
                  ) -> list[Union[RunResult, FbbaiError]]:
     """Run successive elimination on every (instance, config, rng) job, all
     jobs in lockstep, stage by stage; one result per job, in order.
 
-    The live jobs are cohorts of arrays, one per active-set size m: job
-    indices, (G, m) active ids, pull totals and inherit flags.  A stage
-    splits each cohort into groups by one mask per (arms kept, inherits)
-    and looks up the plans of all jobs that ask for one at once
-    (``_plan_stages``), building the missing ones as stacks; a job that
-    inherits saturation (see ``DesignCache``) asks for none unless its
-    trace needs one, and pulls with its ``_inherited_counts`` row.  Each
-    group draws (``_stage_sums``), estimates and is cut
-    (``eliminate_stack``) together; its survivors join the next cohort of
-    their size.  A job draws from its own generator, in the order a lone
-    run draws, and every stacked step gives it the bits of its lone
-    computation, so its result does not depend on the other jobs.  Jobs
-    share ``cache``, or else one made for this call; plans are keyed by
-    instance, so jobs of different instances can share it.  A package
+    The live jobs are cohorts of arrays, one per run (stage sizes K -> 1,
+    stage budget n, strategy, fit model): job indices, (G, m) active ids,
+    pull totals and inherit flags.  So every job of a cohort keeps
+    sizes[t] arms at stage t, pulls n with its strategy and fits its
+    model.  Each stage is one pass: each
+    cohort splits by its inherit flag, and each group looks up the plans
+    of its jobs at once (``_plan_stages``), building the missing ones as
+    stacks; a group that inherits saturation (see ``DesignCache``) asks
+    for none unless its traces need them, and pulls with its one
+    ``_inherited_counts`` row.  The group draws (``_stage_sums``),
+    estimates and is cut (``eliminate_stack``) together, and its survivors
+    rejoin their run's cohort.  A job draws from its own generator, in the
+    order a lone run draws, and every stacked step gives it the bits of
+    its lone computation, so its result does not depend on the other jobs.
+    Jobs share ``cache``, or else one made for this call; plans are keyed
+    by instance, so jobs of different instances can share it.  A package
     error ends only the job that raised it and takes the place of its
     result.  With ``traces=False`` no ``StageTrace`` is built and every
     result's ``traces`` is ``()``; nothing else changes.
@@ -629,8 +626,7 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
     loop with eta = K, which keeps only the top arm.
     """
     results: list = [None] * len(jobs)
-    asks: list = [None] * len(jobs)  # each job's (stage budget n, strategy, model)
-    runs = defaultdict(list)  # (stage sizes K -> 1, n, strategy) -> jobs
+    runs = defaultdict(list)  # (stage sizes K -> 1, n, strategy, model) -> jobs
     for j, (instance, config, _) in enumerate(jobs):
         if config.strategy == "static":
             config = replace(config, strategy="fw-g", model="linear",
@@ -640,77 +636,70 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
         except FbbaiError as exc:
             results[j] = exc
             continue
-        asks[j] = schedule.per_stage_budget, config.strategy, config.model
-        runs[schedule.sizes, schedule.per_stage_budget, config.strategy].append(j)
-    # per job: its sizes padded with 1s, and 2 n + (strategy is uniform)
-    path = np.ones((len(jobs), 1 + max([len(run[0]) for run in runs], default=0)), int)
-    pull = np.zeros(len(jobs), dtype=int)
-    for (sizes, n, strategy), js in runs.items():
-        path[js, :len(sizes)], pull[js] = sizes, 2 * n + (strategy == "uniform")
+        runs[schedule.sizes, schedule.per_stage_budget, config.strategy,
+             config.model].append(j)
     draws = [(instance, rng) for instance, _, rng in jobs]
     trace_of: dict = defaultdict(list)  # job index -> its StageTraces
-    cohorts = [(idx, np.broadcast_to(np.arange(m), (idx.size, m)),
-                np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=bool))
-               for m in {run[0][0] for run in runs}
-               for idx in [np.flatnonzero(path[:, 0] == m)]]
+    cohorts = {run: (np.array(js), np.broadcast_to(np.arange(K), (len(js), K)),
+                     np.zeros(len(js), dtype=int), np.zeros(len(js), dtype=bool))
+               for run, js in runs.items() for K in [run[0][0]]}
     cache = DesignCache() if cache is None else cache
     t = 0
     while cohorts:
         t += 1
-        groups, keys = [], []  # (jobs, active, pulls, keep, inherits, first key)
-        for idx, active, pulls, inherits in cohorts:
-            split = path[idx, t] * 2 + inherits
-            codes = np.unique(split).tolist()
-            for code in codes:
-                mask = split == code if len(codes) > 1 else slice(None)
-                keep, inherit = divmod(code, 2)
-                first = len(keys) if traces or not inherit else None
-                if first is not None:
-                    keys += [(draws[j][0], ids, *asks[j][:2]) for j, ids in zip(
-                        idx[mask].tolist(), map(tuple, active[mask].tolist()))]
-                groups.append((idx[mask], active[mask], pulls[mask], keep, inherit, first))
-        plans = _plan_stages(cache, keys) if keys else []
-        nxt = defaultdict(list)  # m -> parts of the next stage's cohort
-        for idx, active, pulls, keep, inherit, first in groups:
-            got = [] if first is None else plans[first:first + idx.size]
-            bad = [g for g, plan in enumerate(got) if isinstance(plan, FbbaiError)]
-            if bad:
+        nxt = defaultdict(list)  # run -> parts of its next cohort
+        for run, (*cohort, inherits) in cohorts.items():
+            sizes, n, strategy, model = run
+            m, keep = sizes[t - 1:t + 1]
+            flags = set(inherits.tolist())
+            for inherit in flags:
+                mask = inherits == inherit if len(flags) > 1 else slice(None)
+                idx, active, pulls = (a[mask] for a in cohort)
+                got = []
+                if traces or not inherit:
+                    got = _plan_stages(cache, [
+                        (draws[j][0], ids, n, strategy) for j, ids in zip(
+                            idx.tolist(), map(tuple, active.tolist()))])
+                    bad = [g for g, plan in enumerate(got)
+                           if isinstance(plan, FbbaiError)]
+                    if bad:
+                        for g in bad:
+                            results[idx[g]] = got[g]
+                        live = np.delete(np.arange(idx.size), bad)
+                        idx, active, pulls = idx[live], active[live], pulls[live]
+                        got = [got[g] for g in live.tolist()]
+                if not idx.size:
+                    continue
+                if inherit:
+                    row = _inherited_counts(m, n, strategy)
+                    counts, ids = np.broadcast_to(row, active.shape), active
+                    saturated = passed = np.ones(idx.size, dtype=bool)
+                else:
+                    counts, ids, saturated, passed = _plan_stacks(got)
+                order = idx.tolist()
+                sums = _stage_sums([draws[j] for j in order], counts, ids)
+                mu_hat, fits = _estimate(model, got, sums, counts, saturated)
+                bad = [g for g, fit in fits.items() if isinstance(fit, FbbaiError)]
                 for g in bad:
-                    results[idx[g]] = got[g]
-                live = np.delete(np.arange(idx.size), bad)
-                idx, active, pulls = idx[live], active[live], pulls[live]
-                got = [got[g] for g in live.tolist()]
-            if not idx.size:
-                continue
-            if inherit:
-                counts, ids = _inherited_stack(active.shape[1], pull[idx]), active
-                saturated = passed = np.ones(idx.size, dtype=bool)
-            else:
-                counts, ids, saturated, passed = _plan_stacks(got)
-            order = idx.tolist()
-            sums = _stage_sums([draws[j] for j in order], counts, ids)
-            mu_hat, fits = _estimate([asks[j][2] for j in order], got, sums,
-                                     counts, saturated)
-            bad = [g for g, fit in fits.items() if isinstance(fit, FbbaiError)]
-            for g in bad:
-                results[order[g]] = fits[g]
-            live = np.delete(np.arange(idx.size), bad) if bad else np.arange(idx.size)
-            kept = eliminate_stack(ids[live], mu_hat[live], keep)
-            pulls = pulls[live] + counts.sum(axis=1)[live]
-            if traces:
-                for g, survivors in zip(live.tolist(), map(tuple, kept.tolist())):
-                    plan = got[g][0].plan(got[g][1])
-                    trace_of[order[g]].append(StageTrace(
-                        t, plan.arms, plan.counts, mu_hat[g], survivors,
-                        *fits.get(g, (True, 0, False)), plan.design))
-            if keep > 1:
-                nxt[keep].append((idx[live], kept, pulls, passed[live]))
-                continue
-            for j, best, total in zip(idx[live].tolist(), kept[:, 0].tolist(),
-                                      pulls.tolist()):
-                results[j] = RunResult(best, best == draws[j][0].best_arm,
-                                       tuple(trace_of.pop(j, ())), total)
-        cohorts = [tuple(map(np.concatenate, zip(*parts))) for parts in nxt.values()]
+                    results[order[g]] = fits[g]
+                live = np.delete(np.arange(idx.size), bad) if bad else np.arange(idx.size)
+                kept = eliminate_stack(ids[live], mu_hat[live], keep)
+                pulls = pulls[live] + counts.sum(axis=1)[live]
+                if traces:
+                    for g, survivors in zip(live.tolist(), map(tuple, kept.tolist())):
+                        plan = got[g][0].plan(got[g][1])
+                        trace_of[order[g]].append(StageTrace(
+                            t, plan.arms, plan.counts, mu_hat[g], survivors,
+                            *fits.get(g, (True, 0, False)), plan.design))
+                if keep > 1:
+                    nxt[run].append((idx[live], kept, pulls, passed[live]))
+                    continue
+                for j, best, total in zip(idx[live].tolist(), kept[:, 0].tolist(),
+                                          pulls.tolist()):
+                    results[j] = RunResult(best, best == draws[j][0].best_arm,
+                                           tuple(trace_of.pop(j, ())), total)
+        cohorts = {run: tuple(map(np.concatenate, zip(*parts)))
+                   for run, parts in nxt.items()}
     return results
 
 

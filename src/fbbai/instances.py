@@ -505,6 +505,18 @@ def gen_corner_instance(K: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
+def _numbers(cells: Sequence[str], where: str) -> list[float]:
+    """The cells as floats; a cell that is not a finite number raises
+    ``DegenerateInputError`` naming ``where``."""
+    try:
+        values = [float(v) for v in cells]
+    except ValueError:
+        raise DegenerateInputError(f"{where}: cell is not a number") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DegenerateInputError(f"{where}: cell is not finite")
+    return values
+
+
 def load_features(features_path: str) -> np.ndarray:
     """Read an arm-feature CSV: header row ``x1,...,xd``, one row per arm.
 
@@ -532,13 +544,7 @@ def load_features(features_path: str) -> np.ndarray:
             if len(row) != len(header):
                 raise DegenerateInputError(
                     f"{where}: {len(row)} cells, header has {len(header)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise DegenerateInputError(f"{where}: cell is not a number") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DegenerateInputError(f"{where}: cell is not finite")
-            rows.append(values)
+            rows.append(_numbers(row, where))
     if not rows:
         raise DegenerateInputError(f"{features_path}: no arm rows")
     return np.asarray(rows, dtype=float)
@@ -549,14 +555,18 @@ def load_instance_csv(features_path: str, theta_path: str, model: str = "linear"
     """Build an instance from a feature CSV and a parameter vector file.
 
     The feature file format is that of :func:`load_features`.  The
-    parameter file holds d numbers, whitespace or newline separated.  A
-    ``model`` of ``"glm"`` applies the logistic mean function.
+    parameter file holds d numbers, whitespace or newline separated; ``#``
+    starts a comment.  A ``model`` of ``"glm"`` applies the logistic mean
+    function.  Raises ``DegenerateInputError`` naming the parameter file if
+    a cell is not a finite number or there are not d of them.
     """
     features = load_features(features_path)
-    theta = np.loadtxt(theta_path, dtype=float).ravel()
+    with open(theta_path) as fh:
+        cells = [cell for line in fh for cell in line.partition("#")[0].split()]
+    theta = np.array(_numbers(cells, theta_path))
     if theta.shape[0] != features.shape[1]:
-        raise DegenerateInputError(
-            f"theta has {theta.shape[0]} entries, features have {features.shape[1]} columns")
+        raise DegenerateInputError(f"{theta_path}: {theta.shape[0]} entries, "
+                                   f"features have {features.shape[1]} columns")
     mean_fn = LOGISTIC if model == "glm" else None
     return BanditInstance(features=features, theta_star=theta, model=model,
                           mean_fn=mean_fn, noise_sigma2=sigma2,

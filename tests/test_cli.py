@@ -92,6 +92,17 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[6] == "1"
 
+    def test_csv_family_rejects_a_non_numeric_theta(self, tmp_path, capsys):
+        arms = write_arms(tmp_path, [[1, 0], [0, 1], [0.5, 0.5]])
+        theta = tmp_path / "theta.txt"
+        theta.write_text("1.0 a\n")
+        rc = run_cli("run", "--family", "csv", "--features", arms,
+                     "--theta", str(theta), "--variant", "gse-fwg",
+                     "--budget", "8", "--replications", "2")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"fbbai: {theta}: cell is not a number\n")
+
     def test_stage_budget_at_the_dimension_keeps_every_replication(self,
                                                                   capsys):
         # three arms in R^2 and two pulls per stage: the rounding retry must

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -68,6 +69,12 @@ class TestStageSchedule:
         assert sched.sizes == (729, 243, 81, 27, 9, 3, 1)
         assert sched.per_stage_budget == 3 ** 7 // 6
 
+    def test_huge_fractional_eta_keeps_one_arm(self):
+        # m / eta < 1e-12 must not round down to a stage of no arms
+        sched = stage_schedule(16, 1e14 + 0.5, 100)
+        assert sched.sizes == (16, 1)
+        assert sched.per_stage_budget == 100
+
     def test_fractional_eta_stalls(self):
         # ceil(2 / 1.5) = 2 never reaches a single arm
         with pytest.raises(ConfigurationError):
@@ -116,6 +123,9 @@ class TestEliminate:
         ranked = sorted(range(m), key=lambda i: (-mu_hat[i], ids[i]))
         expected = tuple(sorted(ids[i] for i in ranked[:keep]))
         assert eliminate(ids, mu_hat, eta) == expected
+
+    def test_huge_fractional_eta_keeps_the_top_arm(self):
+        assert eliminate((0, 1, 2), np.array([1.0, 3.0, 2.0]), 1e14 + 0.5) == (1,)
 
     def test_estimate_count_must_match(self):
         with pytest.raises(ValueError):
@@ -181,6 +191,13 @@ class TestExplore:
             DesignCache().plan(inst, (0, 1, 2, 3), 10.0, "uniform")
         plan = DesignCache().plan(inst, np.arange(4), 10, "uniform")
         assert plan.arms.original_ids == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("ids", [(), (-1, 0), (0, 0, 1), (0, 9)])
+    def test_plans_only_distinct_arm_ids(self, ids):
+        # none, negative, repeated and out-of-range ids of K = 4 arms
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError, match="distinct"):
+            DesignCache().plan(inst, ids, 10, "fw-g")
 
     def test_unknown_strategy_rejected(self):
         # as GseConfig rejects it, rather than planning a G-design
@@ -910,11 +927,13 @@ class TestLockstep:
 
     def test_cohorts_of_mixed_sizes_budgets_and_outcomes(self, monkeypatch):
         """K = 8 and K = 7 jobs (eta 2) meet at the same 4 -> 2 and 2 -> 1
-        steps with different stage budgets and strategies, and each of
-        those stages holds jobs that inherit saturation (eye and grid
-        instances) beside jobs that plan (sphere instances in R^3).  Jobs
-        abort at the schedule, at the first plan and at a stage-2 fit.
-        Each outcome, traced or not, is that of its lone run."""
+        steps with different stage budgets and strategies; cohorts are
+        keyed by run (stage sizes, stage budget, strategy, model), so they
+        stack per run, not per step.  Each of those stages holds jobs that
+        inherit saturation (eye and grid instances) beside jobs that plan
+        (sphere instances in R^3).  Jobs abort at the schedule, at the
+        first plan and at a stage-2 fit.  Each outcome, traced or not, is
+        that of its lone run."""
         def sphere(K, d, seed):
             return gen_sphere_instance(K, d, np.random.default_rng(seed))
 
@@ -944,10 +963,10 @@ class TestLockstep:
         assert [type(r).__name__ for r in lone[-3:]] == [
             "ConfigurationError", "ConfigurationError", "InvalidAllocationError"]
         steps = []  # (m, inherits) of each stage group that draws
-        for name, inherits in (("_inherited_stack", True), ("_plan_stacks", False)):
+        for name, inherits in (("_inherited_counts", True), ("_plan_stacks", False)):
             def spy(*args, _f=getattr(gse_mod, name), _inherits=inherits):
                 out = _f(*args)
-                steps.append((out.shape[1] if _inherits else out[0].shape[1],
+                steps.append((args[0] if _inherits else out[0].shape[1],
                               _inherits))
                 return out
             monkeypatch.setattr(gse_mod, name, spy)
@@ -956,6 +975,49 @@ class TestLockstep:
         assert [run_summary(r) for r in traced] == [run_summary(r) for r in lone]
         assert [outcome(r) for r in gse_lockstep(jobs(), traces=False)] == [
             outcome(r) for r in lone]
+
+    def test_a_harness_batch_stacks_each_stage_once_per_inherit_flag(
+            self, monkeypatch):
+        """50 untraced jobs of one instance and config, as a harness chunk
+        sends them, are one run: each stage makes at most one
+        ``_plan_stages`` call and one ``_stage_sums`` call per inherit
+        flag, so the harness never gets split stacks.  At the last stage
+        of this sphere instance some jobs inherit saturation and others
+        plan; an inheriting group pulls with one broadcast counts row."""
+        inst = gen_sphere_instance(16, 4, np.random.default_rng(1))
+        config = GseConfig(200)
+
+        def jobs():
+            return [(inst, config, np.random.default_rng([7, r]))
+                    for r in range(50)]
+
+        calls = []  # (name, m, inherits, rows) of each call
+        plan_stages, stage_sums = gse_mod._plan_stages, gse_mod._stage_sums
+
+        def plan_spy(cache, keys):
+            calls.append(("plan", len(keys[0][1]), False, len(keys)))
+            return plan_stages(cache, keys)
+
+        def sums_spy(draws, counts, ids):
+            calls.append(("sums", counts.shape[1], counts.strides[0] == 0,
+                          len(draws)))
+            return stage_sums(draws, counts, ids)
+
+        monkeypatch.setattr(gse_mod, "_plan_stages", plan_spy)
+        monkeypatch.setattr(gse_mod, "_stage_sums", sums_spy)
+        got = gse_lockstep(jobs(), DesignCache(), traces=False)
+        monkeypatch.undo()
+        steps = [call[:3] for call in calls]
+        assert len(set(steps)) == len(steps)
+        assert [m for name, m, _ in steps if name == "plan"] == [16, 8, 4, 2]
+        drawn = Counter()  # m -> jobs drawn at the stage of m arms
+        for name, m, _, count in calls:
+            if name == "sums":
+                drawn[m] += count
+        assert drawn == {16: 50, 8: 50, 4: 50, 2: 50}
+        assert {("sums", 2, False), ("sums", 2, True)} <= set(steps)
+        assert [outcome(r) for r in got] == [outcome(lone_run(job))
+                                             for job in jobs()]
 
 
 def conditioned_set(m, log_cond, rng):

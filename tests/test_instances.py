@@ -361,5 +361,28 @@ class TestCsvLoading:
         arms.write_text("x1,x2\n1,0\n0,1\n")
         theta = tmp_path / "theta.txt"
         theta.write_text("1 2 3\n")
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="3 entries"):
             load_instance_csv(str(arms), str(theta))
+
+    @pytest.mark.parametrize("text,reason", [
+        ("1 a\n", "cell is not a number"),
+        ("", "0 entries"),
+        ("1 nan\n", "cell is not finite"),
+    ])
+    def test_bad_theta_files_name_the_file(self, tmp_path, recwarn, text, reason):
+        arms = tmp_path / "arms.csv"
+        arms.write_text("x1,x2\n1,0\n0,1\n")
+        theta = tmp_path / "theta.txt"
+        theta.write_text(text)
+        with pytest.raises(DegenerateInputError) as err:
+            load_instance_csv(str(arms), str(theta))
+        assert str(err.value).startswith(f"{theta}: {reason}")
+        assert not recwarn.list
+
+    def test_theta_comments_and_lines(self, tmp_path):
+        arms = tmp_path / "arms.csv"
+        arms.write_text("x1,x2,x3\n1,0,0\n0,1,0\n0,0,1\n")
+        theta = tmp_path / "theta.txt"
+        theta.write_text("# theta star\n0.5\n-0.25 1e-1  # last two\n")
+        inst = load_instance_csv(str(arms), str(theta))
+        assert inst.theta_star.tolist() == [0.5, -0.25, 0.1]
