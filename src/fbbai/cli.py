@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one Monte-Carlo point), ``sweep`` (a named preset),
 ``design`` (solve and print an exploration design for an arms CSV), and
 ``bound`` (print a theoretical error bound).  Exit codes: 0 success, 2
-configuration or input error, 3 runtime abort.
+configuration or input error (a budget of 2**53 or more among them), 3
+runtime abort (a package error during a run, or running out of memory).
 """
 
 from __future__ import annotations
@@ -214,6 +215,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except FbbaiError as exc:
         print(f"fbbai: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("fbbai: out of memory", file=sys.stderr)
         return 3
 
 

@@ -58,10 +58,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, SingularDesignError, _one
+from .errors import (BudgetTooSmallError, ConfigurationError,
+                     SingularDesignError, _one)
 
 SUPPORT_TOL = 1e-9
 CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
+# Below this many pulls the float64 products (n - p/2) pi_i of
+# ``_round_rows`` resolve single pulls; a larger budget is refused where it
+# enters (``GseConfig``, ``DesignCache.plan``, ``round_allocation``).
+BUDGET_LIMIT = 2 ** 53
+
+
+def _check_budget(n: int) -> None:
+    if n >= BUDGET_LIMIT:
+        raise ConfigurationError(f"budget {n} is not below 2**53")
 
 
 @dataclass(frozen=True)
@@ -399,7 +409,10 @@ def round_allocation(n: int, design: Design) -> np.ndarray:
     BudgetTooSmallError
         If n is below the support size; callers may drop weights under 1/n
         and retry once (see ``allocate_budget``).
+    ConfigurationError
+        If n is not below ``BUDGET_LIMIT``.
     """
+    _check_budget(n)
     counts, errors = _round_rows(
         np.array([int(n)]), np.asarray(design.weights, dtype=float)[None])
     if errors:

@@ -20,20 +20,21 @@ every inheriting run of the same (m, n, strategy) shares, the row the
 full build would give.
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
-config, rng) jobs in lockstep, held as cohorts of arrays keyed by run
-(stage sizes, stage budget, strategy, model), and works each stage in
-one pass, as stacks.  The plans the jobs lack are built together, as plan
-blocks: the keys of one shape and strategy get one stacked SVD
-projection, Frank-Wolfe solve, rounding and saturation test, and keep
-their rows stacked in a ``_PlanBlock``, from which a ``StagePlan`` is made
-only when a trace or ``DesignCache.plan`` asks for it.  Each job draws on
-its own generator: a Bernoulli job each arm's sum S_i ~ Binomial(c_i,
-mu_i), a Gaussian job one standard-normal call for its pulls, scaled and
-summed per block of jobs (``_block_sums``).  Saturated stages take their
-means S_i / c_i as one division, unsaturated ones are fitted as one
-stack per model and block, and one stacked ``np.lexsort`` makes every
-cut.  Every stacked kernel gives each job the bits of its lone
-computation, so a job's result is the one it gets alone.  ``gse_run`` is
+config, rng) jobs: the jobs of one run (stage sizes, stage budget,
+strategy, model) go through its stages in lockstep, as one cohort of
+arrays, and each stage is one pass, as stacks.  The plans the jobs lack
+are built together, as plan blocks: the keys of one shape and strategy
+get one stacked SVD projection, Frank-Wolfe solve, rounding and
+saturation test, and keep their rows stacked in a ``_PlanBlock``, from
+which a ``StagePlan`` is made only when a trace or ``DesignCache.plan``
+asks for it.  Each job draws on its own generator: a Bernoulli job each
+arm's sum S_i ~ Binomial(c_i, mu_i), a Gaussian job one standard-normal
+call for its pulls, scaled and summed per block of jobs
+(``_block_sums``).  Saturated stages take their means S_i / c_i as one
+division, unsaturated ones are fitted as one stack per model and block,
+and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
+gives each job the bits of its lone computation, so a job's result is
+the one it gets alone.  ``gse_run`` is
 the batch of one; the harness runs replications as such batches with
 ``traces=False``, so no ``StageTrace`` or ``StagePlan`` is built.
 """
@@ -50,8 +51,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .design import (Design, _design, _fw_solve, _info_matrix, _round_rows,
-                     allocate_budget)
+from .design import (Design, _check_budget, _design, _fw_solve, _info_matrix,
+                     _round_rows, allocate_budget)
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
 from .errors import ConfigurationError, EstimationFailureError, FbbaiError, _one
@@ -69,7 +70,8 @@ MODELS = ("linear", "logistic")
 
 @dataclass(frozen=True)
 class GseConfig:
-    """Run parameters: budget, elimination rate, allocation and fit model."""
+    """Run parameters: budget, elimination rate, allocation and fit model.
+    The budget is a positive integer below ``design.BUDGET_LIMIT``."""
 
     budget: int
     eta: float = 2.0
@@ -79,6 +81,7 @@ class GseConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.budget, Integral) or self.budget < 1:
             raise ConfigurationError("budget must be a positive integer")
+        _check_budget(self.budget)
         _check_eta(self.eta)
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
@@ -245,10 +248,11 @@ class DesignCache:
              strategy: str) -> StagePlan:
         """The plan of ``n`` pulls on the arm ids ``ids``; raises
         ``ConfigurationError`` for non-integers, ids that are not distinct
-        arm ids in [0, K) or none at all, a strategy outside ``STRATEGIES``
-        or ``n`` below their span dimension."""
+        arm ids in [0, K) or none at all, a strategy outside ``STRATEGIES``,
+        or ``n`` below their span dimension or not below ``BUDGET_LIMIT``."""
         if not all(isinstance(i, Integral) for i in (*ids, n)):
             raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
+        _check_budget(n)
         ids, K = tuple(int(i) for i in ids), instance.n_arms
         if not (ids and len(set(ids)) == len(ids) and 0 <= min(ids) <= max(ids) < K):
             raise ConfigurationError(f"arm ids {ids} are not distinct ids in [0, {K})")
@@ -384,15 +388,15 @@ def explore(instance: BanditInstance, plan: StagePlan,
 
 
 def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]]) -> tuple[np.ndarray, ...]:
-    """The (G, m) pull counts and active ids and the (G,) saturation and
-    inherit flags of (block, row) plans that share an active-set size m:
-    one ``take`` of each block's rows, and a stage's jobs nearly always
-    share one block."""
+    """The (G, m) pull counts and the (G,) saturation and inherit flags of
+    (block, row) plans that share an active-set size m: one ``take`` of
+    each block's rows, and a stage's jobs nearly always share one block.
+    Their active ids are the keys' ids, which the caller holds."""
     jobs = defaultdict(list)  # block -> the jobs of its rows, in order
     for g, (block, _) in enumerate(plans):
         jobs[block].append(g)
     parts = [tuple(a.take([plans[g][1] for g in js], axis=0) for a in (
-        block.counts, block.ids, block.saturated, block.inherit))
+        block.counts, block.saturated, block.inherit))
              for block, js in jobs.items()]
     if len(parts) == 1:
         return parts[0]
@@ -485,11 +489,11 @@ def _block_sums(jobs: list, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     call, its pulls in the order ``explore`` pulls them, each arm's pulls
     contiguous; each run of consecutive jobs of one noise variance is then
     scaled by its sigma with one multiply, and a noiseless job's slice is
-    -0.0, which adds exactly: the bits of ``draw_noise``, job by job.  The
-    means are one ``_gather`` repeated per pull and added in place, and one
-    offset ``np.bincount`` adds each arm's rewards in draw order, as a lone
-    job's bincount does.  So a job's sums are those of ``sample_rewards``
-    on its pulls summed by ``np.bincount``, bit for bit.
+    -0.0, which adds exactly: the noise bits of ``sample_rewards``, job by
+    job.  The means are one ``_gather`` repeated per pull and added in
+    place, and one offset ``np.bincount`` adds each arm's rewards in draw
+    order, as a lone job's bincount does.  So a job's sums are those of
+    ``sample_rewards`` on its pulls summed by ``np.bincount``, bit for bit.
     """
     m = counts.shape[1]
     flat = counts.ravel()
@@ -598,28 +602,29 @@ def _estimate(model: str, plans: list, sums: np.ndarray, counts: np.ndarray,
 def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Generator]],
                  cache: Optional[DesignCache] = None, *, traces: bool = True,
                  ) -> list[Union[RunResult, FbbaiError]]:
-    """Run successive elimination on every (instance, config, rng) job, all
-    jobs in lockstep, stage by stage; one result per job, in order.
+    """Run successive elimination on every (instance, config, rng) job, the
+    jobs of each run in lockstep, stage by stage; one result per job, in
+    order.
 
-    The live jobs are cohorts of arrays, one per run (stage sizes K -> 1,
-    stage budget n, strategy, fit model): job indices, (G, m) active ids,
-    pull totals and inherit flags.  So every job of a cohort keeps
-    sizes[t] arms at stage t, pulls n with its strategy and fits its
-    model.  Each stage is one pass: each
-    cohort splits by its inherit flag, and each group looks up the plans
-    of its jobs at once (``_plan_stages``), building the missing ones as
-    stacks; a group that inherits saturation (see ``DesignCache``) asks
-    for none unless its traces need them, and pulls with its one
+    The jobs of one run (stage sizes K -> 1, stage budget n, strategy,
+    fit model) step through its stages together, in one loop over
+    ``zip(sizes, sizes[1:])``, as a cohort of arrays: job indices, (G, m)
+    active ids and inherit flags.  Each stage is one pass: the cohort
+    splits by its inherit flag, and each group looks up the plans of its
+    jobs at once (``_plan_stages``), building the missing ones as stacks;
+    a group that inherits saturation (see ``DesignCache``) asks for none
+    unless its traces need them, and pulls with its one
     ``_inherited_counts`` row.  The group draws (``_stage_sums``),
     estimates and is cut (``eliminate_stack``) together, and its survivors
-    rejoin their run's cohort.  A job draws from its own generator, in the
-    order a lone run draws, and every stacked step gives it the bits of
-    its lone computation, so its result does not depend on the other jobs.
-    Jobs share ``cache``, or else one made for this call; plans are keyed
-    by instance, so jobs of different instances can share it.  A package
-    error ends only the job that raised it and takes the place of its
-    result.  With ``traces=False`` no ``StageTrace`` is built and every
-    result's ``traces`` is ``()``; nothing else changes.
+    rejoin the cohort.  Every stage's counts sum to n, so a finished run's
+    ``total_pulls`` is n times its stage count.  A job draws from its own
+    generator, in the order a lone run draws, and every stacked step gives
+    it the bits of its lone computation, so its result does not depend on
+    the other jobs.  Jobs share ``cache``, or else one made for this call;
+    plans are keyed by instance, so jobs of different instances can share
+    it.  A package error ends only the job that raised it and takes the
+    place of its result.  With ``traces=False`` no ``StageTrace`` is
+    built and every result's ``traces`` is ``()``; nothing else changes.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
@@ -640,66 +645,60 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
              config.model].append(j)
     draws = [(instance, rng) for instance, _, rng in jobs]
     trace_of: dict = defaultdict(list)  # job index -> its StageTraces
-    cohorts = {run: (np.array(js), np.broadcast_to(np.arange(K), (len(js), K)),
-                     np.zeros(len(js), dtype=int), np.zeros(len(js), dtype=bool))
-               for run, js in runs.items() for K in [run[0][0]]}
     cache = DesignCache() if cache is None else cache
-    t = 0
-    while cohorts:
-        t += 1
-        nxt = defaultdict(list)  # run -> parts of its next cohort
-        for run, (*cohort, inherits) in cohorts.items():
-            sizes, n, strategy, model = run
-            m, keep = sizes[t - 1:t + 1]
+    for (sizes, n, strategy, model), js in runs.items():
+        idx, inherits = np.array(js), np.zeros(len(js), dtype=bool)
+        active = np.broadcast_to(np.arange(sizes[0]), (idx.size, sizes[0]))
+        for t, (m, keep) in enumerate(zip(sizes, sizes[1:]), 1):
+            parts = []  # (job indices, survivors, inherit flags) per group
             flags = set(inherits.tolist())
             for inherit in flags:
                 mask = inherits == inherit if len(flags) > 1 else slice(None)
-                idx, active, pulls = (a[mask] for a in cohort)
+                group, ids = idx[mask], active[mask]
                 got = []
                 if traces or not inherit:
                     got = _plan_stages(cache, [
-                        (draws[j][0], ids, n, strategy) for j, ids in zip(
-                            idx.tolist(), map(tuple, active.tolist()))])
+                        (draws[j][0], row, n, strategy) for j, row in zip(
+                            group.tolist(), map(tuple, ids.tolist()))])
                     bad = [g for g, plan in enumerate(got)
                            if isinstance(plan, FbbaiError)]
                     if bad:
                         for g in bad:
-                            results[idx[g]] = got[g]
-                        live = np.delete(np.arange(idx.size), bad)
-                        idx, active, pulls = idx[live], active[live], pulls[live]
+                            results[group[g]] = got[g]
+                        live = np.delete(np.arange(group.size), bad)
+                        group, ids = group[live], ids[live]
                         got = [got[g] for g in live.tolist()]
-                if not idx.size:
+                if not group.size:
                     continue
                 if inherit:
-                    row = _inherited_counts(m, n, strategy)
-                    counts, ids = np.broadcast_to(row, active.shape), active
-                    saturated = passed = np.ones(idx.size, dtype=bool)
+                    counts = np.broadcast_to(_inherited_counts(m, n, strategy),
+                                             ids.shape)
+                    saturated = passed = np.ones(group.size, dtype=bool)
                 else:
-                    counts, ids, saturated, passed = _plan_stacks(got)
-                order = idx.tolist()
+                    counts, saturated, passed = _plan_stacks(got)
+                order = group.tolist()
                 sums = _stage_sums([draws[j] for j in order], counts, ids)
                 mu_hat, fits = _estimate(model, got, sums, counts, saturated)
                 bad = [g for g, fit in fits.items() if isinstance(fit, FbbaiError)]
                 for g in bad:
                     results[order[g]] = fits[g]
-                live = np.delete(np.arange(idx.size), bad) if bad else np.arange(idx.size)
+                live = np.delete(np.arange(group.size), bad) if bad else np.arange(group.size)
                 kept = eliminate_stack(ids[live], mu_hat[live], keep)
-                pulls = pulls[live] + counts.sum(axis=1)[live]
                 if traces:
                     for g, survivors in zip(live.tolist(), map(tuple, kept.tolist())):
                         plan = got[g][0].plan(got[g][1])
                         trace_of[order[g]].append(StageTrace(
                             t, plan.arms, plan.counts, mu_hat[g], survivors,
                             *fits.get(g, (True, 0, False)), plan.design))
-                if keep > 1:
-                    nxt[run].append((idx[live], kept, pulls, passed[live]))
-                    continue
-                for j, best, total in zip(idx[live].tolist(), kept[:, 0].tolist(),
-                                          pulls.tolist()):
-                    results[j] = RunResult(best, best == draws[j][0].best_arm,
-                                           tuple(trace_of.pop(j, ())), total)
-        cohorts = {run: tuple(map(np.concatenate, zip(*parts)))
-                   for run, parts in nxt.items()}
+                parts.append((group[live], kept, passed[live]))
+            if not parts:
+                break
+            idx, active, inherits = map(np.concatenate, zip(*parts))
+        else:  # every stage's counts sum to n
+            for j, best in zip(idx.tolist(), active[:, 0].tolist()):
+                results[j] = RunResult(best, best == draws[j][0].best_arm,
+                                       tuple(trace_of.pop(j, ())),
+                                       n * (len(sizes) - 1))
     return results
 
 

@@ -17,6 +17,7 @@ process was killed.  A serial run never imports ``multiprocessing`` or
 
 from __future__ import annotations
 
+import atexit
 import csv
 import hashlib
 import inspect
@@ -365,6 +366,7 @@ def _forget_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_pool)
+atexit.register(_drop_pool)
 
 
 def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
@@ -694,9 +696,3 @@ def write_csv(path, rows, include_wall_time: bool = True) -> None:
 def write_json(path, rows, include_wall_time: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_json(rows, include_wall_time))
-
-
-def read_csv(path) -> list[dict]:
-    """Read a sweep CSV back into dicts of strings (as written)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))

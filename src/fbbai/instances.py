@@ -216,8 +216,7 @@ class BanditInstance:
         return float(others.min())
 
     def has_unique_best(self) -> bool:
-        others = np.delete(self.gaps, self.best_arm)
-        return bool(np.all(others > 0.0))
+        return self.delta_min > 0.0
 
 
 def noiseless(instance: BanditInstance) -> BanditInstance:
@@ -230,42 +229,25 @@ def noiseless(instance: BanditInstance) -> BanditInstance:
 # ---------------------------------------------------------------------------
 
 
-def draw_noise(instance: BanditInstance, out: np.ndarray,
-               rng: np.random.Generator) -> None:
-    """Fill ``out`` in place with the draws behind ``out.size`` rewards of
-    ``instance``, from one generator call: uniforms for Bernoulli rewards
-    (a pull hits when its uniform is below its mean), σ-scaled standard
-    normals for Gaussian rewards (the bits of ``rng.normal(0.0, σ, n)``;
-    a reward is its mean plus its noise), and no call when noiseless: the
-    noise is -0.0, which adds to any mean exactly.  ``gse._block_sums``
-    draws these Gaussian bits with one σ multiply per run of jobs."""
-    if instance.bernoulli:
-        rng.random(out=out)
-    elif instance.noise_sigma2 == 0.0:
-        out.fill(-0.0)
-    else:
-        rng.standard_normal(out=out)
-        out *= math.sqrt(instance.noise_sigma2)
-
-
 def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw one reward per entry of ``arm_ids`` (repeats allowed), in order.
-
-    Bernoulli rewards are 0.0 or 1.0.  With ``noise_sigma2 == 0`` and
-    Gaussian noise the exact means are returned, which is the deterministic
-    mode used by noiseless checks.  The stage loop draws Gaussian noise
-    with the bits of ``draw_noise``, so this is the per-pull bit reference
-    of their sums; it draws a Bernoulli arm's sum as one Binomial variate,
-    so for Bernoulli rewards this is the reference of the sums' law.
+    """Draw one reward per entry of ``arm_ids`` (repeats allowed), in order,
+    from one generator call: a Bernoulli pull hits when its uniform is below
+    its mean, a Gaussian reward is its mean plus a σ-scaled standard normal
+    (the bits of ``rng.normal(0.0, σ, n)``), and with ``noise_sigma2 == 0``
+    nothing is drawn and the exact means are returned, the deterministic
+    mode of noiseless checks.  ``gse._block_sums`` draws these Gaussian
+    bits with one σ multiply per run of jobs, so this is the per-pull bit
+    reference of Gaussian stage sums; a run draws a Bernoulli arm's sum as
+    one Binomial variate, so for Bernoulli rewards this is the reference of
+    the sums' law.
     """
-    idx = np.asarray(arm_ids, dtype=int)
-    mu = instance.means[idx]
-    draws = np.empty(idx.shape[0])
-    draw_noise(instance, draws, rng)
+    mu = instance.means[np.asarray(arm_ids, dtype=int)]
     if instance.bernoulli:
-        return (draws < mu).astype(float)
-    return mu + draws
+        return (rng.random(mu.size) < mu).astype(float)
+    if instance.noise_sigma2 == 0.0:
+        return mu
+    return mu + rng.standard_normal(mu.size) * math.sqrt(instance.noise_sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import fbbai.cli as cli
 import fbbai.harness as harness
 from fbbai.errors import EstimationFailureError
-from fbbai.harness import CSV_COLUMNS, read_csv
+from fbbai.harness import CSV_COLUMNS
 
 
 # sha256 of `fbbai sweep --preset P --replications 10 --seed 3
@@ -342,7 +342,8 @@ class TestSweep:
                      "--format", "both")
         assert rc == 0
         assert "wrote 12 rows" in capsys.readouterr().err
-        rows = read_csv(tmp_path / "corner.csv")
+        with open(tmp_path / "corner.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         assert list(rows[0]) == list(CSV_COLUMNS)
         parsed = json.loads((tmp_path / "corner.json").read_text())
@@ -424,6 +425,38 @@ class TestExitCodes:
                      "--budget", "40", "--replications", "2", "--K", "4")
         assert rc == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_running_out_of_memory_maps_to_three(self, monkeypatch, capsys):
+        def exhaust(*args, **kwargs):
+            raise MemoryError  # raised, never allocated
+
+        monkeypatch.setattr(cli, "run_point", exhaust)
+        rc = run_cli("run", "--family", "static", "--variant", "gse-fwg",
+                     "--budget", "40", "--replications", "2", "--K", "4")
+        assert rc == 3
+        assert capsys.readouterr().err == "fbbai: out of memory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--budget", "9223372036854775807"],
+        ["design", "--budget", "9223372036854775808"],
+        ["run", "--family", "static", "--variant", "gse-fwg",
+         "--budget", "100000000000000000000", "--replications", "1"],
+        ["run", "--family", "static", "--variant", "gse-uniform",
+         "--budget", "100000000000000000000", "--replications", "1"],
+    ], ids=["design-2**63-1", "design-2**63", "run-fwg", "run-uniform"])
+    def test_budgets_of_2_53_or_more_exit_two(self, tmp_path, argv):
+        """Rounding stepped one pull at a time on overflowing sums, so these
+        hung or died with a raw error; a subprocess with a timeout makes a
+        hang fail the test."""
+        if argv[0] == "design":
+            argv += ["--arms", write_arms(tmp_path, [[1, 0], [0, 1], [0.6, 0.8]])]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "fbbai.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("fbbai: budget ")
+        assert done.stderr.endswith(" is not below 2**53\n")
 
 
 # imports fbbai, then blocks SciPy so that any later import of it raises,

@@ -13,7 +13,8 @@ from fbbai.design import (SUPPORT_TOL, Design, allocate_budget,
                           fw_d_optimal, fw_g_optimal, fw_g_optimal_stack,
                           g_gradient, g_value_and_argmax, kw_certificate,
                           round_allocation, _round_rows)
-from fbbai.errors import BudgetTooSmallError, SingularDesignError
+from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
+                          SingularDesignError)
 from fbbai.instances import (gen_adaptive_instance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
                              project_to_span)
@@ -426,6 +427,9 @@ class TestStackedSolver:
         for bad in (np.eye(3), np.zeros((2, 0, 3))):
             with pytest.raises(SingularDesignError):
                 fw_g_optimal_stack(bad)
+        for bad in (np.ones(3), np.zeros((0, 2)), np.array([])):
+            with pytest.raises(SingularDesignError, match="nonempty 2-d"):
+                fw_g_optimal(bad)
 
 
 class TestCertificate:
@@ -507,6 +511,17 @@ class TestRounding:
         assert str(rows[3]) == "design has empty support"
         assert str(rows[4]) == (
             "budget 5 cannot give every one of 6 support arms a pull")
+
+    def test_budgets_of_2_53_or_more_are_refused(self):
+        # below 2**53 the float products (n - p/2) w_i resolve single pulls
+        des = Design(weights=np.array([0.5, 0.3, 0.2]), g_value=0.0,
+                     iterations_used=0, certified=True)
+        assert round_allocation(2**53 - 1, des).sum() == 2**53 - 1
+        for n in (2**53, 2**63 - 1, 2**63, 10**20):
+            with pytest.raises(ConfigurationError, match=r"not below 2\*\*53"):
+                round_allocation(n, des)
+            with pytest.raises(ConfigurationError, match=r"not below 2\*\*53"):
+                allocate_budget(n, des, np.eye(3))
 
     def test_allocate_budget_drops_negligible_support(self):
         k = 11

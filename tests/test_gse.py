@@ -18,10 +18,10 @@ from fbbai.estimators import irls_glm_stack
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_schedule)
 from fbbai.harness import family_source, rep_seed
-from fbbai.instances import (LOGISTIC, BanditInstance, draw_noise,
-                             gen_adaptive_instance, gen_logistic_instance,
-                             gen_sphere_instance, gen_static_instance, noiseless,
-                             project_to_span, sample_rewards)
+from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
+                             gen_logistic_instance, gen_sphere_instance,
+                             gen_static_instance, noiseless, project_to_span,
+                             sample_rewards)
 
 
 class TestConfig:
@@ -39,10 +39,18 @@ class TestConfig:
         dict(budget=40.5),
         dict(budget=40.0),
         dict(budget="40"),
+        dict(budget=2**53),
+        dict(budget=2**63),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             GseConfig(**kwargs)
+
+    def test_budgets_below_2_53_accepted(self):
+        assert GseConfig(budget=2**53 - 1).budget == 2**53 - 1
+        with pytest.raises(ConfigurationError, match=r"not below 2\*\*53"):
+            DesignCache().plan(gen_static_instance(1.0, K=4), (0, 1), 2**53,
+                               "uniform")
 
     def test_numpy_integer_budget_accepted(self):
         assert GseConfig(budget=np.int64(40)).budget == 40
@@ -392,12 +400,13 @@ class TestExploreStack:
 
     @pytest.mark.parametrize("sigma2", [10.0, 4.0, 2.0, 0.25, 1e-300])
     def test_gaussian_noise_is_numpys_normal(self, sigma2):
-        # standard normals scaled in place are rng.normal(0, sigma, n) bit
-        # for bit, and leave the generator where it leaves it
+        # standard normals scaled by sigma are rng.normal(0, sigma, n) bit
+        # for bit, and leave the generator where it leaves it: on an arm of
+        # mean 0.0 the rewards are the noise
         inst = gen_static_instance(0.5, K=4, sigma2=sigma2)
+        assert inst.means[1] == 0.0
         rng, replay = np.random.default_rng(7), np.random.default_rng(7)
-        out = np.empty(50_000)
-        draw_noise(inst, out, rng)
+        out = sample_rewards(inst, [1] * 50_000, rng)
         want = replay.normal(0.0, math.sqrt(sigma2), out.size)
         assert out.tobytes() == want.tobytes()
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -405,10 +414,12 @@ class TestExploreStack:
     def test_noiseless_noise_adds_exactly_without_a_draw(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        out = np.ones(5)
-        draw_noise(noiseless(self.GAUSS), out, rng)
+        inst = noiseless(self.GAUSS)
         mu = np.array([0.0, -0.0, 1.5, -2.25, 1e-310])
-        assert (mu + out).tobytes() == mu.tobytes()
+        # signed zeros and subnormals that no feature product yields
+        vars(inst)["means"] = np.concatenate([mu, inst.means[mu.size:]])
+        out = sample_rewards(inst, range(mu.size), rng)
+        assert out.tobytes() == mu.tobytes()
         assert rng.bit_generator.state == state
 
     @staticmethod
@@ -421,7 +432,8 @@ class TestExploreStack:
         """``rows`` holds each ask's (block, row) plan."""
         plans = [block.plan(row) for block, row in rows]
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
-        counts, ids, _, _ = gse_mod._plan_stacks(rows)
+        counts, _, _ = gse_mod._plan_stacks(rows)
+        ids = np.array([ask[1] for ask in asks])
         sums = gse_mod._stage_sums([(ask[0], rng) for ask, rng
                                     in zip(asks, rngs)], counts, ids)
         assert sums.shape == (len(asks), len(asks[0][1]))
@@ -443,7 +455,8 @@ def test_bernoulli_sums_follow_the_binomial_pmf():
     S, n = TestExploreStack, 3000
     asks = [(S.GRID, S.EIGHT, 200, "uniform"), (S.BERN, S.EIGHT, 40, "fw-g"),
             (S.BERN, S.EIGHT, 6, "uniform")]
-    counts, ids, _, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
+    counts, _, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
+    ids = np.array([ask[1] for ask in asks] * n)
     jobs = [(asks[g % 3][0], np.random.default_rng([21, g]))
             for g in range(3 * n)]
     sums = gse_mod._stage_sums(jobs, counts, ids)
@@ -1037,6 +1050,33 @@ class TestInheritance:
     """A run whose stage was saturated with cond(V) <= sqrt(1e12) plans no
     later stage and pulls with ``_inherited_counts``'s shared row, which
     must be what the full build gives."""
+
+    @pytest.mark.parametrize("strategy", ["fw-g", "uniform"])
+    def test_inherited_rows_sum_to_n(self, strategy):
+        """A run's ``total_pulls`` is n per stage, so every counts row it
+        pulls with must sum to n.  Uniform rows do for n < m too; a fw-g
+        run inherits only from a stage that pulled each of its arms, so
+        its later stages have fewer arms than pulls."""
+        for m in range(1, 13):
+            for n in range(1 if strategy == "uniform" else m, 3 * m + 8):
+                assert gse_mod._inherited_counts(m, n, strategy).sum() == n
+
+    def test_a_retried_rounding_row_sums_to_n(self, monkeypatch):
+        """Four pulls on eight arms of rank three: ``_round_rows`` rejects
+        the design's support and ``allocate_budget``'s retry rounds the
+        plan block's row, which still sums to n."""
+        retried, allocate = [], gse_mod.allocate_budget
+
+        def spy(n, *args):
+            retried.append(n)
+            return allocate(n, *args)
+
+        monkeypatch.setattr(gse_mod, "allocate_budget", spy)
+        inst = gen_sphere_instance(8, 3, np.random.default_rng(5))
+        block, row = gse_mod._plan_stages(
+            DesignCache(), [(inst, tuple(range(8)), 4, "fw-g")])[0]
+        assert retried == [4]
+        assert block.counts[row].sum() == 4
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["eye", "grid", "random", "sphere"]),

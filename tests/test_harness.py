@@ -1,5 +1,6 @@
 """Seed derivation, Monte-Carlo tallies, presets, and output formats."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -22,12 +23,12 @@ from hypothesis import strategies as st
 
 from fbbai.bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
 import fbbai.harness as harness_mod
-from fbbai.errors import ConfigurationError
+from fbbai.errors import ConfigurationError, DegenerateInputError
 from fbbai.gse import DesignCache, GseConfig, gse_lockstep
 from fbbai.harness import (CSV_COLUMNS, FAMILIES, PRESETS, VARIANTS, McResult,
                            SweepRow, VariantSpec, bound_for_source,
                            family_parameters, family_source, format_csv,
-                           format_json, mc_accuracy, read_csv, rep_seed,
+                           format_json, mc_accuracy, rep_seed,
                            run_point, run_preset, write_csv)
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_corner_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -91,7 +92,26 @@ class TestMcResult:
         assert res.stderr == pytest.approx(math.sqrt(0.75 * 0.25 / 16))
 
 
+def sometimes_degenerate(rng):
+    """A generator source that raises ``DegenerateInputError`` when its
+    first uniform is below 0.3, and else returns a noiseless instance, on
+    which every run succeeds."""
+    if rng.random() < 0.3:
+        raise DegenerateInputError("synthetic degenerate draw")
+    return noiseless(gen_static_instance(1.0, K=4))
+
+
 class TestMcAccuracy:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_generator_errors_count_as_aborts(self, workers):
+        raising = sum(np.random.default_rng(
+            rep_seed(5, "custom", "gse-fwg", 40, r).spawn(2)[0]).random() < 0.3
+            for r in range(40))
+        assert 0 < raising < 40
+        res = mc_accuracy(sometimes_degenerate, "gse-fwg", 40, 40, 5,
+                          workers=workers)
+        assert (res.aborts, res.successes) == (raising, 40 - raising)
+
     def test_noiseless_instance_always_succeeds(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
         res = mc_accuracy(inst, "gse-fwg", 40, 8, 0, workers=1)
@@ -385,6 +405,28 @@ class TestKeptPool:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["False False", "True True"]
+
+    def test_the_kept_pool_is_closed_at_exit(self):
+        # the script's hook is registered before fbbai's, so it runs after
+        script = (
+            "import atexit\n"
+            "def report():\n"
+            "    import fbbai.harness\n"
+            "    print(fbbai.harness._pool is None)\n"
+            "atexit.register(report)\n"
+            "from fbbai.harness import mc_accuracy\n"
+            "from fbbai.instances import gen_static_instance\n"
+            "inst = gen_static_instance(0.5, K=4, sigma2=4.0)\n"
+            "mc_accuracy(inst, 'gse-fwg', 40, 40, 9, workers=2)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["True"]
+        assert "Exception ignored" not in proc.stderr
 
     def test_a_process_that_ran_a_pooled_point_exits_cleanly(self):
         script = (
@@ -871,6 +913,7 @@ class TestFormats:
     def test_csv_roundtrip_through_files(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_csv(path, [sample_row(bound_delta=0.25)])
-        back = read_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            back = list(csv.DictReader(fh))
         assert back[0]["bound_delta"] == "0.25"
         assert back[0]["family"] == "static"
