@@ -69,6 +69,11 @@ CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
 BUDGET_LIMIT = 2 ** 53
 
 
+def _cert_target(d: int, tol: float = 0.01) -> float:
+    """The largest g that certifies a design of span dimension d."""
+    return d * (1.0 + tol) + CERT_SLACK
+
+
 def _check_budget(n: int) -> None:
     if n >= BUDGET_LIMIT:
         raise ConfigurationError(f"budget {n} is not below 2**53")
@@ -238,7 +243,7 @@ def _fw_solve(arms: np.ndarray, iterations: int | None = None,
             f"iteration cap must be None or nonnegative, not {iterations}")
     B, K, d = arms.shape
     cap = default_iteration_cap(K, d, tol) if iterations is None else int(iterations)
-    target = d * (1.0 + tol) + CERT_SLACK
+    target = _cert_target(d, tol)
     finite = np.isfinite(arms).all(axis=(1, 2))
     errors = {b: SingularDesignError("arms must be finite")
               for b in np.flatnonzero(~finite).tolist()}
@@ -386,7 +391,7 @@ def kw_certificate(design: Design, arms: np.ndarray, eps: float = 0.01) -> bool:
         g, _ = g_value_and_argmax(design.weights, arms)
     except SingularDesignError:
         return False
-    return bool(g <= arms.shape[1] * (1.0 + eps) + CERT_SLACK)
+    return bool(g <= _cert_target(arms.shape[1], eps))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,11 @@ are built together, as plan blocks: the keys of one shape and strategy
 get one stacked SVD projection, Frank-Wolfe solve, rounding and
 saturation test, and keep their rows stacked in a ``_PlanBlock``, from
 which a ``StagePlan`` is made only when a trace or ``DesignCache.plan``
-asks for it.  Each job draws on its own generator: a Bernoulli job each
+asks for it.  A square set (m = d_t) takes Frank-Wolfe's iteration 0
+outside the loop: where uniform weights certify, as they do for m
+independent arms, its row is the design the loop would stop with and the
+shared counts row of its (m, n), so it neither loops nor rounds.  Each
+job draws on its own generator: a Bernoulli job each
 arm's sum S_i ~ Binomial(c_i, mu_i), a Gaussian job one standard-normal
 call for its pulls, scaled and summed per block of jobs
 (``_block_sums``).  Saturated stages take their means S_i / c_i as one
@@ -51,11 +55,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .design import (Design, _check_budget, _design, _fw_solve, _info_matrix,
-                     _round_rows, allocate_budget)
+from .design import (Design, _all_norms, _cert_target, _check_budget, _design,
+                     _fw_solve, _info_matrix, _round_rows, allocate_budget)
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
-from .errors import ConfigurationError, EstimationFailureError, FbbaiError, _one
+from .errors import (ConfigurationError, EstimationFailureError, FbbaiError,
+                     SingularDesignError, _one)
 from .estimators import (COND_LIMIT, RegressionData, irls_glm_stack,
                          least_squares_stack, mean_estimates_stack)
 # bench/tracer.py patches these names
@@ -160,13 +165,16 @@ class _PlanBlock:
     ``inherit``, ``projected``, ``basis`` and the solver's (weights, g,
     iterations, certified) ``design`` arrays, none for uniform counts.
     Uniform counts give the remainder pulls to the lowest active ids
-    (``_uniform_counts``).  Rounding retries a row it rejects alone
-    (``allocate_budget``); a key whose budget is below d_t or whose build
-    raises leaves ``keys`` for the dict ``failed``, with its error.  One
-    ``np.linalg.cond`` of the rows' V gives both flags: ``saturated``
-    (m = d_t and cond(V) < ``COND_LIMIT``) and ``inherit`` (saturated,
-    cond(V) <= ``INHERIT_COND`` and counts within a factor 2; see
-    ``DesignCache``).  ``plan`` makes a row's ``StagePlan`` on request,
+    (``_uniform_counts``).  fw-g rows come from ``_design_counts``: a
+    square row whose uniform weights certify at the hoisted iteration 0
+    takes them and the shared row ``_inherited_counts(m, n, "fw-g")``;
+    the others are solved and rounded, and rounding retries a row it
+    rejects alone (``allocate_budget``).  A key whose budget is below d_t
+    or whose build raises leaves ``keys`` for the dict ``failed``, with
+    its error.  One ``np.linalg.cond`` of the rows' V gives both flags:
+    ``saturated`` (m = d_t and cond(V) < ``COND_LIMIT``) and ``inherit``
+    (saturated, cond(V) <= ``INHERIT_COND`` and counts within a factor 2;
+    see ``DesignCache``).  ``plan`` makes a row's ``StagePlan`` on request,
     once.
     """
 
@@ -179,16 +187,7 @@ class _PlanBlock:
         if uniform:
             counts, design = _uniform_counts(n, ids), []
         else:
-            *design, errors = DesignCache.design(projected)
-            bad = {**errors, **bad}
-            counts, short = _round_rows(n, design[0])
-            for b in short:
-                if b not in bad:
-                    try:
-                        counts[b] = allocate_budget(int(n[b]), _design(design, b),
-                                                    projected[b])
-                    except FbbaiError as exc:
-                        bad[b] = exc
+            counts, design = _design_counts(n, projected, bad)
         self.failed = {keys[b]: exc for b, exc in bad.items()}
         if bad:
             keep = np.delete(np.arange(len(keys)), list(bad))
@@ -215,6 +214,56 @@ class _PlanBlock:
         return self.plans[row]
 
 
+def _design_counts(n: np.ndarray, projected: np.ndarray,
+                   bad: dict) -> tuple[np.ndarray, list]:
+    """The (B, m) fw-g counts and the design arrays of a block's rows,
+    given their budgets and (B, m, d_t) projected arms.  ``bad`` maps the
+    rows whose budget is below d_t, which are not solved, to their error;
+    the rows whose solve or rounding raises join it.
+
+    Square rows (m = d_t) get Frank-Wolfe's iteration 0 here, the loop's
+    own first computation: one stacked ``_all_norms`` of weights 1.0 / m.
+    A row whose largest norm g certifies takes the design the loop would
+    stop with (weights 1.0 / m, g, 0 iterations, certified) and the
+    shared row ``_inherited_counts(m, n, "fw-g")``, which is
+    ``_round_rows`` of those weights; uniform g is m for m independent
+    arms (Kiefer-Wolfowitz), so nearly every square row takes it.  The
+    other rows, and every row of a block whose stacked factorization
+    raises, are solved by ``DesignCache.design`` and rounded, retrying a
+    rejected row alone (``allocate_budget``).  Stacked kernels give each
+    row its lone bits, so every row is its lone solve and rounding."""
+    B, m, dim = projected.shape
+    design = [np.full((B, m), 1.0 / m), np.full(B, np.inf),
+              np.zeros(B, dtype=int), np.zeros(B, dtype=bool)]
+    if m == dim:
+        try:
+            design[1] = _all_norms(design[0], projected).max(axis=1)
+        except SingularDesignError:
+            pass  # the loop renews the rows one by one
+    live = np.ones(B, dtype=bool)
+    live[list(bad)] = False
+    done = live & (design[1] <= _cert_target(dim))
+    design[3][done] = True
+    counts = np.zeros((B, m), dtype=int)
+    for size in set(n[done].tolist()):
+        counts[done & (n == size)] = _inherited_counts(m, size, "fw-g")
+    rest = np.flatnonzero(live & ~done)
+    if rest.size:
+        *solved, errors = DesignCache.design(projected[rest])
+        for a, rows in zip(design, solved):
+            a[rest] = rows
+        bad.update((int(rest[i]), exc) for i, exc in errors.items())
+        counts[rest], short = _round_rows(n[rest], solved[0])
+        for b in rest[list(short)].tolist():
+            if b not in bad:
+                try:
+                    counts[b] = allocate_budget(int(n[b]), _design(design, b),
+                                                projected[b])
+                except FbbaiError as exc:
+                    bad[b] = exc
+    return counts, design
+
+
 class DesignCache:
     """Memo of stage plans keyed by (instance, active ids, stage budget,
     strategy): a stage fixes its projection, design and rounding before it
@@ -239,6 +288,11 @@ class DesignCache:
       condition test: the same counts and the same ``saturated`` flag.
     Traced runs inherit too, but still ask for their full plans, built as
     stacks, which their ``StageTrace`` shows.
+
+    The same fact plans every square set (m = d_t), inherited or not:
+    ``_design_counts`` runs Frank-Wolfe's iteration 0 outside the loop,
+    and a row that it certifies takes the shared ``_inherited_counts``
+    row; only the other rows reach ``design``, the Frank-Wolfe solve.
     """
 
     def __init__(self) -> None:
@@ -307,15 +361,19 @@ INHERIT_COND = math.sqrt(COND_LIMIT)  # cond(V) up to which saturation is inheri
 @lru_cache(maxsize=256)  # every inheriting run of a point asks for a few
 def _inherited_counts(m: int, n: int, strategy: str) -> np.ndarray:
     """The read-only counts row of n pulls on the m active arms of a run
-    that inherits saturation (see ``DesignCache``): ``_round_rows`` of
-    weights 1.0 / m, the G-design of m independent arms, for fw-g, and
+    that inherits saturation (see ``DesignCache``), and of a square fw-g
+    plan row whose uniform weights certify (``_design_counts``):
+    ``_round_rows`` of weights 1.0 / m, the G-design of m independent
+    arms, for fw-g, raising its ``BudgetTooSmallError`` when n < m, and
     ``_uniform_counts`` for uniform, whose remainder pulls go to the
     lowest active ids, here the first m positions, since a run's active
     ids are ascending."""
     if strategy == "uniform":
         counts = _uniform_counts(np.array([n]), np.arange(m)[None])[0]
     else:
-        counts = _round_rows(np.array([n]), np.full((1, m), 1.0 / m))[0][0]
+        (counts,), errors = _round_rows(np.array([n]), np.full((1, m), 1.0 / m))
+        if errors:
+            raise errors[0]
     counts.flags.writeable = False
     return counts
 
@@ -460,8 +518,8 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     generator only, so its sums do not depend on the other jobs.
     """
     bernoulli = [instance.bernoulli for instance, _ in jobs]
-    sums = np.empty(counts.shape)
     if not any(bernoulli):
+        sums = np.empty(counts.shape)
         step = max(1, DRAW_BLOCK // max(1, int(counts.sum(axis=1).max())))
         for a in range(0, len(jobs), step):
             b = a + step
@@ -470,13 +528,15 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     means = _gather([instance for instance, _ in jobs], "means", ids)
     few = counts.shape[1] <= SCALAR_BINOMIAL_ARMS
     rows = zip(counts.tolist(), means.tolist()) if few else zip(counts, means)
-    for g, ((_, rng), (c, mu)) in enumerate(zip(jobs, rows)):
-        if bernoulli[g]:
-            sums[g] = list(map(rng.binomial, c, mu)) if few else rng.binomial(c, mu)
-    if not all(bernoulli):  # a mixed stage: its Gaussian rows go in blocks
-        gauss = [g for g, kind in enumerate(bernoulli) if not kind]
-        sums[gauss] = _stage_sums([jobs[g] for g in gauss], counts[gauss],
-                                  ids[gauss])
+    drawn = [list(map(rng.binomial, c, mu)) if few else rng.binomial(c, mu)
+             for (instance, rng), (c, mu) in zip(jobs, rows) if instance.bernoulli]
+    if len(drawn) == len(jobs):  # the rows as one array
+        return np.array(drawn, dtype=float)
+    kinds = np.array(bernoulli)  # a mixed stage: its Gaussian rows go in blocks
+    sums = np.empty(counts.shape)
+    sums[kinds] = drawn
+    sums[~kinds] = _stage_sums([job for job, kind in zip(jobs, bernoulli) if not kind],
+                               counts[~kinds], ids[~kinds])
     return sums
 
 
@@ -550,7 +610,7 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> np.ndarra
     ``keep`` arms per row: one stacked ``np.lexsort``.  Returns the (G,
     keep) survivors, each row in ascending order."""
     order = np.lexsort((ids, -mu_hat))  # primary: highest mean; then lowest id
-    return np.sort(np.take_along_axis(ids, order[:, :keep], axis=1), axis=1)
+    return np.sort(ids[np.arange(len(ids))[:, None], order[:, :keep]], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fbbai.gse as gse_mod
-from fbbai.errors import (ConfigurationError, EstimationFailureError,
-                          FbbaiError, InvalidAllocationError)
-from fbbai.estimators import irls_glm_stack
+from fbbai.design import allocate_budget, fw_g_optimal
+from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
+                          EstimationFailureError, FbbaiError,
+                          InvalidAllocationError)
+from fbbai.estimators import COND_LIMIT, irls_glm_stack
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_schedule)
 from fbbai.harness import family_source, rep_seed
@@ -131,6 +133,20 @@ class TestEliminate:
         ranked = sorted(range(m), key=lambda i: (-mu_hat[i], ids[i]))
         expected = tuple(sorted(ids[i] for i in ranked[:keep]))
         assert eliminate(ids, mu_hat, eta) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), G=st.integers(1, 8),
+           m=st.integers(1, 12), levels=st.integers(1, 3),
+           eta=st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    def test_stacked_cuts_equal_lone_cuts_on_ties(self, seed, G, m, levels, eta):
+        """Rows of ids in any order with estimates full of exact ties: each
+        row of ``eliminate_stack`` is that row's ``eliminate``."""
+        rng = np.random.default_rng(seed)
+        ids = np.array([rng.permutation(3 * m)[:m] for _ in range(G)])
+        mu_hat = rng.integers(levels, size=(G, m)).astype(float)
+        got = gse_mod.eliminate_stack(ids, mu_hat, gse_mod._ceil_div(m, eta))
+        assert [tuple(row) for row in got.tolist()] == [
+            eliminate(tuple(ids[g].tolist()), mu_hat[g], eta) for g in range(G)]
 
     def test_huge_fractional_eta_keeps_the_top_arm(self):
         assert eliminate((0, 1, 2), np.array([1.0, 3.0, 2.0]), 1e14 + 0.5) == (1,)
@@ -976,13 +992,24 @@ class TestLockstep:
         assert [type(r).__name__ for r in lone[-3:]] == [
             "ConfigurationError", "ConfigurationError", "InvalidAllocationError"]
         steps = []  # (m, inherits) of each stage group that draws
+        planning = []  # nonempty while a plan block rounds its rows
         for name, inherits in (("_inherited_counts", True), ("_plan_stacks", False)):
             def spy(*args, _f=getattr(gse_mod, name), _inherits=inherits):
                 out = _f(*args)
-                steps.append((args[0] if _inherits else out[0].shape[1],
-                              _inherits))
+                if not planning:  # square plan rows read the shared rows too
+                    steps.append((args[0] if _inherits else out[0].shape[1],
+                                  _inherits))
                 return out
             monkeypatch.setattr(gse_mod, name, spy)
+
+        def rounding(*args, _f=gse_mod._design_counts):
+            planning.append(True)
+            try:
+                return _f(*args)
+            finally:
+                planning.pop()
+
+        monkeypatch.setattr(gse_mod, "_design_counts", rounding)
         traced = gse_lockstep(jobs())
         assert {(4, True), (4, False), (2, True), (2, False)} <= set(steps)
         assert [run_summary(r) for r in traced] == [run_summary(r) for r in lone]
@@ -1046,6 +1073,78 @@ def conditioned_set(m, log_cond, rng):
 SPHERE32 = gen_sphere_instance(32, 10, np.random.default_rng(4))
 
 
+def reference_plan(inst, ids, n, strategy):
+    """The lone build of a stage plan, written apart from ``_plan_stages``:
+    ``project_to_span`` of the ids' features; uniform counts (n // m each,
+    the n % m remainder pulls to the lowest ids) or ``fw_g_optimal``
+    rounded by ``allocate_budget``; and the flags of cond(V), V = sum_i
+    c_i x_i x_i': saturated (m = d_t and cond(V) < ``COND_LIMIT``) and
+    inherit (saturated, cond(V) <= sqrt(``COND_LIMIT``) and counts within
+    a factor 2).  Returns (counts, design, saturated, inherit), or the
+    package error the build raises."""
+    ids = list(ids)
+    try:
+        arms = project_to_span(inst.features[ids], ids)
+        X = arms.projected
+        m, dim = X.shape
+        if n < dim:
+            raise ConfigurationError(f"{n} pulls cannot span dimension {dim}")
+        if strategy == "uniform":
+            base, rem = divmod(n, m)
+            counts, design = np.array([base + (sorted(ids).index(i) < rem)
+                                       for i in ids]), None
+        else:
+            design = fw_g_optimal(X)
+            counts = allocate_budget(n, design, X)
+    except FbbaiError as exc:
+        return exc
+    cond = np.linalg.cond(X.T @ (X * counts[:, None]))
+    saturated = bool(m == dim and np.isfinite(cond) and cond < COND_LIMIT)
+    inherit = bool(saturated and cond <= math.sqrt(COND_LIMIT)
+                   and counts.max() <= 2 * counts.min())
+    return counts, design, saturated, inherit
+
+
+def design_fields(design):
+    """Every bit of a design: weight bytes, g bytes, iterations, certificate."""
+    return (design.weights.tobytes(), np.float64(design.g_value).tobytes(),
+            design.iterations_used, design.certified)
+
+
+def check_plans_against_reference(keys):
+    """Plans ``keys`` in one ``_plan_stages`` call and checks each against
+    ``reference_plan``: the error class, or the design, counts and flags
+    bit for bit.  Returns each plan's Frank-Wolfe iteration count (None
+    for an error)."""
+    with np.errstate(all="ignore"):  # the loop on a subnormal V makes NaNs
+        got = gse_mod._plan_stages(DesignCache(), keys)
+        want = [reference_plan(*key) for key in keys]
+    iterations = []
+    for plan, ref in zip(got, want):
+        if isinstance(ref, FbbaiError):
+            assert type(plan) is type(ref)
+            iterations.append(None)
+            continue
+        block, row = plan
+        counts, design, saturated, inherit = ref
+        assert design_fields(block.plan(row).design) == design_fields(design)
+        assert block.counts[row].tobytes() == counts.tobytes()
+        assert (block.saturated[row], block.inherit[row]) == (saturated, inherit)
+        iterations.append(design.iterations_used)
+    return iterations
+
+
+@pytest.fixture
+def fresh_shared_rows():
+    """Empties ``_inherited_counts``'s process-wide cache before and after
+    a test that patches the rounding, so that the test reads no row cached
+    before it and leaves none built by its patch."""
+    rows = gse_mod._inherited_counts
+    rows.cache_clear()
+    yield
+    rows.cache_clear()
+
+
 class TestInheritance:
     """A run whose stage was saturated with cond(V) <= sqrt(1e12) plans no
     later stage and pulls with ``_inherited_counts``'s shared row, which
@@ -1061,7 +1160,19 @@ class TestInheritance:
             for n in range(1 if strategy == "uniform" else m, 3 * m + 8):
                 assert gse_mod._inherited_counts(m, n, strategy).sum() == n
 
-    def test_a_retried_rounding_row_sums_to_n(self, monkeypatch):
+    def test_fw_g_rows_below_the_arm_count_raise(self):
+        """n < m pulls cannot give each of m arms weight 1/m a pull: the
+        fw-g row raises ``_round_rows``'s error each time it is asked (an
+        ``lru_cache`` keeps no exception), and uniform rows still pull the
+        lowest ids."""
+        for _ in range(2):
+            with pytest.raises(BudgetTooSmallError, match="budget 3 cannot give"):
+                gse_mod._inherited_counts(5, 3, "fw-g")
+        assert gse_mod._inherited_counts(5, 3, "uniform").tolist() == [1, 1, 1, 0, 0]
+        assert gse_mod._inherited_counts(5, 7, "fw-g").tolist() == [2, 2, 1, 1, 1]
+
+    def test_a_retried_rounding_row_sums_to_n(self, monkeypatch,
+                                              fresh_shared_rows):
         """Four pulls on eight arms of rank three: ``_round_rows`` rejects
         the design's support and ``allocate_budget``'s retry rounds the
         plan block's row, which still sums to n."""
@@ -1100,22 +1211,82 @@ class TestInheritance:
         if kind == "sphere":
             ids = np.sort(rng.choice(ids, 8, replace=False))
         n = ids.size + extra
-        cache = DesignCache()
-        block, row = gse_mod._plan_stages(
-            cache, [(inst, tuple(ids.tolist()), n, strategy)])[0]
-        assume(block.inherit[row])
-        assert block.saturated[row]
+        _, _, saturated, inherit = reference_plan(inst, ids, n, strategy)
+        assume(inherit)
+        assert saturated
         while ids.size > 1:  # every later stage keeps a subset
             ids = np.sort(rng.choice(ids, int(rng.integers(1, ids.size)),
                                      replace=False))
-            full = cache.plan(inst, tuple(ids.tolist()), n, strategy)
+            counts, design, saturated, _ = reference_plan(inst, ids, n, strategy)
             inherited = gse_mod._inherited_counts(ids.size, n, strategy)
-            assert full.saturated
-            assert full.counts.tobytes() == inherited.tobytes()
+            assert saturated
+            assert counts.tobytes() == inherited.tobytes()
             assert not inherited.flags.writeable
             if strategy == "fw-g":
-                assert full.design.iterations_used == 0
-                assert full.design.certified
+                assert design.iterations_used == 0
+                assert design.certified
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 4), rows=st.lists(st.tuples(
+        st.sampled_from(["eye", "random", "random", "random", "tiny", "vanishing"]),
+        st.integers(0, 2**32 - 1), st.integers(-2, 40)), min_size=1, max_size=5))
+    @example(m=3, rows=[("eye", 0, 5), ("tiny", 1, 0), ("random", 2, 9),
+                        ("tiny", 3, 17), ("eye", 0, 1)])
+    @example(m=2, rows=[("random", 0, 3), ("vanishing", 1, 3), ("eye", 0, -1)])
+    def test_square_blocks_match_the_lone_reference(self, m, rows):
+        """One plan block of square sets (m arms of rank m), with several
+        budgets, equals the lone reference row by row and field by field.
+        Sets of cond(X) up to 1e8 certify at the hoisted iteration 0; sets
+        scaled to about 1e-160 have a subnormal V, so their uniform g may
+        miss the target and the loop runs; sets scaled to 1e-170 have V =
+        0, so the block's stacked factorization raises and every row goes
+        through the loop; a budget below m fails."""
+        keys = []
+        for kind, seed, extra in rows:
+            rng = np.random.default_rng(seed)
+            features = {
+                "eye": lambda: np.eye(m),
+                "random": lambda: conditioned_set(m, rng.uniform(0.0, 8.0),
+                                                  rng).features,
+                "tiny": lambda: rng.standard_normal((m, m)) * 10.0 ** -(
+                    160.0 + seed % 6 / 10),
+                "vanishing": lambda: rng.standard_normal((m, m)) * 1e-170,
+            }[kind]()
+            # an instance needs two arms: arm m sums the others, off the set
+            inst = BanditInstance(features=np.vstack([features, features.sum(0)]),
+                                  theta_star=np.ones(m))
+            keys.append((inst, tuple(range(m)), max(1, m + extra), "fw-g"))
+        check_plans_against_reference(keys)
+
+    def test_subnormal_square_sets_take_the_loop(self):
+        """The hoisted iteration 0 is the loop's own first computation, so
+        where it misses, the loop's answer is the lone one: of twelve
+        square sets scaled to about 1e-160 some miss and are solved past
+        iteration 0, and beside them the orthonormal sets of the same block
+        stop at iteration 0."""
+        rng = np.random.default_rng(8)
+        keys = [(BanditInstance(features=rng.standard_normal((3, 3)) * 10.0 ** -(
+                    160.0 + k % 6 / 10), theta_star=np.ones(3)), (0, 1, 2), 12, "fw-g")
+                for k in range(12)]
+        keys += [(gen_static_instance(1.0, K=3), (0, 1, 2), n, "fw-g") for n in (3, 7)]
+        iterations = check_plans_against_reference(keys)
+        assert max(i or 0 for i in iterations[:12]) > 0
+        assert iterations[12:] == [0, 0]
+
+    @pytest.mark.parametrize("kind", ["static", "grid", "sphere"])
+    def test_traced_designs_are_the_lone_solves(self, kind):
+        """Every traced stage's design and counts are the lone reference's:
+        square sets take iteration 0 outside the loop, the others the loop."""
+        inst = {"static": gen_static_instance(1.0, K=16),
+                "grid": glm_grid_instance(16, 0.75), "sphere": SPHERE32}[kind]
+        cfg = GseConfig(budget=1280, model="logistic" if kind == "grid" else "linear")
+        n = stage_schedule(inst.n_arms, cfg.eta, cfg.budget).per_stage_budget
+        for seed in range(3):
+            for t in gse_run(inst, cfg, np.random.default_rng(seed)).traces:
+                counts, design, _, _ = reference_plan(inst, t.arms.original_ids,
+                                                      n, "fw-g")
+                assert design_fields(t.design) == design_fields(design)
+                assert t.counts.tobytes() == counts.tobytes()
 
     @pytest.mark.parametrize("strategy", ["fw-g", "uniform"])
     def test_a_parent_past_the_margin_passes_nothing_on(self, monkeypatch,
@@ -1129,12 +1300,11 @@ class TestInheritance:
                               theta_star=np.linspace(0.1, 0.8, 8) / scale,
                               noise_sigma2=4.0)
         n = 30
-        block, row = gse_mod._plan_stages(
-            DesignCache(), [(inst, tuple(range(8)), n, strategy)])[0]
-        cond = np.linalg.cond(
-            (block.projected[row].T * block.counts[row]) @ block.projected[row])
+        counts, _, saturated, inherit = reference_plan(inst, range(8), n, strategy)
+        X = project_to_span(inst.features).projected
+        cond = np.linalg.cond((X.T * counts) @ X)
         assert 1e6 < cond < 1e12
-        assert block.saturated[row] and not block.inherit[row]
+        assert saturated and not inherit
 
         asked = []
         plan_stages = gse_mod._plan_stages
@@ -1160,16 +1330,19 @@ class TestInheritance:
                 assert (ids in asked) == (7 in prev)
                 kinds.add(7 in prev)
             for t in result.traces:  # the full build's counts and flags
-                full = DesignCache().plan(inst, t.arms.original_ids, n, strategy)
-                assert t.counts.tobytes() == full.counts.tobytes()
-                assert full.saturated
+                counts, _, saturated, _ = reference_plan(
+                    inst, t.arms.original_ids, n, strategy)
+                assert t.counts.tobytes() == counts.tobytes()
+                assert saturated
         assert kinds == {True, False}
 
-    def test_skewed_counts_pass_nothing_on(self, monkeypatch):
+    def test_skewed_counts_pass_nothing_on(self, monkeypatch, fresh_shared_rows):
         # the margin assumes counts within a factor 2, as counts rounded
-        # from weights 1/m are; skewed by hand, they pass nothing on
-        monkeypatch.setattr(gse_mod, "_round_rows",
-                            lambda n, weights: (np.array([[1, 1, 1, 7]]), {}))
+        # from weights 1/m are; skewed by hand in the shared row that a
+        # square set whose uniform weights certify reads, they pass
+        # nothing on
+        monkeypatch.setattr(gse_mod, "_inherited_counts",
+                            lambda m, n, strategy: np.array([1, 1, 1, 7]))
         block, row = gse_mod._plan_stages(DesignCache(), [
             (gen_static_instance(1.0, K=4), (0, 1, 2, 3), 10, "fw-g")])[0]
         assert block.saturated[row] and not block.inherit[row]
