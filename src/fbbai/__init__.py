@@ -18,8 +18,8 @@ from .errors import (BudgetTooSmallError, ConfigurationError,
                      UndefinedBoundError)
 from .estimators import (ParameterEstimate, RegressionData, irls_glm,
                          least_squares, mean_estimates)
-from .gse import (DesignCache, GseConfig, RunResult, StagePlan, StageSchedule,
-                  StageTrace, eliminate, explore, gse_lockstep, gse_run,
+from .gse import (GseConfig, RunResult, StagePlan, StageSchedule, StageTrace,
+                  eliminate, explore, gse_lockstep, gse_run, stage_plan,
                   stage_schedule)
 from .harness import (PRESETS, VARIANTS, McResult, Preset, SweepPoint,
                       SweepResult, SweepRow, VariantSpec, family_source,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BanditInstance", "BoundInputs", "BudgetTooSmallError",
-    "ConfigurationError", "DegenerateInputError", "Design", "DesignCache",
+    "ConfigurationError", "DegenerateInputError", "Design",
     "EstimationFailureError", "FbbaiError", "GseConfig", "IDENTITY",
     "InvalidAllocationError", "LOGISTIC", "McResult", "MeanFunction",
     "ParameterEstimate", "PRESETS", "Preset", "ProjectedArmSet",
@@ -52,6 +52,6 @@ __all__ = [
     "least_squares", "load_features", "load_instance_csv", "mc_accuracy",
     "mean_estimates", "noiseless", "oracle_c_min", "project_to_span",
     "rep_seed", "round_allocation", "run_point", "run_preset",
-    "sample_rewards", "stage_norm_terms", "stage_schedule", "write_csv",
-    "write_json",
+    "sample_rewards", "stage_norm_terms", "stage_plan", "stage_schedule",
+    "write_csv", "write_json",
 ]

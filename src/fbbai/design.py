@@ -65,7 +65,7 @@ SUPPORT_TOL = 1e-9
 CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
 # Below this many pulls the float64 products (n - p/2) pi_i of
 # ``_round_rows`` resolve single pulls; a larger budget is refused where it
-# enters (``GseConfig``, ``DesignCache.plan``, ``round_allocation``).
+# enters (``GseConfig``, ``stage_plan``, ``round_allocation``).
 BUDGET_LIMIT = 2 ** 53
 
 
@@ -103,13 +103,17 @@ def _info_matrix(weights: np.ndarray, arms: np.ndarray) -> np.ndarray:
 def _all_norms(weights: np.ndarray, arms: np.ndarray,
                rows: np.ndarray | None = None) -> np.ndarray:
     """x' V(pi)^{-1} x for every row x of ``rows`` (default: the arms), with
-    V(pi) built from the arms; raises on singular V.  Works on a stack too,
-    and then raises if any set's V is singular."""
+    V(pi) built from the arms; raises on singular V, and on V with a
+    diagonal entry below the smallest normal float, whose factorization
+    and norms lose their precision to subnormals.  Works on a stack too,
+    and then raises if any set's V does."""
     V = _info_matrix(weights, arms)
     try:
         chol = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("design information matrix is singular") from exc
+    if (np.diagonal(V, axis1=-2, axis2=-1) < np.finfo(float).tiny).any():
+        raise SingularDesignError("design information matrix underflows")
     half = np.linalg.solve(chol, np.swapaxes(arms if rows is None else rows, -1, -2))
     return np.einsum("...ij,...ij->...j", half, half)
 

@@ -14,7 +14,7 @@ S_i / c_i for the GLM, so such a stage ranks by the empirical means
 S_i / c_i without fitting: Sequential Halving's rule (Karnin, Koren &
 Somekh 2013).  Every later stage of a run keeps a subset of such a set,
 which is saturated too: when cond(V) <= sqrt(1e12) leaves the margin
-that interlacing needs (see ``DesignCache``), the run inherits
+that interlacing needs (see ``_inherited_counts``), the run inherits
 saturation and plans no later stage; it pulls with the counts row that
 every inheriting run of the same (m, n, strategy) shares, the row the
 full build would give.
@@ -22,12 +22,12 @@ full build would give.
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
 config, rng) jobs: the jobs of one run (stage sizes, stage budget,
 strategy, model) go through its stages in lockstep, as one cohort of
-arrays, and each stage is one pass, as stacks.  The plans the jobs lack
-are built together, as plan blocks: the keys of one shape and strategy
-get one stacked SVD projection, Frank-Wolfe solve, rounding and
-saturation test, and keep their rows stacked in a ``_PlanBlock``, from
-which a ``StagePlan`` is made only when a trace or ``DesignCache.plan``
-asks for it.  A square set (m = d_t) takes Frank-Wolfe's iteration 0
+arrays, and each stage is one pass, as stacks.  The plans a stage's jobs
+ask for are built together, as plan blocks, with no memo across stages:
+the distinct keys of one shape and strategy get one stacked SVD
+projection, Frank-Wolfe solve, rounding and saturation test, and keep
+their rows stacked in a ``_PlanBlock``, from which a ``StagePlan`` is
+made only when a trace or ``stage_plan`` asks for it.  A square set (m = d_t) takes Frank-Wolfe's iteration 0
 outside the loop: where uniform weights certify, as they do for m
 independent arms, its row is the design the loop would stop with and the
 shared counts row of its (m, n), so it neither loops nor rounds.  Each
@@ -174,8 +174,8 @@ class _PlanBlock:
     its error.  One ``np.linalg.cond`` of the rows' V gives both flags:
     ``saturated`` (m = d_t and cond(V) < ``COND_LIMIT``) and ``inherit``
     (saturated, cond(V) <= ``INHERIT_COND`` and counts within a factor 2;
-    see ``DesignCache``).  ``plan`` makes a row's ``StagePlan`` on request,
-    once.
+    see ``_inherited_counts``).  ``plan`` makes a row's ``StagePlan`` on
+    request.
     """
 
     def __init__(self, keys: list, ids: np.ndarray, n: np.ndarray,
@@ -202,16 +202,13 @@ class _PlanBlock:
                             & (counts.max(axis=1) <= 2 * counts.min(axis=1)))
         counts.flags.writeable = False
         self.keys, self.ids, self.counts, self.design = keys, ids, counts, design
-        self.projected, self.basis, self.plans = projected, basis, {}
+        self.projected, self.basis = projected, basis
 
     def plan(self, row: int) -> StagePlan:
-        if row not in self.plans:
-            arms = ProjectedArmSet(self.projected[row], self.basis[row],
-                                   tuple(self.ids[row].tolist()))
-            design = _design(self.design, row) if self.design else None
-            self.plans[row] = StagePlan(arms, self.counts[row], design,
-                                        bool(self.saturated[row]))
-        return self.plans[row]
+        arms = ProjectedArmSet(self.projected[row], self.basis[row],
+                               tuple(self.ids[row].tolist()))
+        design = _design(self.design, row) if self.design else None
+        return StagePlan(arms, self.counts[row], design, bool(self.saturated[row]))
 
 
 def _design_counts(n: np.ndarray, projected: np.ndarray,
@@ -265,82 +262,28 @@ def _design_counts(n: np.ndarray, projected: np.ndarray,
 
 
 class DesignCache:
-    """Memo of stage plans keyed by (instance, active ids, stage budget,
-    strategy): a stage fixes its projection, design and rounding before it
-    sees a reward, so runs of one instance or of many can share a cache.
-    Each key maps to its row of a ``_PlanBlock``.
-
-    A run whose stage was saturated with cond(V) <= ``INHERIT_COND`` =
-    sqrt(``COND_LIMIT``) and counts within a factor 2 inherits saturation:
-    ``gse_lockstep`` builds no later plan for it, and each later stage
-    pulls with the counts row ``_inherited_counts(m, n, strategy)`` that
-    every such run shares.  That is exactly what the full build gives:
-    - the later active arms X_sub are rows of that stage's X, and their
-      Gram matrix X_sub X_sub' is a principal submatrix of X X', so the
-      eigenvalues interlace and cond(X_sub) <= cond(X);
-    - with counts in a factor r of each other, cond(X)^2 <= r cond(V),
-      and the later counts are within a factor 2 too, so
-      cond(V_sub) <= 2 * 2 * cond(V) <= 4e6;
-    - so the full build finds rank m = d_t, certifies Frank-Wolfe at its
-      iteration 0 with weights 1.0 / m (uniform g is m exactly, and its
-      computed value is within about 1e-8 of m against the 1% tolerance),
-      rounds them to ``_inherited_counts``'s row, and passes the 1e12
-      condition test: the same counts and the same ``saturated`` flag.
-    Traced runs inherit too, but still ask for their full plans, built as
-    stacks, which their ``StageTrace`` shows.
-
-    The same fact plans every square set (m = d_t), inherited or not:
-    ``_design_counts`` runs Frank-Wolfe's iteration 0 outside the loop,
-    and a row that it certifies takes the shared ``_inherited_counts``
-    row; only the other rows reach ``design``, the Frank-Wolfe solve.
-    """
-
-    def __init__(self) -> None:
-        self._plans: dict = {}
-
-    def plan(self, instance: BanditInstance, ids: tuple[int, ...], n: int,
-             strategy: str) -> StagePlan:
-        """The plan of ``n`` pulls on the arm ids ``ids``; raises
-        ``ConfigurationError`` for non-integers, ids that are not distinct
-        arm ids in [0, K) or none at all, a strategy outside ``STRATEGIES``,
-        or ``n`` below their span dimension or not below ``BUDGET_LIMIT``."""
-        if not all(isinstance(i, Integral) for i in (*ids, n)):
-            raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
-        _check_budget(n)
-        ids, K = tuple(int(i) for i in ids), instance.n_arms
-        if not (ids and len(set(ids)) == len(ids) and 0 <= min(ids) <= max(ids) < K):
-            raise ConfigurationError(f"arm ids {ids} are not distinct ids in [0, {K})")
-        if strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"strategy {strategy!r} not one of {STRATEGIES}")
-        block, row = _one(_plan_stages(self, [(instance, ids, int(n), strategy)]))
-        return block.plan(row)
-
+    # the solve that bench/tracer.py times as design.cache; goes with ROADMAP item 21
     @staticmethod
     def design(arms: np.ndarray) -> tuple:
-        # a method of its own because bench/tracer.py times it as
-        # design.cache; called on the class, which the tracer's patch keeps
         return _fw_solve(arms)
 
 
-def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
+def _plan_stages(keys: Sequence[tuple],
                  ) -> list[Union[tuple[_PlanBlock, int], FbbaiError]]:
-    """The (block, row) plan of each (instance, ids, n, strategy) key, from
-    ``cache``; ``ids`` is a tuple of ints.
+    """The (block, row) plan of each (instance, ids, n, strategy) key, or
+    the error its build raised; ``ids`` is a tuple of ints.
 
-    The keys the cache lacks are built once each, as stacks: those of one
-    (m, d) shape and strategy are gathered (``_gather``) and projected onto
-    their span by one stacked SVD, and each span dimension d_t makes one
-    ``_PlanBlock``.  Every stacked kernel gives each key the bits of its
-    lone computation.  A key whose build raises gets its error, which is
-    not stored.
+    Each distinct key is built once, as stacks: the keys of one (m, d)
+    shape and strategy are gathered (``_gather``) and projected onto their
+    span by one stacked SVD, and each span dimension d_t makes one
+    ``_PlanBlock``.  Instances hash by identity, so keys of different
+    instances stay apart.  Every stacked kernel gives each key the bits of
+    its lone computation.  Nothing is kept after the call.
     """
-    plans = cache._plans
-    failed: dict = {}
+    plans: dict = {}  # key -> its (block, row), or its error
     by_shape = defaultdict(list)  # (m, d, uniform) -> keys to build
     for key in dict.fromkeys(keys):
-        if key not in plans:
-            by_shape[len(key[1]), key[0].dim, key[3] == "uniform"].append(key)
+        by_shape[len(key[1]), key[0].dim, key[3] == "uniform"].append(key)
     for (_, _, uniform), group in by_shape.items():
         ids = np.array([key[1] for key in group])
         n = np.array([key[2] for key in group])
@@ -350,9 +293,9 @@ def _plan_stages(cache: DesignCache, keys: Sequence[tuple],
             block = _PlanBlock([group[b] for b in items.tolist()], ids[items],
                                n[items], projected, basis, uniform)
             plans.update((key, (block, row)) for row, key in enumerate(block.keys))
-            failed.update(block.failed)
-        failed.update((group[b], exc) for b, exc in errors.items())
-    return [plans.get(key) or failed[key] for key in keys]
+            plans.update(block.failed)
+        plans.update((group[b], exc) for b, exc in errors.items())
+    return [plans[key] for key in keys]
 
 
 INHERIT_COND = math.sqrt(COND_LIMIT)  # cond(V) up to which saturation is inherited
@@ -361,13 +304,30 @@ INHERIT_COND = math.sqrt(COND_LIMIT)  # cond(V) up to which saturation is inheri
 @lru_cache(maxsize=256)  # every inheriting run of a point asks for a few
 def _inherited_counts(m: int, n: int, strategy: str) -> np.ndarray:
     """The read-only counts row of n pulls on the m active arms of a run
-    that inherits saturation (see ``DesignCache``), and of a square fw-g
-    plan row whose uniform weights certify (``_design_counts``):
-    ``_round_rows`` of weights 1.0 / m, the G-design of m independent
-    arms, for fw-g, raising its ``BudgetTooSmallError`` when n < m, and
-    ``_uniform_counts`` for uniform, whose remainder pulls go to the
-    lowest active ids, here the first m positions, since a run's active
-    ids are ascending."""
+    that inherits saturation, and of a square fw-g plan row whose uniform
+    weights certify (``_design_counts``): ``_round_rows`` of weights
+    1.0 / m, the G-design of m independent arms, for fw-g, raising its
+    ``BudgetTooSmallError`` when n < m, and ``_uniform_counts`` for
+    uniform, whose remainder pulls go to the lowest active ids, here the
+    first m positions, since a run's active ids are ascending.
+
+    A run whose stage was saturated with cond(V) <= ``INHERIT_COND`` =
+    sqrt(``COND_LIMIT``) and counts within a factor 2 inherits saturation:
+    ``gse_lockstep`` builds no later plan for it, and each later stage
+    pulls with this row.  That is exactly what the full build gives:
+    - the later active arms X_sub are rows of that stage's X, and their
+      Gram matrix X_sub X_sub' is a principal submatrix of X X', so the
+      eigenvalues interlace and cond(X_sub) <= cond(X);
+    - with counts in a factor r of each other, cond(X)^2 <= r cond(V),
+      and the later counts are within a factor 2 too, so
+      cond(V_sub) <= 2 * 2 * cond(V) <= 4e6;
+    - so the full build finds rank m = d_t, certifies Frank-Wolfe at its
+      iteration 0 with weights 1.0 / m (uniform g is m exactly, and its
+      computed value is within about 1e-8 of m against the 1% tolerance),
+      rounds them to this row, and passes the 1e12 condition test: the
+      same counts and the same ``saturated`` flag.
+    Traced runs inherit too, but still ask for their full plans, built as
+    stacks, which their ``StageTrace`` shows."""
     if strategy == "uniform":
         counts = _uniform_counts(np.array([n]), np.arange(m)[None])[0]
     else:
@@ -426,6 +386,25 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
     if n < 1:
         raise ConfigurationError(f"budget {budget} gives {s} stages no pulls")
     return StageSchedule(stages=s, per_stage_budget=n, sizes=tuple(sizes))
+
+
+def stage_plan(instance: BanditInstance, ids: tuple[int, ...], n: int,
+               strategy: str) -> StagePlan:
+    """The plan of ``n`` pulls on the arm ids ``ids``, built alone; raises
+    ``ConfigurationError`` for non-integers, ids that are not distinct arm
+    ids in [0, K) or none at all, a strategy outside ``STRATEGIES``, or
+    ``n`` below their span dimension or not below ``BUDGET_LIMIT``."""
+    if not all(isinstance(i, Integral) for i in (*ids, n)):
+        raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
+    _check_budget(n)
+    ids, K = tuple(int(i) for i in ids), instance.n_arms
+    if not (ids and len(set(ids)) == len(ids) and 0 <= min(ids) <= max(ids) < K):
+        raise ConfigurationError(f"arm ids {ids} are not distinct ids in [0, {K})")
+    if strategy not in STRATEGIES:
+        raise ConfigurationError(
+            f"strategy {strategy!r} not one of {STRATEGIES}")
+    block, row = _one(_plan_stages([(instance, ids, int(n), strategy)]))
+    return block.plan(row)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +639,7 @@ def _estimate(model: str, plans: list, sums: np.ndarray, counts: np.ndarray,
 
 
 def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Generator]],
-                 cache: Optional[DesignCache] = None, *, traces: bool = True,
-                 ) -> list[Union[RunResult, FbbaiError]]:
+                 *, traces: bool = True) -> list[Union[RunResult, FbbaiError]]:
     """Run successive elimination on every (instance, config, rng) job, the
     jobs of each run in lockstep, stage by stage; one result per job, in
     order.
@@ -670,21 +648,21 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
     fit model) step through its stages together, in one loop over
     ``zip(sizes, sizes[1:])``, as a cohort of arrays: job indices, (G, m)
     active ids and inherit flags.  Each stage is one pass: the cohort
-    splits by its inherit flag, and each group looks up the plans of its
-    jobs at once (``_plan_stages``), building the missing ones as stacks;
-    a group that inherits saturation (see ``DesignCache``) asks for none
-    unless its traces need them, and pulls with its one
-    ``_inherited_counts`` row.  The group draws (``_stage_sums``),
-    estimates and is cut (``eliminate_stack``) together, and its survivors
-    rejoin the cohort.  Every stage's counts sum to n, so a finished run's
-    ``total_pulls`` is n times its stage count.  A job draws from its own
-    generator, in the order a lone run draws, and every stacked step gives
-    it the bits of its lone computation, so its result does not depend on
-    the other jobs.  Jobs share ``cache``, or else one made for this call;
-    plans are keyed by instance, so jobs of different instances can share
-    it.  A package error ends only the job that raised it and takes the
-    place of its result.  With ``traces=False`` no ``StageTrace`` is
-    built and every result's ``traces`` is ``()``; nothing else changes.
+    splits by its inherit flag, and each group has the plans of its jobs
+    built at once, as stacks (``_plan_stages``): jobs of one instance that
+    ask for one key share its plan row, and a key holds its instance, so
+    jobs of different instances never share one.  A group that inherits
+    saturation asks for no plan unless its traces need them, and pulls
+    with its one ``_inherited_counts`` row.  The group draws
+    (``_stage_sums``), estimates and is cut (``eliminate_stack``)
+    together, and its survivors rejoin the cohort.  Every stage's counts
+    sum to n, so a finished run's ``total_pulls`` is n times its stage
+    count.  A job draws from its own generator, in the order a lone run
+    draws, and every stacked step gives it the bits of its lone
+    computation, so its result does not depend on the other jobs.  A
+    package error ends only the job that raised it and takes the place of
+    its result.  With ``traces=False`` no ``StageTrace`` is built and
+    every result's ``traces`` is ``()``; nothing else changes.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
@@ -705,7 +683,6 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
              config.model].append(j)
     draws = [(instance, rng) for instance, _, rng in jobs]
     trace_of: dict = defaultdict(list)  # job index -> its StageTraces
-    cache = DesignCache() if cache is None else cache
     for (sizes, n, strategy, model), js in runs.items():
         idx, inherits = np.array(js), np.zeros(len(js), dtype=bool)
         active = np.broadcast_to(np.arange(sizes[0]), (idx.size, sizes[0]))
@@ -717,7 +694,7 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
                 group, ids = idx[mask], active[mask]
                 got = []
                 if traces or not inherit:
-                    got = _plan_stages(cache, [
+                    got = _plan_stages([
                         (draws[j][0], row, n, strategy) for j, row in zip(
                             group.tolist(), map(tuple, ids.tolist()))])
                     bad = [g for g, plan in enumerate(got)
@@ -763,8 +740,7 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
 
 
 def gse_run(instance: BanditInstance, config: GseConfig,
-            rng: np.random.Generator,
-            cache: Optional[DesignCache] = None) -> RunResult:
+            rng: np.random.Generator) -> RunResult:
     """Run successive elimination and recommend the single surviving arm:
     ``gse_lockstep`` on one job, raising the error that ends it."""
-    return _one(gse_lockstep([(instance, config, rng)], cache))
+    return _one(gse_lockstep([(instance, config, rng)]))

@@ -123,7 +123,8 @@ class BanditInstance:
     name : str
         Label used in result tables.
 
-    Instances hash and compare by identity, so they can key plan memos.
+    Instances hash and compare by identity, so the plan keys of one
+    ``gse_lockstep`` stage tell instances apart.
     """
 
     features: np.ndarray

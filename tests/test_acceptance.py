@@ -21,7 +21,7 @@ from fbbai.bounds import (BoundInputs, bound_glm_gopt, bound_linear_gopt,
 from fbbai.design import (d_opt_gradient, fw_g_optimal, fw_g_optimal_stack,
                           g_gradient, g_value_and_argmax)
 from fbbai.estimators import RegressionData, irls_glm, least_squares
-from fbbai.gse import DesignCache, GseConfig, gse_lockstep, gse_run
+from fbbai.gse import GseConfig, gse_lockstep, gse_run
 from fbbai.harness import (family_source, format_csv, mc_accuracy, rep_seed,
                            run_preset)
 from fbbai.instances import (IDENTITY, LOGISTIC, BanditInstance,
@@ -400,13 +400,13 @@ def test_criterion_08_adaptive_design_beats_uniform():
         variance = {}
         for variant, strategy in (("gse-fwg", "fw-g"),
                                   ("gse-uniform", "uniform")):
-            # the same streams and cache sharing as the harness chunks
+            # the same streams and batching as the harness chunks
             config = GseConfig(budget=budget, strategy=strategy,
                                model="linear")
             runs = gse_lockstep(
                 [(inst, config, np.random.default_rng(
                     rep_seed(seed, "adaptive", variant, budget, r).spawn(2)[1]))
-                 for r in range(R)], DesignCache())
+                 for r in range(R)])
             first = runs[0].traces[0]
             assert first.arms.original_ids == tuple(range(inst.n_arms))
             for run in runs:

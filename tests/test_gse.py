@@ -15,10 +15,10 @@ import fbbai.gse as gse_mod
 from fbbai.design import allocate_budget, fw_g_optimal
 from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
                           EstimationFailureError, FbbaiError,
-                          InvalidAllocationError)
+                          InvalidAllocationError, SingularDesignError)
 from fbbai.estimators import COND_LIMIT, irls_glm_stack
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
-                       gse_lockstep, gse_run, stage_schedule)
+                       gse_lockstep, gse_run, stage_plan, stage_schedule)
 from fbbai.harness import family_source, rep_seed
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
                              gen_logistic_instance, gen_sphere_instance,
@@ -51,8 +51,7 @@ class TestConfig:
     def test_budgets_below_2_53_accepted(self):
         assert GseConfig(budget=2**53 - 1).budget == 2**53 - 1
         with pytest.raises(ConfigurationError, match=r"not below 2\*\*53"):
-            DesignCache().plan(gen_static_instance(1.0, K=4), (0, 1), 2**53,
-                               "uniform")
+            stage_plan(gen_static_instance(1.0, K=4), (0, 1), 2**53, "uniform")
 
     def test_numpy_integer_budget_accepted(self):
         assert GseConfig(budget=np.int64(40)).budget == 40
@@ -173,7 +172,7 @@ class TestExplore:
     def test_uniform_split_with_remainder(self):
         inst = noiseless(gen_static_instance(1.0, K=4))
         active = project_to_span(inst.features)
-        plan = DesignCache().plan(inst, (0, 1, 2, 3), 10, "uniform")
+        plan = stage_plan(inst, (0, 1, 2, 3), 10, "uniform")
         data = explore(inst, plan, np.random.default_rng(0))
         assert list(plan.counts) == [3, 3, 2, 2]
         assert plan.design is None
@@ -187,33 +186,32 @@ class TestExplore:
     def test_uniform_remainders_go_to_the_lowest_ids(self):
         # six arms in R^2, so the set is not saturated and n < m is allowed
         inst = gen_sphere_instance(6, 2, np.random.default_rng(0))
-        cache = DesignCache()
         listed = (5, 1, 3, 0, 2, 4)
         for n, by_id in [(4, [1, 1, 1, 1, 0, 0]), (8, [2, 2, 1, 1, 1, 1]),
                          (15, [3, 3, 3, 2, 2, 2])]:
-            plan = cache.plan(inst, listed, n, "uniform")
+            plan = stage_plan(inst, listed, n, "uniform")
             assert not plan.saturated
             assert plan.counts.tolist() == [by_id[i] for i in listed]
-            ascending = cache.plan(inst, tuple(range(6)), n, "uniform")
+            ascending = stage_plan(inst, tuple(range(6)), n, "uniform")
             assert ascending.counts.tolist() == by_id
         # the shared rows of inheriting runs follow the same rule
         eye = gen_static_instance(1.0, K=4)
         assert gse_mod._inherited_counts(4, 10, "uniform").tolist() == \
-            cache.plan(eye, (0, 1, 2, 3), 10, "uniform").counts.tolist() == \
+            stage_plan(eye, (0, 1, 2, 3), 10, "uniform").counts.tolist() == \
             [3, 3, 2, 2]
 
     def test_stage_budget_below_dimension_rejected(self):
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError):
-            DesignCache().plan(inst, (0, 1, 2, 3), 3, "uniform")
+            stage_plan(inst, (0, 1, 2, 3), 3, "uniform")
 
     def test_non_integer_ids_rejected(self):
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError, match="must be integers"):
-            DesignCache().plan(inst, (0.5, 1.2, 2.9, 3), 10, "uniform")
+            stage_plan(inst, (0.5, 1.2, 2.9, 3), 10, "uniform")
         with pytest.raises(ConfigurationError, match="must be integers"):
-            DesignCache().plan(inst, (0, 1, 2, 3), 10.0, "uniform")
-        plan = DesignCache().plan(inst, np.arange(4), 10, "uniform")
+            stage_plan(inst, (0, 1, 2, 3), 10.0, "uniform")
+        plan = stage_plan(inst, np.arange(4), 10, "uniform")
         assert plan.arms.original_ids == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("ids", [(), (-1, 0), (0, 0, 1), (0, 9)])
@@ -221,51 +219,38 @@ class TestExplore:
         # none, negative, repeated and out-of-range ids of K = 4 arms
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError, match="distinct"):
-            DesignCache().plan(inst, ids, 10, "fw-g")
+            stage_plan(inst, ids, 10, "fw-g")
 
     def test_unknown_strategy_rejected(self):
         # as GseConfig rejects it, rather than planning a G-design
         inst = gen_static_instance(1.0, K=4)
-        cache = DesignCache()
         with pytest.raises(ConfigurationError, match="'bogus' not one of"):
-            cache.plan(inst, (0, 1, 2, 3), 10, "bogus")
-        assert not cache._plans
+            stage_plan(inst, (0, 1, 2, 3), 10, "bogus")
 
     def test_design_allocation_spends_the_stage_budget(self):
         inst = noiseless(gen_adaptive_instance(4))
-        plan = DesignCache().plan(inst, tuple(range(inst.n_arms)), 40, "fw-g")
+        plan = stage_plan(inst, tuple(range(inst.n_arms)), 40, "fw-g")
         data = explore(inst, plan, np.random.default_rng(0))
         assert plan.counts.sum() == 40 and data.n == 40
         assert plan.design is not None and plan.design.certified
 
-    def test_cached_design_is_reused(self):
-        inst = gen_adaptive_instance(3)
-        ids = tuple(range(inst.n_arms))
-        cache = DesignCache()
-        p1 = cache.plan(inst, ids, 30, "fw-g")
-        explore(inst, p1, np.random.default_rng(0))
-        p2 = cache.plan(inst, ids, 30, "fw-g")
-        assert p1.design is p2.design
-
     def test_saturation_needs_independent_well_conditioned_arms(self):
-        cache = DesignCache()
         eye = gen_static_instance(1.0, K=4)  # orthonormal arms, m = d_t
-        assert cache.plan(eye, (0, 1, 2, 3), 8, "uniform").saturated
-        assert cache.plan(eye, (1, 3), 8, "fw-g").saturated
+        assert stage_plan(eye, (0, 1, 2, 3), 8, "uniform").saturated
+        assert stage_plan(eye, (1, 3), 8, "fw-g").saturated
         five = gen_adaptive_instance(4)  # five arms in R^4
-        assert not cache.plan(five, tuple(range(5)), 40, "fw-g").saturated
+        assert not stage_plan(five, tuple(range(5)), 40, "fw-g").saturated
         # independent, but cond(V) is about 4e15: the linear fit refuses it
         close = BanditInstance(features=np.array([[1.0, 0.0], [1.0, 3e-8]]),
                                theta_star=np.array([1.0, 0.0]))
-        assert not cache.plan(close, (0, 1), 4, "uniform").saturated
+        assert not stage_plan(close, (0, 1), 4, "uniform").saturated
 
     def test_cached_counts_are_shared_and_read_only(self):
+        # two jobs of one instance ask for one stage-1 key, built once
         inst = gen_static_instance(0.5, K=8, sigma2=4.0)
         cfg = GseConfig(budget=80)
-        cache = DesignCache()
-        a = gse_run(inst, cfg, np.random.default_rng(0), cache)
-        b = gse_run(inst, cfg, np.random.default_rng(1), cache)
-        assert a.traces[0].counts is b.traces[0].counts
+        a, b = gse_lockstep([(inst, cfg, np.random.default_rng(s)) for s in (0, 1)])
+        assert np.shares_memory(a.traces[0].counts, b.traces[0].counts)
         with pytest.raises(ValueError):
             a.traces[0].counts[0] = 0
 
@@ -391,9 +376,8 @@ class TestExploreStack:
         # with one take
         asks = [(self.WIDE, self.SUBSET, 20, "uniform"),
                 (self.WIDE, tuple(range(1, 9)), 40, "fw-g")] * 3
-        rows = gse_mod._plan_stages(DesignCache(), asks)
-        plans = [block.plan(row) for block, row in rows]
-        assert plans[0] is plans[2] and plans[1] is plans[5]
+        rows = gse_mod._plan_stages(asks)
+        assert rows[0] == rows[2] and rows[1] == rows[5]
         self.check_sums(asks, rows)
 
     def test_back_to_back_stages_on_the_kept_buffers(self):
@@ -441,7 +425,7 @@ class TestExploreStack:
     @staticmethod
     def lone_rows(asks):
         """Each ask's (block, row) plan, planned alone."""
-        return [gse_mod._plan_stages(DesignCache(), [ask])[0] for ask in asks]
+        return [gse_mod._plan_stages([ask])[0] for ask in asks]
 
     @staticmethod
     def check_sums(asks, rows):
@@ -543,21 +527,12 @@ class TestGseRun:
         for ta, tb in zip(a.traces, b.traces):
             assert np.array_equal(ta.mu_hat, tb.mu_hat)
 
-    def test_cache_does_not_change_the_run(self):
-        inst = gen_static_instance(0.5, K=8, sigma2=4.0)
-        cfg = GseConfig(budget=80)
-        a = gse_run(inst, cfg, np.random.default_rng(7), DesignCache())
-        b = gse_run(inst, cfg, np.random.default_rng(7), None)
-        assert a.recommended == b.recommended
-        assert np.array_equal(a.traces[0].mu_hat, b.traces[0].mu_hat)
-
-    def test_a_cache_used_by_another_instance_does_not_change_the_run(self):
+    def test_another_instance_in_the_batch_does_not_change_the_run(self):
         rng = np.random.default_rng(3)
         a, b = gen_sphere_instance(8, 3, rng), gen_sphere_instance(8, 3, rng)
         cfg = GseConfig(budget=120)
-        cache = DesignCache()
-        gse_run(a, cfg, np.random.default_rng(0), cache)
-        shared = gse_run(b, cfg, np.random.default_rng(1), cache)
+        _, shared = gse_lockstep([(a, cfg, np.random.default_rng(0)),
+                                  (b, cfg, np.random.default_rng(1))])
         alone = gse_run(b, cfg, np.random.default_rng(1))
         assert run_summary(shared) == run_summary(alone)
         assert np.array_equal(shared.traces[0].arms.projected,
@@ -725,10 +700,10 @@ def plan_summary(plan):
 
 
 def planned(asks):
-    """The plans of one ``_plan_stages`` call on a new cache, each made a
-    ``StagePlan`` from its block row, or the error of its key."""
+    """The plans of one ``_plan_stages`` call, each made a ``StagePlan``
+    from its block row, or the error of its key."""
     return [plan if isinstance(plan, FbbaiError) else plan[0].plan(plan[1])
-            for plan in gse_mod._plan_stages(DesignCache(), asks)]
+            for plan in gse_mod._plan_stages(asks)]
 
 
 def lone_run(job):
@@ -756,32 +731,64 @@ class TestLockstep:
     @given(specs=st.lists(st.tuples(st.integers(0, len(JOB_KINDS) - 1),
                                     st.integers(0, 2**32 - 1)),
                           min_size=1, max_size=8),
-           cuts=st.sets(st.integers(1, 7)),
-           shared=st.booleans())
-    def test_any_batching_matches_lone_runs(self, specs, cuts, shared):
+           cuts=st.sets(st.integers(1, 7)))
+    def test_any_batching_matches_lone_runs(self, specs, cuts):
         """Traced batches give each job its lone run's traces, and untraced
         batches, as the harness runs them, its lone outcome."""
         lone = [lone_summary(make_job(*spec)) for spec in specs]
         bounds = [0] + sorted(c for c in cuts if c < len(specs)) + [len(specs)]
         for traces in (True, False):
-            # shared: one cache for every batch and all their instances
-            cache = DesignCache() if shared else None
             got = []
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 batch = [make_job(*spec) for spec in specs[lo:hi]]
-                got += gse_lockstep(batch, cache, traces=traces)
+                got += gse_lockstep(batch, traces=traces)
             if traces:
                 assert [run_summary(res) for res in got] == lone
             else:
                 assert [outcome(res) for res in got] == [
                     outcome(lone_run(make_job(*spec))) for spec in specs]
 
-    def test_one_cache_keeps_a_batch_of_instances_apart(self):
+    def test_one_call_keeps_a_batch_of_instances_apart(self):
         # two sphere and two logistic instances whose stage keys collide
+        # but for their instance
         specs = [(0, 1), (0, 2), (4, 1), (4, 2)]
-        got = gse_lockstep([make_job(*spec) for spec in specs], DesignCache())
+        got = gse_lockstep([make_job(*spec) for spec in specs])
         assert [run_summary(res) for res in got] == [
             lone_summary(make_job(*spec)) for spec in specs]
+
+    def test_groups_of_one_stage_that_ask_for_one_key_match_lone_runs(
+            self, monkeypatch):
+        """Eight arms in R^4, arms 0 and 1 clearly best.  A job whose
+        stage-2 set holds two of the nearly parallel arms 2, 3 and 4 is
+        saturated with cond(V) between 1e6 and 1e12 and inherits nothing;
+        the others inherit.  All keep the pair (0, 1), so the last stage's
+        two groups ask for one key in two ``_plan_stages`` calls, each
+        building it.  Every job's traces are its lone run's."""
+        h = math.sqrt(0.5)
+        features = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 1, 1e-4], [0, 0, 1, -1e-4], [0, 0, 0, 1],
+                             [0, 0, h, h], [0, 0, h, -h]])
+        inst = BanditInstance(features=features,
+                              theta_star=np.array([2.0, 1.5, 0.0, 0.0]))
+        config = GseConfig(300)
+
+        def jobs():
+            return [(inst, config, np.random.default_rng(s)) for s in range(12)]
+
+        calls = []  # the key set of each call
+        plan_stages = gse_mod._plan_stages
+
+        def spy(keys):
+            calls.append(set(keys))
+            return plan_stages(keys)
+
+        monkeypatch.setattr(gse_mod, "_plan_stages", spy)
+        got = gse_lockstep(jobs())
+        monkeypatch.undo()
+        # consecutive calls of one stage: one per inherit flag
+        assert [key[1] for a, b in zip(calls, calls[1:]) for key in a & b] == [(0, 1)]
+        assert [run_summary(run) for run in got] == [lone_summary(job)
+                                                     for job in jobs()]
 
     @pytest.mark.parametrize("max_iter", [8, 100])
     def test_fits_stopped_at_max_iter_carry_through_runs(self, max_iter,
@@ -827,9 +834,9 @@ class TestLockstep:
 
         monkeypatch.setattr(DesignCache, "design", staticmethod(counting))
         cfg = GseConfig(budget=60)
-        # one fixed instance and a shared cache: stage 1 has one key
+        # one fixed instance: stage 1 has one key
         jobs = [(ADAPTIVE, cfg, np.random.default_rng(s)) for s in range(6)]
-        gse_lockstep(jobs, DesignCache())
+        gse_lockstep(jobs)
         assert stacks[0] == (1, 4, 3)
         stacks.clear()
         # fresh instances: every job misses, one stack per shape
@@ -868,7 +875,8 @@ class TestLockstep:
         ]
         batch = planned(asks)
         alone = [planned([ask])[0] for ask in asks]
-        assert batch[repeated] is batch[first]
+        rows = gse_mod._plan_stages(asks)
+        assert rows[repeated] == rows[first]
         assert [plan_summary(p) for p in batch] == [plan_summary(p) for p in alone]
         assert {plan_summary(p) for p in batch} >= {
             "ConfigurationError", "DegenerateInputError"}
@@ -1034,9 +1042,9 @@ class TestLockstep:
         calls = []  # (name, m, inherits, rows) of each call
         plan_stages, stage_sums = gse_mod._plan_stages, gse_mod._stage_sums
 
-        def plan_spy(cache, keys):
+        def plan_spy(keys):
             calls.append(("plan", len(keys[0][1]), False, len(keys)))
-            return plan_stages(cache, keys)
+            return plan_stages(keys)
 
         def sums_spy(draws, counts, ids):
             calls.append(("sums", counts.shape[1], counts.strides[0] == 0,
@@ -1045,7 +1053,7 @@ class TestLockstep:
 
         monkeypatch.setattr(gse_mod, "_plan_stages", plan_spy)
         monkeypatch.setattr(gse_mod, "_stage_sums", sums_spy)
-        got = gse_lockstep(jobs(), DesignCache(), traces=False)
+        got = gse_lockstep(jobs(), traces=False)
         monkeypatch.undo()
         steps = [call[:3] for call in calls]
         assert len(set(steps)) == len(steps)
@@ -1116,9 +1124,8 @@ def check_plans_against_reference(keys):
     ``reference_plan``: the error class, or the design, counts and flags
     bit for bit.  Returns each plan's Frank-Wolfe iteration count (None
     for an error)."""
-    with np.errstate(all="ignore"):  # the loop on a subnormal V makes NaNs
-        got = gse_mod._plan_stages(DesignCache(), keys)
-        want = [reference_plan(*key) for key in keys]
+    got = gse_mod._plan_stages(keys)
+    want = [reference_plan(*key) for key in keys]
     iterations = []
     for plan, ref in zip(got, want):
         if isinstance(ref, FbbaiError):
@@ -1185,7 +1192,7 @@ class TestInheritance:
         monkeypatch.setattr(gse_mod, "allocate_budget", spy)
         inst = gen_sphere_instance(8, 3, np.random.default_rng(5))
         block, row = gse_mod._plan_stages(
-            DesignCache(), [(inst, tuple(range(8)), 4, "fw-g")])[0]
+            [(inst, tuple(range(8)), 4, "fw-g")])[0]
         assert retried == [4]
         assert block.counts[row].sum() == 4
 
@@ -1237,10 +1244,10 @@ class TestInheritance:
         """One plan block of square sets (m arms of rank m), with several
         budgets, equals the lone reference row by row and field by field.
         Sets of cond(X) up to 1e8 certify at the hoisted iteration 0; sets
-        scaled to about 1e-160 have a subnormal V, so their uniform g may
-        miss the target and the loop runs; sets scaled to 1e-170 have V =
-        0, so the block's stacked factorization raises and every row goes
-        through the loop; a budget below m fails."""
+        scaled to about 1e-160 have a subnormal V and sets scaled to 1e-170
+        have V = 0, so their rows fail, and the block's stacked
+        factorization raises and every row goes through the loop; a budget
+        below m fails."""
         keys = []
         for kind, seed, extra in rows:
             rng = np.random.default_rng(seed)
@@ -1258,20 +1265,57 @@ class TestInheritance:
             keys.append((inst, tuple(range(m)), max(1, m + extra), "fw-g"))
         check_plans_against_reference(keys)
 
-    def test_subnormal_square_sets_take_the_loop(self):
-        """The hoisted iteration 0 is the loop's own first computation, so
-        where it misses, the loop's answer is the lone one: of twelve
-        square sets scaled to about 1e-160 some miss and are solved past
-        iteration 0, and beside them the orthonormal sets of the same block
-        stop at iteration 0."""
+    def test_square_rows_that_miss_iteration_0_take_the_loop(self, monkeypatch):
+        """The hoisted iteration 0 is the loop's own first computation, so a
+        square row whose g misses there gets the loop's answer, the lone
+        one.  Projected onto their span, square sets of normal scale
+        certify there, up to cond(X) = 1e7 and beyond, so the hoisted g of
+        every second square row is doubled here: those rows take the loop,
+        which certifies them at its own iteration 0, and the other square
+        rows never reach it.  Sets whose third arm is the second plus a
+        perturbation of 1e-9 to 1e-14 have rank 2, not 3, and the loop
+        solves them in one iteration, without a warning."""
+        hoisted, solve = gse_mod._all_norms, DesignCache.design
+        solved = []  # rows of each Frank-Wolfe stack
+
+        def missing(weights, arms):
+            norms = hoisted(weights, arms)
+            norms[::2] *= 2.0
+            return norms
+
+        def solving(arms):
+            solved.append(len(arms))
+            return solve(arms)
+
+        monkeypatch.setattr(gse_mod, "_all_norms", missing)
+        monkeypatch.setattr(DesignCache, "design", staticmethod(solving))
+        keys = [(conditioned_set(3, log_cond, np.random.default_rng(seed)),
+                 (0, 1, 2), 12, "fw-g")
+                for seed, log_cond in enumerate(np.linspace(0.0, 7.0, 6))]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((3, 3))
+            X[2] = X[1] + 10.0 ** -rng.uniform(9.0, 14.0) * rng.standard_normal(3)
+            keys.append((BanditInstance(features=X, theta_star=np.ones(3)),
+                         (0, 1, 2), 12, "fw-g"))
+        assert check_plans_against_reference(keys) == [0] * 6 + [1] * 3
+        assert sorted(solved) == [3, 3]
+
+    def test_subnormal_square_sets_raise_a_typed_error(self):
+        """Square sets scaled to about 1e-160 have a V whose diagonal is
+        subnormal, where the factorization and the norms lose their
+        precision: the planner, the lone solve and the reference raise
+        ``SingularDesignError``, not a warning from the loop."""
         rng = np.random.default_rng(8)
-        keys = [(BanditInstance(features=rng.standard_normal((3, 3)) * 10.0 ** -(
-                    160.0 + k % 6 / 10), theta_star=np.ones(3)), (0, 1, 2), 12, "fw-g")
+        sets = [rng.standard_normal((3, 3)) * 10.0 ** -(160.0 + k % 6 / 10)
                 for k in range(12)]
-        keys += [(gen_static_instance(1.0, K=3), (0, 1, 2), n, "fw-g") for n in (3, 7)]
-        iterations = check_plans_against_reference(keys)
-        assert max(i or 0 for i in iterations[:12]) > 0
-        assert iterations[12:] == [0, 0]
+        keys = [(BanditInstance(features=X, theta_star=np.ones(3)), (0, 1, 2),
+                 12, "fw-g") for X in sets]
+        for X, key, plan in zip(sets, keys, gse_mod._plan_stages(keys)):
+            assert isinstance(plan, SingularDesignError)
+            assert isinstance(reference_plan(*key), SingularDesignError)
+            with pytest.raises(SingularDesignError):
+                fw_g_optimal(X)
 
     @pytest.mark.parametrize("kind", ["static", "grid", "sphere"])
     def test_traced_designs_are_the_lone_solves(self, kind):
@@ -1309,9 +1353,9 @@ class TestInheritance:
         asked = []
         plan_stages = gse_mod._plan_stages
 
-        def recording(cache, keys):
+        def recording(keys):
             asked.extend(key[1] for key in keys)
-            return plan_stages(cache, keys)
+            return plan_stages(keys)
 
         cfg = GseConfig(budget=3 * n, strategy=strategy)
         kinds = set()
@@ -1343,7 +1387,7 @@ class TestInheritance:
         # nothing on
         monkeypatch.setattr(gse_mod, "_inherited_counts",
                             lambda m, n, strategy: np.array([1, 1, 1, 7]))
-        block, row = gse_mod._plan_stages(DesignCache(), [
+        block, row = gse_mod._plan_stages([
             (gen_static_instance(1.0, K=4), (0, 1, 2, 3), 10, "fw-g")])[0]
         assert block.saturated[row] and not block.inherit[row]
 

@@ -502,7 +502,7 @@ class TestGoldenTallies:
     """Two fixed-instance points whose every stage is saturated, pinned bit
     for bit: the ``mc_accuracy`` tally, and a digest of the first 60
     replications' runs (every stage's counts, estimate bytes and
-    survivors) on the harness's streams with one shared cache.  The values
+    survivors) on the harness's streams in one lockstep batch.  The values
     were recorded with per-job projection, draws and cuts (the logistic
     grid's on lone runs), so they hold the stacked stage kernels to the
     lone ones."""
@@ -525,7 +525,7 @@ class TestGoldenTallies:
             jobs.append((inst, GseConfig(budget, model=model),
                          np.random.default_rng(run_ss)))
         h = hashlib.sha256()
-        for run in gse_lockstep(jobs, DesignCache()):
+        for run in gse_lockstep(jobs):
             h.update(repr(run.recommended).encode())
             for t in run.traces:
                 h.update(t.counts.tobytes())
