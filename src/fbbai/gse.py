@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import Optional, Sequence, Union
@@ -671,16 +671,16 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
     results: list = [None] * len(jobs)
     runs = defaultdict(list)  # (stage sizes K -> 1, n, strategy, model) -> jobs
     for j, (instance, config, _) in enumerate(jobs):
-        if config.strategy == "static":
-            config = replace(config, strategy="fw-g", model="linear",
-                             eta=float(instance.n_arms))
+        strategy, model, eta = config.strategy, config.model, config.eta
+        if strategy == "static":
+            strategy, model, eta = "fw-g", "linear", float(instance.n_arms)
         try:
-            schedule = stage_schedule(instance.n_arms, config.eta, config.budget)
+            schedule = stage_schedule(instance.n_arms, eta, config.budget)
         except FbbaiError as exc:
             results[j] = exc
             continue
-        runs[schedule.sizes, schedule.per_stage_budget, config.strategy,
-             config.model].append(j)
+        runs[schedule.sizes, schedule.per_stage_budget, strategy,
+             model].append(j)
     draws = [(instance, rng) for instance, _, rng in jobs]
     trace_of: dict = defaultdict(list)  # job index -> its StageTraces
     for (sizes, n, strategy, model), js in runs.items():

@@ -2,9 +2,11 @@
 
 Every replication derives its own random stream from (master seed, family,
 variant, budget, replication index), so results are identical no matter
-how replications are split across worker processes.  Aborted replications
-(any package error during a run) count as failures and are tallied
-separately.
+how replications are split across worker processes.  A chunk has NumPy's
+``SeedSequence`` mix its point's words once, and each lockstep batch
+finishes the hash for all its replications in one vectorized pass.
+Aborted replications (any package error during a run) count as failures
+and are tallied separately.
 
 Pooled points share one process-wide pool: its workers are forked once per
 worker count, reused by every later point with that count, and closed at
@@ -101,6 +103,8 @@ def _token_int(token: object) -> int:
 
 
 def _check_seed(master: int) -> None:
+    if not isinstance(master, Integral) or isinstance(master, bool):
+        raise ConfigurationError(f"seed must be an integer, not {master!r}")
     if not 0 <= master < 2 ** 32:
         raise ConfigurationError(
             f"seed must be in [0, 2**32), not {master}")
@@ -120,9 +124,9 @@ def rep_seed(master: int, family: str, variant: str, budget: int,
 
     The replication's streams are its ``spawn(2)`` children: the instance
     stream (``spawn_key=(0,)``) and the run stream (``spawn_key=(1,)``).
-    A master seed outside [0, 2**32), a ``rep`` that is not a non-negative
-    integer or a ``budget`` that is not an integer raises
-    ``ConfigurationError``.
+    A master seed that is not an integer in [0, 2**32) (a bool is not), a
+    ``rep`` that is not a non-negative integer or a ``budget`` that is not
+    an integer raises ``ConfigurationError``.
     """
     _check_seed(master)
     if not isinstance(rep, Integral) or rep < 0:
@@ -132,18 +136,6 @@ def rep_seed(master: int, family: str, variant: str, budget: int,
         raise ConfigurationError(f"budget must be an integer, not {budget!r}")
     return np.random.SeedSequence(
         _point_entropy(master, family, variant, budget) + [int(rep)])
-
-
-def _seed_words(values) -> list[int]:
-    """The uint32 words ``SeedSequence`` makes of non-negative ints: the
-    little-endian 32-bit words of each, one word for 0."""
-    words = []
-    for n in values:
-        n = int(n)
-        words.append(n & 0xFFFFFFFF)
-        while n := n >> 32:
-            words.append(n & 0xFFFFFFFF)
-    return words
 
 
 # SeedSequence's hash (numpy.random.bit_generator, after O'Neill's
@@ -164,51 +156,32 @@ def _multipliers(h: int, mult: int, n: int) -> list[int]:
 
 
 _OUT = np.array(_multipliers(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+_STEPS = np.array(_multipliers(1, _MULT_A, _POOL), dtype=np.uint32)
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """The hashed ``value`` and the next multiplier."""
-    value ^= h
-    h = h * _MULT_A & _MASK
-    value = value * h & _MASK
-    return value ^ value >> 16, h
+def _point_pool(point: list[int]) -> tuple[np.ndarray, int]:
+    """NumPy's pool of ``SeedSequence(point)`` and the multiplier its hash
+    has reached: ``mix_entropy`` takes ``_POOL`` steps per word when the
+    non-negative ints ``point`` make at least ``_POOL`` uint32 words (one
+    for 0, one per started 32 bits otherwise), as a ``_point_entropy``
+    always does."""
+    words = sum(max(1, (int(n).bit_length() + 31) // 32) for n in point)
+    h = _INIT_A * pow(_MULT_A, _POOL * words, 2 ** 32) & _MASK
+    return np.random.SeedSequence(point).pool, h
 
 
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK
-    return r ^ r >> 16
-
-
-def _point_pool(point: list[int]) -> tuple[list[int], int]:
-    """The pool ``mix_entropy`` makes of the words ``point`` (at least
-    ``_POOL`` of them) before any later word, and the multiplier it has
-    reached, in Python ints."""
-    h, pool = _INIT_A, []
-    for word in point[:_POOL]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in point[_POOL:]:
-        for dst in range(_POOL):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, h
-
-
-def _absorb(pool: np.ndarray, h: int, words: np.ndarray) -> tuple[np.ndarray, int]:
+def _absorb(pool: np.ndarray, h: np.ndarray,
+            words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``mix_entropy``'s step for one more word per row: ``words[b]`` mixed
-    into each word of row b of the (n, ``_POOL``) uint32 ``pool``."""
-    mults = np.array(_multipliers(h, _MULT_A, _POOL), dtype=np.uint32)
-    value = words[:, None] ^ mults[:-1]
-    value *= mults[1:]
+    into each word of row b of the (n, ``_POOL``) uint32 ``pool`` with the
+    row's multiplier ``h[b]``; returns the pool and the next multipliers."""
+    mults = h[:, None] * _STEPS
+    value = words[:, None] ^ mults[:, :-1]
+    value *= mults[:, 1:]
     value ^= value >> 16
     pool = _MIX_L * pool - _MIX_R * value
     pool ^= pool >> 16
-    return pool, int(mults[-1])
+    return pool, mults[:, -1]
 
 
 class _Seed(ISeedSequence):
@@ -222,39 +195,32 @@ class _Seed(ISeedSequence):
         return self.words  # PCG64 asks for (4, np.uint64)
 
 
-def _streams(pool: tuple[list[int], int], reps,
+def _streams(pool: tuple[np.ndarray, int], reps,
              key: int) -> list[np.random.Generator]:
     """``np.random.default_rng(rep_seed(...).spawn(2)[key])`` of each
     replication in ``reps`` (non-negative ints below 2**64) of the point
-    whose ``_point_pool`` is ``pool``, that of the point's shared words
-    (``_seed_words`` of its ``_point_entropy``).
+    whose ``_point_pool`` is ``pool``.
 
-    A replication's entropy is the point's words, then its index words,
-    then ``key``; only the last two differ between replications.  So
-    ``SeedSequence``'s hash is restated: the point's words are mixed once,
-    by the caller, in Python ints (``_point_pool``), and the index words
-    (two for indices of 2**32 and up, which form their own group), the key
-    and the eight output words are uint32 array operations over the batch.
-    Each generator's state is that of ``SeedSequence(point words + index
-    words, spawn_key=(key,))``.
+    Only a replication's index words (one, or two from 2**32 up) and
+    ``key`` follow the point's words in its entropy, so this restates the
+    rest of ``SeedSequence``'s hash as uint32 array operations over the
+    batch: the low index word, the high one for the rows that have it,
+    the key and the eight output words.
     """
     reps = np.asarray(reps, dtype=np.uint64)
     start, h = pool
-    seeds = np.empty((reps.size, _POOL), dtype=np.uint64)
+    pool, h = _absorb(np.tile(start, (reps.size, 1)),
+                      np.full(reps.size, h, dtype=np.uint32),
+                      (reps & _MASK).astype(np.uint32))
     wide = reps > _MASK
-    for rows, two in ((~wide, False), (wide, True)):
-        if not rows.any():
-            continue
-        index = reps[rows]
-        words = [index & _MASK, index >> 32][:1 + two]
-        pool = np.tile(np.array(start, dtype=np.uint32), (index.size, 1))
-        g = h
-        for word in (*words, np.array([key])):
-            pool, g = _absorb(pool, g, word.astype(np.uint32))
-        state = np.tile(pool, 2) ^ _OUT[:-1]
-        state *= _OUT[1:]
-        state ^= state >> 16
-        seeds[rows] = state.astype("<u4", copy=False).view("<u8")
+    if wide.any():
+        pool[wide], h[wide] = _absorb(pool[wide], h[wide],
+                                      (reps[wide] >> 32).astype(np.uint32))
+    pool, _ = _absorb(pool, h, np.full(reps.size, key, dtype=np.uint32))
+    state = np.tile(pool, 2) ^ _OUT[:-1]
+    state *= _OUT[1:]
+    state ^= state >> 16
+    seeds = state.astype("<u4", copy=False).view("<u8")
     return [np.random.Generator(np.random.PCG64(_Seed(row))) for row in seeds]
 
 
@@ -302,14 +268,14 @@ def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
     lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
     plans and building no stage traces; a generator's package error aborts
-    its replication.  The point's seed words are made and mixed once
+    its replication.  NumPy mixes the point's seed words once
     (``_point_pool``), and each batch seeds its replications' streams
-    together (``_streams``)."""
+    together from that pool (``_streams``)."""
     fixed = isinstance(task.source, BanditInstance)
     configs = {model: replace(task.config, model=model) for model in MODELS}
     successes = aborts = 0
-    pool = _point_pool(_seed_words(_point_entropy(
-        task.seed, task.family, task.spec.name, task.config.budget)))
+    pool = _point_pool(_point_entropy(
+        task.seed, task.family, task.spec.name, task.config.budget))
     for lo in range(task.start, task.stop, LOCKSTEP_BATCH):
         reps = range(lo, min(lo + LOCKSTEP_BATCH, task.stop))
         sources = repeat(None) if fixed else _streams(pool, reps, 0)
@@ -417,7 +383,8 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
 
     ``source`` is a fixed instance or a generator taking an rng.  Every
     replication runs ``GseConfig(budget, eta, spec.strategy)``, built once
-    here, so an invalid configuration, like a seed outside [0, 2**32),
+    here, so an invalid configuration, like a seed or a replication count
+    that is not an integer (a bool is not) or a seed outside [0, 2**32),
     raises ``ConfigurationError`` before any replication runs.  Its model
     is the variant's, or else resolved per instance: logistic for logistic
     GLM instances, linear otherwise.  The result does not depend on
@@ -431,7 +398,7 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     If a worker dies during the call, ``BrokenProcessPool`` is raised and
     the next call starts a fresh pool.
     """
-    if not isinstance(replications, Integral):
+    if not isinstance(replications, Integral) or isinstance(replications, bool):
         raise ConfigurationError(
             f"replications must be an integer, not {replications!r}")
     if replications < 1:

@@ -14,6 +14,8 @@ Conventions
   the error-bound evaluators consume.
 - Generators that draw randomness resample up to 100 times until the best
   arm is strictly unique, then raise ``DegenerateInputError``.
+- A generator's sizes (K, d) must be integers (NumPy integers are); any
+  other value raises ``DegenerateInputError``.
 """
 
 from __future__ import annotations
@@ -351,6 +353,15 @@ def _project_stack(A: np.ndarray) -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 
 
+def _check_ints(where: str, **sizes) -> None:
+    """Raise ``DegenerateInputError`` unless every size is an integer
+    (NumPy integers are)."""
+    for name, value in sizes.items():
+        if not isinstance(value, Integral):
+            raise DegenerateInputError(
+                f"{where} instance needs an integer {name}, not {value!r}")
+
+
 def gen_adaptive_instance(d: int, omega: float = 0.1,
                           sigma2: float = 10.0) -> BanditInstance:
     """Canonical basis plus one disturbing arm at angle ``omega`` to e_1.
@@ -364,6 +375,7 @@ def gen_adaptive_instance(d: int, omega: float = 0.1,
     DegenerateInputError
         If ``omega`` makes the disturbing arm tie the best arm.
     """
+    _check_ints("adaptive", d=d)
     if d < 2:
         raise DegenerateInputError("adaptive instance needs d >= 2")
     if math.cos(omega) >= 1.0:
@@ -385,6 +397,7 @@ def gen_static_instance(delta: float, K: int = 16,
     Every suboptimal arm sits exactly ``delta`` below the best arm and the
     optimal allocation does not depend on observed rewards.
     """
+    _check_ints("static", K=K)
     if K < 2:
         raise DegenerateInputError("static instance needs K >= 2")
     if delta <= 0.0:
@@ -412,6 +425,7 @@ def gen_sphere_instance(K: int, d: int, rng: np.random.Generator,
     smallest index pair, define theta = x_i + 0.01 (x_j - x_i), which makes
     x_i optimal and x_j the disturbing runner-up.
     """
+    _check_ints("sphere", K=K, d=d)
     if K < 2 or d < 2:
         raise DegenerateInputError("sphere instance needs K >= 2 and d >= 2")
     for _ in range(MAX_RESAMPLE):
@@ -444,6 +458,7 @@ def gen_logistic_instance(K: int, d: int, rng: np.random.Generator) -> BanditIns
     Bernoulli reward, which the bound evaluators use in place of a Gaussian
     variance.
     """
+    _check_ints("logistic", K=K, d=d)
     if K < 2 or d < 1:
         raise DegenerateInputError("logistic instance needs K >= 2 and d >= 1")
     for _ in range(MAX_RESAMPLE):
@@ -465,6 +480,7 @@ def gen_corner_instance(K: int, rng: np.random.Generator,
     degrees, and the K-2 middle arms cluster around 45 degrees with i.i.d.
     N(0, 0.09^2) angular jitter.
     """
+    _check_ints("corner", K=K)
     if K < 3:
         raise DegenerateInputError("corner instance needs K >= 3")
     for _ in range(MAX_RESAMPLE):

@@ -61,6 +61,12 @@ class TestRepSeed:
         with pytest.raises(ConfigurationError, match="seed must be in"):
             rep_seed(master, "static", "gse-fwg", 100, 3)
 
+    @pytest.mark.parametrize("master", [2 ** 32 - 0.5, 3.0, True, "3", None])
+    def test_seed_must_be_an_integer(self, master):
+        # 2**32 - 0.5 passed the range check and seeded as 2**32 - 1
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            rep_seed(master, "static", "gse-fwg", 100, 3)
+
     @pytest.mark.parametrize("rep", [-1, 1.5, 3.0, "3", None])
     def test_rep_must_be_a_non_negative_integer(self, rep):
         with pytest.raises(ConfigurationError, match="rep must be"):
@@ -201,10 +207,24 @@ class TestMcAccuracy:
             mc_accuracy(inst, "gse-fwg", 40, 8, seed, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [3.5, 3.0, True, "3"])
+    def test_non_integer_seed_rejected_before_any_replication(
+            self, monkeypatch, seed, workers):
+        # 3.5 ran as seed 3 and True as seed 1
+        def never(task):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness_mod, "_mc_chunk", never)
+        inst = gen_static_instance(1.0, K=4)
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            mc_accuracy(inst, "gse-fwg", 40, 8, seed, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("budget, replications, match", [
         (40.5, 8, "budget must be a positive integer"),
         (40, 6.5, "replications must be an integer, not 6.5"),
         (40, 8.0, "replications must be an integer, not 8.0"),
+        (40, True, "replications must be an integer, not True"),
     ])
     def test_non_integer_budget_or_replications_rejected_before_any_replication(
             self, monkeypatch, budget, replications, match, workers):
@@ -623,9 +643,16 @@ class TestReplicationStreams:
             assert runs[r] == np.random.default_rng(run_ss).bit_generator.state
 
 
-    def test_seed_words_are_little_endian_32_bit_words(self):
-        assert harness_mod._seed_words([0, 2**32 - 1, 2**32 + 5, 2**64]) == [
-            0, 2**32 - 1, 5, 1, 0, 0, 1]
+    @pytest.mark.parametrize("key", [0, 1])
+    def test_multi_word_point_streams_match_seed_sequence_children(self, key):
+        # 0 is one word, 2**32 + 5 two and 2**64 three: seven words in all
+        point = [0, 2**32 - 1, 2**32 + 5, 2**64]
+        reps = [0, 2**32 - 1, 2**32 + 5]
+        got = harness_mod._streams(harness_mod._point_pool(point), reps, key)
+        for rng, rep in zip(got, reps):
+            want = np.random.default_rng(
+                np.random.SeedSequence(point + [rep], spawn_key=(key,)))
+            assert rng.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("key", [0, 1])
     @pytest.mark.parametrize("rep", [0, 2**32 - 1, 2**32 + 5])
@@ -633,8 +660,7 @@ class TestReplicationStreams:
     def test_chunk_streams_match_rep_seed_on_edge_entropy(self, master, rep,
                                                           key):
         # 2**32 + 5 is the first index of two words
-        point = harness_mod._seed_words(
-            harness_mod._point_entropy(master, "edge", "gse-fwg", 40))
+        point = harness_mod._point_entropy(master, "edge", "gse-fwg", 40)
         (got,) = harness_mod._streams(harness_mod._point_pool(point), [rep],
                                       key)
         child = rep_seed(master, "edge", "gse-fwg", 40, rep).spawn(2)[key]
@@ -643,7 +669,8 @@ class TestReplicationStreams:
 
     @settings(max_examples=60, deadline=None)
     @given(point=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=9),
-           reps=st.lists(st.sampled_from([0, 1, 2**32 - 1, 2**32 + 5]),
+           reps=st.lists(st.sampled_from([0, 1, 2**32 - 1, 2**32 + 5,
+                                          2**40 + 3]),
                          min_size=1, max_size=6),
            key=st.sampled_from([0, 1]))
     def test_batch_streams_match_seed_sequence_children(self, point, reps,
@@ -653,10 +680,8 @@ class TestReplicationStreams:
         got = harness_mod._streams(harness_mod._point_pool(point), reps, key)
         assert len(got) == len(reps)
         for rng, rep in zip(got, reps):
-            words = np.array(point + harness_mod._seed_words([rep]),
-                             dtype=np.uint32)
             want = np.random.default_rng(
-                np.random.SeedSequence(words, spawn_key=(key,)))
+                np.random.SeedSequence(point + [rep], spawn_key=(key,)))
             assert rng.bit_generator.state == want.bit_generator.state
             assert rng.integers(0, 2**63, 4).tolist() == \
                 want.integers(0, 2**63, 4).tolist()

@@ -253,6 +253,26 @@ class _ZeroRng:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("build, name", [
+        (lambda rng: gen_static_instance(1.0, K=16.5), "K"),
+        (lambda rng: gen_sphere_instance(8.5, 3, rng), "K"),
+        (lambda rng: gen_adaptive_instance(2.5), "d"),
+        (lambda rng: gen_corner_instance(3.5, rng), "K"),
+        (lambda rng: gen_logistic_instance(4, 2.5, rng), "d"),
+    ], ids=["static", "sphere", "adaptive", "corner", "logistic"])
+    def test_non_integer_size_rejected(self, build, name):
+        with pytest.raises(DegenerateInputError,
+                           match=f"needs an integer {name}, not"):
+            build(np.random.default_rng(0))
+
+    def test_numpy_integer_sizes_accepted(self):
+        rng = np.random.default_rng(0)
+        assert gen_static_instance(1.0, K=np.int64(4)).n_arms == 4
+        assert gen_sphere_instance(np.int32(5), np.int64(3), rng).dim == 3
+        assert gen_adaptive_instance(np.uint8(3)).dim == 3
+        assert gen_corner_instance(np.int64(4), rng).n_arms == 4
+        assert gen_logistic_instance(np.int64(4), np.int32(2), rng).dim == 2
+
     def test_adaptive_geometry(self):
         inst = gen_adaptive_instance(9)
         assert inst.n_arms == 10 and inst.dim == 9
