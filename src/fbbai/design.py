@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetTooSmallError, ConfigurationError,
-                     SingularDesignError, _one)
+                     SingularDesignError, _is_int, _one)
 
 SUPPORT_TOL = 1e-9
 CERT_SLACK = 1e-9  # absolute slack so exact-rational optima certify in floats
@@ -195,7 +195,8 @@ def fw_g_optimal(arms: np.ndarray, iterations: int | None = None,
     ------
     SingularDesignError
         If the arms are not a finite nonempty matrix spanning R^d, ``tol``
-        is not finite and positive, or ``iterations`` is negative.
+        is not finite and positive, or ``iterations`` is not None or a
+        nonnegative integer (a bool is not).
     """
     arms = np.asarray(arms, dtype=float)
     if arms.ndim != 2 or arms.shape[0] == 0:
@@ -221,7 +222,8 @@ def fw_g_optimal_stack(arms: np.ndarray, iterations: int | None = None,
     ------
     SingularDesignError
         If ``arms`` is not a stack of nonempty matrices, ``tol`` is not
-        finite and positive, or ``iterations`` is negative.
+        finite and positive, or ``iterations`` is not None or a
+        nonnegative integer (a bool is not).
     """
     *rows, errors = _fw_solve(arms, iterations, tol)
     return [errors.get(b) or _design(rows, b) for b in range(len(rows[1]))]
@@ -242,7 +244,10 @@ def _fw_solve(arms: np.ndarray, iterations: int | None = None,
         raise SingularDesignError("arms must be a stack of nonempty 2-d arrays")
     if not (math.isfinite(tol) and tol > 0.0):
         raise SingularDesignError(f"tolerance must be finite and positive, not {tol}")
-    if iterations is not None and not iterations >= 0:
+    if iterations is not None and not _is_int(iterations):
+        raise SingularDesignError(
+            f"iteration cap must be None or an integer, not {iterations!r}")
+    if iterations is not None and iterations < 0:
         raise SingularDesignError(
             f"iteration cap must be None or nonnegative, not {iterations}")
     B, K, d = arms.shape

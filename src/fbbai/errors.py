@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and ``_one``, which unwraps
-the result of a stacked kernel run on a stack of one."""
+"""Exception types shared across the package, ``_one``, which unwraps
+the result of a stacked kernel run on a stack of one, and ``_is_int``, the
+package's test of an integer argument."""
+
+from numbers import Integral
 
 
 class FbbaiError(Exception):
@@ -32,6 +35,11 @@ class EstimationFailureError(FbbaiError, RuntimeError):
 
 class UndefinedBoundError(FbbaiError, ValueError):
     """A probability bound is requested for inputs where it is undefined."""
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: NumPy integers are, bools are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _one(stack: list):

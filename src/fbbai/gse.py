@@ -21,24 +21,25 @@ full build would give.
 
 ``gse_lockstep`` runs this one stage loop for a batch of (instance,
 config, rng) jobs: the jobs of one run (stage sizes, stage budget,
-strategy, model) go through its stages in lockstep, as one cohort of
-arrays, and each stage is one pass, as stacks.  The plans a stage's jobs
-ask for are built together, as plan blocks, with no memo across stages:
-the distinct keys of one shape and strategy get one stacked SVD
-projection, Frank-Wolfe solve, rounding and saturation test, and keep
-their rows stacked in a ``_PlanBlock``, from which a ``StagePlan`` is
-made only when a trace or ``stage_plan`` asks for it.  A square set (m = d_t) takes Frank-Wolfe's iteration 0
-outside the loop: where uniform weights certify, as they do for m
-independent arms, its row is the design the loop would stop with and the
-shared counts row of its (m, n), so it neither loops nor rounds.  Each
-job draws on its own generator: a Bernoulli job each
-arm's sum S_i ~ Binomial(c_i, mu_i), a Gaussian job one standard-normal
-call for its pulls, scaled and summed per block of jobs
-(``_block_sums``).  Saturated stages take their means S_i / c_i as one
-division, unsaturated ones are fitted as one stack per model and block,
-and one stacked ``np.lexsort`` makes every cut.  Every stacked kernel
-gives each job the bits of its lone computation, so a job's result is
-the one it gets alone.  ``gse_run`` is
+strategy, model, reward law) go through its stages in lockstep, as one
+cohort of arrays, and each stage is one pass, as stacks.  The plans a
+stage's jobs ask for are built together, as plan blocks, with no memo
+across stages: the distinct keys of one shape and strategy get one
+stacked SVD projection, Frank-Wolfe solve, rounding and saturation test,
+and keep their rows stacked in a ``_PlanBlock``, from which a
+``StagePlan`` is made only when a trace or ``stage_plan`` asks for it.
+A square set (m = d_t) takes Frank-Wolfe's iteration 0 outside the loop:
+where uniform weights certify, as they do for m independent arms, its
+row is the design the loop would stop with and the shared counts row of
+its (m, n), so it neither loops nor rounds.  The jobs of one plan block
+draw, are fitted and are cut together.  Each job draws on its own
+generator: a Bernoulli job each arm's sum S_i ~ Binomial(c_i, mu_i), a
+Gaussian job one standard-normal call for its pulls, scaled by the
+cohort's one sigma and summed per block of jobs (``_block_sums``).
+Saturated stages take their means S_i / c_i as one division, unsaturated
+ones are fitted as one stack, and one stacked ``np.lexsort`` makes every
+cut.  Every stacked kernel gives each job the bits of its lone
+computation, so a job's result is the one it gets alone.  ``gse_run`` is
 the batch of one; the harness runs replications as such batches with
 ``traces=False``, so no ``StageTrace`` or ``StagePlan`` is built.
 """
@@ -50,7 +51,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -60,7 +61,7 @@ from .design import (Design, _all_norms, _cert_target, _check_budget, _design,
 # bench/tracer.py patches these names
 from .design import fw_d_optimal, fw_g_optimal  # noqa: F401
 from .errors import (ConfigurationError, EstimationFailureError, FbbaiError,
-                     SingularDesignError, _one)
+                     SingularDesignError, _is_int, _one)
 from .estimators import (COND_LIMIT, RegressionData, irls_glm_stack,
                          least_squares_stack, mean_estimates_stack)
 # bench/tracer.py patches these names
@@ -76,7 +77,9 @@ MODELS = ("linear", "logistic")
 @dataclass(frozen=True)
 class GseConfig:
     """Run parameters: budget, elimination rate, allocation and fit model.
-    The budget is a positive integer below ``design.BUDGET_LIMIT``."""
+    The budget is a positive integer (not a bool) below
+    ``design.BUDGET_LIMIT``, and eta a finite real number above 1; any
+    other value raises ``ConfigurationError``."""
 
     budget: int
     eta: float = 2.0
@@ -84,7 +87,7 @@ class GseConfig:
     model: str = "linear"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.budget, Integral) or self.budget < 1:
+        if not _is_int(self.budget) or self.budget < 1:
             raise ConfigurationError("budget must be a positive integer")
         _check_budget(self.budget)
         _check_eta(self.eta)
@@ -344,8 +347,8 @@ def _inherited_counts(m: int, n: int, strategy: str) -> np.ndarray:
 
 
 def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 1.0):
-        raise ConfigurationError(f"eta must be finite and exceed 1, not {eta}")
+    if not (isinstance(eta, Real) and math.isfinite(eta) and eta > 1.0):
+        raise ConfigurationError(f"eta must be finite and exceed 1, not {eta!r}")
 
 
 def _ceil_div(m: int, eta: float) -> int:
@@ -391,10 +394,11 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
 def stage_plan(instance: BanditInstance, ids: tuple[int, ...], n: int,
                strategy: str) -> StagePlan:
     """The plan of ``n`` pulls on the arm ids ``ids``, built alone; raises
-    ``ConfigurationError`` for non-integers, ids that are not distinct arm
-    ids in [0, K) or none at all, a strategy outside ``STRATEGIES``, or
-    ``n`` below their span dimension or not below ``BUDGET_LIMIT``."""
-    if not all(isinstance(i, Integral) for i in (*ids, n)):
+    ``ConfigurationError`` for non-integers (a bool is not an integer), ids
+    that are not distinct arm ids in [0, K) or none at all, a strategy
+    outside ``STRATEGIES``, or ``n`` below their span dimension or not
+    below ``BUDGET_LIMIT``."""
+    if not all(_is_int(i) for i in (*ids, n)):
         raise ConfigurationError(f"arm ids and n must be integers, not {ids}, {n}")
     _check_budget(n)
     ids, K = tuple(int(i) for i in ids), instance.n_arms
@@ -422,23 +426,6 @@ def explore(instance: BanditInstance, plan: StagePlan,
     (sums,) = _stage_sums([(instance, rng)], plan.counts[None],
                           np.array([plan.arms.original_ids]))
     return RegressionData(xs=plan.arms.projected, ys=sums, counts=plan.counts)
-
-
-def _plan_stacks(plans: Sequence[tuple[_PlanBlock, int]]) -> tuple[np.ndarray, ...]:
-    """The (G, m) pull counts and the (G,) saturation and inherit flags of
-    (block, row) plans that share an active-set size m: one ``take`` of
-    each block's rows, and a stage's jobs nearly always share one block.
-    Their active ids are the keys' ids, which the caller holds."""
-    jobs = defaultdict(list)  # block -> the jobs of its rows, in order
-    for g, (block, _) in enumerate(plans):
-        jobs[block].append(g)
-    parts = [tuple(a.take([plans[g][1] for g in js], axis=0) for a in (
-        block.counts, block.saturated, block.inherit))
-             for block, js in jobs.items()]
-    if len(parts) == 1:
-        return parts[0]
-    order = np.argsort(np.concatenate(list(jobs.values())))
-    return tuple(np.concatenate(part)[order] for part in zip(*parts))
 
 
 def _gather(instances: Sequence[BanditInstance], attr: str,
@@ -481,10 +468,11 @@ SCALAR_BINOMIAL_ARMS = 10
 
 def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
-    """Reward sums of each (instance, rng) job whose plans share an
-    active-set size m and whose pull counts and active ids are the rows of
-    the (G, m) ``counts`` and ``ids``: a (G, m) array, row g holding job
-    g's per-arm sums S_i.
+    """Reward sums of each (instance, rng) job of one reward law (Bernoulli
+    or Gaussian of one noise variance) whose plans share an active-set
+    size m and whose pull counts and active ids are the rows of the (G, m)
+    ``counts`` and ``ids``: a (G, m) array, row g holding job g's per-arm
+    sums S_i.  The means are gathered once.
 
     A sum of c Bernoulli(mu) rewards is Binomial(c, mu), so a Bernoulli job
     draws its row as one ``rng.binomial(counts, means)`` call, O(m): its
@@ -496,61 +484,51 @@ def _stage_sums(jobs: Sequence[tuple], counts: np.ndarray,
     (``_block_sums``), slices of their rows.  Each job draws on its own
     generator only, so its sums do not depend on the other jobs.
     """
-    bernoulli = [instance.bernoulli for instance, _ in jobs]
-    if not any(bernoulli):
-        sums = np.empty(counts.shape)
-        step = max(1, DRAW_BLOCK // max(1, int(counts.sum(axis=1).max())))
-        for a in range(0, len(jobs), step):
-            b = a + step
-            sums[a:b] = _block_sums(jobs[a:b], counts[a:b], ids[a:b])
-        return sums
-    means = _gather([instance for instance, _ in jobs], "means", ids)
-    few = counts.shape[1] <= SCALAR_BINOMIAL_ARMS
-    rows = zip(counts.tolist(), means.tolist()) if few else zip(counts, means)
-    drawn = [list(map(rng.binomial, c, mu)) if few else rng.binomial(c, mu)
-             for (instance, rng), (c, mu) in zip(jobs, rows) if instance.bernoulli]
-    if len(drawn) == len(jobs):  # the rows as one array
-        return np.array(drawn, dtype=float)
-    kinds = np.array(bernoulli)  # a mixed stage: its Gaussian rows go in blocks
+    instance = jobs[0][0]
+    means = _gather([job[0] for job in jobs], "means", ids)
+    if instance.bernoulli:
+        few = counts.shape[1] <= SCALAR_BINOMIAL_ARMS
+        rows = zip(counts.tolist(), means.tolist()) if few else zip(counts, means)
+        return np.array([list(map(rng.binomial, c, mu)) if few else rng.binomial(c, mu)
+                         for (_, rng), (c, mu) in zip(jobs, rows)], dtype=float)
     sums = np.empty(counts.shape)
-    sums[kinds] = drawn
-    sums[~kinds] = _stage_sums([job for job, kind in zip(jobs, bernoulli) if not kind],
-                               counts[~kinds], ids[~kinds])
+    step = max(1, DRAW_BLOCK // max(1, int(counts.sum(axis=1).max())))
+    for a in range(0, len(jobs), step):
+        b = a + step
+        sums[a:b] = _block_sums([rng for _, rng in jobs[a:b]], counts[a:b],
+                                means[a:b], instance.noise_sigma2)
     return sums
 
 
-def _block_sums(jobs: list, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Per-arm reward sums of Gaussian or noiseless jobs, given their
-    (G, m) pull counts and active ids.
+def _block_sums(rngs: list, counts: np.ndarray, means: np.ndarray,
+                sigma2: float) -> np.ndarray:
+    """Per-arm reward sums of Gaussian jobs of noise variance ``sigma2``,
+    each drawing on its generator in ``rngs``, given their (G, m) pull
+    counts and the means of their active arms.
 
     Each job, in order, fills its slice of one work array (a view of the
     kept buffer, ``_DrawBuffers``) with one ``rng.standard_normal(out=...)``
     call, its pulls in the order ``explore`` pulls them, each arm's pulls
-    contiguous; each run of consecutive jobs of one noise variance is then
-    scaled by its sigma with one multiply, and a noiseless job's slice is
-    -0.0, which adds exactly: the noise bits of ``sample_rewards``, job by
-    job.  The means are one ``_gather`` repeated per pull and added in
-    place, and one offset ``np.bincount`` adds each arm's rewards in draw
-    order, as a lone job's bincount does.  So a job's sums are those of
-    ``sample_rewards`` on its pulls summed by ``np.bincount``, bit for bit.
+    contiguous, and the whole array is scaled by sigma with one multiply;
+    with ``sigma2`` 0 nothing is drawn and the array is -0.0, which adds
+    exactly: the noise bits of ``sample_rewards``, job by job.  The means are repeated per pull and
+    added in place, and one offset ``np.bincount`` adds each arm's rewards
+    in draw order, as a lone job's bincount does.  So a job's sums are
+    those of ``sample_rewards`` on its pulls summed by ``np.bincount``, bit
+    for bit.
     """
     m = counts.shape[1]
     flat = counts.ravel()
     ends = np.cumsum(flat)  # where each arm's pulls end, and each job's
     draws = _BUFFERS.take(int(ends[-1]))
-    lo, runs = 0, [(0, None)]  # (first pull, variance) of each run of jobs
-    for (instance, rng), hi in zip(jobs, ends[m - 1::m].tolist()):
-        if instance.noise_sigma2 != runs[-1][1]:
-            runs.append((lo, instance.noise_sigma2))
-        if instance.noise_sigma2 == 0.0:
-            draws[lo:hi] = -0.0
-        else:
+    if sigma2 == 0.0:
+        draws.fill(-0.0)
+    else:
+        job_ends = ends[m - 1::m].tolist()
+        for rng, lo, hi in zip(rngs, [0] + job_ends, job_ends):
             rng.standard_normal(out=draws[lo:hi])
-        lo = hi
-    for (a, sigma2), (b, _) in zip(runs[1:], runs[2:] + [(lo, None)]):
-        if sigma2 != 0.0:
-            draws[a:b] *= math.sqrt(sigma2)
-    draws += np.repeat(_gather([job[0] for job in jobs], "means", ids), flat)
+        draws *= math.sqrt(sigma2)
+    draws += np.repeat(means, flat)
     sums = np.bincount(np.repeat(np.arange(flat.size), flat),
                        weights=draws, minlength=flat.size)
     return sums.reshape(counts.shape)
@@ -597,44 +575,43 @@ def eliminate_stack(ids: np.ndarray, mu_hat: np.ndarray, keep: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _estimate(model: str, plans: list, sums: np.ndarray, counts: np.ndarray,
+def _estimate(model: str, block: Optional[_PlanBlock], rows: Optional[list],
+              sums: np.ndarray, counts: np.ndarray,
               saturated: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The (G, m) estimated means of a stage group's jobs, which fit
-    ``model``, from their (G, m) reward sums and pull counts, and a dict
-    from each unsaturated row g to its fit's (converged, iterations,
-    fellback) or the package error that ends its job.  Saturated rows take
-    S_i / c_i.  The others, whose ``plans[g]`` are (block, row) pairs, are
-    fitted as one stack per block; an item whose logistic fit fails falls
-    back to least squares."""
+    """The (G, m) estimated means of a stack's jobs, which fit ``model``,
+    from their (G, m) reward sums and pull counts, and a dict from each
+    unsaturated job g to its fit's (converged, iterations, fellback) or
+    the package error that ends its job.  Saturated jobs take S_i / c_i.
+    The others, whose plans are the rows ``rows[g]`` of ``block`` (None
+    only when every job is saturated), are fitted as one stack; an item
+    whose logistic fit fails falls back to least squares."""
     mu_hat = np.divide(sums, counts, out=np.zeros_like(sums),
                        where=saturated[:, None])
     fits: dict = {}
-    unsaturated = defaultdict(list)  # block -> rows
-    for g in np.flatnonzero(~saturated).tolist():
-        unsaturated[plans[g][0]].append(g)
-    for block, rows in unsaturated.items():
-        arms = block.projected.take([plans[g][1] for g in rows], axis=0)
-        y, c = sums[rows], counts[rows]
-        fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
-                  else least_squares_stack(arms, y, c))
-        # items whose logistic fit diverged are fitted by least squares
-        back = [k for k, f in enumerate(fitted)
-                if isinstance(f, EstimationFailureError)]
-        if back:
-            for k, f in zip(back, least_squares_stack(arms[back], y[back], c[back])):
-                fitted[k] = f
-        by_link = defaultdict(list)  # fell back -> items fitted
-        for k, f in enumerate(fitted):
-            if isinstance(f, FbbaiError):
-                fits[rows[k]] = f
-            else:
-                by_link[k in back].append(k)
-        for fellback, items in by_link.items():
-            link = LOGISTIC if model == "logistic" and not fellback else None
-            mu_hat[[rows[k] for k in items]] = mean_estimates_stack(
-                np.array([fitted[k].theta_hat for k in items]), arms[items], link)
-            for k in items:
-                fits[rows[k]] = (fitted[k].converged, fitted[k].iterations, fellback)
+    unsaturated = np.flatnonzero(~saturated).tolist()
+    if not unsaturated:
+        return mu_hat, fits
+    arms = block.projected.take([rows[g] for g in unsaturated], axis=0)
+    y, c = sums[unsaturated], counts[unsaturated]
+    fitted = (irls_glm_stack(arms, y, c, LOGISTIC) if model == "logistic"
+              else least_squares_stack(arms, y, c))
+    # items whose logistic fit diverged are fitted by least squares
+    back = [k for k, f in enumerate(fitted) if isinstance(f, EstimationFailureError)]
+    if back:
+        for k, f in zip(back, least_squares_stack(arms[back], y[back], c[back])):
+            fitted[k] = f
+    by_link = defaultdict(list)  # fell back -> items fitted
+    for k, f in enumerate(fitted):
+        if isinstance(f, FbbaiError):
+            fits[unsaturated[k]] = f
+        else:
+            by_link[k in back].append(k)
+    for fellback, items in by_link.items():
+        link = LOGISTIC if model == "logistic" and not fellback else None
+        mu_hat[[unsaturated[k] for k in items]] = mean_estimates_stack(
+            np.array([fitted[k].theta_hat for k in items]), arms[items], link)
+        for k in items:
+            fits[unsaturated[k]] = (fitted[k].converged, fitted[k].iterations, fellback)
     return mu_hat, fits
 
 
@@ -645,31 +622,32 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
     order.
 
     The jobs of one run (stage sizes K -> 1, stage budget n, strategy,
-    fit model) step through its stages together, in one loop over
+    fit model, and the reward law: Bernoulli or not and noise variance)
+    step through its stages together, in one loop over
     ``zip(sizes, sizes[1:])``, as a cohort of arrays: job indices, (G, m)
     active ids and inherit flags.  Each stage is one pass: the cohort
     splits by its inherit flag, and each group has the plans of its jobs
     built at once, as stacks (``_plan_stages``): jobs of one instance that
     ask for one key share its plan row, and a key holds its instance, so
-    jobs of different instances never share one.  A group that inherits
-    saturation asks for no plan unless its traces need them, and pulls
-    with its one ``_inherited_counts`` row.  The group draws
-    (``_stage_sums``), estimates and is cut (``eliminate_stack``)
-    together, and its survivors rejoin the cohort.  Every stage's counts
-    sum to n, so a finished run's ``total_pulls`` is n times its stage
-    count.  A job draws from its own generator, in the order a lone run
-    draws, and every stacked step gives it the bits of its lone
-    computation, so its result does not depend on the other jobs.  A
-    package error ends only the job that raised it and takes the place of
-    its result.  With ``traces=False`` no ``StageTrace`` is built and
-    every result's ``traces`` is ``()``; nothing else changes.
+    jobs of different instances never share one.  The jobs of each plan
+    block then draw (``_stage_sums``), are estimated and are cut
+    (``eliminate_stack``) together, and their survivors rejoin the cohort.
+    A group that inherits saturation asks for no plan unless its traces
+    need them, and pulls with its one ``_inherited_counts`` row.  Every
+    stage's counts sum to n, so a finished run's ``total_pulls`` is n
+    times its stage count.  A job draws from its own generator, in the
+    order a lone run draws, and every stacked step gives it the bits of
+    its lone computation, so its result does not depend on the other
+    jobs.  A package error ends only the job that raised it and takes the
+    place of its result.  With ``traces=False`` no ``StageTrace`` is built
+    and every result's ``traces`` is ``()``; nothing else changes.
 
     Strategy ``static`` is the single-stage baseline: one G-optimal
     allocation of the whole budget and one least-squares fit, i.e. this
     loop with eta = K, which keeps only the top arm.
     """
     results: list = [None] * len(jobs)
-    runs = defaultdict(list)  # (stage sizes K -> 1, n, strategy, model) -> jobs
+    runs = defaultdict(list)  # (sizes K -> 1, n, strategy, model, law) -> jobs
     for j, (instance, config, _) in enumerate(jobs):
         strategy, model, eta = config.strategy, config.model, config.eta
         if strategy == "static":
@@ -679,43 +657,45 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
         except FbbaiError as exc:
             results[j] = exc
             continue
-        runs[schedule.sizes, schedule.per_stage_budget, strategy,
-             model].append(j)
+        runs[schedule.sizes, schedule.per_stage_budget, strategy, model,
+             instance.bernoulli, instance.noise_sigma2].append(j)
     draws = [(instance, rng) for instance, _, rng in jobs]
     trace_of: dict = defaultdict(list)  # job index -> its StageTraces
-    for (sizes, n, strategy, model), js in runs.items():
+    for (sizes, n, strategy, model, *_), js in runs.items():
         idx, inherits = np.array(js), np.zeros(len(js), dtype=bool)
         active = np.broadcast_to(np.arange(sizes[0]), (idx.size, sizes[0]))
         for t, (m, keep) in enumerate(zip(sizes, sizes[1:]), 1):
-            parts = []  # (job indices, survivors, inherit flags) per group
+            stacks = []  # (inherit, job indices, ids, plan block, rows) per stack
             flags = set(inherits.tolist())
             for inherit in flags:
                 mask = inherits == inherit if len(flags) > 1 else slice(None)
                 group, ids = idx[mask], active[mask]
-                got = []
-                if traces or not inherit:
-                    got = _plan_stages([
-                        (draws[j][0], row, n, strategy) for j, row in zip(
-                            group.tolist(), map(tuple, ids.tolist()))])
-                    bad = [g for g, plan in enumerate(got)
-                           if isinstance(plan, FbbaiError)]
-                    if bad:
-                        for g in bad:
-                            results[group[g]] = got[g]
-                        live = np.delete(np.arange(group.size), bad)
-                        group, ids = group[live], ids[live]
-                        got = [got[g] for g in live.tolist()]
-                if not group.size:
+                if inherit and not traces:
+                    stacks.append((True, group, ids, None, None))
                     continue
+                blocks = defaultdict(list)  # plan block -> (g, row) of its jobs
+                for g, plan in enumerate(_plan_stages([
+                        (draws[j][0], row, n, strategy) for j, row in zip(
+                            group.tolist(), map(tuple, ids.tolist()))])):
+                    if isinstance(plan, FbbaiError):
+                        results[group[g]] = plan
+                    else:
+                        blocks[plan[0]].append((g, plan[1]))
+                for block, pairs in blocks.items():
+                    gs, rows = (list(a) for a in zip(*pairs))
+                    stacks.append((inherit, group[gs], ids[gs], block, rows))
+            parts = []  # (job indices, survivors, inherit flags) per stack
+            for inherit, group, ids, block, rows in stacks:
                 if inherit:
                     counts = np.broadcast_to(_inherited_counts(m, n, strategy),
                                              ids.shape)
                     saturated = passed = np.ones(group.size, dtype=bool)
                 else:
-                    counts, saturated, passed = _plan_stacks(got)
+                    counts, saturated, passed = (
+                        a[rows] for a in (block.counts, block.saturated, block.inherit))
                 order = group.tolist()
                 sums = _stage_sums([draws[j] for j in order], counts, ids)
-                mu_hat, fits = _estimate(model, got, sums, counts, saturated)
+                mu_hat, fits = _estimate(model, block, rows, sums, counts, saturated)
                 bad = [g for g, fit in fits.items() if isinstance(fit, FbbaiError)]
                 for g in bad:
                     results[order[g]] = fits[g]
@@ -723,7 +703,7 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
                 kept = eliminate_stack(ids[live], mu_hat[live], keep)
                 if traces:
                     for g, survivors in zip(live.tolist(), map(tuple, kept.tolist())):
-                        plan = got[g][0].plan(got[g][1])
+                        plan = block.plan(rows[g])
                         trace_of[order[g]].append(StageTrace(
                             t, plan.arms, plan.counts, mu_hat[g], survivors,
                             *fits.get(g, (True, 0, False)), plan.design))

@@ -32,14 +32,13 @@ import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import repeat
-from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundInputs, bound_glm_gopt, bound_linear_gopt, oracle_c_min
-from .errors import ConfigurationError, FbbaiError, UndefinedBoundError
+from .errors import ConfigurationError, FbbaiError, UndefinedBoundError, _is_int
 from .gse import MODELS, GseConfig, gse_lockstep
 from .gse import gse_run  # noqa: F401  bench/tracer.py patches this name
 from .instances import BanditInstance
@@ -103,7 +102,7 @@ def _token_int(token: object) -> int:
 
 
 def _check_seed(master: int) -> None:
-    if not isinstance(master, Integral) or isinstance(master, bool):
+    if not _is_int(master):
         raise ConfigurationError(f"seed must be an integer, not {master!r}")
     if not 0 <= master < 2 ** 32:
         raise ConfigurationError(
@@ -124,15 +123,16 @@ def rep_seed(master: int, family: str, variant: str, budget: int,
 
     The replication's streams are its ``spawn(2)`` children: the instance
     stream (``spawn_key=(0,)``) and the run stream (``spawn_key=(1,)``).
-    A master seed that is not an integer in [0, 2**32) (a bool is not), a
-    ``rep`` that is not a non-negative integer or a ``budget`` that is not
-    an integer raises ``ConfigurationError``.
+    A master seed that is not an integer in [0, 2**32), a ``rep`` that is
+    not a non-negative integer or a ``budget`` that is not an integer
+    raises ``ConfigurationError``; NumPy integers are integers, bools are
+    not.
     """
     _check_seed(master)
-    if not isinstance(rep, Integral) or rep < 0:
+    if not _is_int(rep) or rep < 0:
         raise ConfigurationError(
             f"rep must be a non-negative integer, not {rep!r}")
-    if not isinstance(budget, Integral):
+    if not _is_int(budget):
         raise ConfigurationError(f"budget must be an integer, not {budget!r}")
     return np.random.SeedSequence(
         _point_entropy(master, family, variant, budget) + [int(rep)])
@@ -300,10 +300,11 @@ def resolve_workers(workers: Optional[int]) -> int:
     """``workers``, else the integer in FBBAI_WORKERS, else 1; at least 1.
 
     Raises ``ConfigurationError`` if ``workers`` is not an integer (NumPy
-    integers are), or naming the variable if its value is not one.
+    integers are, bools are not), or naming the variable if its value is
+    not one.
     """
     if workers is not None:
-        if not isinstance(workers, Integral):
+        if not _is_int(workers):
             raise ConfigurationError(f"workers must be an integer, not {workers!r}")
         return max(1, int(workers))
     raw = os.environ.get(WORKERS_ENV, "1")
@@ -383,12 +384,12 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
 
     ``source`` is a fixed instance or a generator taking an rng.  Every
     replication runs ``GseConfig(budget, eta, spec.strategy)``, built once
-    here, so an invalid configuration, like a seed or a replication count
-    that is not an integer (a bool is not) or a seed outside [0, 2**32),
-    raises ``ConfigurationError`` before any replication runs.  Its model
-    is the variant's, or else resolved per instance: logistic for logistic
-    GLM instances, linear otherwise.  The result does not depend on
-    ``workers``.
+    here, so an invalid configuration, like a budget, seed or replication
+    count that is not an integer (a bool is not), a non-numeric eta or a
+    seed outside [0, 2**32), raises ``ConfigurationError`` before any
+    replication runs.  Its model is the variant's, or else resolved per
+    instance: logistic for logistic GLM instances, linear otherwise.  The
+    result does not depend on ``workers``.
 
     The replications run as a list of chunks: one chunk, run here, or,
     with two or more workers and at least two replications per worker,
@@ -398,7 +399,7 @@ def mc_accuracy(source: InstanceSource, variant: Union[str, VariantSpec],
     If a worker dies during the call, ``BrokenProcessPool`` is raised and
     the next call starts a fresh pool.
     """
-    if not isinstance(replications, Integral) or isinstance(replications, bool):
+    if not _is_int(replications):
         raise ConfigurationError(
             f"replications must be an integer, not {replications!r}")
     if replications < 1:

@@ -240,8 +240,8 @@ def sample_rewards(instance: BanditInstance, arm_ids: Sequence[int],
     (the bits of ``rng.normal(0.0, σ, n)``), and with ``noise_sigma2 == 0``
     nothing is drawn and the exact means are returned, the deterministic
     mode of noiseless checks.  ``gse._block_sums`` draws these Gaussian
-    bits with one σ multiply per run of jobs, so this is the per-pull bit
-    reference of Gaussian stage sums; a run draws a Bernoulli arm's sum as
+    bits with one σ multiply per block of jobs of one law, so this is the
+    per-pull bit reference of Gaussian stage sums; a run draws a Bernoulli arm's sum as
     one Binomial variate, so for Bernoulli rewards this is the reference of
     the sums' law.
     """

@@ -171,6 +171,14 @@ class TestFrankWolfe:
             with pytest.raises(SingularDesignError):
                 solver(np.eye(3), **kwargs)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "2"])
+    def test_non_integer_cap_raises(self, cap):
+        # 2.5 ran with cap 2 and True with cap 1
+        for solver in (fw_g_optimal, fw_d_optimal):
+            with pytest.raises(SingularDesignError, match="an integer"):
+                solver(np.eye(3), iterations=cap)
+        assert fw_g_optimal(np.eye(3), iterations=np.int64(2)).certified
+
     def test_zero_iteration_cap_returns_the_uniform_start(self):
         arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.45]])
         des = fw_g_optimal(arms, iterations=0)

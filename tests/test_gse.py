@@ -43,6 +43,7 @@ class TestConfig:
         dict(budget="40"),
         dict(budget=2**53),
         dict(budget=2**63),
+        dict(budget=True),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -55,6 +56,17 @@ class TestConfig:
 
     def test_numpy_integer_budget_accepted(self):
         assert GseConfig(budget=np.int64(40)).budget == 40
+
+    @pytest.mark.parametrize("eta", ["2", None, b"2", 2j])
+    @pytest.mark.parametrize("call", [
+        lambda eta: GseConfig(100, eta=eta),
+        lambda eta: stage_schedule(8, eta, 100),
+        lambda eta: eliminate((0, 1), [1.0, 2.0], eta),
+    ], ids=["config", "schedule", "eliminate"])
+    def test_non_numeric_eta_is_a_config_error(self, call, eta):
+        # these raised a raw TypeError from math.isfinite
+        with pytest.raises(ConfigurationError, match="eta must be finite"):
+            call(eta)
 
 
 class TestStageSchedule:
@@ -211,6 +223,9 @@ class TestExplore:
             stage_plan(inst, (0.5, 1.2, 2.9, 3), 10, "uniform")
         with pytest.raises(ConfigurationError, match="must be integers"):
             stage_plan(inst, (0, 1, 2, 3), 10.0, "uniform")
+        # True planned arm 1
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            stage_plan(inst, (0, True), 10, "uniform")
         plan = stage_plan(inst, np.arange(4), 10, "uniform")
         assert plan.arms.original_ids == (0, 1, 2, 3)
 
@@ -429,14 +444,22 @@ class TestExploreStack:
 
     @staticmethod
     def check_sums(asks, rows):
-        """``rows`` holds each ask's (block, row) plan."""
+        """``rows`` holds each ask's (block, row) plan.  The asks of each
+        reward law (Bernoulli or not, noise variance) draw in one
+        ``_stage_sums`` call, as a cohort of the stage loop does."""
         plans = [block.plan(row) for block, row in rows]
         rngs = [np.random.default_rng(100 + g) for g in range(len(asks))]
-        counts, _, _ = gse_mod._plan_stacks(rows)
-        ids = np.array([ask[1] for ask in asks])
-        sums = gse_mod._stage_sums([(ask[0], rng) for ask, rng
-                                    in zip(asks, rngs)], counts, ids)
-        assert sums.shape == (len(asks), len(asks[0][1]))
+        laws = {}  # (bernoulli, sigma2) -> its asks' positions
+        for g, (inst, *_) in enumerate(asks):
+            laws.setdefault((inst.bernoulli, inst.noise_sigma2), []).append(g)
+        sums = np.empty((len(asks), len(asks[0][1])))
+        for law in laws.values():
+            counts = np.array([rows[g][0].counts[rows[g][1]] for g in law])
+            ids = np.array([asks[g][1] for g in law])
+            out = gse_mod._stage_sums([(asks[g][0], rngs[g]) for g in law],
+                                      counts, ids)
+            assert out.shape == counts.shape
+            sums[law] = out
         for g, ((inst, *_), plan, rng) in enumerate(zip(asks, plans, rngs)):
             replay = np.random.default_rng(100 + g)
             want = per_arm_sums(inst, np.asarray(plan.arms.original_ids),
@@ -455,7 +478,7 @@ def test_bernoulli_sums_follow_the_binomial_pmf():
     S, n = TestExploreStack, 3000
     asks = [(S.GRID, S.EIGHT, 200, "uniform"), (S.BERN, S.EIGHT, 40, "fw-g"),
             (S.BERN, S.EIGHT, 6, "uniform")]
-    counts, _, _ = gse_mod._plan_stacks(S.lone_rows(asks) * n)
+    counts = np.array([block.counts[row] for block, row in S.lone_rows(asks) * n])
     ids = np.array([ask[1] for ask in asks] * n)
     jobs = [(asks[g % 3][0], np.random.default_rng([21, g]))
             for g in range(3 * n)]
@@ -965,12 +988,12 @@ class TestLockstep:
     def test_cohorts_of_mixed_sizes_budgets_and_outcomes(self, monkeypatch):
         """K = 8 and K = 7 jobs (eta 2) meet at the same 4 -> 2 and 2 -> 1
         steps with different stage budgets and strategies; cohorts are
-        keyed by run (stage sizes, stage budget, strategy, model), so they
-        stack per run, not per step.  Each of those stages holds jobs that
-        inherit saturation (eye and grid instances) beside jobs that plan
-        (sphere instances in R^3).  Jobs abort at the schedule, at the
-        first plan and at a stage-2 fit.  Each outcome, traced or not, is
-        that of its lone run."""
+        keyed by run (stage sizes, stage budget, strategy, model, reward
+        law), so they stack per run, not per step.  Each of those stages
+        holds jobs that inherit saturation (eye and grid instances) beside
+        jobs that plan (sphere instances in R^3).  Jobs abort at the
+        schedule, at the first plan and at a stage-2 fit.  Each outcome,
+        traced or not, is that of its lone run."""
         def sphere(K, d, seed):
             return gen_sphere_instance(K, d, np.random.default_rng(seed))
 
@@ -999,30 +1022,54 @@ class TestLockstep:
         lone = [lone_run(job) for job in jobs()]
         assert [type(r).__name__ for r in lone[-3:]] == [
             "ConfigurationError", "ConfigurationError", "InvalidAllocationError"]
-        steps = []  # (m, inherits) of each stage group that draws
-        planning = []  # nonempty while a plan block rounds its rows
-        for name, inherits in (("_inherited_counts", True), ("_plan_stacks", False)):
-            def spy(*args, _f=getattr(gse_mod, name), _inherits=inherits):
-                out = _f(*args)
-                if not planning:  # square plan rows read the shared rows too
-                    steps.append((args[0] if _inherits else out[0].shape[1],
-                                  _inherits))
-                return out
-            monkeypatch.setattr(gse_mod, name, spy)
+        steps = []  # (m, inherits) of each stack that draws
+        stage_sums = gse_mod._stage_sums
 
-        def rounding(*args, _f=gse_mod._design_counts):
-            planning.append(True)
-            try:
-                return _f(*args)
-            finally:
-                planning.pop()
+        def spy(draws, counts, ids):
+            # an inheriting stack pulls with one broadcast counts row
+            steps.append((counts.shape[1], counts.strides[0] == 0))
+            return stage_sums(draws, counts, ids)
 
-        monkeypatch.setattr(gse_mod, "_design_counts", rounding)
+        monkeypatch.setattr(gse_mod, "_stage_sums", spy)
         traced = gse_lockstep(jobs())
         assert {(4, True), (4, False), (2, True), (2, False)} <= set(steps)
         assert [run_summary(r) for r in traced] == [run_summary(r) for r in lone]
         assert [outcome(r) for r in gse_lockstep(jobs(), traces=False)] == [
             outcome(r) for r in lone]
+
+    def test_jobs_of_one_run_key_and_different_reward_laws(self, monkeypatch):
+        """K = 8 jobs of one config share stage sizes, stage budget,
+        strategy and model but not their reward law: Gaussian of two
+        variances, noiseless, Bernoulli, and a sphere instance that plans.
+        Each draw call sees one law, and each job, traced or not, gets its
+        lone run."""
+        config = GseConfig(120, model="linear")
+        insts = [gen_static_instance(1.0, K=8, sigma2=4.0),
+                 gen_static_instance(1.0, K=8, sigma2=2.0),
+                 noiseless(gen_static_instance(1.0, K=8)),
+                 glm_grid_instance(8, 0.75),
+                 gen_sphere_instance(8, 3, np.random.default_rng(6), sigma2=4.0)]
+
+        def jobs():
+            return [(inst, config, np.random.default_rng([41, g]))
+                    for g, inst in enumerate(insts)]
+
+        lone = [lone_run(job) for job in jobs()]
+        laws = []  # the (bernoulli, sigma2) laws of each draw call
+        stage_sums = gse_mod._stage_sums
+
+        def spy(draws, counts, ids):
+            laws.append({(inst.bernoulli, inst.noise_sigma2) for inst, _ in draws})
+            return stage_sums(draws, counts, ids)
+
+        monkeypatch.setattr(gse_mod, "_stage_sums", spy)
+        traced = gse_lockstep(jobs())
+        untraced = gse_lockstep(jobs(), traces=False)
+        assert laws and all(len(law) == 1 for law in laws)
+        assert set().union(*laws) == {(False, 4.0), (False, 2.0), (False, 0.0),
+                                      (True, insts[3].noise_sigma2)}
+        assert [run_summary(r) for r in traced] == [run_summary(r) for r in lone]
+        assert [outcome(r) for r in untraced] == [outcome(r) for r in lone]
 
     def test_a_harness_batch_stacks_each_stage_once_per_inherit_flag(
             self, monkeypatch):

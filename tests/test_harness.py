@@ -67,12 +67,12 @@ class TestRepSeed:
         with pytest.raises(ConfigurationError, match="seed must be an integer"):
             rep_seed(master, "static", "gse-fwg", 100, 3)
 
-    @pytest.mark.parametrize("rep", [-1, 1.5, 3.0, "3", None])
+    @pytest.mark.parametrize("rep", [-1, 1.5, 3.0, "3", None, True])
     def test_rep_must_be_a_non_negative_integer(self, rep):
         with pytest.raises(ConfigurationError, match="rep must be"):
             rep_seed(7, "static", "gse-fwg", 100, rep)
 
-    @pytest.mark.parametrize("budget", [10.5, 100.0, "100"])
+    @pytest.mark.parametrize("budget", [10.5, 100.0, "100", True])
     def test_budget_must_be_an_integer(self, budget):
         with pytest.raises(ConfigurationError, match="budget must be"):
             rep_seed(7, "static", "gse-fwg", budget, 3)
@@ -222,6 +222,7 @@ class TestMcAccuracy:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("budget, replications, match", [
         (40.5, 8, "budget must be a positive integer"),
+        (True, 8, "budget must be a positive integer"),
         (40, 6.5, "replications must be an integer, not 6.5"),
         (40, 8.0, "replications must be an integer, not 8.0"),
         (40, True, "replications must be an integer, not True"),
@@ -236,7 +237,7 @@ class TestMcAccuracy:
         with pytest.raises(ConfigurationError, match=match):
             mc_accuracy(inst, "gse-fwg", budget, replications, 0, workers=workers)
 
-    @pytest.mark.parametrize("workers", [1.5, 2.9])
+    @pytest.mark.parametrize("workers", [1.5, 2.9, True])
     def test_non_integer_workers_rejected_before_any_replication(
             self, monkeypatch, workers):
         def never(task):
@@ -270,7 +271,8 @@ class TestMcAccuracy:
         res = mc_accuracy(inst, spec, 40, 3, 0, workers=1)
         assert res.successes == 3
 
-    @pytest.mark.parametrize("budget, eta", [(0, 2.0), (40, 1.0), (40, 0.5)])
+    @pytest.mark.parametrize("budget, eta", [(0, 2.0), (40, 1.0), (40, 0.5),
+                                             (40, "2"), (40, None)])
     def test_invalid_run_configuration_raises(self, budget, eta):
         inst = gen_static_instance(1.0, K=4)
         with pytest.raises(ConfigurationError):
