@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -68,8 +69,16 @@ def _bound(inputs: BoundInputs, glm: bool, general: bool) -> float:
     general form has scale 1 and spread max(norm_terms).  An exponent whose
     products overflow or underflow is sized by logs instead, where every
     factor is positive and finite (or Delta infinite), so it keeps its
-    value or limit; finite products keep their float operations.
+    value or limit; finite products keep their float operations.  A
+    ``K``, ``d``, ``eta``, ``sigma2``, ``delta_min``, ``budget`` (unless
+    None) or ``c_min`` that is not a real number, or is a bool, raises
+    ``UndefinedBoundError``.
     """
+    for name in ("K", "d", "eta", "sigma2", "delta_min", "budget", "c_min"):
+        value = getattr(inputs, name)
+        if not (isinstance(value, Real) and not isinstance(value, bool)
+                or name == "budget" and value is None):
+            raise UndefinedBoundError(f"{name} must be a real number, not {value!r}")
     if inputs.K < 2:
         raise UndefinedBoundError("need at least two arms")
     if not (math.isfinite(inputs.eta) and inputs.eta > 1.0):

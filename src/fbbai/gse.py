@@ -23,11 +23,16 @@ full build would give.
 config, rng) jobs: the jobs of one run (stage sizes, stage budget,
 strategy, model, reward law) go through its stages in lockstep, as one
 cohort of arrays, and each stage is one pass, as stacks.  The plans a
-stage's jobs ask for are built together, as plan blocks, with no memo
-across stages: the distinct keys of one shape and strategy get one
-stacked SVD projection, Frank-Wolfe solve, rounding and saturation test,
-and keep their rows stacked in a ``_PlanBlock``, from which a
-``StagePlan`` is made only when a trace or ``stage_plan`` asks for it.
+stage's jobs ask for are built together, as plan blocks: the distinct
+keys of one shape and strategy get one stacked SVD projection,
+Frank-Wolfe solve, rounding and saturation test, and keep their rows
+stacked in a read-only ``_PlanBlock``, from which a ``StagePlan`` is made
+only when a trace or ``stage_plan`` asks for it.  A run's first stage,
+all K arms, depends only on the instance, n and the strategy, so each
+instance keeps its first-stage plans (``_first_stage_plans``): they are
+built once per (instance, n, strategy) per process and die with the
+instance.  Later stages' plans are not kept, since their arm subsets are
+per replication.
 A square set (m = d_t) takes Frank-Wolfe's iteration 0 outside the loop:
 where uniform weights certify, as they do for m independent arms, its
 row is the design the loop would stop with and the shared counts row of
@@ -164,17 +169,19 @@ def _uniform_counts(n: np.ndarray, ids: np.ndarray) -> np.ndarray:
 class _PlanBlock:
     """The plans of ``keys`` of one (m, d_t) shape and strategy, built
     together from their stacked ids, budgets, projected arms and bases and
-    held as stacked rows: ``ids``, read-only ``counts``, ``saturated``,
-    ``inherit``, ``projected``, ``basis`` and the solver's (weights, g,
-    iterations, certified) ``design`` arrays, none for uniform counts.
+    held as stacked read-only rows, so that a kept block cannot be changed
+    through a plan: ``ids``, ``counts``, ``saturated``, ``inherit``,
+    ``projected``, ``basis`` and the solver's (weights, g, iterations,
+    certified) ``design`` arrays, none for uniform counts.
     Uniform counts give the remainder pulls to the lowest active ids
     (``_uniform_counts``).  fw-g rows come from ``_design_counts``: a
     square row whose uniform weights certify at the hoisted iteration 0
     takes them and the shared row ``_inherited_counts(m, n, "fw-g")``;
     the others are solved and rounded, and rounding retries a row it
     rejects alone (``allocate_budget``).  A key whose budget is below d_t
-    or whose build raises leaves ``keys`` for the dict ``failed``, with
-    its error.  One ``np.linalg.cond`` of the rows' V gives both flags:
+    or whose build raises leaves ``keys`` for the caller's dict
+    ``failed``, with its error, so a kept block holds no error and no
+    traceback.  One ``np.linalg.cond`` of the rows' V gives both flags:
     ``saturated`` (m = d_t and cond(V) < ``COND_LIMIT``) and ``inherit``
     (saturated, cond(V) <= ``INHERIT_COND`` and counts within a factor 2;
     see ``_inherited_counts``).  ``plan`` makes a row's ``StagePlan`` on
@@ -182,7 +189,8 @@ class _PlanBlock:
     """
 
     def __init__(self, keys: list, ids: np.ndarray, n: np.ndarray,
-                 projected: np.ndarray, basis: np.ndarray, uniform: bool) -> None:
+                 projected: np.ndarray, basis: np.ndarray, uniform: bool,
+                 failed: dict) -> None:
         m, dim = projected.shape[1:]
         bad = {b: ConfigurationError(  # row -> the error its build raised
             f"per-stage budget {n[b]} cannot span dimension {dim}")
@@ -191,7 +199,7 @@ class _PlanBlock:
             counts, design = _uniform_counts(n, ids), []
         else:
             counts, design = _design_counts(n, projected, bad)
-        self.failed = {keys[b]: exc for b, exc in bad.items()}
+        failed.update((keys[b], exc) for b, exc in bad.items())
         if bad:
             keep = np.delete(np.arange(len(keys)), list(bad))
             keys = [keys[b] for b in keep]
@@ -203,9 +211,19 @@ class _PlanBlock:
             self.saturated = np.isfinite(cond) & (cond < COND_LIMIT)
             self.inherit = (self.saturated & (cond <= INHERIT_COND)
                             & (counts.max(axis=1) <= 2 * counts.min(axis=1)))
-        counts.flags.writeable = False
         self.keys, self.ids, self.counts, self.design = keys, ids, counts, design
         self.projected, self.basis = projected, basis
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for a in (self.ids, self.counts, self.saturated, self.inherit,
+                  self.projected, self.basis, *self.design):
+            a.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle restores arrays writeable
+        self.__dict__.update(state)
+        self._freeze()
 
     def plan(self, row: int) -> StagePlan:
         arms = ProjectedArmSet(self.projected[row], self.basis[row],
@@ -281,7 +299,10 @@ def _plan_stages(keys: Sequence[tuple],
     span by one stacked SVD, and each span dimension d_t makes one
     ``_PlanBlock``.  Instances hash by identity, so keys of different
     instances stay apart.  Every stacked kernel gives each key the bits of
-    its lone computation.  Nothing is kept after the call.
+    its lone computation.  The call keeps nothing; its blocks' keys are
+    positions in their shape's group, not the keys, so a block refers to
+    no instance, and ``_first_stage_plans`` can keep one with its
+    instance without a reference cycle.
     """
     plans: dict = {}  # key -> its (block, row), or its error
     by_shape = defaultdict(list)  # (m, d, uniform) -> keys to build
@@ -292,13 +313,41 @@ def _plan_stages(keys: Sequence[tuple],
         n = np.array([key[2] for key in group])
         errors, stacks = _project_stack(
             _gather([key[0] for key in group], "features", ids))
+        failed: dict = {}  # position in group -> the error its build raised
         for items, projected, basis in stacks:
-            block = _PlanBlock([group[b] for b in items.tolist()], ids[items],
-                               n[items], projected, basis, uniform)
-            plans.update((key, (block, row)) for row, key in enumerate(block.keys))
-            plans.update(block.failed)
-        plans.update((group[b], exc) for b, exc in errors.items())
+            block = _PlanBlock(items.tolist(), ids[items], n[items], projected,
+                               basis, uniform, failed)
+            plans.update((group[b], (block, row)) for row, b in enumerate(block.keys))
+        plans.update((group[b], exc) for b, exc in (*errors.items(), *failed.items()))
     return [plans[key] for key in keys]
+
+
+def _first_stage_plans(instances: Sequence[BanditInstance], n: int,
+                       strategy: str) -> list[Union[tuple[_PlanBlock, int], FbbaiError]]:
+    """The (block, row) plan of a first stage, ``n`` pulls on all K arms
+    in id order, for each entry of ``instances``, or the error its build
+    raised.
+
+    A first-stage plan depends only on the instance, n and the strategy,
+    so each instance keeps the plans built for it in its own dict
+    (``BanditInstance._first_plans``): a plan is built once per (instance,
+    n, strategy) per process, and each later call reads it with one
+    lookup per distinct instance.  The misses are built together by
+    ``_plan_stages``, bit for bit as without the memo.  A failing key is
+    not kept, so each call gets a fresh error.  The memo needs no bound:
+    it dies with its instance, and a block holds no instance (see
+    ``_plan_stages``)."""
+    plans = {instance: instance._first_plans.get((n, strategy))
+             for instance in dict.fromkeys(instances)}  # None for a miss
+    misses = [instance for instance, plan in plans.items() if plan is None]
+    if misses:
+        for instance, plan in zip(misses, _plan_stages([
+                (instance, tuple(range(instance.n_arms)), n, strategy)
+                for instance in misses])):
+            plans[instance] = plan
+            if not isinstance(plan, FbbaiError):
+                instance._first_plans[n, strategy] = plan
+    return [plans[instance] for instance in instances]
 
 
 INHERIT_COND = math.sqrt(COND_LIMIT)  # cond(V) up to which saturation is inherited
@@ -393,7 +442,9 @@ def stage_schedule(K: int, eta: float, budget: int) -> StageSchedule:
 
 def stage_plan(instance: BanditInstance, ids: tuple[int, ...], n: int,
                strategy: str) -> StagePlan:
-    """The plan of ``n`` pulls on the arm ids ``ids``, built alone; raises
+    """The plan of ``n`` pulls on the arm ids ``ids``, built alone, or, for
+    all K ids in order, the first-stage plan the instance keeps
+    (``_first_stage_plans``); raises
     ``ConfigurationError`` for non-integers (a bool is not an integer), ids
     that are not distinct arm ids in [0, K) or none at all, a strategy
     outside ``STRATEGIES``, or ``n`` below their span dimension or not
@@ -407,7 +458,10 @@ def stage_plan(instance: BanditInstance, ids: tuple[int, ...], n: int,
     if strategy not in STRATEGIES:
         raise ConfigurationError(
             f"strategy {strategy!r} not one of {STRATEGIES}")
-    block, row = _one(_plan_stages([(instance, ids, int(n), strategy)]))
+    n = int(n)
+    block, row = _one(_first_stage_plans([instance], n, strategy)
+                      if ids == tuple(range(K))
+                      else _plan_stages([(instance, ids, n, strategy)]))
     return block.plan(row)
 
 
@@ -629,7 +683,9 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
     splits by its inherit flag, and each group has the plans of its jobs
     built at once, as stacks (``_plan_stages``): jobs of one instance that
     ask for one key share its plan row, and a key holds its instance, so
-    jobs of different instances never share one.  The jobs of each plan
+    jobs of different instances never share one.  The first stage reads
+    each instance's kept plan (``_first_stage_plans``) and builds only
+    the misses, so it makes no per-job key.  The jobs of each plan
     block then draw (``_stage_sums``), are estimated and are cut
     (``eliminate_stack``) together, and their survivors rejoin the cohort.
     A group that inherits saturation asks for no plan unless its traces
@@ -674,9 +730,11 @@ def gse_lockstep(jobs: Sequence[tuple[BanditInstance, GseConfig, np.random.Gener
                     stacks.append((True, group, ids, None, None))
                     continue
                 blocks = defaultdict(list)  # plan block -> (g, row) of its jobs
-                for g, plan in enumerate(_plan_stages([
-                        (draws[j][0], row, n, strategy) for j, row in zip(
-                            group.tolist(), map(tuple, ids.tolist()))])):
+                insts = [draws[j][0] for j in group.tolist()]
+                plans = (_first_stage_plans(insts, n, strategy) if t == 1
+                         else _plan_stages([(inst, row, n, strategy) for inst, row
+                                            in zip(insts, map(tuple, ids.tolist()))]))
+                for g, plan in enumerate(plans):
                     if isinstance(plan, FbbaiError):
                         results[group[g]] = plan
                     else:

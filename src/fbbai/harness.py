@@ -266,9 +266,10 @@ LOCKSTEP_BATCH = 1000  # replications per gse_lockstep call: bounds a chunk's me
 
 def _mc_chunk(task: _Chunk) -> tuple[int, int]:
     """Tally replications [start, stop) of a point, run as successive
-    lockstep batches of at most ``LOCKSTEP_BATCH``, each keeping its own
-    plans and building no stage traces; a generator's package error aborts
-    its replication.  NumPy mixes the point's seed words once
+    lockstep batches of at most ``LOCKSTEP_BATCH``, each building its own
+    later-stage plans and no stage traces (a fixed instance keeps its
+    first-stage plan across batches and points); a generator's package
+    error aborts its replication.  NumPy mixes the point's seed words once
     (``_point_pool``), and each batch seeds its replications' streams
     together from that pool (``_streams``)."""
     fixed = isinstance(task.source, BanditInstance)

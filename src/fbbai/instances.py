@@ -14,8 +14,8 @@ Conventions
   the error-bound evaluators consume.
 - Generators that draw randomness resample up to 100 times until the best
   arm is strictly unique, then raise ``DegenerateInputError``.
-- A generator's sizes (K, d) must be integers (NumPy integers are); any
-  other value raises ``DegenerateInputError``.
+- A generator's sizes (K, d) must be integers (NumPy integers are, bools
+  are not); any other value raises ``DegenerateInputError``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, _is_int
 
 MAX_RESAMPLE = 100
 RANK_TOL = 1e-9  # relative singular-value cutoff of the numerical rank
@@ -126,7 +125,10 @@ class BanditInstance:
         Label used in result tables.
 
     Instances hash and compare by identity, so the plan keys of one
-    ``gse_lockstep`` stage tell instances apart.
+    ``gse_lockstep`` stage tell instances apart.  An instance keeps
+    read-only copies of ``features`` and ``theta_star``, so the values it
+    caches (``means``, ``best_arm``, its first-stage plans) cannot go
+    stale when the caller's arrays change.
     """
 
     features: np.ndarray
@@ -138,8 +140,8 @@ class BanditInstance:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=float)
-        theta = np.asarray(self.theta_star, dtype=float)
+        features = np.array(self.features, dtype=float)
+        theta = np.array(self.theta_star, dtype=float)
         if features.ndim != 2:
             raise DegenerateInputError("features must be a 2-d array, one row per arm")
         K, d = features.shape
@@ -162,10 +164,21 @@ class BanditInstance:
             raise DegenerateInputError("bernoulli rewards require the glm model")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "theta_star", theta)
+        self._freeze()
         if self.bernoulli:
             m = self.means
             if np.any(m < 0.0) or np.any(m > 1.0):
                 raise DegenerateInputError("bernoulli rewards need means in [0, 1]")
+
+    def _freeze(self) -> None:
+        self.features.flags.writeable = False
+        self.theta_star.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable; the state also holds the
+        # cached values and the first-stage plans
+        self.__dict__.update(state)
+        self._freeze()
 
     # -- derived quantities -------------------------------------------------
 
@@ -220,6 +233,13 @@ class BanditInstance:
 
     def has_unique_best(self) -> bool:
         return self.delta_min > 0.0
+
+    @cached_property
+    def _first_plans(self) -> dict:
+        """``gse``'s memo of this instance's first-stage plans: (n,
+        strategy) -> the (plan block, row) of n pulls on all K arms.  Kept
+        with the instance, it dies with it and is pickled with it."""
+        return {}
 
 
 def noiseless(instance: BanditInstance) -> BanditInstance:
@@ -302,13 +322,13 @@ def project_to_span(active_features: np.ndarray,
         If the matrix is empty, entirely zero or not finite, or ``ids``
         does not give one index per row.
     ConfigurationError
-        If an entry of ``ids`` is not an integer.
+        If an entry of ``ids`` is not an integer (a bool is not).
     """
     A = np.asarray(active_features, dtype=float)
     if A.ndim != 2 or A.shape[0] == 0:
         raise DegenerateInputError("active_features must be a nonempty 2-d array")
     ids = tuple(range(A.shape[0]) if ids is None else ids)
-    if not all(isinstance(i, Integral) for i in ids):
+    if not all(_is_int(i) for i in ids):
         raise ConfigurationError(f"arm ids must be integers, not {ids}")
     if len(ids) != A.shape[0]:
         raise DegenerateInputError("ids must match the number of rows")
@@ -355,9 +375,9 @@ def _project_stack(A: np.ndarray) -> tuple[dict, list]:
 
 def _check_ints(where: str, **sizes) -> None:
     """Raise ``DegenerateInputError`` unless every size is an integer
-    (NumPy integers are)."""
+    (NumPy integers are, bools are not)."""
     for name, value in sizes.items():
-        if not isinstance(value, Integral):
+        if not _is_int(value):
             raise DegenerateInputError(
                 f"{where} instance needs an integer {name}, not {value!r}")
 

@@ -105,6 +105,16 @@ class TestInputValidation:
         with pytest.raises(UndefinedBoundError):
             bound_linear_gopt(linear_inputs(**overrides))
 
+    @pytest.mark.parametrize("field", ["K", "d", "eta", "sigma2", "delta_min",
+                                       "budget", "c_min"])
+    @pytest.mark.parametrize("value", ["2", True, np.bool_(True), 2j])
+    def test_non_real_or_bool_fields_are_undefined(self, field, value):
+        # each used to raise a raw TypeError, or pass as 1
+        for bound in (bound_linear_gopt, bound_glm_gopt):
+            with pytest.raises(UndefinedBoundError,
+                               match=f"{field} must be a real number"):
+                bound(linear_inputs(**{field: value}))
+
 
 # Recorded from the four per-form implementations before they became one
 # kernel: each entry is (overrides of GOLDEN_BASE, outcomes of

@@ -1,7 +1,10 @@
 """Stage scheduling, exploration, elimination, and full elimination runs."""
 
+import gc
 import hashlib
 import math
+import pickle
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -19,11 +22,11 @@ from fbbai.errors import (BudgetTooSmallError, ConfigurationError,
 from fbbai.estimators import COND_LIMIT, irls_glm_stack
 from fbbai.gse import (DesignCache, GseConfig, eliminate, explore,
                        gse_lockstep, gse_run, stage_plan, stage_schedule)
-from fbbai.harness import family_source, rep_seed
+from fbbai.harness import family_source, mc_accuracy, rep_seed
 from fbbai.instances import (LOGISTIC, BanditInstance, gen_adaptive_instance,
                              gen_logistic_instance, gen_sphere_instance,
-                             gen_static_instance, noiseless, project_to_span,
-                             sample_rewards)
+                             gen_static_instance, load_instance_csv, noiseless,
+                             project_to_span, sample_rewards)
 
 
 class TestConfig:
@@ -857,8 +860,10 @@ class TestLockstep:
 
         monkeypatch.setattr(DesignCache, "design", staticmethod(counting))
         cfg = GseConfig(budget=60)
-        # one fixed instance: stage 1 has one key
-        jobs = [(ADAPTIVE, cfg, np.random.default_rng(s)) for s in range(6)]
+        # one fixed instance, fresh so that it keeps no first-stage plan:
+        # stage 1 has one key
+        inst = gen_adaptive_instance(3)
+        jobs = [(inst, cfg, np.random.default_rng(s)) for s in range(6)]
         gse_lockstep(jobs)
         assert stacks[0] == (1, 4, 3)
         stacks.clear()
@@ -1466,6 +1471,8 @@ class TestInheritance:
         built = sum(rows)
         traced = gse_lockstep(jobs())
         monkeypatch.setattr(gse_mod, "INHERIT_COND", 0.0)  # no run inherits
+        for inst, _, _ in jobs():  # kept first-stage flags used the old margin
+            inst._first_plans.clear()
         rows.clear()
         plain = gse_lockstep(jobs(), traces=False)
         assert built < sum(rows)
@@ -1476,6 +1483,154 @@ class TestInheritance:
         assert [(r.recommended, r.success, r.total_pulls) for r in untraced] == [
             (r.recommended, r.success, r.total_pulls) for r in plain] == [
             (r.recommended, r.success, r.total_pulls) for r in traced]
+
+
+def memo_instance(kind, tmp_path):
+    """A fresh fixed instance of one family: the static eye, the adaptive
+    set (ten arms in R^9, so its first stage is a Frank-Wolfe solve), one
+    read from CSV files, and the Bernoulli-logistic grid."""
+    if kind == "static":
+        return gen_static_instance(0.5, K=8, sigma2=4.0)
+    if kind == "adaptive":
+        return gen_adaptive_instance(9)
+    if kind == "bernoulli":
+        return glm_grid_instance(8, 0.75)
+    arms, theta = tmp_path / "arms.csv", tmp_path / "theta.txt"
+    arms.write_text("x1,x2,x3\n1,0,0\n0,1,0\n0,0,1\n0.6,0.8,0\n0.3,0.3,0.9\n")
+    theta.write_text("1 0.5 0.2\n")
+    return load_instance_csv(str(arms), str(theta), sigma2=2.0)
+
+
+MEMO_CONFIGS = {"static": GseConfig(160), "adaptive": GseConfig(400),
+                "csv": GseConfig(90), "bernoulli": GseConfig(240, model="logistic")}
+
+
+def trace_plans(result):
+    """Every bit of a traced run's stage plans, beside its run summary."""
+    return run_summary(result), tuple(
+        (t.arms.original_ids, t.arms.projected.tobytes(), t.arms.basis.tobytes(),
+         t.counts.tobytes(), None if t.design is None else design_fields(t.design))
+        for t in result.traces)
+
+
+class TestFirstStageMemo:
+    """Each instance keeps the plans of its first stages, all K arms, so a
+    plan is built once per (instance, n, strategy) per process."""
+
+    def test_a_second_run_builds_no_first_stage_plan(self, monkeypatch):
+        sizes = []  # arms per row of each plan block built
+        init = gse_mod._PlanBlock.__init__
+
+        def counting(self, *args):
+            init(self, *args)
+            sizes.append(self.ids.shape[1])
+
+        monkeypatch.setattr(gse_mod._PlanBlock, "__init__", counting)
+        inst = gen_static_instance(0.5, K=8, sigma2=4.0)
+        for _ in range(3):  # every later stage inherits saturation
+            mc_accuracy(inst, "gse-fwg", 160, 20, seed=3, workers=1)
+            assert sizes == [8]
+        gse_run(inst, GseConfig(160), np.random.default_rng(0))
+        stage_plan(inst, tuple(range(8)), 53, "fw-g")
+        assert sizes.count(8) == 1
+
+    def test_a_second_run_solves_no_first_stage_design(self, monkeypatch):
+        solved = []  # the (B, m, d_t) shape of each Frank-Wolfe stack
+        solve = DesignCache.design
+
+        def counting(arms):
+            solved.append(arms.shape)
+            return solve(arms)
+
+        monkeypatch.setattr(DesignCache, "design", staticmethod(counting))
+        inst, cfg = gen_adaptive_instance(9), GseConfig(400)
+        gse_run(inst, cfg, np.random.default_rng(0))
+        assert solved[0] == (1, 10, 9)
+        solved.clear()
+        gse_run(inst, cfg, np.random.default_rng(1))
+        mc_accuracy(inst, "gse-fwg", 400, 4, seed=3, workers=1)
+        assert all(shape[1] < 10 for shape in solved)
+
+    @pytest.mark.parametrize("kind", ["static", "adaptive", "csv", "bernoulli"])
+    def test_cold_and_warm_calls_agree(self, kind, tmp_path):
+        """Runs, plans and tallies on a warm instance are those of a cold
+        one, bit for bit."""
+        cfg = MEMO_CONFIGS[kind]
+        inst = memo_instance(kind, tmp_path)
+        ids = tuple(range(inst.n_arms))
+        n = stage_schedule(inst.n_arms, cfg.eta, cfg.budget).per_stage_budget
+        runs = [trace_plans(gse_run(inst, cfg, np.random.default_rng(s)))
+                for s in (0, 1, 0)]  # cold, then warm
+        assert list(inst._first_plans) == [(n, "fw-g")]
+        assert runs[2] == runs[0] == trace_plans(gse_run(
+            memo_instance(kind, tmp_path), cfg, np.random.default_rng(0)))
+        assert plan_summary(stage_plan(inst, ids, n, "fw-g")) == plan_summary(
+            stage_plan(memo_instance(kind, tmp_path), ids, n, "fw-g"))
+        tallies = [mc_accuracy(inst, "gse-fwg", cfg.budget, 30, seed=7, workers=1)
+                   for _ in range(2)]
+        assert tallies[0] == tallies[1] == mc_accuracy(
+            memo_instance(kind, tmp_path), "gse-fwg", cfg.budget, 30, seed=7,
+            workers=1)
+
+    def test_kept_arrays_are_read_only(self):
+        inst = gen_adaptive_instance(4)
+        plan = stage_plan(inst, tuple(range(5)), 40, "fw-g")
+        block, row = inst._first_plans[40, "fw-g"]
+        arrays = (block.ids, block.counts, block.saturated, block.inherit,
+                  block.projected, block.basis, *block.design)
+        assert len(block.design) == 4
+        assert not any(a.flags.writeable for a in arrays)
+        for a in (plan.arms.projected, plan.arms.basis, plan.counts,
+                  plan.design.weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # pickling restores arrays writeable; a block is frozen again
+        twin = pickle.loads(pickle.dumps(inst))
+        copy, _ = twin._first_plans[40, "fw-g"]
+        assert copy is not block
+        assert not any(a.flags.writeable for a in (
+            copy.ids, copy.counts, copy.saturated, copy.inherit,
+            copy.projected, copy.basis, *copy.design))
+        assert plan_summary(copy.plan(row)) == plan_summary(plan)
+
+    def test_a_dropped_instance_is_freed_without_the_collector(self):
+        gc.disable()
+        try:
+            # two instances of one shape share their first-stage block
+            a, b = (gen_sphere_instance(8, 3, np.random.default_rng(s))
+                    for s in (1, 2))
+            cfg = GseConfig(120)
+            gse_lockstep([(inst, cfg, np.random.default_rng(0)) for inst in (a, b)])
+            (plan_a,), (plan_b,) = a._first_plans.values(), b._first_plans.values()
+            assert plan_a[0] is plan_b[0]
+            refs = weakref.ref(a), weakref.ref(b)
+            del a, plan_a
+            assert refs[0]() is None and refs[1]() is not None
+            del b, plan_b
+            assert refs[1]() is None
+        finally:
+            gc.enable()
+
+    def test_a_warm_instance_on_two_workers_gives_the_serial_tallies(self):
+        inst = gen_static_instance(0.5, K=8, sigma2=4.0)
+        serial = mc_accuracy(inst, "gse-fwg", 160, 40, seed=5, workers=1)
+        assert inst._first_plans  # warm: the tasks carry its plans
+        assert mc_accuracy(inst, "gse-fwg", 160, 40, seed=5, workers=2) == serial
+        cold = gen_static_instance(0.5, K=8, sigma2=4.0)
+        assert mc_accuracy(cold, "gse-fwg", 160, 40, seed=5, workers=2) == serial
+
+    def test_a_first_stage_below_the_span_raises_on_every_call(self):
+        inst = gen_adaptive_instance(4)  # five arms in R^4
+        cfg = GseConfig(9)  # three stages of three pulls
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="cannot span") as info:
+                gse_run(inst, cfg, np.random.default_rng(0))
+            errors.append(info.value)
+        with pytest.raises(ConfigurationError, match="cannot span"):
+            stage_plan(inst, tuple(range(5)), 3, "fw-g")
+        assert errors[0] is not errors[1]
+        assert inst._first_plans == {}
 
 
 def trace_digest(result):

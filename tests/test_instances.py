@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ class TestBanditInstance:
         with pytest.raises(DegenerateInputError):
             BanditInstance(**kwargs)
 
+    def test_arrays_are_read_only_copies(self):
+        features, theta = np.eye(3), np.array([1.0, 0.5, 0.2])
+        inst = BanditInstance(features=features, theta_star=theta)
+        assert inst.best_arm == 0
+        features[0, 0] = -5.0
+        theta[0] = -1.0
+        # the caller's arrays are not the instance's
+        assert inst.features[0, 0] == 1.0 and inst.theta_star[0] == 1.0
+        assert inst.best_arm == 0
+        assert inst.means.tolist() == (inst.features @ inst.theta_star).tolist()
+        for array in (inst.features, inst.theta_star):
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+        twin = pickle.loads(pickle.dumps(inst))
+        assert not twin.features.flags.writeable
+        assert not twin.theta_star.flags.writeable
+
     def test_bernoulli_needs_means_inside_unit_interval(self):
         with pytest.raises(DegenerateInputError):
             BanditInstance(features=np.eye(2), theta_star=np.array([3.0, 0.0]),
@@ -180,6 +198,8 @@ class TestProjection:
     def test_non_integer_ids_rejected(self):
         with pytest.raises(ConfigurationError, match="must be integers"):
             project_to_span(np.eye(2), ids=(0.7, 1.9))
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            project_to_span(np.eye(2), ids=(True, 0))  # was recorded as arm 1
         proj = project_to_span(np.eye(2), ids=np.array([3, 5]))
         assert proj.original_ids == (3, 5)
         assert all(type(i) is int for i in proj.original_ids)
@@ -259,7 +279,12 @@ class TestGenerators:
         (lambda rng: gen_adaptive_instance(2.5), "d"),
         (lambda rng: gen_corner_instance(3.5, rng), "K"),
         (lambda rng: gen_logistic_instance(4, 2.5, rng), "d"),
-    ], ids=["static", "sphere", "adaptive", "corner", "logistic"])
+        # a bool is not an integer
+        (lambda rng: gen_logistic_instance(4, True, rng), "d"),
+        (lambda rng: gen_static_instance(1.0, K=True), "K"),
+        (lambda rng: gen_sphere_instance(8, False, rng), "d"),
+    ], ids=["static", "sphere", "adaptive", "corner", "logistic",
+            "logistic-bool", "static-bool", "sphere-bool"])
     def test_non_integer_size_rejected(self, build, name):
         with pytest.raises(DegenerateInputError,
                            match=f"needs an integer {name}, not"):
